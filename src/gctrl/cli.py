@@ -49,7 +49,7 @@ from .merton import (
     verify_hjb_residual,
     worst_case_lambda,
 )
-from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text, integrate_gsde
+from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text, integrate_gsde, path_normals
 from .verify import TOL_RESIDUAL, run_all_checks
 
 EXIT_OK = 0
@@ -288,10 +288,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
                           n_paths=sim.n_paths, seed=sim.seed)
     functional = _simulate_functional(cfg)
     direction = hjb_attitude(cfg.solver.attitude)
+    # The search and the reported paths share one set of draws.
+    normals = path_normals(path_cfg.seed, path_cfg.n_paths, path_cfg.n_steps, d)
     est = upper_expectation_mc(spec, set_, functional, path_cfg,
                                n_segments=sim.n_segments, direction=direction,
-                               n_grid=sim.n_grid)
-    bundle = integrate_gsde(spec, set_, est.best_schedule, path_cfg)
+                               n_grid=sim.n_grid, _normals=normals)
+    bundle = integrate_gsde(spec, set_, est.best_schedule, path_cfg, _normals=normals)
 
     report = RunReport(command="simulate", config_echo=canonical_text(cfg))
     res = report.results

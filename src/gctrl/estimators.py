@@ -91,6 +91,7 @@ def upper_expectation_mc(
     n_segments: int = DEFAULT_N_SEGMENTS,
     direction: str = "upper",
     n_grid: int = DEFAULT_N_GRID,
+    _normals: np.ndarray | None = None,
 ) -> ExpectationEstimate:
     """Optimize the sample mean of ``functional`` over the schedule family.
 
@@ -102,7 +103,8 @@ def upper_expectation_mc(
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
     schedules = candidate_schedules(set_, cfg.horizon, n_segments, n_grid)
-    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
+    normals = (_normals if _normals is not None
+               else path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise))
 
     def evaluate(schedule: VolSchedule) -> np.ndarray:
         bundle = integrate_gsde(spec, set_, schedule, cfg, _normals=normals)

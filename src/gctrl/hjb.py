@@ -468,19 +468,21 @@ def solution_csv_text(solution: HjbSolution) -> str:
     The terminal level carries control_index -1 and an empty control column
     since no decision is taken there.
     """
-    lines = ["t,x,value,control_index,control_value"]
+    # x and control cells are formatted once; each time level is one
+    # %-template filled by a single call ("%.17g" matches format(v, ".17g")).
+    x_cells = [f"{x:.17g},%.17g," for x in solution.x.tolist()]
+    control_cells = [f"{j},{_format_control(c)}\n" for j, c in enumerate(solution.controls)]
     n_t = solution.policy.shape[0]
-    for k, t in enumerate(solution.times):
-        for i, xv in enumerate(solution.x):
-            if k < n_t:
-                j = int(solution.policy[k, i])
-                ctrl = _format_control(solution.controls[j])
-            else:
-                j, ctrl = -1, ""
-            lines.append(
-                f"{t:.9f},{format(xv, '.17g')},{format(solution.values[k, i], '.17g')},{j},{ctrl}"
-            )
-    return "\n".join(lines) + "\n"
+    chunks = ["t,x,value,control_index,control_value\n"]
+    for k, t in enumerate(solution.times.tolist()):
+        if k < n_t:
+            rows = map(str.__add__, x_cells,
+                       map(control_cells.__getitem__, solution.policy[k].tolist()))
+        else:
+            rows = [cell + "-1,\n" for cell in x_cells]
+        prefix = f"{t:.9f},"
+        chunks.append((prefix + prefix.join(rows)) % tuple(solution.values[k].tolist()))
+    return "".join(chunks)
 
 
 def solution_meta_text(problem: HjbProblem, grid: Grid1D) -> str:

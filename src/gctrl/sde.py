@@ -11,7 +11,6 @@ already drawn and every run is bit-reproducible from its seed.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
@@ -133,7 +132,12 @@ class PathBundle:
 
     def to_csv(self, target) -> None:
         """Write ``path_id,time,state_0..`` rows; target is a path or file object."""
-        write_bundle_csv(self, target)
+        text = bundle_csv_text(self)
+        if hasattr(target, "write"):
+            target.write(text)
+        else:
+            with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
 
 
 def path_normals(seed: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
@@ -260,25 +264,15 @@ def integrate_gsde(
     return PathBundle(times=times, states=states, schedule=schedule)
 
 
-def write_bundle_csv(bundle: PathBundle, target) -> None:
+def bundle_csv_text(bundle: PathBundle) -> str:
     """CSV export: header row, 9-decimal times, 17-significant-digit states."""
     m = bundle.states.shape[2]
-    header = "path_id,time," + ",".join(f"state_{j}" for j in range(m))
-    lines = [header]
+    # Times are formatted once into %-template rows shared by every path; each
+    # path is one format call ("%.17g" matches format(v, ".17g")).
+    time_rows = [f"{t:.9f}" + ",%.17g" * m + "\n" for t in bundle.times.tolist()]
+    chunks = ["path_id,time," + ",".join(f"state_{j}" for j in range(m)) + "\n"]
     for p in range(bundle.n_paths):
-        for k, t in enumerate(bundle.times):
-            vals = ",".join(format(v, ".17g") for v in bundle.states[p, k, :])
-            lines.append(f"{p},{t:.9f},{vals}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def bundle_csv_text(bundle: PathBundle) -> str:
-    """Render the CSV export in memory (used by byte-stability checks)."""
-    buf = io.StringIO()
-    write_bundle_csv(bundle, buf)
-    return buf.getvalue()
+        prefix = f"{p},"
+        states = tuple(bundle.states[p].ravel().tolist())
+        chunks.append((prefix + prefix.join(time_rows)) % states)
+    return "".join(chunks)
