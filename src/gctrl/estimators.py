@@ -11,19 +11,20 @@ whose optimum is attained at a constant schedule inside the family.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import AmbiguitySet
 from .errors import NumericError
-from .sde import PathConfig, SdeSpec, VolSchedule, integrate_gsde, path_normals
-from .util import worker_count
+from .sde import PathConfig, SdeSpec, VolSchedule, _integrate_batch, path_normals
 
 DEFAULT_N_SEGMENTS = 4
 DEFAULT_N_GRID = 5
 _MAX_CANDIDATES = 200_000
+# Schedules are integrated in chunks whose stacked states hold at most this
+# many floats (8 MiB), which bounds memory whatever the candidate count.
+_BATCH_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,13 @@ def candidate_schedules(
     return out
 
 
+def _chunks(schedules: list[VolSchedule], cfg: PathConfig, dim_state: int):
+    """(first index, schedules) runs whose stacked states fit _BATCH_FLOATS."""
+    size = max(1, _BATCH_FLOATS // (cfg.n_paths * (cfg.n_steps + 1) * dim_state))
+    for start in range(0, len(schedules), size):
+        yield start, schedules[start:start + size]
+
+
 def upper_expectation_mc(
     spec: SdeSpec,
     set_: AmbiguitySet,
@@ -106,23 +114,17 @@ def upper_expectation_mc(
     normals = (_normals if _normals is not None
                else path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise))
 
-    def evaluate(schedule: VolSchedule) -> np.ndarray:
-        bundle = integrate_gsde(spec, set_, schedule, cfg, _normals=normals)
-        vals = np.asarray(functional(bundle), dtype=float).reshape(-1)
-        if vals.shape != (cfg.n_paths,):
-            raise ValueError(
-                f"functional must return one value per path, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("functional returned a non-finite value")
-        return vals
-
-    workers = min(worker_count(), len(schedules))
-    if workers > 1 and len(schedules) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_path = list(pool.map(evaluate, schedules))
-    else:
-        per_path = [evaluate(s) for s in schedules]
+    per_path = []
+    for start, chunk in _chunks(schedules, cfg, spec.dim_state):
+        for bundle in _integrate_batch(spec, set_, chunk, cfg, normals, first_index=start):
+            vals = np.asarray(functional(bundle), dtype=float).reshape(-1)
+            if vals.shape != (cfg.n_paths,):
+                raise ValueError(
+                    f"functional must return one value per path, got shape {vals.shape}"
+                )
+            if not np.all(np.isfinite(vals)):
+                raise NumericError("functional returned a non-finite value")
+            per_path.append(vals)
 
     means = np.asarray([v.mean() for v in per_path])
     best = int(np.argmax(means)) if direction == "upper" else int(np.argmin(means))
@@ -167,15 +169,17 @@ def moment_bound_check(
 
     sup_moment = -np.inf
     envelope = np.full(len(lags), -np.inf)
-    for v in levels:
-        schedule = VolSchedule.constant(v * eye)
-        bundle = integrate_gsde(spec, set_, schedule, cfg, _normals=normals)
-        norms = np.linalg.norm(bundle.states, axis=2)  # (n_paths, n_steps+1)
-        sup_moment = max(sup_moment, float(np.mean(np.max(norms, axis=1) ** ell)))
-        for j, L in enumerate(lags):
-            diffs = bundle.states[:, L:, :] - bundle.states[:, :-L, :]
-            inc = np.linalg.norm(diffs, axis=2) ** ell
-            envelope[j] = max(envelope[j], float(inc.mean()))
+    schedules = [VolSchedule.constant(v * eye) for v in levels]
+    for start, chunk in _chunks(schedules, cfg, spec.dim_state):
+        for bundle in _integrate_batch(spec, set_, chunk, cfg, normals, first_index=start):
+            # Path-major copy: the means below then sum in path order.
+            states = np.ascontiguousarray(bundle.states)
+            norms = np.linalg.norm(states, axis=2)  # (n_paths, n_steps+1)
+            sup_moment = max(sup_moment, float(np.mean(np.max(norms, axis=1) ** ell)))
+            for j, L in enumerate(lags):
+                diffs = states[:, L:, :] - states[:, :-L, :]
+                inc = np.linalg.norm(diffs, axis=2) ** ell
+                envelope[j] = max(envelope[j], float(inc.mean()))
 
     dt = cfg.dt
     slope = float(np.polyfit(np.log(np.asarray(lags) * dt), np.log(envelope), 1)[0])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,7 +99,9 @@ class SdeSpec:
     ``diffusion(t, x, u)`` to (n_paths, dim_state, dim_noise) when ``x`` has
     shape (n_paths, dim_state); plain scalars and constant arrays are fine.
     ``control(t, x)`` produces the feedback value handed to both; ``None``
-    means an uncontrolled system (the callables receive u=None).
+    means an uncontrolled system (the callables receive u=None).  Each row of
+    ``x`` is one path and must be treated independently of the others: the
+    scenario search stacks the paths of several schedules into one array.
     """
 
     dim_state: int
@@ -172,36 +174,17 @@ def _validate_schedule(set_: AmbiguitySet, schedule: VolSchedule) -> None:
             raise ValueError(f"schedule value {k} lies outside the ambiguity set")
 
 
-def _increments(schedule: VolSchedule, cfg: PathConfig, dim: int, normals: np.ndarray) -> np.ndarray:
-    """Brownian increments sqrt(dt) * sqrt(v(t_k)) @ xi for every step."""
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-    out = np.empty_like(normals)
-    # One spectral square root per schedule segment actually visited.
-    roots: dict[int, np.ndarray] = {}
-    for k in range(cfg.n_steps):
-        t_k = k * dt
-        seg = bisect_right(schedule.breakpoints, t_k) - 1
-        if seg not in roots:
-            roots[seg] = _sqrt_psd(schedule.values[seg])
-        out[:, k, :] = sqrt_dt * normals[:, k, :] @ roots[seg].T
-    return out
-
-
 def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> PathBundle:
     """Sample ambiguous Brownian motion under one volatility scenario.
 
     Paths start at zero; each increment is Gaussian with covariance
     v(t_k) * dt where v is the schedule value on [t_k, t_{k+1}).
     """
-    _validate_schedule(set_, schedule)
     d = set_.dim
+    brownian = SdeSpec(dim_state=d, dim_noise=d, drift=lambda t, x, u: 0.0,
+                       diffusion=lambda t, x, u: np.eye(d), initial_state=np.zeros(d))
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, d)
-    incr = _increments(schedule, cfg, d, normals)
-    states = np.zeros((cfg.n_paths, cfg.n_steps + 1, d))
-    np.cumsum(incr, axis=1, out=states[:, 1:, :])
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    return PathBundle(times=times, states=states, schedule=schedule)
+    return _integrate_batch(brownian, set_, [schedule], cfg, normals)[0]
 
 
 def _coerce_drift(value, n: int, m: int) -> np.ndarray:
@@ -220,6 +203,67 @@ def _coerce_diffusion(value, n: int, m: int, d: int) -> np.ndarray:
     return np.broadcast_to(arr, (n, m, d))
 
 
+def _integrate_batch(
+    spec: SdeSpec,
+    set_: AmbiguitySet,
+    schedules: Sequence[VolSchedule],
+    cfg: PathConfig,
+    normals: np.ndarray,
+    first_index: int | None = None,
+) -> list[PathBundle]:
+    """Euler-Maruyama integration under C schedules at once, one bundle each.
+
+    The schedules are stacked along the path axis, so the state has
+    C * n_paths rows and every schedule sees the same ``normals`` (common
+    random numbers).  States are stored time-major, (n_steps+1, C*n_paths, m),
+    so each step writes one contiguous block; every bundle's states are a
+    (n_paths, n_steps+1, m) view into that array.  A non-finite state aborts
+    with the path index within its schedule, and with the schedule's index
+    counted from ``first_index`` when one is given.
+    """
+    for schedule in schedules:
+        _validate_schedule(set_, schedule)
+        if schedule.dim != spec.dim_noise:
+            raise ValueError(
+                f"noise dimension {spec.dim_noise} does not match schedule dim {schedule.dim}"
+            )
+    n, m, d, c = cfg.n_paths, spec.dim_state, spec.dim_noise, len(schedules)
+    rows = c * n
+    dt = cfg.dt
+    sqrt_dt = np.sqrt(dt)
+    # roots_t[k, j] is the transposed square root of the covariance that
+    # schedule j has in force on [t_k, t_{k+1}).
+    t_steps = np.arange(cfg.n_steps) * dt
+    roots_t = np.empty((cfg.n_steps, c, d, d))
+    for j, schedule in enumerate(schedules):
+        seg = np.searchsorted(schedule.breakpoints, t_steps, side="right") - 1
+        roots_t[:, j] = np.stack([_sqrt_psd(v).T for v in schedule.values])[seg]
+
+    states = np.empty((cfg.n_steps + 1, rows, m))
+    states[0] = spec.initial_state
+    x = np.array(states[0])
+    for k in range(cfg.n_steps):
+        t_k = k * dt
+        u = spec.control(t_k, x) if spec.control is not None else None
+        f = _coerce_drift(spec.drift(t_k, x, u), rows, m)
+        g = _coerce_diffusion(spec.diffusion(t_k, x, u), rows, m, d)
+        dw = ((sqrt_dt * normals[:, k, :]) @ roots_t[k]).reshape(rows, d)
+        x = x + f * dt + np.einsum("pmd,pd->pm", g, dw)
+        if not np.all(np.isfinite(x)):
+            row = int(np.argwhere(~np.isfinite(x))[0, 0])
+            where = ("" if first_index is None
+                     else f" under candidate schedule {first_index + row // n}")
+            raise NumericError(
+                f"non-finite state on path {row % n} at step {k + 1} "
+                f"(t={t_k + dt:.6g}){where}; check drift/diffusion growth"
+            )
+        states[k + 1] = x
+    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+    per_schedule = states.reshape(cfg.n_steps + 1, c, n, m).transpose(1, 2, 0, 3)
+    return [PathBundle(times=times, states=per_schedule[j], schedule=s)
+            for j, s in enumerate(schedules)]
+
+
 def integrate_gsde(
     spec: SdeSpec,
     set_: AmbiguitySet,
@@ -234,34 +278,9 @@ def integrate_gsde(
     shape (n_paths, dim_state) is accepted as the one noise column.  A
     non-finite state aborts with the path and step where it first appeared.
     """
-    _validate_schedule(set_, schedule)
-    if schedule.dim != spec.dim_noise:
-        raise ValueError(
-            f"noise dimension {spec.dim_noise} does not match schedule dim {schedule.dim}"
-        )
-    n, m, d = cfg.n_paths, spec.dim_state, spec.dim_noise
-    normals = _normals if _normals is not None else path_normals(cfg.seed, n, cfg.n_steps, d)
-    incr = _increments(schedule, cfg, d, normals)
-    dt = cfg.dt
-
-    states = np.empty((n, cfg.n_steps + 1, m))
-    states[:, 0, :] = spec.initial_state
-    x = np.array(states[:, 0, :])
-    for k in range(cfg.n_steps):
-        t_k = k * dt
-        u = spec.control(t_k, x) if spec.control is not None else None
-        f = _coerce_drift(spec.drift(t_k, x, u), n, m)
-        g = _coerce_diffusion(spec.diffusion(t_k, x, u), n, m, d)
-        x = x + f * dt + np.einsum("pmd,pd->pm", g, incr[:, k, :])
-        if not np.all(np.isfinite(x)):
-            bad = np.argwhere(~np.isfinite(x))[0]
-            raise NumericError(
-                f"non-finite state on path {int(bad[0])} at step {k + 1} "
-                f"(t={t_k + dt:.6g}); check drift/diffusion growth"
-            )
-        states[:, k + 1, :] = x
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    return PathBundle(times=times, states=states, schedule=schedule)
+    normals = (_normals if _normals is not None
+               else path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise))
+    return _integrate_batch(spec, set_, [schedule], cfg, normals)[0]
 
 
 def bundle_csv_text(bundle: PathBundle) -> str:

@@ -1,18 +1,24 @@
 """Scenario-optimized expectation estimator and the moment-scaling check."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gctrl import (
     AmbiguitySet,
+    NumericError,
     PathConfig,
     SdeSpec,
     VolSchedule,
     candidate_schedules,
+    integrate_gsde,
     moment_bound_check,
     sample_gbm,
     upper_expectation_mc,
 )
+from gctrl import estimators
+from gctrl.sde import path_normals
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 
@@ -165,25 +171,87 @@ def test_moment_scaling_smooth_drift():
     assert abs(report.holder_slope - 2.0) < 1e-6
 
 
-def test_worker_cap_does_not_change_results(monkeypatch):
-    cfg = _cfg(n_paths=300, n_steps=30)
-    serial = upper_expectation_mc(_gbm_spec(), SET, terminal_square, cfg,
-                                  n_segments=2, n_grid=3)
-    monkeypatch.setenv("GCTRL_THREADS", "4")
-    threaded = upper_expectation_mc(_gbm_spec(), SET, terminal_square, cfg,
-                                    n_segments=2, n_grid=3)
-    assert threaded.value == serial.value
-    assert threaded.std_error == serial.std_error
-    assert threaded.best_schedule.values[0][0, 0] == serial.best_schedule.values[0][0, 0]
+def _feedback_spec():
+    # two state components on one noise, state-dependent drift and diffusion
+    return SdeSpec(
+        dim_state=2,
+        dim_noise=1,
+        drift=lambda t, x, u: -0.5 * x + u + np.sin(2.0 * t),
+        diffusion=lambda t, x, u: 1.0 + 0.1 * np.cos(x),
+        initial_state=[0.3, -0.2],
+        control=lambda t, x: 0.2 * np.tanh(x[:, ::-1]),
+    )
 
 
-def test_worker_cap_rejects_garbage(monkeypatch):
-    from gctrl import ConfigError
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("case", ["d1", "d2", "feedback"])
+def test_batch_size_does_not_change_results(monkeypatch, case, direction):
+    set2 = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+    spec, set_, n_segments = {
+        "d1": (_gbm_spec(), SET, 2),
+        "d2": (SdeSpec(dim_state=2, dim_noise=2, drift=lambda t, x, u: 0.0,
+                       diffusion=lambda t, x, u: np.eye(2), initial_state=[0.0, 0.0]), set2, 1),
+        "feedback": (_feedback_spec(), SET, 2),
+    }[case]
+    cfg = _cfg(n_paths=60, n_steps=12)
 
-    monkeypatch.setenv("GCTRL_THREADS", "many")
-    with pytest.raises(ConfigError, match="GCTRL_THREADS"):
-        upper_expectation_mc(_gbm_spec(), SET, terminal_square,
-                             _cfg(n_paths=10, n_steps=4), n_segments=1, n_grid=2)
+    def functional(bundle):
+        return np.sum(np.cos(bundle.states[:, -1, :]) + bundle.states[:, 5, :] ** 2, axis=1)
+
+    # reference: one integrate_gsde call per candidate, in order
+    schedules = candidate_schedules(set_, cfg.horizon, n_segments, 3)
+    assert len(schedules) == 9
+    ref_vals = [functional(integrate_gsde(spec, set_, s, cfg)) for s in schedules]
+    ref_means = [float(v.mean()) for v in ref_vals]
+    best = int(np.argmax(ref_means) if direction == "upper" else np.argmin(ref_means))
+    ref_se = float(ref_vals[best].std(ddof=1) / np.sqrt(cfg.n_paths))
+
+    per_candidate = cfg.n_paths * (cfg.n_steps + 1) * spec.dim_state
+    for chunk in (1, 2, len(schedules)):  # 2 leaves a ragged last chunk
+        monkeypatch.setattr(estimators, "_BATCH_FLOATS", chunk * per_candidate)
+        means = []
+
+        def recording(bundle):
+            vals = functional(bundle)
+            means.append(float(vals.mean()))
+            return vals
+
+        est = upper_expectation_mc(spec, set_, recording, cfg, n_segments=n_segments,
+                                   n_grid=3, direction=direction)
+        assert means == ref_means
+        assert est.value == ref_means[best]
+        assert est.std_error == ref_se
+        for got, want in zip(est.best_schedule.values, schedules[best].values):
+            assert np.array_equal(got, want)
+
+
+def test_nonfinite_in_batch_names_candidate_and_path(monkeypatch):
+    # drift turns NaN once |x| passes a threshold that, with these normals,
+    # only the two highest constant variance levels reach before the last step
+    cfg = _cfg(n_paths=40, n_steps=20)
+    walk = np.cumsum(np.sqrt(cfg.dt) * path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1), axis=1)
+    threshold = np.sqrt(0.7) * np.max(np.abs(walk[:, :-1]))
+    spec = SdeSpec(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda t, x, u: np.where(np.abs(x) > threshold, np.nan, 0.0),
+        diffusion=lambda t, x, u: 1.0,
+        initial_state=[0.0],
+    )
+    schedules = candidate_schedules(SET, cfg.horizon, 1, 5)
+    for chunk in (1, 2, len(schedules)):
+        monkeypatch.setattr(estimators, "_BATCH_FLOATS", chunk * cfg.n_paths * (cfg.n_steps + 1))
+        with pytest.raises(NumericError) as info:
+            upper_expectation_mc(spec, SET, terminal_square, cfg, n_segments=1, n_grid=5)
+        found = re.search(r"non-finite state on path (\d+) at step (\d+) "
+                          r".* under candidate schedule (\d+);", str(info.value))
+        assert found is not None, str(info.value)
+        path, step, candidate = (int(g) for g in found.groups())
+        assert candidate in (3, 4)
+        if chunk < len(schedules):
+            assert candidate == 3  # the high-variance pair is split across chunks
+        with pytest.raises(NumericError, match=f"on path {path} at step {step} "):
+            integrate_gsde(spec, SET, schedules[candidate], cfg)
 
 
 def test_moment_bound_contracting_sde_finite_k():

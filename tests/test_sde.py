@@ -15,6 +15,7 @@ from gctrl import (
     integrate_gsde,
     sample_gbm,
 )
+from gctrl.sde import path_normals
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 
@@ -70,6 +71,17 @@ def test_integrate_reduces_to_gbm():
         integrate_gsde(spec, SET, sched, cfg).states,
         sample_gbm(SET, sched, cfg).states,
     )
+
+
+def test_gbm_matches_cumulative_increments():
+    # reference: the running sum of sqrt(dt) * sqrt(v(t_k)) * xi, segment by segment
+    cfg = _cfg(n_paths=5, n_steps=64)
+    sched = VolSchedule(breakpoints=(0.0, 0.5), values=(np.array([[1.0]]), np.array([[0.25]])))
+    roots = np.where(np.arange(cfg.n_steps) * cfg.dt < 0.5, 1.0, 0.5)
+    incr = np.sqrt(cfg.dt) * path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1) * roots[:, None]
+    expected = np.zeros((cfg.n_paths, cfg.n_steps + 1, 1))
+    np.cumsum(incr, axis=1, out=expected[:, 1:, :])
+    assert np.array_equal(sample_gbm(SET, sched, cfg).states, expected)
 
 
 def test_deterministic_ode_oracle():
