@@ -91,21 +91,23 @@ def _eigh(sym: np.ndarray):
         raise NumericError(f"symmetric eigendecomposition failed: {exc}") from exc
 
 
-def g_scalar(alpha: float, set_: AmbiguitySet, direction: str = "upper") -> float:
+def g_scalar(alpha: float | np.ndarray, set_: AmbiguitySet,
+             direction: str = "upper") -> float | np.ndarray:
     """One-dimensional generator: half the extremal variance times alpha.
 
     upper: 0.5 * (hi * max(alpha, 0) - lo * max(-alpha, 0))
     lower: 0.5 * (lo * max(alpha, 0) - hi * max(-alpha, 0))
+
+    A scalar alpha gives a float; an array gives the generator elementwise.
     """
     _check_direction(direction)
     if set_.dim != 1:
         raise ValueError(f"g_scalar requires a 1-dimensional ambiguity set, got dim={set_.dim}")
-    a = float(alpha)
-    pos, neg = max(a, 0.0), max(-a, 0.0)
+    a = np.asarray(alpha, dtype=float)
+    pos, neg = np.maximum(a, 0.0), np.maximum(-a, 0.0)
     lo, hi = set_.sigma_lo_sq, set_.sigma_hi_sq
-    if direction == "upper":
-        return 0.5 * (hi * pos - lo * neg)
-    return 0.5 * (lo * pos - hi * neg)
+    value = 0.5 * (hi * pos - lo * neg) if direction == "upper" else 0.5 * (lo * pos - hi * neg)
+    return float(value) if value.ndim == 0 else value
 
 
 def g_matrix(a, set_: AmbiguitySet, direction: str = "upper") -> GValue:

@@ -19,38 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet
-from .config import (
-    RunConfig,
-    canonical_text,
-    hjb_attitude,
-    merton_attitude,
-    parse_config,
-)
+from .config import RunConfig, canonical_text, hjb_attitude, parse_config
 from .errors import CflError, ConfigError, ConsistencyError, NumericError
 from .estimators import upper_expectation_mc
-from .hjb import (
-    Grid1D,
-    HjbProblem,
-    solution_csv_text,
-    solution_meta_text,
-    solve,
-    suggest_time_steps,
-)
+from .hjb import HjbProblem, gheat_problem, solution_csv_text, solution_meta_text, solve
 from .merton import (
     a_curve_csv_text,
     closed_form_value,
-    default_pi_levels,
-    default_rho_levels,
     merton_hjb_problem,
-    optimal_policy,
     policy_csv_text,
-    solve_A,
     verify_hjb_residual,
-    worst_case_lambda,
 )
 from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text, integrate_gsde, path_normals
-from .verify import TOL_RESIDUAL, run_all_checks
+from .verify import TOL_RESIDUAL, merton_run, run_all_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -97,15 +78,10 @@ def _check_overwrite(paths: list[Path], force: bool) -> None:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # Written a MiB at a time, so a large artifact is never held as str and bytes at once.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _ambiguity_1d(cfg: RunConfig) -> AmbiguitySet:
-    a = cfg.ambiguity
-    if a.d != 1:
-        raise ConfigError("this command needs a 1-dimensional ambiguity set (ambiguity.d = 1)")
-    return cfg.ambiguity_set()
+        for i in range(0, len(text), 1 << 20):
+            fh.write(text[i:i + (1 << 20)])
 
 
 def _terminal_fn(cfg: RunConfig):
@@ -120,27 +96,9 @@ def _terminal_fn(cfg: RunConfig):
 
 def _preset_problem(cfg: RunConfig) -> HjbProblem:
     """Built-in problem family for solve-hjb; the flat config carries no code."""
-    set_ = _ambiguity_1d(cfg)
     s = cfg.solver
-    return HjbProblem(
-        drift=lambda t, x, u: 0.0 * x,
-        diffusion=lambda t, x, u: 1.0 + 0.0 * x,
-        running_cost=lambda t, x, u: 0.0 * x,
-        terminal_cost=_terminal_fn(cfg),
-        horizon=s.horizon,
-        controls=(0.0,),
-        ambiguity=set_,
-        discount=0.0,
-        opt_direction=s.direction,
-        attitude=hjb_attitude(s.attitude),
-        time_invariant=True,
-    )
-
-
-def _grid_for(cfg: RunConfig, problem: HjbProblem) -> Grid1D:
-    s = cfg.solver
-    n_t = s.n_t if s.n_t > 0 else suggest_time_steps(problem, s.x_min, s.x_max, s.n_x)
-    return Grid1D(x_min=s.x_min, x_max=s.x_max, n_x=s.n_x, n_t=n_t)
+    return gheat_problem(cfg.ambiguity_set_1d(), _terminal_fn(cfg), s.horizon,
+                         s.direction, hjb_attitude(s.attitude))
 
 
 def cmd_solve_hjb(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
@@ -151,7 +109,7 @@ def cmd_solve_hjb(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
                out_dir / f"{prefix}_report.txt"]
     _check_overwrite(targets, force)
 
-    grid = _grid_for(cfg, problem)
+    grid = cfg.grid(problem)
     solution = solve(problem, grid)
     report = RunReport(command="solve-hjb", config_echo=canonical_text(cfg))
     report.results["problem"] = cfg.solver.problem
@@ -168,11 +126,7 @@ def cmd_solve_hjb(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
 
 
 def cmd_merton(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
-    set_ = _ambiguity_1d(cfg)
-    market = cfg.market_model()
-    util = cfg.crra()
     s = cfg.solver
-    attitude = merton_attitude(s.attitude)
     prefix = cfg.output.prefix
     targets = [out_dir / f"{prefix}_a_curve.csv",
                out_dir / f"{prefix}_policy.csv",
@@ -181,55 +135,39 @@ def cmd_merton(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
                out_dir / f"{prefix}_report.txt"]
     _check_overwrite(targets, force)
 
-    lam = worst_case_lambda(set_, "negative", attitude)
-    cf = solve_A(market, util, lam, n_t=2000, horizon=s.horizon)
-    pol = optimal_policy(cf, market, util, set_)
-    pi_hat = float(np.atleast_1d(pol.portfolio(0.0, 1.0))[0])
+    run = merton_run(cfg)
+    market, util, cf, solution = run.market, run.utility, run.closed_form, run.solution
+    set_ = run.problem.ambiguity
 
     pts_rng = np.random.default_rng(cfg.simulation.seed)
     pts = list(zip(pts_rng.uniform(0.05 * s.horizon, 0.95 * s.horizon, 100),
                    pts_rng.uniform(max(s.x_min, 1e-3), s.x_max, 100)))
-    cf_checked = cf
-    if s.debug_perturb_a > 0.0:
-        cf_checked = dataclasses.replace(cf, a_values=cf.a_values * (1.0 + s.debug_perturb_a))
-    residual = verify_hjb_residual(cf_checked, market, util, set_, pts)
+    residual = verify_hjb_residual(run.checked_form, market, util, set_, pts)
     if residual > TOL_RESIDUAL:
         raise ConsistencyError(
             f"closed-form HJB residual {residual:.3g} exceeds {TOL_RESIDUAL:g}"
         )
 
-    controls = [(float(p), float(r))
-                for p in default_pi_levels(s.n_pi) for r in default_rho_levels(s.n_rho)]
-    problem = merton_hjb_problem(market, util, set_, s.horizon, attitude, controls)
-    grid = _grid_for(cfg, problem)
-    solution = solve(problem, grid)
-
-    lo_i = grid.n_x // 10
-    hi_i = grid.n_x - lo_i
-    closed = np.asarray([closed_form_value(cf, util, 0.0, xv) for xv in solution.x])
-    rel = np.abs(solution.values[0] - closed) / np.abs(closed)
-
     report = RunReport(command="merton", config_echo=canonical_text(cfg))
     res = report.results
-    res["attitude"] = attitude
+    res["attitude"] = run.attitude
     res["resolved_branch"] = cf.resolved_branch
     res["eta_quadratic_form"] = "theta' inv(Lambda_bar) theta"
     res["eta(0)"] = cf.eta(0.0)
-    res["lambda_bar"] = format(float(lam[0, 0]), ".17g")
-    res["pi_hat"] = pi_hat
+    res["lambda_bar"] = format(float(cf.lambda_bar[0, 0]), ".17g")
+    res["pi_hat"] = run.pi_hat
     res["consumption_rate(0)"] = 1.0 / float(cf.a_at(0.0))
     res["A(0)"] = float(cf.a_values[0])
     res["A(T)"] = float(cf.a_values[-1])
     res["V(0,x0)"] = closed_form_value(cf, util, 0.0, cfg.simulation.x0)
     res["max_hjb_residual"] = residual
-    res["pde_rel_error_interior"] = float(np.max(rel[lo_i:hi_i]))
-    res["n_t"] = grid.n_t
+    res["pde_rel_error_interior"] = run.interior_rel_error
+    res["n_t"] = solution.grid.n_t
 
     if set_.degenerate:
-        other = "optimist" if attitude == "pessimist" else "pessimist"
-        other_sol = solve(
-            merton_hjb_problem(market, util, set_, s.horizon, other, controls), grid
-        )
+        other = "optimist" if run.attitude == "pessimist" else "pessimist"
+        other_sol = solve(merton_hjb_problem(market, util, set_, s.horizon, other,
+                                             run.problem.controls), solution.grid)
         gap = float(np.max(np.abs(other_sol.values - solution.values)))
         res["degenerate_ambiguity"] = "true (single prior; pessimist and optimist coincide)"
         res["pessimist_optimist_gap"] = gap
@@ -238,7 +176,7 @@ def cmd_merton(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
     for i, xv in enumerate(solution.x):
         compare_lines.append(
             f"{format(xv, '.17g')},{format(solution.values[0, i], '.17g')},"
-            f"{format(closed[i], '.17g')},{format(rel[i], '.17g')}"
+            f"{format(run.closed_row[i], '.17g')},{format(run.rel_error[i], '.17g')}"
         )
 
     _write_text(targets[0], a_curve_csv_text(cf))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .ambiguity import AmbiguitySet
 from .errors import ConfigError
+from .hjb import Grid1D, HjbProblem, suggest_time_steps
 from .merton import CrraUtility, MarketModel
 
 _ATTITUDE_CHOICES = ("upper", "lower", "pessimist", "optimist")
@@ -98,6 +99,18 @@ class RunConfig:
             return AmbiguitySet(dim=a.d, sigma_lo_sq=a.sigma_lo_sq, sigma_hi_sq=a.sigma_hi_sq)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def ambiguity_set_1d(self) -> AmbiguitySet:
+        """The ambiguity set, for the commands whose solver is one-dimensional."""
+        if self.ambiguity.d != 1:
+            raise ConfigError("this command needs a 1-dimensional ambiguity set (ambiguity.d = 1)")
+        return self.ambiguity_set()
+
+    def grid(self, problem: HjbProblem) -> Grid1D:
+        """The solver grid; n_t = 0 takes the smallest step count stable for ``problem``."""
+        s = self.solver
+        n_t = s.n_t if s.n_t > 0 else suggest_time_steps(problem, s.x_min, s.x_max, s.n_x)
+        return Grid1D(x_min=s.x_min, x_max=s.x_max, n_x=s.n_x, n_t=n_t)
 
     def market_model(self) -> MarketModel:
         mk = self.market

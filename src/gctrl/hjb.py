@@ -13,12 +13,13 @@ ties broken by lowest index, so runs are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet
+from .ambiguity import AmbiguitySet, g_scalar
 from .errors import CflError, NumericError
 from .estimators import (
     DEFAULT_N_GRID,
@@ -32,7 +33,7 @@ _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
 _BOUNDARY_KINDS = ("one_sided", "power_dirichlet", "linear_extrapolation")
 
-# Sampled time levels for the pre-sweep CFL check of time-varying coefficients.
+# Sampled times for the CFL check of coefficients without declared segments.
 _CFL_TIME_SAMPLES = 33
 
 
@@ -93,9 +94,11 @@ class HjbProblem:
     max over the control list.  The canonical pairings are (minimize, upper)
     and (minimize, lower) for conservative and positive cost control, and
     (maximize, lower) / (maximize, upper) for the pessimist and optimist
-    portfolio problems.  Set ``time_invariant=True`` when the three
-    coefficient callables ignore t; the solver then builds its coefficient
-    tables once instead of once per time level.
+    portfolio problems.  ``segment_starts`` declares the three coefficient
+    callables constant in t on right-open segments from these times on
+    (``(0.0,)`` when they ignore t); the solver then builds its coefficient
+    tables and checks the CFL bound once per segment.  ``None`` rebuilds the
+    tables at every time level and samples the bound.
     """
 
     drift: Callable
@@ -109,7 +112,7 @@ class HjbProblem:
     opt_direction: str = "minimize"
     attitude: str = "upper"
     boundary: BoundaryRule = BoundaryRule()
-    time_invariant: bool = False
+    segment_starts: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not self.horizon > 0.0:
@@ -127,6 +130,22 @@ class HjbProblem:
             )
         if self.ambiguity.dim != 1:
             raise ValueError("the 1d solver uses a scalar generator; ambiguity.dim must be 1")
+        if self.segment_starts is not None:
+            starts = tuple(float(s) for s in self.segment_starts)
+            if not starts or starts[0] != 0.0 or any(a >= b for a, b in zip(starts, starts[1:])):
+                raise ValueError("segment_starts must begin at 0 and increase strictly")
+            object.__setattr__(self, "segment_starts", starts)
+
+
+def gheat_problem(set_: AmbiguitySet, terminal_cost: Callable, horizon: float,
+                  opt_direction: str = "minimize", attitude: str = "upper") -> HjbProblem:
+    """The G-heat equation: no drift, unit diffusion, no running cost, one control."""
+    return HjbProblem(
+        drift=lambda t, x, u: 0.0 * x, diffusion=lambda t, x, u: 1.0 + 0.0 * x,
+        running_cost=lambda t, x, u: 0.0 * x, terminal_cost=terminal_cost, horizon=horizon,
+        controls=(0.0,), ambiguity=set_, opt_direction=opt_direction, attitude=attitude,
+        segment_starts=(0.0,),
+    )
 
 
 @dataclass(frozen=True)
@@ -176,34 +195,37 @@ def _tables(problem: HjbProblem, x: np.ndarray, t: float):
     return F, G2, C
 
 
-def _g_op(arg: np.ndarray, lo: float, hi: float, attitude: str) -> np.ndarray:
-    pos = np.maximum(arg, 0.0)
-    neg = np.maximum(-arg, 0.0)
-    if attitude == "upper":
-        return 0.5 * (hi * pos - lo * neg)
-    return 0.5 * (lo * pos - hi * neg)
-
-
 def _cfl_denominator(problem: HjbProblem, F: np.ndarray, G2: np.ndarray, dx: float) -> float:
     hi = problem.ambiguity.sigma_hi_sq
     return float(hi * G2.max() + dx * np.abs(F).max() + dx * dx * problem.discount)
 
 
+def _segment_tables(problem: HjbProblem, x: np.ndarray) -> dict | None:
+    """(F, G2, C) by start of each segment starting before the horizon, or None."""
+    if problem.segment_starts is None:
+        return None
+    return {s: _tables(problem, x, s) for s in problem.segment_starts if s < problem.horizon}
+
+
+def _stable_dt(problem: HjbProblem, x: np.ndarray, dx: float, segments: dict | None) -> float:
+    if segments is None:
+        times = np.linspace(0.0, problem.horizon, _CFL_TIME_SAMPLES)
+        tables = (_tables(problem, x, t) for t in times)
+    else:
+        tables = segments.values()
+    denom = max(_cfl_denominator(problem, F, G2, dx) for F, G2, _ in tables)
+    return np.inf if denom == 0.0 else dx * dx / denom
+
+
 def max_stable_dt(problem: HjbProblem, grid: Grid1D) -> float:
     """Largest time step keeping the explicit update monotone.
 
-    Time-varying coefficients are sampled on a fixed number of levels; the
-    sweep re-checks every level it actually visits.
+    Exact per segment when ``segment_starts`` is declared.  With None the
+    coefficients are sampled at _CFL_TIME_SAMPLES times over [0, horizon];
+    the sweep re-checks every level it actually visits.
     """
     x = grid.nodes()
-    dx = grid.dx
-    if problem.time_invariant:
-        sample_times = [0.0]
-    else:
-        n = min(grid.n_t + 1, _CFL_TIME_SAMPLES)
-        sample_times = np.linspace(0.0, problem.horizon, n)
-    denom = max(_cfl_denominator(problem, *_tables(problem, x, t)[:2], dx) for t in sample_times)
-    return np.inf if denom == 0.0 else dx * dx / denom
+    return _stable_dt(problem, x, grid.dx, _segment_tables(problem, x))
 
 
 def suggest_time_steps(problem: HjbProblem, x_min: float, x_max: float, n_x: int) -> int:
@@ -215,8 +237,9 @@ def suggest_time_steps(problem: HjbProblem, x_min: float, x_max: float, n_x: int
     return max(1, int(np.ceil(problem.horizon / bound)))
 
 
-def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_values: np.ndarray):
-    """Backward explicit recursion; returns (values, policy)."""
+def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_values: np.ndarray,
+           segments: dict | None):
+    """Backward explicit recursion over the ``_segment_tables``; returns (values, policy)."""
     n_t = len(times) - 1
     n_x = x.size
     dx = float(x[1] - x[0])
@@ -238,13 +261,12 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
     else:
         w_pos, w_neg = 0.5 * lo, 0.5 * hi
 
-    def step_tables(t: float):
-        F, G2, C = _tables(problem, x, t)
+    def step_tables(F, G2, C):
         denom = _cfl_denominator(problem, F, G2, dx)
         return (F, np.maximum(F, 0.0)[:, 1:-1], np.minimum(F, 0.0)[:, 1:-1],
                 G2, G2[:, 1:-1].copy(), C, C[:, 1:-1].copy(), denom)
 
-    cached = step_tables(0.0) if problem.time_invariant else None
+    starts, segment = problem.segment_starts, None
     cols = np.arange(n_x - 2)
     n_u = len(problem.controls)
     work = np.empty((n_u, n_x - 2))
@@ -253,9 +275,13 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
-        F, Fp, Fm, G2, G2i, C, Ci, denom = (
-            cached if cached is not None else step_tables(t_k)
-        )
+        if segments is None:
+            tables = step_tables(*_tables(problem, x, t_k))
+        else:
+            start = starts[bisect_right(starts, t_k) - 1]
+            if start != segment:
+                segment, tables = start, step_tables(*segments[start])
+        F, Fp, Fm, G2, G2i, C, Ci, denom = tables
         if denom > 0.0 and dt_k > dx * dx / denom * (1.0 + 1e-9):
             raise CflError(
                 f"dt={dt_k:.6g} exceeds the monotone bound {dx * dx / denom:.6g} "
@@ -288,14 +314,14 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
             dxl = (v[1] - v[0]) / dx
             dxxl = (v[2] - 2.0 * v[1] + v[0]) / (dx * dx)
             values[k, 0] = v[0] + dt_k * (
-                F[jl, 0] * dxl + _g_op(G2[jl, 0] * dxxl, lo, hi, problem.attitude)
+                F[jl, 0] * dxl + g_scalar(G2[jl, 0] * dxxl, problem.ambiguity, problem.attitude)
                 + C[jl, 0] - beta * v[0]
             )
             jr = int(policy[k, n_x - 2])
             dxr = (v[-1] - v[-2]) / dx
             dxxr = (v[-1] - 2.0 * v[-2] + v[-3]) / (dx * dx)
             values[k, -1] = v[-1] + dt_k * (
-                F[jr, -1] * dxr + _g_op(G2[jr, -1] * dxxr, lo, hi, problem.attitude)
+                F[jr, -1] * dxr + g_scalar(G2[jr, -1] * dxxr, problem.ambiguity, problem.attitude)
                 + C[jr, -1] - beta * v[-1]
             )
             policy[k, 0] = jl
@@ -327,16 +353,17 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
     non-finite value.
     """
     dt = problem.horizon / grid.n_t
-    bound = max_stable_dt(problem, grid)
+    x = grid.nodes()
+    segments = _segment_tables(problem, x)
+    bound = _stable_dt(problem, x, grid.dx, segments)
     if dt > bound * (1.0 + 1e-9):
         raise CflError(
             f"dt={dt:.6g} violates the monotone-scheme bound dt<={bound:.6g}; "
             f"need n_t >= {int(np.ceil(problem.horizon / bound))}"
         )
-    x = grid.nodes()
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
-    values, policy = _sweep(problem, x, times, terminal)
+    values, policy = _sweep(problem, x, times, terminal, segments)
     return HjbSolution(
         grid=grid,
         x=x,
@@ -365,9 +392,10 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> fl
 
     x = grid.nodes()
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
-    direct, _ = _sweep(problem, x, times, terminal)
-    tail, _ = _sweep(problem, x, times[k_bar:], terminal)
-    head, _ = _sweep(problem, x, times[: k_bar + 1], tail[0])
+    segments = _segment_tables(problem, x)
+    direct, _ = _sweep(problem, x, times, terminal, segments)
+    tail, _ = _sweep(problem, x, times[k_bar:], terminal, segments)
+    head, _ = _sweep(problem, x, times[: k_bar + 1], tail[0], segments)
     return float(np.max(np.abs(head[0] - direct[0])))
 
 

@@ -47,13 +47,15 @@ class MarketModel:
 
     ``r(t)`` is scalar, ``alpha(t)`` has shape (dim,), ``gamma(t)`` has shape
     (dim, dim) with gamma @ gamma.T positive definite wherever evaluated.
+    ``segment_starts`` are the starts of the right-open segments on which
+    the coefficients are constant; None when they may vary anywhere in t.
     """
 
     r: Callable[[float], float]
     alpha: Callable[[float], np.ndarray]
     gamma: Callable[[float], np.ndarray]
     dim: int
-    constant_coefficients: bool = False
+    segment_starts: tuple[float, ...] | None = None
 
     @classmethod
     def constant(cls, r: float, alpha, gamma) -> "MarketModel":
@@ -70,7 +72,7 @@ class MarketModel:
             alpha=lambda t: a,
             gamma=lambda t: g,
             dim=d,
-            constant_coefficients=True,
+            segment_starts=(0.0,),
         )
 
     @classmethod
@@ -100,7 +102,7 @@ class MarketModel:
             alpha=lambda t: alphas[seg(t)],
             gamma=lambda t: gammas[seg(t)],
             dim=d,
-            constant_coefficients=len(bps) == 1,
+            segment_starts=bps,
         )
 
 
@@ -412,6 +414,12 @@ def default_rho_levels(n_rho: int = 33, rho_min: float = 1e-3, rho_max: float = 
     return np.exp(np.linspace(np.log(rho_min), np.log(rho_max), n_rho))
 
 
+def control_grid(n_pi: int = 41, n_rho: int = 33) -> list[tuple[float, float]]:
+    """(risky fraction, consumption rate) pairs over the default levels, pi-major."""
+    return [(float(p), float(rho))
+            for p in default_pi_levels(n_pi) for rho in default_rho_levels(n_rho)]
+
+
 def merton_hjb_problem(
     m: MarketModel,
     u: CrraUtility,
@@ -433,8 +441,7 @@ def merton_hjb_problem(
     if controls is None:
         if m.dim != 1:
             raise ValueError("default control grid covers d=1; pass controls explicitly")
-        controls = [(float(p), float(rho))
-                    for p in default_pi_levels() for rho in default_rho_levels()]
+        controls = control_grid()
 
     def scalar_gamma(t: float) -> float:
         return float(np.atleast_2d(np.asarray(m.gamma(t)))[0, 0])
@@ -463,7 +470,7 @@ def merton_hjb_problem(
         opt_direction="maximize",
         attitude="lower" if attitude == "pessimist" else "upper",
         boundary=BoundaryRule(kind="power_dirichlet", exponent=1.0 - u.kappa),
-        time_invariant=m.constant_coefficients,
+        segment_starts=m.segment_starts,
     )
 
 

@@ -8,7 +8,7 @@ any fail.  Tolerances mirror the package's own regression gates.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,16 +17,20 @@ from .config import RunConfig, merton_attitude
 from .hjb import (
     Grid1D,
     HjbProblem,
+    HjbSolution,
     dpp_composition_check,
     evaluate_policy_mc,
+    gheat_problem,
     max_stable_dt,
     solve,
     suggest_time_steps,
 )
 from .merton import (
+    ClosedForm,
+    CrraUtility,
+    MarketModel,
     closed_form_value,
-    default_pi_levels,
-    default_rho_levels,
+    control_grid,
     merton_hjb_problem,
     optimal_policy,
     solve_A,
@@ -50,6 +54,51 @@ class CheckResult:
     passed: bool
     measured: float
     bound: str
+
+
+@dataclass(frozen=True)
+class MertonRun:
+    """The configured portfolio problem, solved in closed form and on the grid.
+
+    ``rel_error`` is the grid value's relative gap to ``closed_row``, the closed
+    form at t=0 on the nodes; ``interior`` leaves out a tenth of them at each
+    edge.  The residual oracle checks ``checked_form``: A(t) times 1 + debug_perturb_a.
+    """
+
+    market: MarketModel
+    utility: CrraUtility
+    attitude: str
+    closed_form: ClosedForm
+    checked_form: ClosedForm
+    pi_hat: float
+    problem: HjbProblem
+    solution: HjbSolution
+    closed_row: np.ndarray = field(repr=False)
+    rel_error: np.ndarray = field(repr=False)
+    interior: slice
+    interior_rel_error: float
+
+
+def merton_run(cfg: RunConfig) -> MertonRun:
+    """Closed form and grid solve of the configured problem; ConfigError unless d = 1."""
+    set_ = cfg.ambiguity_set_1d()
+    market, util, s = cfg.market_model(), cfg.crra(), cfg.solver
+    attitude = merton_attitude(s.attitude)
+    lam = worst_case_lambda(set_, "negative", attitude)
+    cf = solve_A(market, util, lam, n_t=2000, horizon=s.horizon)
+    checked = cf
+    if s.debug_perturb_a > 0.0:
+        checked = dataclasses.replace(cf, a_values=cf.a_values * (1.0 + s.debug_perturb_a))
+    pi_hat = float(np.atleast_1d(optimal_policy(cf, market, util, set_).portfolio(0.0, 1.0))[0])
+
+    problem = merton_hjb_problem(market, util, set_, s.horizon, attitude,
+                                 control_grid(s.n_pi, s.n_rho))
+    solution = solve(problem, cfg.grid(problem))
+    closed = np.asarray([closed_form_value(cf, util, 0.0, xv) for xv in solution.x])
+    rel = np.abs(solution.values[0] - closed) / np.abs(closed)
+    interior = slice(s.n_x // 10, s.n_x - s.n_x // 10)
+    return MertonRun(market, util, attitude, cf, checked, pi_hat, problem, solution,
+                     closed, rel, interior, float(np.max(rel[interior])))
 
 
 def _result(name: str, measured: float, bound: float, larger_is_fail: bool = True) -> CheckResult:
@@ -205,7 +254,7 @@ def _random_ordered_problems(rng: np.random.Generator):
 
     common = dict(
         drift=drift, diffusion=diffusion, controls=controls, ambiguity=set_,
-        discount=beta, opt_direction=direction, attitude=attitude, time_invariant=True,
+        discount=beta, opt_direction=direction, attitude=attitude, segment_starts=(0.0,),
     )
     base = HjbProblem(running_cost=running, terminal_cost=terminal, horizon=1.0, **common)
     n_t = 12
@@ -226,21 +275,9 @@ def check_comparison_principle(rng: np.random.Generator, trials: int = 100) -> C
     return _result("comparison_principle", worst, TOL_EXACT)
 
 
-def _gheat_problem(set_: AmbiguitySet, sign: float = 1.0) -> HjbProblem:
-    return HjbProblem(
-        drift=lambda t, x, u: 0.0 * x,
-        diffusion=lambda t, x, u: 1.0 + 0.0 * x,
-        running_cost=lambda t, x, u: 0.0 * x,
-        terminal_cost=lambda x: sign * x**2,
-        horizon=1.0,
-        controls=(0.0,),
-        ambiguity=set_,
-        time_invariant=True,
-    )
-
-
 def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
-    """Run the full cross-check suite for one configuration."""
+    """Run the full cross-check suite for one configuration; ConfigError unless d = 1."""
+    run = merton_run(cfg)
     rng = np.random.default_rng(cfg.simulation.seed)
     results = [
         check_subadditivity(rng),
@@ -251,13 +288,11 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
         check_comparison_principle(rng),
     ]
 
-    set_1d = AmbiguitySet(dim=1, sigma_lo_sq=cfg.ambiguity.sigma_lo_sq,
-                          sigma_hi_sq=cfg.ambiguity.sigma_hi_sq)
+    set_1d = run.problem.ambiguity
     horizon = cfg.solver.horizon
 
     # Composition of the dynamic-programming recursion, heat-type problem.
-    heat = _gheat_problem(set_1d)
-    heat = dataclasses.replace(heat, horizon=horizon)
+    heat = gheat_problem(set_1d, lambda x: x**2, horizon)
     n_t = suggest_time_steps(heat, -4.0, 4.0, 101)
     heat_grid = Grid1D(-4.0, 4.0, 101, n_t)
     t_bar = float(np.linspace(0.0, horizon, n_t + 1)[n_t // 2])
@@ -265,50 +300,27 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
                            dpp_composition_check(heat, heat_grid, t_bar), TOL_DPP))
 
     # Portfolio problem at the configured parameters.
-    market = cfg.market_model()
-    util = cfg.crra()
-    attitude = merton_attitude(cfg.solver.attitude)
-    lam = worst_case_lambda(set_1d, "negative", attitude)
-    cf = solve_A(market, util, lam, n_t=2000, horizon=horizon)
-
-    controls = [
-        (float(p), float(r))
-        for p in default_pi_levels(cfg.solver.n_pi)
-        for r in default_rho_levels(cfg.solver.n_rho)
-    ]
-    problem = merton_hjb_problem(market, util, set_1d, horizon, attitude, controls)
-
-    small_nt = suggest_time_steps(problem, 0.5, 2.0, 81)
+    market, util, cf, sol = run.market, run.utility, run.closed_form, run.solution
+    small_nt = suggest_time_steps(run.problem, 0.5, 2.0, 81)
     small_grid = Grid1D(0.5, 2.0, 81, small_nt)
     t_bar = float(np.linspace(0.0, horizon, small_nt + 1)[small_nt // 2])
     results.append(_result("dpp_composition_portfolio",
-                           dpp_composition_check(problem, small_grid, t_bar), TOL_DPP))
+                           dpp_composition_check(run.problem, small_grid, t_bar), TOL_DPP))
 
-    s = cfg.solver
-    n_t = s.n_t if s.n_t > 0 else suggest_time_steps(problem, s.x_min, s.x_max, s.n_x)
-    grid = Grid1D(s.x_min, s.x_max, s.n_x, n_t)
-    sol = solve(problem, grid)
+    results.append(_result("pde_vs_closed_form", run.interior_rel_error, TOL_PDE_REL))
 
-    lo_i = s.n_x // 10
-    hi_i = s.n_x - lo_i
-    closed = np.asarray([closed_form_value(cf, util, 0.0, xv) for xv in sol.x])
-    rel = np.abs(sol.values[0] - closed) / np.abs(closed)
-    results.append(_result("pde_vs_closed_form", float(np.max(rel[lo_i:hi_i])), TOL_PDE_REL))
-
-    pol = optimal_policy(cf, market, util, set_1d)
-    pi_ana = float(np.atleast_1d(pol.portfolio(0.0, 1.0))[0])
     pis = np.asarray([sol.controls[j][0] for j in sol.policy[0]])
     results.append(_result("pi_extraction",
-                           float(np.max(np.abs(pis[lo_i:hi_i] - pi_ana))), TOL_PI_ABS))
+                           float(np.max(np.abs(pis[run.interior] - run.pi_hat))), TOL_PI_ABS))
 
     sim = cfg.simulation
     path_cfg = PathConfig(n_steps=sim.n_steps, horizon=horizon,
                           n_paths=sim.n_paths, seed=sim.seed)
 
     def control_fn(t, x_flat):
-        return pi_ana, 1.0 / float(cf.a_at(t))
+        return run.pi_hat, 1.0 / float(cf.a_at(t))
 
-    est = evaluate_policy_mc(problem, sol, set_1d, path_cfg, x0=sim.x0,
+    est = evaluate_policy_mc(run.problem, sol, set_1d, path_cfg, x0=sim.x0,
                              control_fn=control_fn,
                              n_segments=min(sim.n_segments, 2), n_grid=min(sim.n_grid, 3))
     v_target = closed_form_value(cf, util, 0.0, sim.x0)
@@ -318,17 +330,15 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     pts_rng = np.random.default_rng(sim.seed + 1)
     pts = list(zip(pts_rng.uniform(0.05 * horizon, 0.95 * horizon, 100),
                    pts_rng.uniform(0.5, 2.0, 100)))
-    cf_checked = cf
-    if s.debug_perturb_a > 0.0:
-        cf_checked = dataclasses.replace(cf, a_values=cf.a_values * (1.0 + s.debug_perturb_a))
     results.append(_result("hjb_residual",
-                           verify_hjb_residual(cf_checked, market, util, set_1d, pts),
+                           verify_hjb_residual(run.checked_form, market, util, set_1d, pts),
                            TOL_RESIDUAL))
     cf_bad = dataclasses.replace(cf, a_values=cf.a_values * 1.01)
     results.append(_result("hjb_residual_sensitivity",
                            verify_hjb_residual(cf_bad, market, util, set_1d, pts),
                            RESIDUAL_FLOOR_PERTURBED, larger_is_fail=False))
 
+    pol = optimal_policy(cf, market, util, set_1d)
     w_rng = np.random.default_rng(sim.seed + 2)
     worst_w = 0.0
     for _ in range(1000):

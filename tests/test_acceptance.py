@@ -61,7 +61,7 @@ def _gheat(terminal):
         controls=(0.0,),
         ambiguity=DESK_SET,
         attitude="upper",
-        time_invariant=True,
+        segment_starts=(0.0,),
     )
 
 
@@ -250,7 +250,7 @@ def _ordered_problem_pair(rng):
         discount=beta,
         opt_direction=direction,
         attitude=attitude,
-        time_invariant=True,
+        segment_starts=(0.0,),
     )
     grid = Grid1D(-5.0, 5.0, 41, 12)
     probe = HjbProblem(

@@ -71,6 +71,21 @@ def test_scalar_requires_dim_one():
         g_scalar(1.0, SET_2D)
 
 
+def test_scalar_accepts_arrays_elementwise():
+    rng = np.random.default_rng(8)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+    alphas = np.concatenate([edges, rng.normal(scale=3.0, size=50)]).reshape(8, 7)
+    for direction in ("upper", "lower"):
+        out = g_scalar(alphas, SET_1D, direction)
+        ref = np.array([g_scalar(a, SET_1D, direction) for a in alphas.ravel()])
+        assert out.shape == alphas.shape
+        assert out.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="1-dimensional"):
+        g_scalar(alphas, SET_2D)
+    with pytest.raises(ValueError, match="direction"):
+        g_scalar(alphas, SET_1D, "sideways")
+
+
 def test_matrix_zero_matrix_value_zero_tiebreak_high():
     gv = g_matrix(np.zeros((2, 2)), SET_2D)
     assert gv.value == 0.0

@@ -128,7 +128,7 @@ def test_parse_multisegment_market():
     cfg = parse_config_text(text)
     model = cfg.market_model()
     assert model.r(0.25) == 0.02 and model.r(0.75) == 0.03
-    assert not model.constant_coefficients
+    assert model.segment_starts == (0.0, 0.5)
     assert parse_config_text(canonical_text(cfg)) == cfg
 
 
@@ -271,6 +271,16 @@ def test_cli_report_lists_existing_nonempty_artifacts(tmp_path):
     for p in report.artifact_paths:
         path = Path(p)
         assert path.exists() and path.stat().st_size > 0
+
+
+def test_cli_verify_needs_one_dimensional_ambiguity(tmp_path, capsys):
+    text = (DESK_CONFIG.replace("d = 1", "d = 2").replace("alpha = 0.06", "alpha = 0.06 0.05")
+            .replace("gamma = 0.2", "gamma = 0.2 0; 0 0.25"))
+    cfg_path = _write(tmp_path, "d2.cfg", text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg_path, "--output", str(out)]) == 2
+    assert "this command needs a 1-dimensional ambiguity set" in capsys.readouterr().err
+    assert not (out / "desk_verify.txt").exists()
 
 
 def test_cli_verify_passes_and_perturbation_fails(tmp_path):

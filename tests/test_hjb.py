@@ -33,7 +33,7 @@ def heat_problem(terminal, set_=SET, attitude="upper", controls=(0.0,), horizon=
         controls=controls,
         ambiguity=set_,
         attitude=attitude,
-        time_invariant=True,
+        segment_starts=(0.0,),
     )
 
 
@@ -72,6 +72,14 @@ def test_cfl_violation_raises_before_sweep():
     problem = heat_problem(lambda x: x**2)
     with pytest.raises(CflError, match="n_t >="):
         solve(problem, Grid1D(-4.0, 4.0, 201, 5))
+
+
+def test_segment_starts_must_begin_at_zero_and_increase():
+    for starts in ((0.5,), (0.0, 0.5, 0.5), (0.0, 0.5, 0.25), ()):
+        with pytest.raises(ValueError, match="segment_starts"):
+            HjbProblem(drift=lambda t, x, u: 0.0 * x, diffusion=lambda t, x, u: 1.0 + 0.0 * x,
+                       running_cost=lambda t, x, u: 0.0 * x, terminal_cost=lambda x: x,
+                       horizon=1.0, controls=(0.0,), ambiguity=SET, segment_starts=starts)
 
 
 def test_cfl_bound_formula():
@@ -139,7 +147,7 @@ def test_controlled_problem_picks_better_drift():
         controls=(-1.0, 0.0, 1.0),
         ambiguity=SET,
         opt_direction="maximize",
-        time_invariant=True,
+        segment_starts=(0.0,),
     )
     grid = auto_grid(problem, -4.0, 4.0, 81)
     sol = solve(problem, grid)
@@ -168,7 +176,7 @@ def test_attitude_ordering_pointwise():
                 controls=(0.0,),
                 ambiguity=SET,
                 opt_direction=direction,
-                time_invariant=True,
+                segment_starts=(0.0,),
             )
             grid = Grid1D(-5, 5, 41, 12)
             up = solve(HjbProblem(attitude="upper", **kw), grid)
@@ -257,7 +265,7 @@ def test_power_dirichlet_boundary_preserves_power_shape():
         opt_direction="maximize",
         attitude="lower",
         boundary=BoundaryRule(kind="power_dirichlet", exponent=-1.0),
-        time_invariant=True,
+        segment_starts=(0.0,),
     )
     sol = solve(problem, Grid1D(0.5, 2.0, 31, 10))
     assert np.max(np.abs(sol.values - sol.values[-1])) <= 1e-12

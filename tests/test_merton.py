@@ -16,13 +16,15 @@ from gctrl import (
     market_price_of_risk,
     merton_hjb_problem,
     optimal_policy,
+    max_stable_dt,
+    solve,
     solve_A,
     solve_merton_pde,
     suggest_time_steps,
     verify_hjb_residual,
     worst_case_lambda,
 )
-from gctrl.merton import _integrate_a, default_pi_levels, default_rho_levels
+from gctrl.merton import _integrate_a, control_grid
 
 DESK_MARKET = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
 DESK_UTILITY = CrraUtility(kappa=2.0, beta=0.1)
@@ -285,8 +287,7 @@ def test_residual_rejects_points_outside_domain():
 
 
 def _desk_pde(attitude="pessimist", set_=DESK_SET, n_pi=21, n_rho=33, n_x=201):
-    controls = [(float(p), float(r))
-                for p in default_pi_levels(n_pi) for r in default_rho_levels(n_rho)]
+    controls = control_grid(n_pi, n_rho)
     problem = merton_hjb_problem(DESK_MARKET, DESK_UTILITY, set_, 1.0, attitude, controls)
     n_t = suggest_time_steps(problem, 0.4, 2.4, n_x)
     grid = Grid1D(0.4, 2.4, n_x, n_t)
@@ -351,7 +352,54 @@ def test_piecewise_market_lookup():
     assert m.r(0.25) == 0.01 and m.r(0.75) == 0.03
     assert m.alpha(0.6)[0] == 0.07
     assert m.gamma(0.1)[0, 0] == 0.2
-    assert not m.constant_coefficients
+    assert m.segment_starts == (0.0, 0.5)
+
+
+def _segmented(gammas, starts=(0.0, 0.51, 0.52)):
+    n = len(starts)
+    return MarketModel.piecewise(starts, (0.02,) * n, ((0.06,),) * n,
+                                 tuple(((g,),) for g in gammas))
+
+
+def test_cfl_bound_exact_for_piecewise_market():
+    # The 0.6 segment is 0.01 long: no level of a coarse probe or of a
+    # 33-point sample of [0, 1] falls in it.
+    gammas = (0.2, 0.6, 0.2)
+    controls = control_grid(3, 3)
+    problem = merton_hjb_problem(_segmented(gammas), DESK_UTILITY, DESK_SET, 1.0,
+                                 "pessimist", controls)
+    probe = Grid1D(0.4, 2.4, 51, 1)
+    per_segment = [
+        max_stable_dt(merton_hjb_problem(MarketModel.constant(0.02, 0.06, g), DESK_UTILITY,
+                                         DESK_SET, 1.0, "pessimist", controls), probe)
+        for g in gammas
+    ]
+    assert max_stable_dt(problem, probe) == min(per_segment)
+    n_t = suggest_time_steps(problem, 0.4, 2.4, 51)
+    solve(problem, Grid1D(0.4, 2.4, 51, n_t))
+
+
+def test_identical_segments_match_constant_market(monkeypatch):
+    from gctrl import hjb
+
+    controls = control_grid(5, 5)
+    const, twin = (merton_hjb_problem(m, DESK_UTILITY, DESK_SET, 1.0, "pessimist", controls)
+                   for m in (DESK_MARKET, _segmented((0.2, 0.2), starts=(0.0, 0.5))))
+    grid = Grid1D(0.4, 2.4, 51, suggest_time_steps(const, 0.4, 2.4, 51))
+    calls = []
+    tables = hjb._tables
+
+    def counted(problem, x, t):
+        calls.append(t)
+        return tables(problem, x, t)
+
+    monkeypatch.setattr(hjb, "_tables", counted)
+    a = solve(const, grid)
+    assert calls == [0.0]
+    b = solve(twin, grid)
+    assert calls == [0.0, 0.0, 0.5]
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.policy.tobytes() == b.policy.tobytes()
 
 
 def test_singular_gamma_raises():
