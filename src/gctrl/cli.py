@@ -30,7 +30,7 @@ from .merton import (
     policy_csv_text,
     verify_hjb_residual,
 )
-from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text, integrate_gsde, path_normals
+from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text
 from .verify import TOL_RESIDUAL, merton_run, run_all_checks
 
 EXIT_OK = 0
@@ -226,12 +226,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
                           n_paths=sim.n_paths, seed=sim.seed)
     functional = _simulate_functional(cfg)
     direction = hjb_attitude(cfg.solver.attitude)
-    # The search and the reported paths share one set of draws.
-    normals = path_normals(path_cfg.seed, path_cfg.n_paths, path_cfg.n_steps, d)
-    est = upper_expectation_mc(spec, set_, functional, path_cfg,
-                               n_segments=sim.n_segments, direction=direction,
-                               n_grid=sim.n_grid, _normals=normals)
-    bundle = integrate_gsde(spec, set_, est.best_schedule, path_cfg, _normals=normals)
+    est = upper_expectation_mc(spec, set_, functional, path_cfg, n_segments=sim.n_segments,
+                               direction=direction, n_grid=sim.n_grid)
 
     report = RunReport(command="simulate", config_echo=canonical_text(cfg))
     res = report.results
@@ -242,7 +238,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
     res["n_schedules_searched"] = est.n_schedules_searched
     res["best_schedule"] = _schedule_text(est.best_schedule, cfg.solver.horizon)
 
-    _write_text(targets[0], bundle_csv_text(bundle))
+    _write_text(targets[0], bundle_csv_text(est.best_paths))
     report.artifact_paths = [str(p) for p in targets]
     _write_text(targets[1], report_text(report))
     return report

@@ -11,13 +11,13 @@ whose optimum is attained at a constant schedule inside the family.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ambiguity import AmbiguitySet
 from .errors import NumericError
-from .sde import PathConfig, SdeSpec, VolSchedule, _integrate_batch, path_normals
+from .sde import PathBundle, PathConfig, SdeSpec, VolSchedule, _integrate_batch, path_normals
 
 DEFAULT_N_SEGMENTS = 4
 DEFAULT_N_GRID = 5
@@ -29,12 +29,17 @@ _BATCH_FLOATS = 1 << 20
 
 @dataclass(frozen=True)
 class ExpectationEstimate:
-    """Scenario-optimized sample mean with its standard error."""
+    """Scenario-optimized sample mean with its standard error.
+
+    ``best_paths`` holds the paths simulated under ``best_schedule``, the ones
+    the mean was taken over.
+    """
 
     value: float
     std_error: float
     best_schedule: VolSchedule
     n_schedules_searched: int
+    best_paths: PathBundle = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -84,11 +89,13 @@ def candidate_schedules(
     return out
 
 
-def _chunks(schedules: list[VolSchedule], cfg: PathConfig, dim_state: int):
-    """(first index, schedules) runs whose stacked states fit _BATCH_FLOATS."""
-    size = max(1, _BATCH_FLOATS // (cfg.n_paths * (cfg.n_steps + 1) * dim_state))
+def _bundles(spec: SdeSpec, set_: AmbiguitySet, schedules: list[VolSchedule],
+             cfg: PathConfig, normals: np.ndarray):
+    """One bundle per schedule, integrated in runs whose stacked states fit _BATCH_FLOATS."""
+    size = max(1, _BATCH_FLOATS // (cfg.n_paths * (cfg.n_steps + 1) * spec.dim_state))
     for start in range(0, len(schedules), size):
-        yield start, schedules[start:start + size]
+        yield from _integrate_batch(spec, set_, schedules[start:start + size], cfg, normals,
+                                    first_index=start)
 
 
 def upper_expectation_mc(
@@ -99,42 +106,47 @@ def upper_expectation_mc(
     n_segments: int = DEFAULT_N_SEGMENTS,
     direction: str = "upper",
     n_grid: int = DEFAULT_N_GRID,
-    _normals: np.ndarray | None = None,
 ) -> ExpectationEstimate:
     """Optimize the sample mean of ``functional`` over the schedule family.
 
     ``functional(bundle)`` must return one value per path, shape (n_paths,).
     Direction ``upper`` maximizes the mean over candidate schedules (worst
-    case for a cost), ``lower`` minimizes it.  All candidates share the same
-    normal draws, so the comparison is path-for-path.
+    case for a cost), ``lower`` minimizes it; a tie goes to the earliest
+    candidate.  All candidates share the same normal draws, so the comparison
+    is path-for-path.  The chosen candidate's paths are returned as
+    ``best_paths``.
     """
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    sign = 1.0 if direction == "upper" else -1.0
     schedules = candidate_schedules(set_, cfg.horizon, n_segments, n_grid)
-    normals = (_normals if _normals is not None
-               else path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise))
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
 
-    per_path = []
-    for start, chunk in _chunks(schedules, cfg, spec.dim_state):
-        for bundle in _integrate_batch(spec, set_, chunk, cfg, normals, first_index=start):
-            vals = np.asarray(functional(bundle), dtype=float).reshape(-1)
-            if vals.shape != (cfg.n_paths,):
-                raise ValueError(
-                    f"functional must return one value per path, got shape {vals.shape}"
-                )
-            if not np.all(np.isfinite(vals)):
-                raise NumericError("functional returned a non-finite value")
-            per_path.append(vals)
+    means = []
+    best = None
+    # The best candidate's states are copied into one buffer, so the estimate
+    # does not keep a whole batch alive.
+    best_states = np.empty((cfg.n_paths, cfg.n_steps + 1, spec.dim_state))
+    for bundle in _bundles(spec, set_, schedules, cfg, normals):
+        vals = np.asarray(functional(bundle), dtype=float).reshape(-1)
+        if vals.shape != (cfg.n_paths,):
+            raise ValueError(
+                f"functional must return one value per path, got shape {vals.shape}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("functional returned a non-finite value")
+        means.append(vals.mean())
+        if best is None or sign * means[-1] > sign * means[best]:
+            best, best_vals = len(means) - 1, vals
+            best_states[...] = bundle.states
 
-    means = np.asarray([v.mean() for v in per_path])
-    best = int(np.argmax(means)) if direction == "upper" else int(np.argmin(means))
-    vals = per_path[best]
-    std_error = 0.0 if cfg.n_paths < 2 else float(vals.std(ddof=1) / np.sqrt(cfg.n_paths))
+    std_error = 0.0 if cfg.n_paths < 2 else float(best_vals.std(ddof=1) / np.sqrt(cfg.n_paths))
     return ExpectationEstimate(
         value=float(means[best]),
         std_error=std_error,
         best_schedule=schedules[best],
         n_schedules_searched=len(schedules),
+        best_paths=PathBundle(bundle.times, best_states, schedules[best]),
     )
 
 
@@ -170,16 +182,15 @@ def moment_bound_check(
     sup_moment = -np.inf
     envelope = np.full(len(lags), -np.inf)
     schedules = [VolSchedule.constant(v * eye) for v in levels]
-    for start, chunk in _chunks(schedules, cfg, spec.dim_state):
-        for bundle in _integrate_batch(spec, set_, chunk, cfg, normals, first_index=start):
-            # Path-major copy: the means below then sum in path order.
-            states = np.ascontiguousarray(bundle.states)
-            norms = np.linalg.norm(states, axis=2)  # (n_paths, n_steps+1)
-            sup_moment = max(sup_moment, float(np.mean(np.max(norms, axis=1) ** ell)))
-            for j, L in enumerate(lags):
-                diffs = states[:, L:, :] - states[:, :-L, :]
-                inc = np.linalg.norm(diffs, axis=2) ** ell
-                envelope[j] = max(envelope[j], float(inc.mean()))
+    for bundle in _bundles(spec, set_, schedules, cfg, normals):
+        # Path-major copy: the means below then sum in path order.
+        states = np.ascontiguousarray(bundle.states)
+        norms = np.linalg.norm(states, axis=2)  # (n_paths, n_steps+1)
+        sup_moment = max(sup_moment, float(np.mean(np.max(norms, axis=1) ** ell)))
+        for j, L in enumerate(lags):
+            diffs = states[:, L:, :] - states[:, :-L, :]
+            inc = np.linalg.norm(diffs, axis=2) ** ell
+            envelope[j] = max(envelope[j], float(inc.mean()))
 
     dt = cfg.dt
     slope = float(np.polyfit(np.log(np.asarray(lags) * dt), np.log(envelope), 1)[0])

@@ -31,7 +31,7 @@ from .sde import PathConfig, SdeSpec
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
-_BOUNDARY_KINDS = ("one_sided", "power_dirichlet", "linear_extrapolation")
+_BOUNDARY_KINDS = ("one_sided", "power_dirichlet")
 
 # Sampled times for the CFL check of coefficients without declared segments.
 _CFL_TIME_SAMPLES = 33
@@ -44,8 +44,7 @@ class BoundaryRule:
     one_sided: one-sided first/second differences with the control frozen to
     the adjacent interior argopt.  power_dirichlet: edge value copied from
     the adjacent interior node scaled by (x_edge / x_adjacent)**exponent,
-    for value functions with a known power shape in x.  linear_extrapolation:
-    edge value continues the interior slope (zero curvature).
+    for value functions with a known power shape in x.
     """
 
     kind: str = "one_sided"
@@ -158,7 +157,6 @@ class HjbSolution:
     values: np.ndarray = field(repr=False)
     policy: np.ndarray = field(repr=False)
     controls: tuple = field(repr=False)
-    boundary_kind: BoundaryRule = BoundaryRule()
 
     def value_at(self, t: float, x: float) -> float:
         """Bilinear interpolation of the value field."""
@@ -326,15 +324,10 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
             )
             policy[k, 0] = jl
             policy[k, -1] = jr
-        elif bnd.kind == "power_dirichlet":
+        else:  # power_dirichlet
             p = float(bnd.exponent)
             values[k, 0] = values[k, 1] * (x[0] / x[1]) ** p
             values[k, -1] = values[k, -2] * (x[-1] / x[-2]) ** p
-            policy[k, 0] = policy[k, 1]
-            policy[k, -1] = policy[k, -2]
-        else:  # linear_extrapolation
-            values[k, 0] = 2.0 * values[k, 1] - values[k, 2]
-            values[k, -1] = 2.0 * values[k, -2] - values[k, -3]
             policy[k, 0] = policy[k, 1]
             policy[k, -1] = policy[k, -2]
 
@@ -371,7 +364,6 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
         values=values,
         policy=policy,
         controls=problem.controls,
-        boundary_kind=problem.boundary,
     )
 
 

@@ -132,15 +132,6 @@ class PathBundle:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
-    def to_csv(self, target) -> None:
-        """Write ``path_id,time,state_0..`` rows; target is a path or file object."""
-        text = bundle_csv_text(self)
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-
 
 def path_normals(seed: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
     """Standard normal draws, one counter-based stream per path index.
@@ -269,7 +260,6 @@ def integrate_gsde(
     set_: AmbiguitySet,
     schedule: VolSchedule,
     cfg: PathConfig,
-    _normals: np.ndarray | None = None,
 ) -> PathBundle:
     """Euler-Maruyama integration of a controlled SDE under one scenario.
 
@@ -278,8 +268,7 @@ def integrate_gsde(
     shape (n_paths, dim_state) is accepted as the one noise column.  A
     non-finite state aborts with the path and step where it first appeared.
     """
-    normals = (_normals if _normals is not None
-               else path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise))
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     return _integrate_batch(spec, set_, [schedule], cfg, normals)[0]
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, contains, g_matrix, g_scalar
 from .config import RunConfig, merton_attitude
+from .errors import ConfigError
 from .hjb import (
     Grid1D,
     HjbProblem,
@@ -80,9 +81,11 @@ class MertonRun:
 
 
 def merton_run(cfg: RunConfig) -> MertonRun:
-    """Closed form and grid solve of the configured problem; ConfigError unless d = 1."""
+    """Closed form and grid solve of the configured problem; ConfigError unless d = 1, x_min > 0."""
     set_ = cfg.ambiguity_set_1d()
     market, util, s = cfg.market_model(), cfg.crra(), cfg.solver
+    if not s.x_min > 0.0:
+        raise ConfigError("the wealth grid must be truncated away from zero: solver.x_min > 0")
     attitude = merton_attitude(s.attitude)
     lam = worst_case_lambda(set_, "negative", attitude)
     cf = solve_A(market, util, lam, n_t=2000, horizon=s.horizon)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gctrl import ConfigError
+from gctrl import ConfigError, estimators, sde, verify
 from gctrl.cli import main
 from gctrl.config import canonical_text, parse_config_text
 
@@ -215,6 +215,22 @@ def test_cli_simulate_constant_functional(tmp_path):
     assert float(_report_value(out / "gheat_report.txt", "std_error")) == 0.0
 
 
+def test_cli_simulate_integrates_each_candidate_once(tmp_path, monkeypatch):
+    integrated = []
+    batch = sde._integrate_batch
+
+    def counting(spec, set_, schedules, *args, **kwargs):
+        integrated.append(len(schedules))
+        return batch(spec, set_, schedules, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "_integrate_batch", counting)
+    monkeypatch.setattr(estimators, "_integrate_batch", counting)
+    text = GHEAT_CONFIG.replace("n_paths = 3000", "n_paths = 300")
+    cfg_path = _write(tmp_path, "gheat.cfg", text)
+    assert main(["simulate", "--config", cfg_path, "--output", str(tmp_path / "out")]) == 0
+    assert sum(integrated) == 3 ** 2  # n_grid ** n_segments
+
+
 def test_cli_merton_report_values(tmp_path):
     cfg_path = _write(tmp_path, "desk.cfg", DESK_CONFIG)
     out = tmp_path / "out"
@@ -281,6 +297,21 @@ def test_cli_verify_needs_one_dimensional_ambiguity(tmp_path, capsys):
     assert main(["verify", "--config", cfg_path, "--output", str(out)]) == 2
     assert "this command needs a 1-dimensional ambiguity set" in capsys.readouterr().err
     assert not (out / "desk_verify.txt").exists()
+
+
+def test_cli_wealth_grid_needs_positive_x_min(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("grid solve started before the config was rejected")
+
+    monkeypatch.setattr(verify, "solve", no_solve)
+    zero = DESK_CONFIG.replace("x_min = 0.4", "x_min = 0.0")
+    for name, text in (("gheat.cfg", GHEAT_CONFIG), ("zero.cfg", zero)):
+        cfg_path = _write(tmp_path, name, text)
+        for command in ("merton", "verify"):
+            out = tmp_path / f"{command}_{name}"
+            assert main([command, "--config", cfg_path, "--output", str(out)]) == 2
+            assert "solver.x_min > 0" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_cli_verify_passes_and_perturbation_fails(tmp_path):

@@ -44,12 +44,18 @@ def terminal_square(bundle):
 
 
 def test_constant_functional_is_exact():
-    est = upper_expectation_mc(
-        _gbm_spec(), SET, lambda b: np.full(b.n_paths, 7.0), _cfg(n_paths=50, n_steps=8),
-        n_segments=2, n_grid=3,
-    )
-    assert est.value == 7.0
-    assert est.std_error == 0.0
+    cfg = _cfg(n_paths=50, n_steps=8)
+    # every mean ties, so both directions pick the first candidate
+    first = candidate_schedules(SET, cfg.horizon, 2, 3)[0]
+    for direction in ("upper", "lower"):
+        est = upper_expectation_mc(
+            _gbm_spec(), SET, lambda b: np.full(b.n_paths, 7.0), cfg,
+            n_segments=2, n_grid=3, direction=direction,
+        )
+        assert est.value == 7.0
+        assert est.std_error == 0.0
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(est.best_schedule.values, first.values))
 
 
 def test_convex_payoff_worst_case_is_high_variance():
@@ -205,6 +211,7 @@ def test_batch_size_does_not_change_results(monkeypatch, case, direction):
     ref_means = [float(v.mean()) for v in ref_vals]
     best = int(np.argmax(ref_means) if direction == "upper" else np.argmin(ref_means))
     ref_se = float(ref_vals[best].std(ddof=1) / np.sqrt(cfg.n_paths))
+    best_states = integrate_gsde(spec, set_, schedules[best], cfg).states
 
     per_candidate = cfg.n_paths * (cfg.n_steps + 1) * spec.dim_state
     for chunk in (1, 2, len(schedules)):  # 2 leaves a ragged last chunk
@@ -223,6 +230,7 @@ def test_batch_size_does_not_change_results(monkeypatch, case, direction):
         assert est.std_error == ref_se
         for got, want in zip(est.best_schedule.values, schedules[best].values):
             assert np.array_equal(got, want)
+        assert np.array_equal(est.best_paths.states, best_states)
 
 
 def test_nonfinite_in_batch_names_candidate_and_path(monkeypatch):

@@ -11,7 +11,6 @@ holds on any platform.
 """
 
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -221,14 +220,3 @@ def test_bundle_renderer_matches_reference_on_edge_values(m):
     bundle = PathBundle(times=times, states=states, schedule=schedule)
     text = bundle_csv_text(bundle)
     assert text == _reference_bundle_csv(bundle)
-    buf = io.StringIO()
-    bundle.to_csv(buf)
-    assert buf.getvalue() == text
-
-
-def test_bundle_to_csv_writes_a_path(tmp_path):
-    bundle = PathBundle(times=np.array([0.0, 0.5]), states=np.array([[[0.0], [-0.0]]]),
-                        schedule=VolSchedule.constant(1.0))
-    target = tmp_path / "paths.csv"
-    bundle.to_csv(target)
-    assert target.read_bytes() == b"path_id,time,state_0\n0,0.000000000,0\n0,0.500000000,-0\n"
