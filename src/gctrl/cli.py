@@ -110,7 +110,7 @@ def cmd_solve_hjb(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
     _check_overwrite(targets, force)
 
     grid = cfg.grid(problem)
-    solution = solve(problem, grid)
+    solution = solve(problem, grid, cfg.solver.scheme)
     report = RunReport(command="solve-hjb", config_echo=canonical_text(cfg))
     report.results["problem"] = cfg.solver.problem
     report.results["n_t"] = grid.n_t
@@ -167,7 +167,7 @@ def cmd_merton(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
     if set_.degenerate:
         other = "optimist" if run.attitude == "pessimist" else "pessimist"
         other_sol = solve(merton_hjb_problem(market, util, set_, s.horizon, other,
-                                             run.problem.controls), solution.grid)
+                                             run.problem.controls), solution.grid, s.scheme)
         gap = float(np.max(np.abs(other_sol.values - solution.values)))
         res["degenerate_ambiguity"] = "true (single prior; pessimist and optimist coincide)"
         res["pessimist_optimist_gap"] = gap

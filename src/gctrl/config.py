@@ -26,6 +26,7 @@ _DIRECTION_CHOICES = ("minimize", "maximize")
 _PROBLEM_CHOICES = ("g_heat",)
 _TERMINAL_CHOICES = ("x_squared", "minus_x_squared", "constant")
 _FUNCTIONAL_CHOICES = ("terminal_square", "neg_terminal_square", "constant")
+_SCHEME_CHOICES = ("explicit", "implicit")
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class SolverCfg:
     x_min: float = -4.0
     x_max: float = 4.0
     n_x: int = 401
-    n_t: int = 0  # 0 = derive the smallest stable step count
+    n_t: int = 0  # 0 = derive the smallest stable step count (explicit only)
+    scheme: str = "explicit"
     horizon: float = 1.0
     attitude: str = "upper"
     direction: str = "minimize"
@@ -216,6 +218,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "x_max": (_parse_float, _fmt_float, None),
         "n_x": (_parse_int, str, None),
         "n_t": (_parse_int, str, None),
+        "scheme": (None, str, _SCHEME_CHOICES),
         "horizon": (_parse_float, _fmt_float, None),
         "attitude": (None, str, _ATTITUDE_CHOICES),
         "direction": (None, str, _DIRECTION_CHOICES),
@@ -328,6 +331,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("solver.n_x must be at least 3")
     if s.n_t < 0:
         raise ConfigError("solver.n_t must be 0 (auto) or positive")
+    if s.scheme == "implicit" and s.n_t == 0:
+        raise ConfigError("solver.scheme = implicit needs a positive solver.n_t")
     if not s.horizon > 0:
         raise ConfigError("solver.horizon must be positive")
     if s.n_pi < 2 or s.n_rho < 2:
@@ -339,6 +344,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("output.prefix must be nonempty")
 
 
+# Keys emitted only away from their default, so the echo of every config
+# written before they existed keeps its bytes.
+_QUIET_AT_DEFAULT = {("solver", "scheme")}
+
+
 def canonical_text(cfg: RunConfig) -> str:
     """Emit every key in schema order; parse(canonical_text(cfg)) == cfg."""
     lines = []
@@ -346,7 +356,10 @@ def canonical_text(cfg: RunConfig) -> str:
         lines.append(f"[{name}]")
         section = getattr(cfg, name)
         for key, (_parser, fmt, _choices) in keys.items():
-            lines.append(f"{key} = {fmt(getattr(section, key))}")
+            value = getattr(section, key)
+            if (name, key) in _QUIET_AT_DEFAULT and value == getattr(_SECTION_TYPES[name](), key):
+                continue
+            lines.append(f"{key} = {fmt(value)}")
         lines.append("")
     return "\n".join(lines)
 

@@ -1,11 +1,18 @@
 """Backward-in-time monotone finite-difference solver for ambiguous HJB equations.
 
-The scheme is an explicit Euler sweep with upwinded first differences and a
-central second difference; the second-order term passes through the scalar
-worst-case generator (upper or lower), which makes the equation fully
-nonlinear but keeps the update monotone under the CFL bound
+Both schemes use upwinded first differences and a central second
+difference; the second-order term passes through the scalar worst-case
+generator (upper or lower), which makes the equation fully nonlinear.
+
+explicit: one forward step per level, monotone under the CFL bound
 
     dt <= dx^2 / (sigma_hi_sq * max g^2 + dx * max |f| + dx^2 * discount).
+
+implicit: backward Euler, monotone at any dt.  Each level is solved by
+Howard policy iteration (Forsyth & Labahn 2007; Bokanowski, Maroso &
+Zidani 2009): fix every node's control and generator weight from the
+current iterate, solve the resulting tridiagonal M-matrix system, and
+repeat until no node's choice changes.
 
 Controls live on a finite list and are searched exhaustively at every node,
 ties broken by lowest index, so runs are reproducible.
@@ -32,19 +39,26 @@ from .sde import PathConfig, SdeSpec
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
 _BOUNDARY_KINDS = ("one_sided", "power_dirichlet")
+_SCHEMES = ("explicit", "implicit")
 
 # Sampled times for the CFL check of coefficients without declared segments.
 _CFL_TIME_SAMPLES = 33
+# Linear solves one implicit time level may take before Howard iteration gives up.
+_HOWARD_MAX_SOLVES = 50
 
 
 @dataclass(frozen=True)
 class BoundaryRule:
     """How the two edge rows are closed.
 
-    one_sided: one-sided first/second differences with the control frozen to
-    the adjacent interior argopt.  power_dirichlet: edge value copied from
-    the adjacent interior node scaled by (x_edge / x_adjacent)**exponent,
-    for value functions with a known power shape in x.
+    one_sided: the explicit scheme uses one-sided first/second differences
+    with the control frozen to the adjacent interior argopt.  The implicit
+    scheme drops the second-order term at the edge (V_xx ~ 0), keeps only
+    the inward-pointing drift, upwinded, and optimizes the edge row's own
+    control, which keeps it monotone.
+    power_dirichlet: edge value copied from the adjacent interior node
+    scaled by (x_edge / x_adjacent)**exponent, for value functions with a
+    known power shape in x.
     """
 
     kind: str = "one_sided"
@@ -235,16 +249,51 @@ def suggest_time_steps(problem: HjbProblem, x_min: float, x_max: float, n_x: int
     return max(1, int(np.ceil(problem.horizon / bound)))
 
 
+def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Thomas elimination: lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1] = rhs[i].
+
+    lower[0] and upper[-1] are not read.  Stable without pivoting for the
+    diagonally dominant systems of the implicit step.
+    """
+    a, b, c, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    n = len(b)
+    for i in range(1, n):
+        m = a[i] / b[i - 1]
+        b[i] -= m * c[i - 1]
+        r[i] -= m * r[i - 1]
+    u = [0.0] * n
+    u[-1] = r[-1] / b[-1]
+    for i in range(n - 2, -1, -1):
+        u[i] = (r[i] - c[i] * u[i + 1]) / b[i]
+    return np.array(u)
+
+
+def _require_finite(row: np.ndarray, k: int) -> None:
+    if not np.all(np.isfinite(row)):
+        i_bad = int(np.argwhere(~np.isfinite(row))[0][0])
+        raise NumericError(f"non-finite value at time level {k} node {i_bad}")
+
+
 def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_values: np.ndarray,
-           segments: dict | None):
-    """Backward explicit recursion over the ``_segment_tables``; returns (values, policy)."""
+           segments: dict | None, scheme: str = "explicit"):
+    """Backward recursion over the ``_segment_tables``; returns (values, policy).
+
+    Each implicit level starts from the argopt on the level above and stops
+    once every node's (control, generator weight) pair reproduces itself on
+    the iterate it produced.  The edge rows enter the tridiagonal system,
+    whose elimination folds the power_dirichlet edges into the first and
+    last interior rows.
+    """
+    if scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    implicit = scheme == "implicit"
     n_t = len(times) - 1
     n_x = x.size
     dx = float(x[1] - x[0])
     lo = problem.ambiguity.sigma_lo_sq
     hi = problem.ambiguity.sigma_hi_sq
     beta = problem.discount
-    maximize = problem.opt_direction == "maximize"
+    argopt = np.argmax if problem.opt_direction == "maximize" else np.argmin
     bnd = problem.boundary
 
     values = np.empty((n_t + 1, n_x))
@@ -260,15 +309,44 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
         w_pos, w_neg = 0.5 * lo, 0.5 * hi
 
     def step_tables(F, G2, C):
+        # Interior tables are node-major, (n_x - 2, n_u), so the argopt over
+        # controls reduces along the contiguous axis.  The last two entries
+        # are the inward-pointing drift at the left and right edge.
         denom = _cfl_denominator(problem, F, G2, dx)
-        return (F, np.maximum(F, 0.0)[:, 1:-1], np.minimum(F, 0.0)[:, 1:-1],
-                G2, G2[:, 1:-1].copy(), C, C[:, 1:-1].copy(), denom)
+        return (F, np.maximum(F, 0.0)[:, 1:-1].T.copy(), np.minimum(F, 0.0)[:, 1:-1].T.copy(),
+                G2, G2[:, 1:-1].T.copy(), C, C[:, 1:-1].T.copy(), denom,
+                np.maximum(F[:, 0], 0.0), np.minimum(F[:, -1], 0.0))
 
     starts, segment = problem.segment_starts, None
     cols = np.arange(n_x - 2)
     n_u = len(problem.controls)
-    work = np.empty((n_u, n_x - 2))
-    tmp = np.empty((n_u, n_x - 2))
+    work = np.empty((n_x - 2, n_u))
+    tmp = np.empty((n_x - 2, n_u))
+    if implicit:
+        lower, diag, upper, rhs = (np.empty(n_x) for _ in range(4))
+        if bnd.kind == "power_dirichlet":
+            p = float(bnd.exponent)
+            diag[0] = diag[-1] = 1.0
+            upper[0] = -((x[0] / x[1]) ** p)
+            lower[-1] = -((x[-1] / x[-2]) ** p)
+            rhs[0] = rhs[-1] = 0.0
+
+    def fill_generator(u, Fp, Fm, G2i, Ci):
+        """work[i, j] = drift, generator and running-cost terms of control j at
+        interior node i on the iterate u; returns where the curvature is positive."""
+        fwd = (u[2:] - u[1:-1]) / dx
+        bwd = (u[1:-1] - u[:-2]) / dx
+        cen = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        positive = cen > 0.0
+        w = np.where(positive, w_pos, w_neg) * cen
+
+        np.multiply(Fp, fwd[:, None], out=work)
+        np.multiply(Fm, bwd[:, None], out=tmp)
+        np.add(work, tmp, out=work)
+        np.multiply(G2i, w[:, None], out=tmp)
+        np.add(work, tmp, out=work)
+        np.add(work, Ci, out=work)
+        return positive
 
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
@@ -279,32 +357,66 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
             start = starts[bisect_right(starts, t_k) - 1]
             if start != segment:
                 segment, tables = start, step_tables(*segments[start])
-        F, Fp, Fm, G2, G2i, C, Ci, denom = tables
+        F, Fp, Fm, G2, G2i, C, Ci, denom, Fin_l, Fin_r = tables
+        v = values[k + 1]
+
+        if implicit:
+            u, chosen, solves = v, None, 0
+            while True:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    positive = fill_generator(u, Fp, Fm, G2i, Ci)
+                    best = argopt(work, axis=1)
+                    if bnd.kind == "one_sided":
+                        # Each edge row optimizes its own inward-drift and running-cost terms.
+                        jl = int(argopt(Fin_l * ((u[1] - u[0]) / dx) + C[:, 0]))
+                        jr = int(argopt(Fin_r * ((u[-1] - u[-2]) / dx) + C[:, -1]))
+                    else:
+                        jl, jr = int(best[0]), int(best[-1])
+                if (chosen is not None and (jl, jr) == chosen[2]
+                        and np.array_equal(best, chosen[0]) and np.array_equal(positive, chosen[1])):
+                    break
+                if solves == _HOWARD_MAX_SOLVES:
+                    raise NumericError(
+                        f"Howard iteration still changing controls after {solves} "
+                        f"linear solves at time level {k}"
+                    )
+                chosen = (best, positive, (jl, jr))
+                diffusion = G2i[cols, best] * np.where(positive, w_pos, w_neg) / (dx * dx)
+                down = dt_k * (diffusion - Fm[cols, best] / dx)
+                up = dt_k * (diffusion + Fp[cols, best] / dx)
+                lower[1:-1] = -down
+                upper[1:-1] = -up
+                diag[1:-1] = 1.0 + beta * dt_k + down + up
+                rhs[1:-1] = v[1:-1] + dt_k * Ci[cols, best]
+                if bnd.kind == "one_sided":
+                    inward_l = dt_k * Fin_l[jl] / dx
+                    inward_r = -dt_k * Fin_r[jr] / dx
+                    diag[0] = 1.0 + beta * dt_k + inward_l
+                    upper[0] = -inward_l
+                    rhs[0] = v[0] + dt_k * C[jl, 0]
+                    diag[-1] = 1.0 + beta * dt_k + inward_r
+                    lower[-1] = -inward_r
+                    rhs[-1] = v[-1] + dt_k * C[jr, -1]
+                u = _solve_tridiagonal(lower, diag, upper, rhs)
+                solves += 1
+                _require_finite(u, k)
+            values[k] = u
+            policy[k, 1:-1] = best
+            policy[k, 0], policy[k, -1] = jl, jr
+            continue
+
         if denom > 0.0 and dt_k > dx * dx / denom * (1.0 + 1e-9):
             raise CflError(
                 f"dt={dt_k:.6g} exceeds the monotone bound {dx * dx / denom:.6g} "
                 f"at t={t_k:.6g}"
             )
-
-        v = values[k + 1]
         # Overflow in a diverging sweep is caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
-            fwd = (v[2:] - v[1:-1]) / dx
-            bwd = (v[1:-1] - v[:-2]) / dx
-            cen = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-            w = np.where(cen > 0.0, w_pos, w_neg) * cen
-
-            np.multiply(Fp, fwd, out=work)
-            np.multiply(Fm, bwd, out=tmp)
-            work += tmp
-            np.multiply(G2i, w, out=tmp)
-            work += tmp
-            work += Ci
+            fill_generator(v, Fp, Fm, G2i, Ci)
             work *= dt_k
-            work += v[1:-1] * (1.0 - beta * dt_k)
-
-        best = np.argmax(work, axis=0) if maximize else np.argmin(work, axis=0)
-        values[k, 1:-1] = work[best, cols]
+            work += (v[1:-1] * (1.0 - beta * dt_k))[:, None]
+        best = argopt(work, axis=1)
+        values[k, 1:-1] = work[cols, best]
         policy[k, 1:-1] = best
 
         if bnd.kind == "one_sided":
@@ -331,32 +443,33 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
             policy[k, 0] = policy[k, 1]
             policy[k, -1] = policy[k, -2]
 
-        if not np.all(np.isfinite(values[k])):
-            i_bad = int(np.argwhere(~np.isfinite(values[k]))[0][0])
-            raise NumericError(f"non-finite value at time level {k} node {i_bad}")
+        _require_finite(values[k], k)
 
     return values, policy
 
 
-def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
-    """Solve the terminal-value problem on the grid.
+def solve(problem: HjbProblem, grid: Grid1D, scheme: str = "explicit") -> HjbSolution:
+    """Solve the terminal-value problem on the grid with the named scheme.
 
-    Raises CflError before sweeping when dt violates the monotone bound,
-    and NumericError (with time level and node) if the sweep produces a
-    non-finite value.
+    explicit raises CflError before sweeping when dt violates the monotone
+    bound; implicit is monotone at any dt and raises NumericError (with the
+    time level) if Howard iteration does not settle within
+    _HOWARD_MAX_SOLVES linear solves.  Either raises NumericError (with time
+    level and node) if the sweep produces a non-finite value.
     """
     dt = problem.horizon / grid.n_t
     x = grid.nodes()
     segments = _segment_tables(problem, x)
-    bound = _stable_dt(problem, x, grid.dx, segments)
-    if dt > bound * (1.0 + 1e-9):
-        raise CflError(
-            f"dt={dt:.6g} violates the monotone-scheme bound dt<={bound:.6g}; "
-            f"need n_t >= {int(np.ceil(problem.horizon / bound))}"
-        )
+    if scheme == "explicit":
+        bound = _stable_dt(problem, x, grid.dx, segments)
+        if dt > bound * (1.0 + 1e-9):
+            raise CflError(
+                f"dt={dt:.6g} violates the monotone-scheme bound dt<={bound:.6g}; "
+                f"need n_t >= {int(np.ceil(problem.horizon / bound))}"
+            )
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
-    values, policy = _sweep(problem, x, times, terminal, segments)
+    values, policy = _sweep(problem, x, times, terminal, segments, scheme)
     return HjbSolution(
         grid=grid,
         x=x,
@@ -367,12 +480,13 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
     )
 
 
-def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> float:
+def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float,
+                          scheme: str = "explicit") -> float:
     """Max gap between a direct solve and the two-stage composed solve.
 
     Solves on [t_bar, T], installs that slice as a synthetic terminal
     condition on [0, t_bar], and compares the composed initial values with
-    the direct ones.  On the shared grid the explicit recursion composes
+    the direct ones.  On the shared grid either one-step recursion composes
     exactly, so the gap is rounding-level.
     """
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
@@ -385,9 +499,9 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> fl
     x = grid.nodes()
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
     segments = _segment_tables(problem, x)
-    direct, _ = _sweep(problem, x, times, terminal, segments)
-    tail, _ = _sweep(problem, x, times[k_bar:], terminal, segments)
-    head, _ = _sweep(problem, x, times[: k_bar + 1], tail[0], segments)
+    direct, _ = _sweep(problem, x, times, terminal, segments, scheme)
+    tail, _ = _sweep(problem, x, times[k_bar:], terminal, segments, scheme)
+    head, _ = _sweep(problem, x, times[: k_bar + 1], tail[0], segments, scheme)
     return float(np.max(np.abs(head[0] - direct[0])))
 
 

@@ -280,7 +280,9 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     substituted into the ODE and ``resolved_branch`` records the one whose
     residual vanishes; if neither does, something is inconsistent and a
     ConsistencyError is raised.  |eta| below ETA_ZERO_TOL short-circuits to
-    the linear limit A(t) = T - t + 1.
+    the linear limit A(t) = T - t + 1.  eta is evaluated once per segment
+    when the market declares ``segment_starts`` and at every call otherwise;
+    ``ClosedForm.eta`` is that same function.
     """
     if n_t < 2:
         raise ValueError("n_t must be at least 2")
@@ -289,8 +291,16 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     lam = as_symmetric(lambda_bar, m.dim)
     times = np.linspace(0.0, horizon, n_t + 1)
 
-    def eta_fn(t: float) -> float:
-        return eta(m, u, lam, t)
+    if m.segment_starts is None:
+        def eta_fn(t: float) -> float:
+            return eta(m, u, lam, t)
+    else:
+        # The coefficients, hence eta, are constant on each segment.
+        starts = tuple(s for s in m.segment_starts if s <= horizon)
+        per_segment = [eta(m, u, lam, s) for s in starts]
+
+        def eta_fn(t: float) -> float:
+            return per_segment[max(bisect_right(starts, t) - 1, 0)]
 
     a_values = _integrate_a(eta_fn, u.kappa, times)
     if not np.all(np.isfinite(a_values)) or np.min(a_values) <= 0.0:

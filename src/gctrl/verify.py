@@ -96,7 +96,7 @@ def merton_run(cfg: RunConfig) -> MertonRun:
 
     problem = merton_hjb_problem(market, util, set_, s.horizon, attitude,
                                  control_grid(s.n_pi, s.n_rho))
-    solution = solve(problem, cfg.grid(problem))
+    solution = solve(problem, cfg.grid(problem), s.scheme)
     closed = np.asarray([closed_form_value(cf, util, 0.0, xv) for xv in solution.x])
     rel = np.abs(solution.values[0] - closed) / np.abs(closed)
     interior = slice(s.n_x // 10, s.n_x - s.n_x // 10)
@@ -220,7 +220,8 @@ def _random_ordered_problems(rng: np.random.Generator):
     The support sits 14 nodes away from each edge and the horizon allows at
     most 12 steps, so the explicit stencil never transports a nonzero gap
     into the boundary closures and the discrete comparison principle holds
-    exactly on the whole grid.
+    exactly on the whole grid.  The implicit scheme reaches the edges in one
+    step; its edge closure is monotone, so the principle holds there too.
     """
     lo = rng.uniform(0.1, 0.8)
     hi = lo + rng.uniform(0.0, 0.8)
@@ -268,19 +269,21 @@ def _random_ordered_problems(rng: np.random.Generator):
     return low, high, Grid1D(-5.0, 5.0, 41, n_t)
 
 
-def check_comparison_principle(rng: np.random.Generator, trials: int = 100) -> CheckResult:
+def check_comparison_principle(problems, scheme: str = "explicit") -> CheckResult:
+    """Ordered data must give ordered solutions on ``_random_ordered_problems``."""
     worst = -np.inf
-    for _ in range(trials):
-        low, high, grid = _random_ordered_problems(rng)
-        v_low = solve(low, grid).values
-        v_high = solve(high, grid).values
+    for low, high, grid in problems:
+        v_low = solve(low, grid, scheme).values
+        v_high = solve(high, grid, scheme).values
         worst = max(worst, float(np.max(v_low - v_high)))
-    return _result("comparison_principle", worst, TOL_EXACT)
+    suffix = "" if scheme == "explicit" else f"_{scheme}"
+    return _result(f"comparison_principle{suffix}", worst, TOL_EXACT)
 
 
 def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     """Run the full cross-check suite for one configuration; ConfigError unless d = 1."""
     run = merton_run(cfg)
+    implicit = cfg.solver.scheme == "implicit"
     rng = np.random.default_rng(cfg.simulation.seed)
     results = [
         check_subadditivity(rng),
@@ -288,8 +291,11 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
         check_direction_order(rng),
         check_maximizer_membership(rng),
         check_bruteforce_agreement(rng),
-        check_comparison_principle(rng),
     ]
+    ordered = [_random_ordered_problems(rng) for _ in range(100)]
+    results.append(check_comparison_principle(ordered))
+    if implicit:
+        results.append(check_comparison_principle(ordered, "implicit"))
 
     set_1d = run.problem.ambiguity
     horizon = cfg.solver.horizon
@@ -309,6 +315,12 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     t_bar = float(np.linspace(0.0, horizon, small_nt + 1)[small_nt // 2])
     results.append(_result("dpp_composition_portfolio",
                            dpp_composition_check(run.problem, small_grid, t_bar), TOL_DPP))
+    if implicit:
+        implicit_grid = Grid1D(0.5, 2.0, 81, 20)
+        t_bar = float(np.linspace(0.0, horizon, 21)[10])
+        results.append(_result(
+            "dpp_composition_portfolio_implicit",
+            dpp_composition_check(run.problem, implicit_grid, t_bar, "implicit"), TOL_DPP))
 
     results.append(_result("pde_vs_closed_form", run.interior_rel_error, TOL_PDE_REL))
 

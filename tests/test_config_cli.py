@@ -92,6 +92,28 @@ def test_parse_defaults_and_roundtrip():
     assert canonical_text(parse_config_text(echoed)) == echoed
 
 
+def test_parse_scheme_and_echo_only_when_implicit():
+    explicit = parse_config_text(DESK_CONFIG)
+    assert explicit.solver.scheme == "explicit"
+    assert "scheme" not in canonical_text(explicit)
+    stated = parse_config_text(DESK_CONFIG.replace("n_x = 201", "n_x = 201\nscheme = explicit"))
+    assert stated == explicit
+    assert canonical_text(stated) == canonical_text(explicit)
+
+    implicit = parse_config_text(DESK_CONFIG.replace("n_x = 201",
+                                                     "n_x = 201\nn_t = 50\nscheme = implicit"))
+    assert implicit.solver.scheme == "implicit"
+    echoed = canonical_text(implicit)
+    assert "n_t = 50\nscheme = implicit\n" in echoed
+    assert parse_config_text(echoed) == implicit
+    assert canonical_text(parse_config_text(echoed)) == echoed
+
+    with pytest.raises(ConfigError, match="scheme must be one of"):
+        parse_config_text(DESK_CONFIG.replace("n_x = 201", "n_x = 201\nscheme = crank"))
+    with pytest.raises(ConfigError, match="positive solver.n_t"):
+        parse_config_text(DESK_CONFIG.replace("n_x = 201", "n_x = 201\nscheme = implicit"))
+
+
 def test_parse_unknown_key_reports_line():
     bad = DESK_CONFIG.replace("kappa = 2.0", "kappa = 2.0\nwrong_key = 1")
     with pytest.raises(ConfigError, match=r"line \d+.*wrong_key"):
@@ -331,3 +353,43 @@ def test_cli_verify_passes_and_perturbation_fails(tmp_path):
     assert main(["verify", "--config", bad_path, "--output", str(out2)]) == 1
     text2 = (out2 / "desk_verify.txt").read_text()
     assert "hjb_residual = FAIL" in text2
+
+
+def test_cli_implicit_without_n_t_is_a_config_error(tmp_path, capsys):
+    for text in (DESK_CONFIG, GHEAT_CONFIG):
+        cfg_path = _write(tmp_path, "implicit.cfg",
+                          text.replace("[solver]", "[solver]\nscheme = implicit\nn_t = 0"))
+        for command in ("solve-hjb", "merton", "verify"):
+            out = tmp_path / f"out-{command}"
+            assert main([command, "--config", cfg_path, "--output", str(out)]) == 2
+            assert "positive solver.n_t" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_cli_solve_hjb_implicit(tmp_path):
+    cfg_path = _write(tmp_path, "heat.cfg",
+                      GHEAT_CONFIG.replace("[solver]", "[solver]\nscheme = implicit\nn_t = 20"))
+    out = tmp_path / "out"
+    assert main(["solve-hjb", "--config", cfg_path, "--output", str(out)]) == 0
+    report = next(out.glob("*_report.txt")).read_text()
+    assert "n_t = 20\n" in report
+    assert "scheme = implicit\n" in report
+    v00 = float(report.split("V(0,0) = ")[1].split("\n")[0])
+    assert v00 == pytest.approx(1.0, abs=1e-3)
+
+
+def test_cli_verify_implicit_adds_two_checks(tmp_path):
+    fast = DESK_CONFIG.replace("n_x = 201", "n_x = 151\nn_t = 100\nscheme = implicit").replace(
+        "x_min = 0.4", "x_min = 0.5"
+    ).replace("x_max = 2.4", "x_max = 2.0")
+    cfg_path = _write(tmp_path, "verify.cfg", fast)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg_path, "--output", str(out)]) == 0
+    lines = (out / "desk_verify.txt").read_text().splitlines()
+    names = [line.split(" = ")[0] for line in lines if " = PASS" in line]
+    assert "FAIL" not in "\n".join(lines)
+    assert names[5:8] == ["comparison_principle", "comparison_principle_implicit",
+                          "dpp_composition_heat"]
+    assert names[8:10] == ["dpp_composition_portfolio", "dpp_composition_portfolio_implicit"]
+    assert len(names) == 18
+    assert "checks_total = 18" in lines

@@ -269,3 +269,87 @@ def test_power_dirichlet_boundary_preserves_power_shape():
     )
     sol = solve(problem, Grid1D(0.5, 2.0, 31, 10))
     assert np.max(np.abs(sol.values - sol.values[-1])) <= 1e-12
+
+
+def _ordered_pair(terminal_shift, running_shift):
+    """Controlled problems whose data differ by nonnegative shifts."""
+    def make(shift_t, shift_r):
+        return HjbProblem(
+            drift=lambda t, x, u: u + 0.3 * np.sin(x),
+            diffusion=lambda t, x, u: 0.6 + 0.2 * u + 0.0 * x,
+            running_cost=lambda t, x, u: np.cos(x) * u + shift_r(x),
+            terminal_cost=lambda x: np.sin(2.0 * x) * np.exp(-0.1 * x**2) + shift_t(x),
+            horizon=1.0,
+            controls=(-1.0, -0.25, 0.5, 1.0),
+            ambiguity=SET,
+            discount=0.2,
+            opt_direction="maximize",
+            attitude="lower",
+            segment_starts=(0.0,),
+        )
+    return make(lambda x: 0.0 * x, lambda x: 0.0 * x), make(terminal_shift, running_shift)
+
+
+def test_implicit_at_twenty_times_the_cfl_bound():
+    low, high = _ordered_pair(lambda x: 0.5 + 0.4 * np.cos(3.0 * x), lambda x: 0.1 * x**2)
+    probe = Grid1D(-3.0, 3.0, 61, 1)
+    n_t = max(2, round(low.horizon / (20.0 * max_stable_dt(low, probe))))
+    grid = Grid1D(-3.0, 3.0, 61, n_t)
+    assert low.horizon / n_t >= 19.0 * max_stable_dt(low, grid)
+    with pytest.raises(CflError):
+        solve(low, grid)
+    v_low = solve(low, grid, scheme="implicit").values
+    v_high = solve(high, grid, scheme="implicit").values
+    assert np.all(v_low <= v_high)
+    times = np.linspace(0.0, 1.0, n_t + 1)
+    assert dpp_composition_check(low, grid, float(times[n_t // 2]), scheme="implicit") == 0.0
+
+
+def test_implicit_quadratic_moments_far_above_the_cfl_bound():
+    for terminal, target in ((lambda x: x**2, 1.0), (lambda x: -(x**2), -0.25)):
+        problem = heat_problem(terminal)
+        grid = Grid1D(-4.0, 4.0, 201, 10)  # dt is about 60x the explicit bound
+        sol = solve(problem, grid, scheme="implicit")
+        assert sol.value_at(0.0, 0.0) == pytest.approx(target, abs=1e-3)
+
+
+def test_implicit_howard_solves_per_level_on_ordered_problems(solves_per_level):
+    from gctrl import hjb
+    from gctrl.verify import _random_ordered_problems
+
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        low, high, grid = _random_ordered_problems(rng)
+        v_low = solve(low, grid, scheme="implicit").values
+        v_high = solve(high, grid, scheme="implicit").values
+        assert np.max(v_low - v_high) <= 1e-12
+    assert 1 <= max(solves_per_level) <= 10
+    assert hjb._HOWARD_MAX_SOLVES >= 10
+
+
+def test_howard_cap_raises_with_the_level(monkeypatch):
+    from gctrl import hjb
+
+    monkeypatch.setattr(hjb, "_HOWARD_MAX_SOLVES", 0)
+    problem = heat_problem(lambda x: x**2)
+    with pytest.raises(NumericError, match="time level 4"):
+        solve(problem, Grid1D(-2.0, 2.0, 21, 5), scheme="implicit")
+
+
+def test_tridiagonal_solver_matches_dense_solve():
+    from gctrl.hjb import _solve_tridiagonal
+
+    rng = np.random.default_rng(3)
+    n = 40
+    lower, upper = -rng.uniform(0.0, 1.0, n), -rng.uniform(0.0, 1.0, n)
+    diag = 1.0 + rng.uniform(0.0, 1.0, n) - lower - upper
+    rhs = rng.normal(size=n)
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    assert np.allclose(_solve_tridiagonal(lower, diag, upper, rhs),
+                       np.linalg.solve(dense, rhs), rtol=1e-13, atol=1e-13)
+
+
+def test_unknown_scheme_rejected():
+    problem = heat_problem(lambda x: x**2)
+    with pytest.raises(ValueError, match="scheme"):
+        solve(problem, Grid1D(-2.0, 2.0, 21, 400), scheme="crank_nicolson")

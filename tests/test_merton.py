@@ -432,3 +432,50 @@ def test_policy_simulation_keeps_wealth_positive():
     for level in (0.25, 0.5, 1.0):
         bundle = integrate_gsde(spec, DESK_SET, VolSchedule.constant(level), cfg)
         assert np.min(bundle.states) > 0.0
+
+
+def test_implicit_desk_matches_closed_form(solves_per_level):
+    problem = merton_hjb_problem(DESK_MARKET, DESK_UTILITY, DESK_SET, 1.0, "pessimist",
+                                 control_grid(21, 33))
+    sol = solve(problem, Grid1D(0.4, 2.4, 201, 200), scheme="implicit")
+    cf = desk_closed_form()
+    lo_i, hi_i = 201 // 10, 201 - 201 // 10
+    closed = np.asarray([closed_form_value(cf, DESK_UTILITY, 0.0, xv) for xv in sol.x])
+    rel = np.abs(sol.values[0] - closed) / np.abs(closed)
+    assert np.max(rel[lo_i:hi_i]) <= 0.02
+    pis = np.asarray([sol.controls[j][0] for j in sol.policy[0]])
+    assert np.max(np.abs(pis[lo_i:hi_i] - 0.5)) <= 0.05
+    assert 1 <= max(solves_per_level) <= 10
+    assert len(solves_per_level) >= 200
+
+
+def _three_segment_market():
+    return MarketModel.piecewise((0.0, 0.3, 0.6), (0.02, 0.03, 0.01),
+                                 ((0.06,), (0.08,), (0.05,)),
+                                 (((0.2,),), ((0.3,),), ((0.25,),)))
+
+
+def test_solve_a_evaluates_eta_once_per_segment(monkeypatch):
+    from gctrl import merton
+
+    lam = worst_case_lambda(DESK_SET, "negative", "pessimist")
+    calls = []
+
+    def counted(m, u, lambda_bar, t):
+        calls.append(t)
+        return eta(m, u, lambda_bar, t)
+
+    monkeypatch.setattr(merton, "eta", counted)
+    for market, n_segments in ((DESK_MARKET, 1), (_three_segment_market(), 3)):
+        calls.clear()
+        cf = solve_A(market, DESK_UTILITY, lam, n_t=400, horizon=1.0)
+        assert len(calls) == n_segments
+        # Per-call evaluation, as for a market without declared segments.
+        per_call = dataclasses.replace(market, segment_starts=None)
+        ref = solve_A(per_call, DESK_UTILITY, lam, n_t=400, horizon=1.0)
+        assert len(calls) > 400
+        assert cf.a_values.tobytes() == ref.a_values.tobytes()
+        assert cf.resolved_branch == ref.resolved_branch
+        for t in np.linspace(0.0, 1.0, 41):
+            assert cf.eta(t).hex() == eta(market, DESK_UTILITY, lam, t).hex()
+    assert cf.resolved_branch == "ode-only"
