@@ -344,11 +344,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("output.prefix must be nonempty")
 
 
-# Keys emitted only away from their default, so the echo of every config
-# written before they existed keeps its bytes.
-_QUIET_AT_DEFAULT = {("solver", "scheme")}
-
-
 def canonical_text(cfg: RunConfig) -> str:
     """Emit every key in schema order; parse(canonical_text(cfg)) == cfg."""
     lines = []
@@ -357,7 +352,9 @@ def canonical_text(cfg: RunConfig) -> str:
         section = getattr(cfg, name)
         for key, (_parser, fmt, _choices) in keys.items():
             value = getattr(section, key)
-            if (name, key) in _QUIET_AT_DEFAULT and value == getattr(_SECTION_TYPES[name](), key):
+            # Echoed only when implicit, so every report written before the
+            # key existed keeps its bytes.
+            if key == "scheme" and value == "explicit":
                 continue
             lines.append(f"{key} = {fmt(value)}")
         lines.append("")

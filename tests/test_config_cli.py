@@ -281,6 +281,29 @@ def test_cli_merton_degenerate_note(tmp_path):
     assert float(_report_value(rpt, "pessimist_optimist_gap")) <= 1e-10
 
 
+def test_cli_merton_solves_both_attitudes_with_the_configured_scheme(tmp_path, monkeypatch):
+    from gctrl import cli, hjb
+
+    schemes = []
+
+    def recorded(problem, grid, scheme="explicit"):
+        schemes.append(scheme)
+        return hjb.solve(problem, grid, scheme)
+
+    monkeypatch.setattr(cli, "solve", recorded)
+    monkeypatch.setattr(verify, "solve", recorded)
+    text = DESK_CONFIG.replace("sigma_lo_sq = 0.25", "sigma_lo_sq = 1.0").replace(
+        "n_x = 201", "n_x = 101\nn_t = 40\nscheme = implicit"
+    )
+    out = tmp_path / "out"
+    assert main(["merton", "--config", _write(tmp_path, "degen.cfg", text),
+                 "--output", str(out)]) == 0
+    assert schemes == ["implicit", "implicit"]
+    rpt = out / "desk_report.txt"
+    assert float(_report_value(rpt, "pessimist_optimist_gap")) <= 1e-10
+    assert float(_report_value(rpt, "n_t")) == 40
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = DESK_CONFIG.replace("sigma_lo_sq = 0.25", "sigma_lo_sq = 2.0")
     cfg_path = _write(tmp_path, "bad.cfg", bad)
