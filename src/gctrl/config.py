@@ -291,7 +291,7 @@ def parse_config_text(text: str) -> RunConfig:
                         f"{key} must be one of {choices}, got {value!r}", lineno
                     )
                 fields[key] = value
-            elif parser is str or parser is None:
+            elif parser is None:
                 fields[key] = value
             else:
                 fields[key] = parser(value, lineno)

@@ -41,8 +41,6 @@ _DIRECTIONS = ("minimize", "maximize")
 _BOUNDARY_KINDS = ("one_sided", "power_dirichlet")
 _SCHEMES = ("explicit", "implicit")
 
-# Sampled times for the CFL check of coefficients without declared segments.
-_CFL_TIME_SAMPLES = 33
 # Linear solves one implicit time level may take before Howard iteration gives up.
 _HOWARD_MAX_SOLVES = 50
 
@@ -109,9 +107,10 @@ class HjbProblem:
     (maximize, lower) / (maximize, upper) for the pessimist and optimist
     portfolio problems.  ``segment_starts`` declares the three coefficient
     callables constant in t on right-open segments from these times on
-    (``(0.0,)`` when they ignore t); the solver then builds its coefficient
-    tables and checks the CFL bound once per segment.  ``None`` rebuilds the
-    tables at every time level and samples the bound.
+    (``(0.0,)`` when they ignore t).  The solver builds its coefficient
+    tables and the explicit CFL bound once per segment, from the segment
+    start, so a coefficient that varies within a segment must be declared
+    with finer segments.
     """
 
     drift: Callable
@@ -121,11 +120,11 @@ class HjbProblem:
     horizon: float
     controls: tuple
     ambiguity: AmbiguitySet
+    segment_starts: tuple[float, ...]
     discount: float = 0.0
     opt_direction: str = "minimize"
     attitude: str = "upper"
     boundary: BoundaryRule = BoundaryRule()
-    segment_starts: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not self.horizon > 0.0:
@@ -143,11 +142,13 @@ class HjbProblem:
             )
         if self.ambiguity.dim != 1:
             raise ValueError("the 1d solver uses a scalar generator; ambiguity.dim must be 1")
-        if self.segment_starts is not None:
+        try:
             starts = tuple(float(s) for s in self.segment_starts)
-            if not starts or starts[0] != 0.0 or any(a >= b for a, b in zip(starts, starts[1:])):
-                raise ValueError("segment_starts must begin at 0 and increase strictly")
-            object.__setattr__(self, "segment_starts", starts)
+        except TypeError:
+            raise ValueError("segment_starts must be a sequence of times") from None
+        if not starts or starts[0] != 0.0 or any(a >= b for a, b in zip(starts, starts[1:])):
+            raise ValueError("segment_starts must begin at 0 and increase strictly")
+        object.__setattr__(self, "segment_starts", starts)
 
 
 def gheat_problem(set_: AmbiguitySet, terminal_cost: Callable, horizon: float,
@@ -181,13 +182,6 @@ class HjbSolution:
         row = (1.0 - w) * self.values[k] + w * self.values[k + 1]
         return float(np.interp(x, self.x, row))
 
-    def control_at(self, t: float, x: float):
-        """Control value of the extracted feedback policy, nearest node."""
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        k = min(max(k, 0), self.policy.shape[0] - 1)
-        i = int(np.clip(np.rint((x - self.x[0]) / (self.x[1] - self.x[0])), 0, len(self.x) - 1))
-        return self.controls[int(self.policy[k, i])]
-
 
 def _broadcast_nodes(value, n_x: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), (n_x,))
@@ -212,32 +206,20 @@ def _cfl_denominator(problem: HjbProblem, F: np.ndarray, G2: np.ndarray, dx: flo
     return float(hi * G2.max() + dx * np.abs(F).max() + dx * dx * problem.discount)
 
 
-def _segment_tables(problem: HjbProblem, x: np.ndarray) -> dict | None:
-    """(F, G2, C) by start of each segment starting before the horizon, or None."""
-    if problem.segment_starts is None:
-        return None
+def _segment_tables(problem: HjbProblem, x: np.ndarray) -> dict:
+    """(F, G2, C) by start of each segment starting before the horizon."""
     return {s: _tables(problem, x, s) for s in problem.segment_starts if s < problem.horizon}
 
 
-def _stable_dt(problem: HjbProblem, x: np.ndarray, dx: float, segments: dict | None) -> float:
-    if segments is None:
-        times = np.linspace(0.0, problem.horizon, _CFL_TIME_SAMPLES)
-        tables = (_tables(problem, x, t) for t in times)
-    else:
-        tables = segments.values()
-    denom = max(_cfl_denominator(problem, F, G2, dx) for F, G2, _ in tables)
+def _stable_dt(problem: HjbProblem, dx: float, segments: dict) -> float:
+    denom = max(_cfl_denominator(problem, F, G2, dx) for F, G2, _ in segments.values())
     return np.inf if denom == 0.0 else dx * dx / denom
 
 
 def max_stable_dt(problem: HjbProblem, grid: Grid1D) -> float:
-    """Largest time step keeping the explicit update monotone.
-
-    Exact per segment when ``segment_starts`` is declared.  With None the
-    coefficients are sampled at _CFL_TIME_SAMPLES times over [0, horizon];
-    the sweep re-checks every level it actually visits.
-    """
+    """Largest time step keeping the explicit update monotone, exact per segment."""
     x = grid.nodes()
-    return _stable_dt(problem, x, grid.dx, _segment_tables(problem, x))
+    return _stable_dt(problem, grid.dx, _segment_tables(problem, x))
 
 
 def suggest_time_steps(problem: HjbProblem, x_min: float, x_max: float, n_x: int) -> int:
@@ -268,6 +250,19 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(u)
 
 
+def _require_stable(problem: HjbProblem, grid: Grid1D, segments: dict, scheme: str) -> None:
+    """Raise CflError when the explicit scheme's step on the grid exceeds the bound."""
+    if scheme != "explicit":
+        return
+    dt = problem.horizon / grid.n_t
+    bound = _stable_dt(problem, grid.dx, segments)
+    if dt > bound * (1.0 + 1e-9):
+        raise CflError(
+            f"dt={dt:.6g} violates the monotone-scheme bound dt<={bound:.6g}; "
+            f"need n_t >= {int(np.ceil(problem.horizon / bound))}"
+        )
+
+
 def _require_finite(row: np.ndarray, k: int) -> None:
     if not np.all(np.isfinite(row)):
         i_bad = int(np.argwhere(~np.isfinite(row))[0][0])
@@ -275,8 +270,10 @@ def _require_finite(row: np.ndarray, k: int) -> None:
 
 
 def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_values: np.ndarray,
-           segments: dict | None, scheme: str = "explicit"):
+           segments: dict, scheme: str = "explicit"):
     """Backward recursion over the ``_segment_tables``; returns (values, policy).
+
+    The explicit scheme expects the caller to have run ``_require_stable``.
 
     Each implicit level starts from the argopt on the level above and stops
     once every node's (control, generator weight) pair reproduces itself on
@@ -312,9 +309,8 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
         # Interior tables are node-major, (n_x - 2, n_u), so the argopt over
         # controls reduces along the contiguous axis.  The last two entries
         # are the inward-pointing drift at the left and right edge.
-        denom = _cfl_denominator(problem, F, G2, dx)
         return (F, np.maximum(F, 0.0)[:, 1:-1].T.copy(), np.minimum(F, 0.0)[:, 1:-1].T.copy(),
-                G2, G2[:, 1:-1].T.copy(), C, C[:, 1:-1].T.copy(), denom,
+                G2, G2[:, 1:-1].T.copy(), C, C[:, 1:-1].T.copy(),
                 np.maximum(F[:, 0], 0.0), np.minimum(F[:, -1], 0.0))
 
     starts, segment = problem.segment_starts, None
@@ -351,13 +347,10 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
-        if segments is None:
-            tables = step_tables(*_tables(problem, x, t_k))
-        else:
-            start = starts[bisect_right(starts, t_k) - 1]
-            if start != segment:
-                segment, tables = start, step_tables(*segments[start])
-        F, Fp, Fm, G2, G2i, C, Ci, denom, Fin_l, Fin_r = tables
+        start = starts[bisect_right(starts, t_k) - 1]
+        if start != segment:
+            segment, tables = start, step_tables(*segments[start])
+        F, Fp, Fm, G2, G2i, C, Ci, Fin_l, Fin_r = tables
         v = values[k + 1]
 
         if implicit:
@@ -405,11 +398,6 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
             policy[k, 0], policy[k, -1] = jl, jr
             continue
 
-        if denom > 0.0 and dt_k > dx * dx / denom * (1.0 + 1e-9):
-            raise CflError(
-                f"dt={dt_k:.6g} exceeds the monotone bound {dx * dx / denom:.6g} "
-                f"at t={t_k:.6g}"
-            )
         # Overflow in a diverging sweep is caught by the finiteness check below.
         with np.errstate(over="ignore", invalid="ignore"):
             fill_generator(v, Fp, Fm, G2i, Ci)
@@ -457,16 +445,9 @@ def solve(problem: HjbProblem, grid: Grid1D, scheme: str = "explicit") -> HjbSol
     _HOWARD_MAX_SOLVES linear solves.  Either raises NumericError (with time
     level and node) if the sweep produces a non-finite value.
     """
-    dt = problem.horizon / grid.n_t
     x = grid.nodes()
     segments = _segment_tables(problem, x)
-    if scheme == "explicit":
-        bound = _stable_dt(problem, x, grid.dx, segments)
-        if dt > bound * (1.0 + 1e-9):
-            raise CflError(
-                f"dt={dt:.6g} violates the monotone-scheme bound dt<={bound:.6g}; "
-                f"need n_t >= {int(np.ceil(problem.horizon / bound))}"
-            )
+    _require_stable(problem, grid, segments, scheme)
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
     values, policy = _sweep(problem, x, times, terminal, segments, scheme)
@@ -487,7 +468,7 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float,
     Solves on [t_bar, T], installs that slice as a synthetic terminal
     condition on [0, t_bar], and compares the composed initial values with
     the direct ones.  On the shared grid either one-step recursion composes
-    exactly, so the gap is rounding-level.
+    exactly, so the gap is rounding-level.  Raises CflError like ``solve``.
     """
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
     k_bar = int(np.argmin(np.abs(times - t_bar)))
@@ -499,6 +480,7 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float,
     x = grid.nodes()
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
     segments = _segment_tables(problem, x)
+    _require_stable(problem, grid, segments, scheme)
     direct, _ = _sweep(problem, x, times, terminal, segments, scheme)
     tail, _ = _sweep(problem, x, times[k_bar:], terminal, segments, scheme)
     head, _ = _sweep(problem, x, times[: k_bar + 1], tail[0], segments, scheme)

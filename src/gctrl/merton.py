@@ -48,14 +48,16 @@ class MarketModel:
     ``r(t)`` is scalar, ``alpha(t)`` has shape (dim,), ``gamma(t)`` has shape
     (dim, dim) with gamma @ gamma.T positive definite wherever evaluated.
     ``segment_starts`` are the starts of the right-open segments on which
-    the coefficients are constant; None when they may vary anywhere in t.
+    the coefficients are constant.  ``solve_A`` and the grid solver evaluate
+    the coefficients once per segment, at its start, so coefficients that
+    vary within a segment must be declared with finer segments.
     """
 
     r: Callable[[float], float]
     alpha: Callable[[float], np.ndarray]
     gamma: Callable[[float], np.ndarray]
     dim: int
-    segment_starts: tuple[float, ...] | None = None
+    segment_starts: tuple[float, ...]
 
     @classmethod
     def constant(cls, r: float, alpha, gamma) -> "MarketModel":
@@ -280,9 +282,9 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     substituted into the ODE and ``resolved_branch`` records the one whose
     residual vanishes; if neither does, something is inconsistent and a
     ConsistencyError is raised.  |eta| below ETA_ZERO_TOL short-circuits to
-    the linear limit A(t) = T - t + 1.  eta is evaluated once per segment
-    when the market declares ``segment_starts`` and at every call otherwise;
-    ``ClosedForm.eta`` is that same function.
+    the linear limit A(t) = T - t + 1.  eta is evaluated once per entry of
+    ``m.segment_starts`` up to the horizon and looked up for every other
+    time; ``ClosedForm.eta`` is that lookup.
     """
     if n_t < 2:
         raise ValueError("n_t must be at least 2")
@@ -291,16 +293,12 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     lam = as_symmetric(lambda_bar, m.dim)
     times = np.linspace(0.0, horizon, n_t + 1)
 
-    if m.segment_starts is None:
-        def eta_fn(t: float) -> float:
-            return eta(m, u, lam, t)
-    else:
-        # The coefficients, hence eta, are constant on each segment.
-        starts = tuple(s for s in m.segment_starts if s <= horizon)
-        per_segment = [eta(m, u, lam, s) for s in starts]
+    # The coefficients, hence eta, are constant on each segment.
+    starts = tuple(s for s in m.segment_starts if s <= horizon)
+    per_segment = [eta(m, u, lam, s) for s in starts]
 
-        def eta_fn(t: float) -> float:
-            return per_segment[max(bisect_right(starts, t) - 1, 0)]
+    def eta_fn(t: float) -> float:
+        return per_segment[max(bisect_right(starts, t) - 1, 0)]
 
     a_values = _integrate_a(eta_fn, u.kappa, times)
     if not np.all(np.isfinite(a_values)) or np.min(a_values) <= 0.0:

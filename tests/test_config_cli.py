@@ -254,7 +254,8 @@ def test_cli_simulate_integrates_each_candidate_once(tmp_path, monkeypatch):
 
 
 def test_cli_merton_report_values(tmp_path):
-    cfg_path = _write(tmp_path, "desk.cfg", DESK_CONFIG)
+    text = DESK_CONFIG.replace("n_x = 201", "n_x = 201\nn_t = 200\nscheme = implicit")
+    cfg_path = _write(tmp_path, "desk.cfg", text)
     out = tmp_path / "out"
     assert main(["merton", "--config", cfg_path, "--output", str(out)]) == 0
     rpt = out / "desk_report.txt"

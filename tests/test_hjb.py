@@ -68,14 +68,23 @@ def test_terminal_row_is_bit_exact():
     assert np.array_equal(sol.values[-1], np.sin(3.0 * x) + x**2)
 
 
-def test_cfl_violation_raises_before_sweep():
+def test_cfl_violation_raises_before_sweep(monkeypatch):
+    from gctrl import hjb
+
+    def no_sweep(*args):
+        raise AssertionError("swept before the CFL check")
+
+    monkeypatch.setattr(hjb, "_sweep", no_sweep)
     problem = heat_problem(lambda x: x**2)
+    grid = Grid1D(-4.0, 4.0, 201, 5)
     with pytest.raises(CflError, match="n_t >="):
-        solve(problem, Grid1D(-4.0, 4.0, 201, 5))
+        solve(problem, grid)
+    with pytest.raises(CflError, match="n_t >="):
+        dpp_composition_check(problem, grid, float(np.linspace(0.0, 1.0, 6)[2]))
 
 
 def test_segment_starts_must_begin_at_zero_and_increase():
-    for starts in ((0.5,), (0.0, 0.5, 0.5), (0.0, 0.5, 0.25), ()):
+    for starts in ((0.5,), (0.0, 0.5, 0.5), (0.0, 0.5, 0.25), (), None):
         with pytest.raises(ValueError, match="segment_starts"):
             HjbProblem(drift=lambda t, x, u: 0.0 * x, diffusion=lambda t, x, u: 1.0 + 0.0 * x,
                        running_cost=lambda t, x, u: 0.0 * x, terminal_cost=lambda x: x,

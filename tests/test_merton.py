@@ -289,19 +289,18 @@ def test_residual_rejects_points_outside_domain():
 def _desk_pde(attitude="pessimist", set_=DESK_SET, n_pi=21, n_rho=33, n_x=201):
     controls = control_grid(n_pi, n_rho)
     problem = merton_hjb_problem(DESK_MARKET, DESK_UTILITY, set_, 1.0, attitude, controls)
-    n_t = suggest_time_steps(problem, 0.4, 2.4, n_x)
-    grid = Grid1D(0.4, 2.4, n_x, n_t)
-    return solve_merton_pde(DESK_MARKET, DESK_UTILITY, set_, grid, attitude,
-                            horizon=1.0, controls=controls)
+    return solve(problem, Grid1D(0.4, 2.4, n_x, 200), "implicit")
 
 
-def test_pde_matches_closed_form_on_interior_window():
+def test_pde_matches_closed_form_on_interior_window(solves_per_level):
     sol = _desk_pde()
     cf = desk_closed_form()
     lo_i, hi_i = 201 // 10, 201 - 201 // 10
     closed = np.asarray([closed_form_value(cf, DESK_UTILITY, 0.0, xv) for xv in sol.x])
     rel = np.abs(sol.values[0] - closed) / np.abs(closed)
     assert np.max(rel[lo_i:hi_i]) <= 0.02
+    assert 1 <= max(solves_per_level) <= 10
+    assert len(solves_per_level) >= 200
 
 
 def test_pde_extracted_portfolio_near_analytic():
@@ -408,6 +407,7 @@ def test_singular_gamma_raises():
         alpha=lambda t: np.array([0.05, 0.05]),
         gamma=lambda t: np.array([[1.0, 1.0], [1.0, 1.0]]),
         dim=2,
+        segment_starts=(0.0,),
     )
     with pytest.raises(NumericError):
         market_price_of_risk(m, 0.0)
@@ -434,21 +434,6 @@ def test_policy_simulation_keeps_wealth_positive():
         assert np.min(bundle.states) > 0.0
 
 
-def test_implicit_desk_matches_closed_form(solves_per_level):
-    problem = merton_hjb_problem(DESK_MARKET, DESK_UTILITY, DESK_SET, 1.0, "pessimist",
-                                 control_grid(21, 33))
-    sol = solve(problem, Grid1D(0.4, 2.4, 201, 200), scheme="implicit")
-    cf = desk_closed_form()
-    lo_i, hi_i = 201 // 10, 201 - 201 // 10
-    closed = np.asarray([closed_form_value(cf, DESK_UTILITY, 0.0, xv) for xv in sol.x])
-    rel = np.abs(sol.values[0] - closed) / np.abs(closed)
-    assert np.max(rel[lo_i:hi_i]) <= 0.02
-    pis = np.asarray([sol.controls[j][0] for j in sol.policy[0]])
-    assert np.max(np.abs(pis[lo_i:hi_i] - 0.5)) <= 0.05
-    assert 1 <= max(solves_per_level) <= 10
-    assert len(solves_per_level) >= 200
-
-
 def _three_segment_market():
     return MarketModel.piecewise((0.0, 0.3, 0.6), (0.02, 0.03, 0.01),
                                  ((0.06,), (0.08,), (0.05,)),
@@ -466,16 +451,16 @@ def test_solve_a_evaluates_eta_once_per_segment(monkeypatch):
         return eta(m, u, lambda_bar, t)
 
     monkeypatch.setattr(merton, "eta", counted)
-    for market, n_segments in ((DESK_MARKET, 1), (_three_segment_market(), 3)):
+    for market, n_segments, branch in ((DESK_MARKET, 1, "affine-exp"),
+                                       (_three_segment_market(), 3, "ode-only")):
         calls.clear()
         cf = solve_A(market, DESK_UTILITY, lam, n_t=400, horizon=1.0)
         assert len(calls) == n_segments
-        # Per-call evaluation, as for a market without declared segments.
-        per_call = dataclasses.replace(market, segment_starts=None)
-        ref = solve_A(per_call, DESK_UTILITY, lam, n_t=400, horizon=1.0)
+        assert cf.resolved_branch == branch
+        # Reference: eta evaluated afresh at every integrator stage.
+        ref = _integrate_a(lambda t: merton.eta(market, DESK_UTILITY, lam, t),
+                           DESK_UTILITY.kappa, cf.times)
         assert len(calls) > 400
-        assert cf.a_values.tobytes() == ref.a_values.tobytes()
-        assert cf.resolved_branch == ref.resolved_branch
+        assert cf.a_values.tobytes() == ref.tobytes()
         for t in np.linspace(0.0, 1.0, 41):
             assert cf.eta(t).hex() == eta(market, DESK_UTILITY, lam, t).hex()
-    assert cf.resolved_branch == "ode-only"
