@@ -292,15 +292,13 @@ def _desk_pde(attitude="pessimist", set_=DESK_SET, n_pi=21, n_rho=33, n_x=201):
     return solve(problem, Grid1D(0.4, 2.4, n_x, 200), "implicit")
 
 
-def test_pde_matches_closed_form_on_interior_window(solves_per_level):
+def test_pde_matches_closed_form_on_interior_window():
     sol = _desk_pde()
     cf = desk_closed_form()
     lo_i, hi_i = 201 // 10, 201 - 201 // 10
     closed = np.asarray([closed_form_value(cf, DESK_UTILITY, 0.0, xv) for xv in sol.x])
     rel = np.abs(sol.values[0] - closed) / np.abs(closed)
     assert np.max(rel[lo_i:hi_i]) <= 0.02
-    assert 1 <= max(solves_per_level) <= 10
-    assert len(solves_per_level) >= 200
 
 
 def test_pde_extracted_portfolio_near_analytic():
@@ -432,6 +430,21 @@ def test_policy_simulation_keeps_wealth_positive():
     for level in (0.25, 0.5, 1.0):
         bundle = integrate_gsde(spec, DESK_SET, VolSchedule.constant(level), cfg)
         assert np.min(bundle.states) > 0.0
+
+
+def test_implicit_desk_matches_closed_form(solves_per_level):
+    problem = merton_hjb_problem(DESK_MARKET, DESK_UTILITY, DESK_SET, 1.0, "pessimist",
+                                 control_grid(21, 33))
+    sol = solve(problem, Grid1D(0.4, 2.4, 201, 200), scheme="implicit")
+    cf = desk_closed_form()
+    lo_i, hi_i = 201 // 10, 201 - 201 // 10
+    closed = np.asarray([closed_form_value(cf, DESK_UTILITY, 0.0, xv) for xv in sol.x])
+    rel = np.abs(sol.values[0] - closed) / np.abs(closed)
+    assert np.max(rel[lo_i:hi_i]) <= 0.02
+    pis = np.asarray([sol.controls[j][0] for j in sol.policy[0]])
+    assert np.max(np.abs(pis[lo_i:hi_i] - 0.5)) <= 0.05
+    assert 1 <= max(solves_per_level) <= 10
+    assert len(solves_per_level) >= 200
 
 
 def _three_segment_market():
