@@ -7,7 +7,7 @@ closed forms.
 """
 
 from .ambiguity import AmbiguitySet, GValue, as_symmetric, contains, g_matrix, g_scalar
-from .errors import CflError, ConfigError, ConsistencyError, GctrlError, NumericError
+from .errors import ConfigError, ConsistencyError, GctrlError, NumericError
 from .estimators import (
     ExpectationEstimate,
     MomentReport,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguitySet",
     "BoundaryRule",
-    "CflError",
     "ClosedForm",
     "ConfigError",
     "ConsistencyError",

@@ -6,7 +6,7 @@ Every command takes ``--config <path>`` plus optional ``--output <dir>``,
 written, so a failing run leaves no partial artifacts.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 numerical-precondition error, 4 oracle inconsistency.
+3 numerical error, 4 oracle inconsistency.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, canonical_text, hjb_attitude, parse_config
-from .errors import CflError, ConfigError, ConsistencyError, NumericError
+from .errors import ConfigError, ConsistencyError, NumericError
 from .estimators import upper_expectation_mc
 from .hjb import HjbProblem, gheat_problem, solution_csv_text, solution_meta_text, solve
 from .merton import (
@@ -36,7 +36,7 @@ from .verify import TOL_RESIDUAL, merton_run, run_all_checks
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
-EXIT_PRECONDITION = 3
+EXIT_NUMERIC = 3
 EXIT_INCONSISTENT = 4
 
 
@@ -110,7 +110,7 @@ def cmd_solve_hjb(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
     _check_overwrite(targets, force)
 
     grid = cfg.grid(problem)
-    solution = solve(problem, grid, cfg.solver.scheme)
+    solution = solve(problem, grid)
     report = RunReport(command="solve-hjb", config_echo=canonical_text(cfg))
     report.results["problem"] = cfg.solver.problem
     report.results["n_t"] = grid.n_t
@@ -167,7 +167,7 @@ def cmd_merton(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
     if set_.degenerate:
         other = "optimist" if run.attitude == "pessimist" else "pessimist"
         other_sol = solve(merton_hjb_problem(market, util, set_, s.horizon, other,
-                                             run.problem.controls), solution.grid, s.scheme)
+                                             run.problem.controls), solution.grid)
         gap = float(np.max(np.abs(other_sol.values - solution.values)))
         res["degenerate_ambiguity"] = "true (single prior; pessimist and optimist coincide)"
         res["pessimist_optimist_gap"] = gap
@@ -314,12 +314,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CflError as exc:
-        print(f"numerical precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except NumericError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return EXIT_NUMERIC
     except ConsistencyError as exc:
         print(f"oracle inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -26,7 +26,6 @@ _DIRECTION_CHOICES = ("minimize", "maximize")
 _PROBLEM_CHOICES = ("g_heat",)
 _TERMINAL_CHOICES = ("x_squared", "minus_x_squared", "constant")
 _FUNCTIONAL_CHOICES = ("terminal_square", "neg_terminal_square", "constant")
-_SCHEME_CHOICES = ("explicit", "implicit")
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class SolverCfg:
     x_min: float = -4.0
     x_max: float = 4.0
     n_x: int = 401
-    n_t: int = 0  # 0 = derive the smallest stable step count (explicit only)
-    scheme: str = "explicit"
+    n_t: int = 0  # 0 = the smallest explicit-stable count; fewer steps run implicit
     horizon: float = 1.0
     attitude: str = "upper"
     direction: str = "minimize"
@@ -218,7 +216,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "x_max": (_parse_float, _fmt_float, None),
         "n_x": (_parse_int, str, None),
         "n_t": (_parse_int, str, None),
-        "scheme": (None, str, _SCHEME_CHOICES),
         "horizon": (_parse_float, _fmt_float, None),
         "attitude": (None, str, _ATTITUDE_CHOICES),
         "direction": (None, str, _DIRECTION_CHOICES),
@@ -331,8 +328,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("solver.n_x must be at least 3")
     if s.n_t < 0:
         raise ConfigError("solver.n_t must be 0 (auto) or positive")
-    if s.scheme == "implicit" and s.n_t == 0:
-        raise ConfigError("solver.scheme = implicit needs a positive solver.n_t")
     if not s.horizon > 0:
         raise ConfigError("solver.horizon must be positive")
     if s.n_pi < 2 or s.n_rho < 2:
@@ -351,12 +346,7 @@ def canonical_text(cfg: RunConfig) -> str:
         lines.append(f"[{name}]")
         section = getattr(cfg, name)
         for key, (_parser, fmt, _choices) in keys.items():
-            value = getattr(section, key)
-            # Echoed only when implicit, so every report written before the
-            # key existed keeps its bytes.
-            if key == "scheme" and value == "explicit":
-                continue
-            lines.append(f"{key} = {fmt(value)}")
+            lines.append(f"{key} = {fmt(getattr(section, key))}")
         lines.append("")
     return "\n".join(lines)
 

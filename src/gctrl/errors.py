@@ -19,10 +19,6 @@ class ConfigError(GctrlError):
         super().__init__(message)
 
 
-class CflError(GctrlError):
-    """Time step too large for the explicit monotone scheme."""
-
-
 class NumericError(GctrlError):
     """Non-finite value or failed linear-algebra kernel, with location context."""
 

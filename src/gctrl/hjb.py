@@ -1,8 +1,10 @@
 """Backward-in-time monotone finite-difference solver for ambiguous HJB equations.
 
-Both schemes use upwinded first differences and a central second
+Two sweeps share upwinded first differences and a central second
 difference; the second-order term passes through the scalar worst-case
-generator (upper or lower), which makes the equation fully nonlinear.
+generator (upper or lower), which makes the equation fully nonlinear.  The
+grid picks the sweep: explicit when its step horizon / n_t meets the CFL
+bound, implicit otherwise.
 
 explicit: one forward step per level, monotone under the CFL bound
 
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .ambiguity import AmbiguitySet, g_scalar
-from .errors import CflError, NumericError
+from .errors import NumericError
 from .estimators import (
     DEFAULT_N_GRID,
     DEFAULT_N_SEGMENTS,
@@ -39,7 +41,6 @@ from .sde import PathConfig, SdeSpec
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
 _BOUNDARY_KINDS = ("one_sided", "power_dirichlet")
-_SCHEMES = ("explicit", "implicit")
 
 # Linear solves one implicit time level may take before Howard iteration gives up.
 _HOWARD_MAX_SOLVES = 50
@@ -49,9 +50,9 @@ _HOWARD_MAX_SOLVES = 50
 class BoundaryRule:
     """How the two edge rows are closed.
 
-    one_sided: the explicit scheme uses one-sided first/second differences
+    one_sided: the explicit sweep uses one-sided first/second differences
     with the control frozen to the adjacent interior argopt.  The implicit
-    scheme drops the second-order term at the edge (V_xx ~ 0), keeps only
+    sweep drops the second-order term at the edge (V_xx ~ 0), keeps only
     the inward-pointing drift, upwinded, and optimizes the edge row's own
     control, which keeps it monotone.
     power_dirichlet: edge value copied from the adjacent interior node
@@ -142,13 +143,18 @@ class HjbProblem:
             )
         if self.ambiguity.dim != 1:
             raise ValueError("the 1d solver uses a scalar generator; ambiguity.dim must be 1")
-        try:
-            starts = tuple(float(s) for s in self.segment_starts)
-        except TypeError:
-            raise ValueError("segment_starts must be a sequence of times") from None
-        if not starts or starts[0] != 0.0 or any(a >= b for a, b in zip(starts, starts[1:])):
-            raise ValueError("segment_starts must begin at 0 and increase strictly")
-        object.__setattr__(self, "segment_starts", starts)
+        object.__setattr__(self, "segment_starts", _checked_segment_starts(self.segment_starts))
+
+
+def _checked_segment_starts(starts) -> tuple[float, ...]:
+    """``starts`` as a tuple of floats; ValueError unless it begins at 0 and increases strictly."""
+    try:
+        starts = tuple(float(s) for s in starts)
+    except TypeError:
+        raise ValueError("segment_starts must be a sequence of times") from None
+    if not starts or starts[0] != 0.0 or any(a >= b for a, b in zip(starts, starts[1:])):
+        raise ValueError("segment_starts must begin at 0 and increase strictly")
+    return starts
 
 
 def gheat_problem(set_: AmbiguitySet, terminal_cost: Callable, horizon: float,
@@ -223,7 +229,11 @@ def max_stable_dt(problem: HjbProblem, grid: Grid1D) -> float:
 
 
 def suggest_time_steps(problem: HjbProblem, x_min: float, x_max: float, n_x: int) -> int:
-    """Smallest n_t satisfying the CFL bound on the given spatial grid."""
+    """Smallest n_t satisfying the CFL bound on the given spatial grid.
+
+    ``solve`` runs the explicit sweep from this count up and the implicit
+    sweep below it.
+    """
     probe = Grid1D(x_min=x_min, x_max=x_max, n_x=n_x, n_t=1)
     bound = max_stable_dt(problem, probe)
     if not np.isfinite(bound):
@@ -235,7 +245,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Thomas elimination: lower[i] u[i-1] + diag[i] u[i] + upper[i] u[i+1] = rhs[i].
 
     lower[0] and upper[-1] are not read.  Stable without pivoting for the
-    diagonally dominant systems of the implicit step.
+    diagonally dominant systems of the implicit sweep.
     """
     a, b, c, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     n = len(b)
@@ -250,30 +260,19 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(u)
 
 
-def _require_stable(problem: HjbProblem, grid: Grid1D, segments: dict, scheme: str) -> None:
-    """Raise CflError when the explicit scheme's step on the grid exceeds the bound."""
-    if scheme != "explicit":
-        return
-    dt = problem.horizon / grid.n_t
-    bound = _stable_dt(problem, grid.dx, segments)
-    if dt > bound * (1.0 + 1e-9):
-        raise CflError(
-            f"dt={dt:.6g} violates the monotone-scheme bound dt<={bound:.6g}; "
-            f"need n_t >= {int(np.ceil(problem.horizon / bound))}"
-        )
-
-
 def _require_finite(row: np.ndarray, k: int) -> None:
     if not np.all(np.isfinite(row)):
         i_bad = int(np.argwhere(~np.isfinite(row))[0][0])
         raise NumericError(f"non-finite value at time level {k} node {i_bad}")
 
 
-def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_values: np.ndarray,
-           segments: dict, scheme: str = "explicit"):
+def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values: np.ndarray,
+           segments: dict):
     """Backward recursion over the ``_segment_tables``; returns (values, policy).
 
-    The explicit scheme expects the caller to have run ``_require_stable``.
+    ``times`` are levels of the grid's own time axis, so every sweep on one
+    grid takes the same scheme: explicit when horizon / n_t is within the
+    monotone bound, implicit otherwise.
 
     Each implicit level starts from the argopt on the level above and stops
     once every node's (control, generator weight) pair reproduces itself on
@@ -281,9 +280,8 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
     whose elimination folds the power_dirichlet edges into the first and
     last interior rows.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    implicit = scheme == "implicit"
+    implicit = problem.horizon / grid.n_t > _stable_dt(problem, grid.dx, segments) * (1.0 + 1e-9)
+    x = grid.nodes()
     n_t = len(times) - 1
     n_x = x.size
     dx = float(x[1] - x[0])
@@ -436,21 +434,21 @@ def _sweep(problem: HjbProblem, x: np.ndarray, times: np.ndarray, terminal_value
     return values, policy
 
 
-def solve(problem: HjbProblem, grid: Grid1D, scheme: str = "explicit") -> HjbSolution:
-    """Solve the terminal-value problem on the grid with the named scheme.
+def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
+    """Solve the terminal-value problem on the grid with a monotone scheme.
 
-    explicit raises CflError before sweeping when dt violates the monotone
-    bound; implicit is monotone at any dt and raises NumericError (with the
-    time level) if Howard iteration does not settle within
-    _HOWARD_MAX_SOLVES linear solves.  Either raises NumericError (with time
-    level and node) if the sweep produces a non-finite value.
+    The sweep is explicit when dt = horizon / n_t meets the CFL bound
+    (n_t at or above ``suggest_time_steps``) and implicit below it.  The
+    implicit sweep raises NumericError (with the time level) if Howard
+    iteration does not settle within _HOWARD_MAX_SOLVES linear solves.
+    Either raises NumericError (with time level and node) if the sweep
+    produces a non-finite value.
     """
     x = grid.nodes()
     segments = _segment_tables(problem, x)
-    _require_stable(problem, grid, segments, scheme)
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
-    values, policy = _sweep(problem, x, times, terminal, segments, scheme)
+    values, policy = _sweep(problem, grid, times, terminal, segments)
     return HjbSolution(
         grid=grid,
         x=x,
@@ -461,14 +459,14 @@ def solve(problem: HjbProblem, grid: Grid1D, scheme: str = "explicit") -> HjbSol
     )
 
 
-def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float,
-                          scheme: str = "explicit") -> float:
+def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> float:
     """Max gap between a direct solve and the two-stage composed solve.
 
     Solves on [t_bar, T], installs that slice as a synthetic terminal
     condition on [0, t_bar], and compares the composed initial values with
-    the direct ones.  On the shared grid either one-step recursion composes
-    exactly, so the gap is rounding-level.  Raises CflError like ``solve``.
+    the direct ones.  All three sweeps take the scheme ``solve`` takes on the
+    grid, and on the shared grid either one-step recursion composes exactly,
+    so the gap is rounding-level.
     """
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
     k_bar = int(np.argmin(np.abs(times - t_bar)))
@@ -480,10 +478,9 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float,
     x = grid.nodes()
     terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
     segments = _segment_tables(problem, x)
-    _require_stable(problem, grid, segments, scheme)
-    direct, _ = _sweep(problem, x, times, terminal, segments, scheme)
-    tail, _ = _sweep(problem, x, times[k_bar:], terminal, segments, scheme)
-    head, _ = _sweep(problem, x, times[: k_bar + 1], tail[0], segments, scheme)
+    direct, _ = _sweep(problem, grid, times, terminal, segments)
+    tail, _ = _sweep(problem, grid, times[k_bar:], terminal, segments)
+    head, _ = _sweep(problem, grid, times[: k_bar + 1], tail[0], segments)
     return float(np.max(np.abs(head[0] - direct[0])))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, as_symmetric
 from .errors import ConsistencyError, NumericError
-from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, solve
+from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, _checked_segment_starts, solve
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
 BRANCH_RTOL = 1e-8
@@ -59,6 +59,9 @@ class MarketModel:
     dim: int
     segment_starts: tuple[float, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "segment_starts", _checked_segment_starts(self.segment_starts))
+
     @classmethod
     def constant(cls, r: float, alpha, gamma) -> "MarketModel":
         """Market with time-independent coefficients; scalars mean dim 1."""
@@ -80,11 +83,7 @@ class MarketModel:
     @classmethod
     def piecewise(cls, starts: Sequence[float], r_vals, alpha_vals, gamma_vals) -> "MarketModel":
         """Piecewise-constant coefficients on right-open time intervals."""
-        bps = tuple(float(s) for s in starts)
-        if not bps or bps[0] != 0.0:
-            raise ValueError("segment starts must begin at 0")
-        if any(b1 >= b2 for b1, b2 in zip(bps, bps[1:])):
-            raise ValueError("segment starts must increase strictly")
+        bps = _checked_segment_starts(starts)
         rs = tuple(float(v) for v in r_vals)
         alphas = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in alpha_vals)
         gammas = tuple(np.atleast_2d(np.asarray(v, dtype=float)) for v in gamma_vals)

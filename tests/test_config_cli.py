@@ -92,26 +92,18 @@ def test_parse_defaults_and_roundtrip():
     assert canonical_text(parse_config_text(echoed)) == echoed
 
 
-def test_parse_scheme_and_echo_only_when_implicit():
-    explicit = parse_config_text(DESK_CONFIG)
-    assert explicit.solver.scheme == "explicit"
-    assert "scheme" not in canonical_text(explicit)
-    stated = parse_config_text(DESK_CONFIG.replace("n_x = 201", "n_x = 201\nscheme = explicit"))
-    assert stated == explicit
-    assert canonical_text(stated) == canonical_text(explicit)
-
-    implicit = parse_config_text(DESK_CONFIG.replace("n_x = 201",
-                                                     "n_x = 201\nn_t = 50\nscheme = implicit"))
-    assert implicit.solver.scheme == "implicit"
-    echoed = canonical_text(implicit)
-    assert "n_t = 50\nscheme = implicit\n" in echoed
-    assert parse_config_text(echoed) == implicit
-    assert canonical_text(parse_config_text(echoed)) == echoed
-
-    with pytest.raises(ConfigError, match="scheme must be one of"):
-        parse_config_text(DESK_CONFIG.replace("n_x = 201", "n_x = 201\nscheme = crank"))
-    with pytest.raises(ConfigError, match="positive solver.n_t"):
-        parse_config_text(DESK_CONFIG.replace("n_x = 201", "n_x = 201\nscheme = implicit"))
+def test_parse_rejects_scheme_as_unknown_key():
+    solver_echo = (
+        "[solver]\nproblem = g_heat\nterminal = x_squared\nterminal_constant = 0.0\n"
+        "x_min = 0.4\nx_max = 2.4\nn_x = 201\nn_t = 0\nhorizon = 1.0\nattitude = pessimist\n"
+        "direction = minimize\nn_pi = 21\nn_rho = 33\ndebug_perturb_a = 0.0\n\n"
+    )
+    assert solver_echo in canonical_text(parse_config_text(DESK_CONFIG))
+    for value in ("explicit", "implicit"):
+        text = DESK_CONFIG.replace("n_x = 201", f"n_x = 201\nscheme = {value}")
+        line = text.splitlines().index(f"scheme = {value}") + 1
+        with pytest.raises(ConfigError, match=rf"line {line}: unknown key 'scheme' in section"):
+            parse_config_text(text)
 
 
 def test_parse_unknown_key_reports_line():
@@ -166,7 +158,10 @@ def test_cli_solve_hjb_gheat(tmp_path):
     assert header == "t,x,value,control_index,control_value"
 
 
-def test_cli_solve_hjb_cfl_violation_no_partial_files(tmp_path):
+def test_cli_solve_hjb_cfl_violation_no_partial_files(tmp_path, monkeypatch):
+    from gctrl import hjb
+
+    monkeypatch.setattr(hjb, "_HOWARD_MAX_SOLVES", 0)  # n_t = 10 is far below the CFL count
     cfg_path = _write(
         tmp_path, "bad.cfg", GHEAT_CONFIG.replace("attitude = upper", "attitude = upper\nn_t = 10")
     )
@@ -254,7 +249,7 @@ def test_cli_simulate_integrates_each_candidate_once(tmp_path, monkeypatch):
 
 
 def test_cli_merton_report_values(tmp_path):
-    text = DESK_CONFIG.replace("n_x = 201", "n_x = 201\nn_t = 200\nscheme = implicit")
+    text = DESK_CONFIG.replace("n_x = 201", "n_x = 201\nn_t = 200")
     cfg_path = _write(tmp_path, "desk.cfg", text)
     out = tmp_path / "out"
     assert main(["merton", "--config", cfg_path, "--output", str(out)]) == 0
@@ -282,24 +277,30 @@ def test_cli_merton_degenerate_note(tmp_path):
     assert float(_report_value(rpt, "pessimist_optimist_gap")) <= 1e-10
 
 
-def test_cli_merton_solves_both_attitudes_with_the_configured_scheme(tmp_path, monkeypatch):
+def test_cli_merton_solves_both_attitudes_with_the_configured_scheme(tmp_path, monkeypatch,
+                                                                     solves_per_level):
+    """Both attitudes are solved on the configured grid, so both take its implicit sweep."""
     from gctrl import cli, hjb
 
-    schemes = []
+    grids, linear_solves = [], []
 
-    def recorded(problem, grid, scheme="explicit"):
-        schemes.append(scheme)
-        return hjb.solve(problem, grid, scheme)
+    def recorded(problem, grid):
+        before = len(solves_per_level)
+        solution = hjb.solve(problem, grid)
+        grids.append(grid)
+        linear_solves.append(len(solves_per_level) - before)
+        return solution
 
     monkeypatch.setattr(cli, "solve", recorded)
     monkeypatch.setattr(verify, "solve", recorded)
     text = DESK_CONFIG.replace("sigma_lo_sq = 0.25", "sigma_lo_sq = 1.0").replace(
-        "n_x = 201", "n_x = 101\nn_t = 40\nscheme = implicit"
+        "n_x = 201", "n_x = 101\nn_t = 40"
     )
     out = tmp_path / "out"
     assert main(["merton", "--config", _write(tmp_path, "degen.cfg", text),
                  "--output", str(out)]) == 0
-    assert schemes == ["implicit", "implicit"]
+    assert len(grids) == 2 and grids[0] == grids[1]
+    assert min(linear_solves) >= 40
     rpt = out / "desk_report.txt"
     assert float(_report_value(rpt, "pessimist_optimist_gap")) <= 1e-10
     assert float(_report_value(rpt, "n_t")) == 40
@@ -379,41 +380,32 @@ def test_cli_verify_passes_and_perturbation_fails(tmp_path):
     assert "hjb_residual = FAIL" in text2
 
 
-def test_cli_implicit_without_n_t_is_a_config_error(tmp_path, capsys):
-    for text in (DESK_CONFIG, GHEAT_CONFIG):
-        cfg_path = _write(tmp_path, "implicit.cfg",
-                          text.replace("[solver]", "[solver]\nscheme = implicit\nn_t = 0"))
-        for command in ("solve-hjb", "merton", "verify"):
-            out = tmp_path / f"out-{command}"
-            assert main([command, "--config", cfg_path, "--output", str(out)]) == 2
-            assert "positive solver.n_t" in capsys.readouterr().err
-            assert not out.exists()
-
-
-def test_cli_solve_hjb_implicit(tmp_path):
-    cfg_path = _write(tmp_path, "heat.cfg",
-                      GHEAT_CONFIG.replace("[solver]", "[solver]\nscheme = implicit\nn_t = 20"))
+def test_cli_solve_hjb_implicit(tmp_path, solves_per_level):
+    cfg_path = _write(tmp_path, "heat.cfg", GHEAT_CONFIG.replace("[solver]", "[solver]\nn_t = 20"))
     out = tmp_path / "out"
     assert main(["solve-hjb", "--config", cfg_path, "--output", str(out)]) == 0
+    assert solves_per_level.count(1) == 20  # every level took the implicit sweep
     report = next(out.glob("*_report.txt")).read_text()
     assert "n_t = 20\n" in report
-    assert "scheme = implicit\n" in report
+    assert "scheme" not in report
     v00 = float(report.split("V(0,0) = ")[1].split("\n")[0])
     assert v00 == pytest.approx(1.0, abs=1e-3)
 
 
 def test_cli_verify_implicit_adds_two_checks(tmp_path):
-    fast = DESK_CONFIG.replace("n_x = 201", "n_x = 151\nn_t = 100\nscheme = implicit").replace(
-        "x_min = 0.4", "x_min = 0.5"
-    ).replace("x_max = 2.4", "x_max = 2.0")
-    cfg_path = _write(tmp_path, "verify.cfg", fast)
-    out = tmp_path / "out"
-    assert main(["verify", "--config", cfg_path, "--output", str(out)]) == 0
-    lines = (out / "desk_verify.txt").read_text().splitlines()
-    names = [line.split(" = ")[0] for line in lines if " = PASS" in line]
-    assert "FAIL" not in "\n".join(lines)
+    fast = DESK_CONFIG.replace("x_min = 0.4", "x_min = 0.5").replace("x_max = 2.4", "x_max = 2.0")
+    names_by_run = []
+    for name, grid in (("implicit", "n_x = 151\nn_t = 100"), ("explicit", "n_x = 101\nn_t = 0")):
+        cfg_path = _write(tmp_path, f"{name}.cfg", fast.replace("n_x = 201", grid))
+        out = tmp_path / name
+        assert main(["verify", "--config", cfg_path, "--output", str(out)]) == 0
+        lines = (out / "desk_verify.txt").read_text().splitlines()
+        assert "FAIL" not in "\n".join(lines)
+        assert "checks_total = 18" in lines
+        names_by_run.append([line.split(" = ")[0] for line in lines if " = PASS" in line])
+    names = names_by_run[0]
     assert names[5:8] == ["comparison_principle", "comparison_principle_implicit",
                           "dpp_composition_heat"]
     assert names[8:10] == ["dpp_composition_portfolio", "dpp_composition_portfolio_implicit"]
     assert len(names) == 18
-    assert "checks_total = 18" in lines
+    assert names_by_run[1] == names

@@ -6,7 +6,6 @@ import pytest
 from gctrl import (
     AmbiguitySet,
     BoundaryRule,
-    CflError,
     Grid1D,
     HjbProblem,
     NumericError,
@@ -68,19 +67,16 @@ def test_terminal_row_is_bit_exact():
     assert np.array_equal(sol.values[-1], np.sin(3.0 * x) + x**2)
 
 
-def test_cfl_violation_raises_before_sweep(monkeypatch):
-    from gctrl import hjb
-
-    def no_sweep(*args):
-        raise AssertionError("swept before the CFL check")
-
-    monkeypatch.setattr(hjb, "_sweep", no_sweep)
+def test_grid_picks_explicit_at_the_cfl_count_and_implicit_below(solves_per_level):
     problem = heat_problem(lambda x: x**2)
-    grid = Grid1D(-4.0, 4.0, 201, 5)
-    with pytest.raises(CflError, match="n_t >="):
-        solve(problem, grid)
-    with pytest.raises(CflError, match="n_t >="):
-        dpp_composition_check(problem, grid, float(np.linspace(0.0, 1.0, 6)[2]))
+    n_t = suggest_time_steps(problem, -4.0, 4.0, 41)
+    solve(problem, Grid1D(-4.0, 4.0, 41, n_t))
+    assert solves_per_level == []
+    coarse = Grid1D(-4.0, 4.0, 41, n_t - 1)
+    solve(problem, coarse)
+    assert solves_per_level.count(1) == n_t - 1  # each level's first linear solve
+    t_bar = float(np.linspace(0.0, 1.0, n_t)[(n_t - 1) // 2])
+    assert dpp_composition_check(problem, coarse, t_bar) == 0.0
 
 
 def test_segment_starts_must_begin_at_zero_and_increase():
@@ -305,20 +301,18 @@ def test_implicit_at_twenty_times_the_cfl_bound():
     n_t = max(2, round(low.horizon / (20.0 * max_stable_dt(low, probe))))
     grid = Grid1D(-3.0, 3.0, 61, n_t)
     assert low.horizon / n_t >= 19.0 * max_stable_dt(low, grid)
-    with pytest.raises(CflError):
-        solve(low, grid)
-    v_low = solve(low, grid, scheme="implicit").values
-    v_high = solve(high, grid, scheme="implicit").values
+    v_low = solve(low, grid).values
+    v_high = solve(high, grid).values
     assert np.all(v_low <= v_high)
     times = np.linspace(0.0, 1.0, n_t + 1)
-    assert dpp_composition_check(low, grid, float(times[n_t // 2]), scheme="implicit") == 0.0
+    assert dpp_composition_check(low, grid, float(times[n_t // 2])) == 0.0
 
 
 def test_implicit_quadratic_moments_far_above_the_cfl_bound():
     for terminal, target in ((lambda x: x**2, 1.0), (lambda x: -(x**2), -0.25)):
         problem = heat_problem(terminal)
         grid = Grid1D(-4.0, 4.0, 201, 10)  # dt is about 60x the explicit bound
-        sol = solve(problem, grid, scheme="implicit")
+        sol = solve(problem, grid)
         assert sol.value_at(0.0, 0.0) == pytest.approx(target, abs=1e-3)
 
 
@@ -329,8 +323,9 @@ def test_implicit_howard_solves_per_level_on_ordered_problems(solves_per_level):
     rng = np.random.default_rng(5)
     for _ in range(30):
         low, high, grid = _random_ordered_problems(rng)
-        v_low = solve(low, grid, scheme="implicit").values
-        v_high = solve(high, grid, scheme="implicit").values
+        grid = Grid1D(grid.x_min, grid.x_max, grid.n_x, 3)  # 3.6x the CFL bound: implicit
+        v_low = solve(low, grid).values
+        v_high = solve(high, grid).values
         assert np.max(v_low - v_high) <= 1e-12
     assert 1 <= max(solves_per_level) <= 10
     assert hjb._HOWARD_MAX_SOLVES >= 10
@@ -342,7 +337,7 @@ def test_howard_cap_raises_with_the_level(monkeypatch):
     monkeypatch.setattr(hjb, "_HOWARD_MAX_SOLVES", 0)
     problem = heat_problem(lambda x: x**2)
     with pytest.raises(NumericError, match="time level 4"):
-        solve(problem, Grid1D(-2.0, 2.0, 21, 5), scheme="implicit")
+        solve(problem, Grid1D(-2.0, 2.0, 21, 5))
 
 
 def test_tridiagonal_solver_matches_dense_solve():
@@ -356,9 +351,3 @@ def test_tridiagonal_solver_matches_dense_solve():
     dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
     assert np.allclose(_solve_tridiagonal(lower, diag, upper, rhs),
                        np.linalg.solve(dense, rhs), rtol=1e-13, atol=1e-13)
-
-
-def test_unknown_scheme_rejected():
-    problem = heat_problem(lambda x: x**2)
-    with pytest.raises(ValueError, match="scheme"):
-        solve(problem, Grid1D(-2.0, 2.0, 21, 400), scheme="crank_nicolson")

@@ -289,7 +289,7 @@ def test_residual_rejects_points_outside_domain():
 def _desk_pde(attitude="pessimist", set_=DESK_SET, n_pi=21, n_rho=33, n_x=201):
     controls = control_grid(n_pi, n_rho)
     problem = merton_hjb_problem(DESK_MARKET, DESK_UTILITY, set_, 1.0, attitude, controls)
-    return solve(problem, Grid1D(0.4, 2.4, n_x, 200), "implicit")
+    return solve(problem, Grid1D(0.4, 2.4, n_x, 200))
 
 
 def test_pde_matches_closed_form_on_interior_window():
@@ -411,6 +411,13 @@ def test_singular_gamma_raises():
         market_price_of_risk(m, 0.0)
 
 
+def test_market_model_checks_segment_starts():
+    for starts in (None, (0.5,), (0.0, 0.5, 0.25)):
+        with pytest.raises(ValueError, match="segment_starts"):
+            MarketModel(r=lambda t: 0.02, alpha=lambda t: np.array([0.06]),
+                        gamma=lambda t: np.array([[0.2]]), dim=1, segment_starts=starts)
+
+
 def test_policy_simulation_keeps_wealth_positive():
     from gctrl import PathConfig, SdeSpec, VolSchedule, integrate_gsde
 
@@ -435,7 +442,7 @@ def test_policy_simulation_keeps_wealth_positive():
 def test_implicit_desk_matches_closed_form(solves_per_level):
     problem = merton_hjb_problem(DESK_MARKET, DESK_UTILITY, DESK_SET, 1.0, "pessimist",
                                  control_grid(21, 33))
-    sol = solve(problem, Grid1D(0.4, 2.4, 201, 200), scheme="implicit")
+    sol = solve(problem, Grid1D(0.4, 2.4, 201, 200))
     cf = desk_closed_form()
     lo_i, hi_i = 201 // 10, 201 - 201 // 10
     closed = np.asarray([closed_form_value(cf, DESK_UTILITY, 0.0, xv) for xv in sol.x])
