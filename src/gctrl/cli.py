@@ -2,8 +2,11 @@
 
 Every command takes ``--config <path>`` plus optional ``--output <dir>``,
 ``--force`` (allow overwriting existing artifacts) and ``--seed <int>``
-(overrides the config seed).  All computation happens before any file is
-written, so a failing run leaves no partial artifacts.
+(overrides the config seed).  ``COMMANDS`` lists each command's artifact
+files in write order, the report last, and ``run_command`` is the one
+writer: it refuses to overwrite before any computation, runs the command's
+``cmd_*`` function, and only then renders and writes each artifact in turn.
+So a failing run leaves no partial artifacts.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numerical error, 4 oracle inconsistency.
@@ -19,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, canonical_text, hjb_attitude, parse_config
+from .config import FUNCTIONALS, TERMINALS, RunConfig, canonical_text, hjb_attitude, parse_config
 from .errors import ConfigError, ConsistencyError, NumericError
 from .estimators import upper_expectation_mc
-from .hjb import HjbProblem, gheat_problem, solution_csv_text, solution_meta_text, solve
+from .hjb import gheat_problem, solution_csv_text, solution_meta_text, solve
 from .merton import (
     a_curve_csv_text,
     closed_form_value,
@@ -39,15 +42,26 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INCONSISTENT = 4
 
+# Each command's help text and artifact file suffixes, in write order; the last is the report.
+COMMANDS = {
+    "solve-hjb": ("solve a preset ambiguous HJB problem on a grid",
+                  ("solution.csv", "solution_meta.txt", "report.txt")),
+    "merton": ("run the robust consumption-portfolio pipeline",
+               ("a_curve.csv", "policy.csv", "compare.csv", "solution.csv", "report.txt")),
+    "simulate": ("scenario-optimized Monte Carlo expectation", ("paths.csv", "report.txt")),
+    "verify": ("run the full cross-check suite", ("verify.txt",)),
+}
+
 
 @dataclass
 class RunReport:
-    """Outcome of one command: result map plus the files it wrote."""
+    """Outcome of one command: result map, exit code and the files it wrote."""
 
     command: str
     config_echo: str
     results: dict = field(default_factory=dict)
     artifact_paths: list = field(default_factory=list)
+    exit_code: int = EXIT_OK
 
 
 def _fmt_result(value) -> str:
@@ -84,57 +98,44 @@ def _write_text(path: Path, text: str) -> None:
             fh.write(text[i:i + (1 << 20)])
 
 
-def _terminal_fn(cfg: RunConfig):
-    kind = cfg.solver.terminal
-    const = cfg.solver.terminal_constant
-    if kind == "x_squared":
-        return lambda x: x**2
-    if kind == "minus_x_squared":
-        return lambda x: -(x**2)
-    return lambda x: const + 0.0 * x
+def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
+    """Run one command and write its artifacts, the report last.
+
+    The command's ``cmd_*`` function is looked up in the module globals at
+    call time, so rebinding it (as a tracer does) takes effect.  It returns
+    the report plus one renderer per artifact before the report; each text
+    is rendered only when it is written, so no two large texts are alive at
+    once.
+    """
+    paths = [out_dir / f"{cfg.output.prefix}_{suffix}" for suffix in COMMANDS[command][1]]
+    _check_overwrite(paths, force)
+    report, renderers = globals()["cmd_" + command.replace("-", "_")](cfg)
+    for path, render in zip(paths[:-1], renderers, strict=True):
+        _write_text(path, render())
+    report.artifact_paths = [str(p) for p in paths]
+    _write_text(paths[-1], report_text(report))
+    return report
 
 
-def _preset_problem(cfg: RunConfig) -> HjbProblem:
-    """Built-in problem family for solve-hjb; the flat config carries no code."""
+def cmd_solve_hjb(cfg: RunConfig) -> tuple[RunReport, list]:
     s = cfg.solver
-    return gheat_problem(cfg.ambiguity_set_1d(), _terminal_fn(cfg), s.horizon,
-                         s.direction, hjb_attitude(s.attitude))
-
-
-def cmd_solve_hjb(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
-    problem = _preset_problem(cfg)
-    prefix = cfg.output.prefix
-    targets = [out_dir / f"{prefix}_solution.csv",
-               out_dir / f"{prefix}_solution_meta.txt",
-               out_dir / f"{prefix}_report.txt"]
-    _check_overwrite(targets, force)
-
+    terminal = TERMINALS[s.terminal]
+    problem = gheat_problem(cfg.ambiguity_set_1d(), lambda x: terminal(x, s.terminal_constant),
+                            s.horizon, s.direction, hjb_attitude(s.attitude))
     grid = cfg.grid(problem)
     solution = solve(problem, grid)
     report = RunReport(command="solve-hjb", config_echo=canonical_text(cfg))
-    report.results["problem"] = cfg.solver.problem
+    report.results["problem"] = s.problem
     report.results["n_t"] = grid.n_t
     report.results["dt"] = problem.horizon / grid.n_t
     report.results["V(0,0)"] = solution.value_at(0.0, 0.0)
     report.results["V(0,x0)"] = solution.value_at(0.0, cfg.simulation.x0)
-
-    _write_text(targets[0], solution_csv_text(solution))
-    _write_text(targets[1], solution_meta_text(problem, grid))
-    report.artifact_paths = [str(p) for p in targets]
-    _write_text(targets[2], report_text(report))
-    return report
+    return report, [lambda: solution_csv_text(solution),
+                    lambda: solution_meta_text(problem, grid)]
 
 
-def cmd_merton(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
+def cmd_merton(cfg: RunConfig) -> tuple[RunReport, list]:
     s = cfg.solver
-    prefix = cfg.output.prefix
-    targets = [out_dir / f"{prefix}_a_curve.csv",
-               out_dir / f"{prefix}_policy.csv",
-               out_dir / f"{prefix}_compare.csv",
-               out_dir / f"{prefix}_solution.csv",
-               out_dir / f"{prefix}_report.txt"]
-    _check_overwrite(targets, force)
-
     run = merton_run(cfg)
     market, util, cf, solution = run.market, run.utility, run.closed_form, run.solution
     set_ = run.problem.ambiguity
@@ -172,30 +173,19 @@ def cmd_merton(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
         res["degenerate_ambiguity"] = "true (single prior; pessimist and optimist coincide)"
         res["pessimist_optimist_gap"] = gap
 
-    compare_lines = ["x,pde_value,closed_form_value,rel_error"]
-    for i, xv in enumerate(solution.x):
-        compare_lines.append(
-            f"{format(xv, '.17g')},{format(solution.values[0, i], '.17g')},"
-            f"{format(run.closed_row[i], '.17g')},{format(run.rel_error[i], '.17g')}"
-        )
+    def compare_csv_text() -> str:
+        lines = ["x,pde_value,closed_form_value,rel_error"]
+        for i, xv in enumerate(solution.x):
+            lines.append(
+                f"{format(xv, '.17g')},{format(solution.values[0, i], '.17g')},"
+                f"{format(run.closed_row[i], '.17g')},{format(run.rel_error[i], '.17g')}"
+            )
+        return "\n".join(lines) + "\n"
 
-    _write_text(targets[0], a_curve_csv_text(cf))
-    _write_text(targets[1], policy_csv_text(cf, market, util, set_))
-    _write_text(targets[2], "\n".join(compare_lines) + "\n")
-    _write_text(targets[3], solution_csv_text(solution))
-    report.artifact_paths = [str(p) for p in targets]
-    _write_text(targets[4], report_text(report))
-    return report
-
-
-def _simulate_functional(cfg: RunConfig):
-    kind = cfg.simulation.functional
-    const = cfg.simulation.functional_constant
-    if kind == "terminal_square":
-        return lambda bundle: np.sum(bundle.states[:, -1, :] ** 2, axis=1)
-    if kind == "neg_terminal_square":
-        return lambda bundle: -np.sum(bundle.states[:, -1, :] ** 2, axis=1)
-    return lambda bundle: np.full(bundle.n_paths, const)
+    return report, [lambda: a_curve_csv_text(cf),
+                    lambda: policy_csv_text(cf, market, util, set_),
+                    compare_csv_text,
+                    lambda: solution_csv_text(solution)]
 
 
 def _schedule_text(schedule: VolSchedule, horizon: float) -> str:
@@ -207,26 +197,16 @@ def _schedule_text(schedule: VolSchedule, horizon: float) -> str:
     return " | ".join(parts)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
+def cmd_simulate(cfg: RunConfig) -> tuple[RunReport, list]:
     set_ = cfg.ambiguity_set()
     sim = cfg.simulation
-    prefix = cfg.output.prefix
-    targets = [out_dir / f"{prefix}_paths.csv", out_dir / f"{prefix}_report.txt"]
-    _check_overwrite(targets, force)
-
-    d = set_.dim
-    spec = SdeSpec(
-        dim_state=d,
-        dim_noise=d,
-        drift=lambda t, x, u: np.zeros_like(x),
-        diffusion=lambda t, x, u: np.eye(d),
-        initial_state=np.zeros(d),
-    )
     path_cfg = PathConfig(n_steps=sim.n_steps, horizon=cfg.solver.horizon,
                           n_paths=sim.n_paths, seed=sim.seed)
-    functional = _simulate_functional(cfg)
+    functional = FUNCTIONALS[sim.functional]
     direction = hjb_attitude(cfg.solver.attitude)
-    est = upper_expectation_mc(spec, set_, functional, path_cfg, n_segments=sim.n_segments,
+    est = upper_expectation_mc(SdeSpec.brownian(set_.dim), set_,
+                               lambda bundle: functional(bundle, sim.functional_constant),
+                               path_cfg, n_segments=sim.n_segments,
                                direction=direction, n_grid=sim.n_grid)
 
     report = RunReport(command="simulate", config_echo=canonical_text(cfg))
@@ -237,18 +217,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
     res["std_error"] = est.std_error
     res["n_schedules_searched"] = est.n_schedules_searched
     res["best_schedule"] = _schedule_text(est.best_schedule, cfg.solver.horizon)
-
-    _write_text(targets[0], bundle_csv_text(est.best_paths))
-    report.artifact_paths = [str(p) for p in targets]
-    _write_text(targets[1], report_text(report))
-    return report
+    return report, [lambda: bundle_csv_text(est.best_paths)]
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, force: bool) -> tuple[RunReport, int]:
-    prefix = cfg.output.prefix
-    targets = [out_dir / f"{prefix}_verify.txt"]
-    _check_overwrite(targets, force)
-
+def cmd_verify(cfg: RunConfig) -> tuple[RunReport, list]:
     checks = run_all_checks(cfg)
     report = RunReport(command="verify", config_echo=canonical_text(cfg))
     n_failed = 0
@@ -258,10 +230,8 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, force: bool) -> tuple[RunReport, i
         report.results[c.name] = f"{status} measured={c.measured:.6g} bound {c.bound}"
     report.results["checks_total"] = len(checks)
     report.results["checks_failed"] = n_failed
-
-    report.artifact_paths = [str(targets[0])]
-    _write_text(targets[0], report_text(report))
-    return report, EXIT_OK if n_failed == 0 else EXIT_VERIFY_FAILED
+    report.exit_code = EXIT_OK if n_failed == 0 else EXIT_VERIFY_FAILED
+    return report, []
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,12 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stochastic optimal control under volatility ambiguity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve-hjb", "solve a preset ambiguous HJB problem on a grid"),
-        ("merton", "run the robust consumption-portfolio pipeline"),
-        ("simulate", "scenario-optimized Monte Carlo expectation"),
-        ("verify", "run the full cross-check suite"),
-    ):
+    for name, (help_text, _suffixes) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--output", default=None, help="output directory (overrides config)")
@@ -293,24 +258,12 @@ def main(argv=None) -> int:
                 cfg, simulation=dataclasses.replace(cfg.simulation, seed=args.seed)
             )
         out_dir = Path(args.output) if args.output else Path(cfg.output.directory)
-
-        if args.command == "solve-hjb":
-            report = cmd_solve_hjb(cfg, out_dir, args.force)
-            code = EXIT_OK
-        elif args.command == "merton":
-            report = cmd_merton(cfg, out_dir, args.force)
-            code = EXIT_OK
-        elif args.command == "simulate":
-            report = cmd_simulate(cfg, out_dir, args.force)
-            code = EXIT_OK
-        else:
-            report, code = cmd_verify(cfg, out_dir, args.force)
-
+        report = run_command(args.command, cfg, out_dir, args.force)
         for key, value in report.results.items():
             print(f"{key} = {_fmt_result(value)}")
         for path in report.artifact_paths:
             print(f"wrote {path}")
-        return code
+        return report.exit_code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,6 +6,13 @@ Every key has a documented default, unknown sections or keys are hard
 errors with the offending line number, and emission is canonical so that
 parse -> emit -> parse is the identity.
 
+The sections are the fields of ``RunConfig`` and the keys are the fields of
+each section dataclass, parsed and emitted in field order.  A field's
+annotation picks its codec (``_CODECS``), and a key with a fixed set of
+choices carries them in its field metadata (``_one_of``); the
+``solver.terminal`` and ``simulation.functional`` choices are the keys of
+the ``TERMINALS`` and ``FUNCTIONALS`` preset tables.
+
 Market coefficients are piecewise constant: within a value, segments are
 separated by commas, vector entries by spaces, and matrix rows by
 semicolons (``gamma = 0.2 0; 0 0.3, 0.25 0; 0 0.3`` is two 2x2 segments).
@@ -13,19 +20,40 @@ semicolons (``gamma = 0.2 0; 0 0.3, 0.25 0; 0 0.3`` is two 2x2 segments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
+
+import numpy as np
 
 from .ambiguity import AmbiguitySet
 from .errors import ConfigError
 from .hjb import Grid1D, HjbProblem, suggest_time_steps
 from .merton import CrraUtility, MarketModel
 
-_ATTITUDE_CHOICES = ("upper", "lower", "pessimist", "optimist")
-_DIRECTION_CHOICES = ("minimize", "maximize")
-_PROBLEM_CHOICES = ("g_heat",)
-_TERMINAL_CHOICES = ("x_squared", "minus_x_squared", "constant")
-_FUNCTIONAL_CHOICES = ("terminal_square", "neg_terminal_square", "constant")
+# Named presets the flat config selects; a preset's config choices are its table keys.
+# A terminal cost maps (nodes, solver.terminal_constant) to values.
+TERMINALS = {
+    "x_squared": lambda x, c: x**2,
+    "minus_x_squared": lambda x, c: -(x**2),
+    "constant": lambda x, c: c + 0.0 * x,
+}
+# A path functional maps (bundle, simulation.functional_constant) to one value per path.
+FUNCTIONALS = {
+    "terminal_square": lambda bundle, c: np.sum(bundle.states[:, -1, :] ** 2, axis=1),
+    "neg_terminal_square": lambda bundle, c: -np.sum(bundle.states[:, -1, :] ** 2, axis=1),
+    "constant": lambda bundle, c: np.full(bundle.n_paths, c),
+}
+
+# Annotations of the market tuples; each picks its own codec (see _CODECS).
+Floats = tuple[float, ...]
+VecSegments = tuple[tuple[float, ...], ...]
+MatSegments = tuple[tuple[tuple[float, ...], ...], ...]
+
+
+def _one_of(default: str, choices) -> str:
+    """A str field whose value must be one of ``choices``."""
+    return field(default=default, metadata={"choices": tuple(choices)})
 
 
 @dataclass(frozen=True)
@@ -37,10 +65,10 @@ class AmbiguityCfg:
 
 @dataclass(frozen=True)
 class MarketCfg:
-    segment_starts: tuple = (0.0,)
-    r: tuple = (0.02,)
-    alpha: tuple = ((0.06,),)
-    gamma: tuple = (((0.2,),),)
+    segment_starts: Floats = (0.0,)
+    r: Floats = (0.02,)
+    alpha: VecSegments = ((0.06,),)
+    gamma: MatSegments = (((0.2,),),)
 
 
 @dataclass(frozen=True)
@@ -51,16 +79,16 @@ class UtilityCfg:
 
 @dataclass(frozen=True)
 class SolverCfg:
-    problem: str = "g_heat"
-    terminal: str = "x_squared"
+    problem: str = _one_of("g_heat", ("g_heat",))
+    terminal: str = _one_of("x_squared", TERMINALS)
     terminal_constant: float = 0.0
     x_min: float = -4.0
     x_max: float = 4.0
     n_x: int = 401
     n_t: int = 0  # 0 = the smallest explicit-stable count; fewer steps run implicit
     horizon: float = 1.0
-    attitude: str = "upper"
-    direction: str = "minimize"
+    attitude: str = _one_of("upper", ("upper", "lower", "pessimist", "optimist"))
+    direction: str = _one_of("minimize", ("minimize", "maximize"))
     n_pi: int = 41
     n_rho: int = 33
     debug_perturb_a: float = 0.0
@@ -74,7 +102,7 @@ class SimulationCfg:
     n_grid: int = 5
     seed: int = 12345
     x0: float = 1.0
-    functional: str = "terminal_square"
+    functional: str = _one_of("terminal_square", FUNCTIONALS)
     functional_constant: float = 7.0
 
 
@@ -191,67 +219,34 @@ def _fmt_mat_segments(segs: tuple) -> str:
     return ",".join(";".join(" ".join(_fmt_float(e) for e in row) for row in seg) for seg in segs)
 
 
-# (parser, formatter, choices) per key, in canonical emission order.
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "ambiguity": {
-        "d": (_parse_int, str, None),
-        "sigma_lo_sq": (_parse_float, _fmt_float, None),
-        "sigma_hi_sq": (_parse_float, _fmt_float, None),
-    },
-    "market": {
-        "segment_starts": (_parse_floats, lambda v: ",".join(_fmt_float(x) for x in v), None),
-        "r": (_parse_floats, lambda v: ",".join(_fmt_float(x) for x in v), None),
-        "alpha": (_parse_vec_segments, _fmt_vec_segments, None),
-        "gamma": (_parse_mat_segments, _fmt_mat_segments, None),
-    },
-    "utility": {
-        "kappa": (_parse_float, _fmt_float, None),
-        "beta": (_parse_float, _fmt_float, None),
-    },
-    "solver": {
-        "problem": (None, str, _PROBLEM_CHOICES),
-        "terminal": (None, str, _TERMINAL_CHOICES),
-        "terminal_constant": (_parse_float, _fmt_float, None),
-        "x_min": (_parse_float, _fmt_float, None),
-        "x_max": (_parse_float, _fmt_float, None),
-        "n_x": (_parse_int, str, None),
-        "n_t": (_parse_int, str, None),
-        "horizon": (_parse_float, _fmt_float, None),
-        "attitude": (None, str, _ATTITUDE_CHOICES),
-        "direction": (None, str, _DIRECTION_CHOICES),
-        "n_pi": (_parse_int, str, None),
-        "n_rho": (_parse_int, str, None),
-        "debug_perturb_a": (_parse_float, _fmt_float, None),
-    },
-    "simulation": {
-        "n_paths": (_parse_int, str, None),
-        "n_steps": (_parse_int, str, None),
-        "n_segments": (_parse_int, str, None),
-        "n_grid": (_parse_int, str, None),
-        "seed": (_parse_int, str, None),
-        "x0": (_parse_float, _fmt_float, None),
-        "functional": (None, str, _FUNCTIONAL_CHOICES),
-        "functional_constant": (_parse_float, _fmt_float, None),
-    },
-    "output": {
-        "directory": (None, str, None),
-        "prefix": (None, str, None),
-    },
+# (parser, formatter) for each field annotation of the section dataclasses.
+_CODECS = {
+    int: (_parse_int, str),
+    float: (_parse_float, _fmt_float),
+    str: (lambda text, line: text, str),
+    Floats: (_parse_floats, lambda v: ",".join(_fmt_float(x) for x in v)),
+    VecSegments: (_parse_vec_segments, _fmt_vec_segments),
+    MatSegments: (_parse_mat_segments, _fmt_mat_segments),
 }
 
-_SECTION_TYPES = {
-    "ambiguity": AmbiguityCfg,
-    "market": MarketCfg,
-    "utility": UtilityCfg,
-    "solver": SolverCfg,
-    "simulation": SimulationCfg,
-    "output": OutputCfg,
-}
+
+def _schema() -> dict:
+    """{section: (section type, {key: (parser, formatter, choices)})} in field order."""
+    schema, section_types = {}, get_type_hints(RunConfig)
+    for section in fields(RunConfig):
+        section_type = section_types[section.name]
+        hints = get_type_hints(section_type)
+        schema[section.name] = (section_type, {
+            f.name: (*_CODECS[hints[f.name]], f.metadata.get("choices"))
+            for f in fields(section_type)
+        })
+    return schema
 
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse config text; unknown sections or keys are hard errors."""
-    raw: dict[str, dict[str, tuple]] = {name: {} for name in _SCHEMA}
+    schema = _schema()
+    raw: dict[str, dict[str, tuple]] = {name: {} for name in schema}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -259,7 +254,7 @@ def parse_config_text(text: str) -> RunConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in schema:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -269,30 +264,23 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA[section]:
+        if key not in schema[section][1]:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
         if key in raw[section]:
             raise ConfigError(f"duplicate key {key!r} in section [{section}]", lineno)
         raw[section][key] = (value, lineno)
 
     sections = {}
-    for name, keys in _SCHEMA.items():
-        fields = {}
+    for name, (section_type, keys) in schema.items():
+        values = {}
         for key, (parser, _fmt, choices) in keys.items():
             if key not in raw[name]:
                 continue
             value, lineno = raw[name][key]
-            if choices is not None:
-                if value not in choices:
-                    raise ConfigError(
-                        f"{key} must be one of {choices}, got {value!r}", lineno
-                    )
-                fields[key] = value
-            elif parser is None:
-                fields[key] = value
-            else:
-                fields[key] = parser(value, lineno)
-        sections[name] = _SECTION_TYPES[name](**fields)
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {value!r}", lineno)
+            values[key] = parser(value, lineno)
+        sections[name] = section_type(**values)
 
     cfg = RunConfig(**sections)
     _validate(cfg)
@@ -340,9 +328,9 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def canonical_text(cfg: RunConfig) -> str:
-    """Emit every key in schema order; parse(canonical_text(cfg)) == cfg."""
+    """Emit every key in field order; parse(canonical_text(cfg)) == cfg."""
     lines = []
-    for name, keys in _SCHEMA.items():
+    for name, (_type, keys) in _schema().items():
         lines.append(f"[{name}]")
         section = getattr(cfg, name)
         for key, (_parser, fmt, _choices) in keys.items():

@@ -119,6 +119,12 @@ class SdeSpec:
             raise ValueError(f"initial_state must have shape ({self.dim_state},), got {x0.shape}")
         object.__setattr__(self, "initial_state", x0)
 
+    @classmethod
+    def brownian(cls, dim: int) -> "SdeSpec":
+        """Driftless unit diffusion from the origin: the state is the driving noise."""
+        return cls(dim_state=dim, dim_noise=dim, drift=lambda t, x, u: 0.0,
+                   diffusion=lambda t, x, u: np.eye(dim), initial_state=np.zeros(dim))
+
 
 @dataclass(frozen=True)
 class PathBundle:
@@ -171,11 +177,8 @@ def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> Pa
     Paths start at zero; each increment is Gaussian with covariance
     v(t_k) * dt where v is the schedule value on [t_k, t_{k+1}).
     """
-    d = set_.dim
-    brownian = SdeSpec(dim_state=d, dim_noise=d, drift=lambda t, x, u: 0.0,
-                       diffusion=lambda t, x, u: np.eye(d), initial_state=np.zeros(d))
-    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, d)
-    return _integrate_batch(brownian, set_, [schedule], cfg, normals)[0]
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, set_.dim)
+    return _integrate_batch(SdeSpec.brownian(set_.dim), set_, [schedule], cfg, normals)[0]
 
 
 def _coerce_drift(value, n: int, m: int) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Config parsing and the four CLI commands, including exit codes."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from gctrl import ConfigError, estimators, sde, verify
 from gctrl.cli import main
-from gctrl.config import canonical_text, parse_config_text
+from gctrl.config import RunConfig, canonical_text, parse_config_text
 
 DESK_CONFIG = """
 [ambiguity]
@@ -104,6 +105,30 @@ def test_parse_rejects_scheme_as_unknown_key():
         line = text.splitlines().index(f"scheme = {value}") + 1
         with pytest.raises(ConfigError, match=rf"line {line}: unknown key 'scheme' in section"):
             parse_config_text(text)
+
+
+def test_readme_config_table_names_every_key():
+    """The README's configuration table has one row per key; ``a / b`` rows name two keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| section.key | default | meaning |\n| --- | --- | --- |\n")[1]
+    documented = []
+    for row in table.split("\n\n")[0].splitlines():
+        section, _, keys = row.split(" | ")[0].lstrip("| ").partition(".")
+        documented += [f"{section}.{key.strip()}" for key in keys.split("/")]
+    declared = [f"{section.name}.{key.name}" for section in dataclasses.fields(RunConfig)
+                for key in dataclasses.fields(section.default)]
+    assert sorted(documented) == sorted(declared)
+
+
+def test_parse_choice_errors_name_the_choices_in_order():
+    for section, key, choices in (
+        ("solver", "terminal", "('x_squared', 'minus_x_squared', 'constant')"),
+        ("solver", "attitude", "('upper', 'lower', 'pessimist', 'optimist')"),
+        ("simulation", "functional", "('terminal_square', 'neg_terminal_square', 'constant')"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"[{section}]\n{key} = nope\n")
+        assert str(exc.value) == f"line 2: {key} must be one of {choices}, got 'nope'"
 
 
 def test_parse_unknown_key_reports_line():
@@ -325,11 +350,10 @@ def test_cli_merton_perturbed_closed_form_is_oracle_inconsistency(tmp_path):
 
 
 def test_cli_report_lists_existing_nonempty_artifacts(tmp_path):
-    from gctrl.cli import cmd_simulate
-    from gctrl.config import parse_config_text
+    from gctrl.cli import run_command
 
     cfg = parse_config_text(GHEAT_CONFIG)
-    report = cmd_simulate(cfg, tmp_path / "out", force=False)
+    report = run_command("simulate", cfg, tmp_path / "out", force=False)
     assert report.artifact_paths
     for p in report.artifact_paths:
         path = Path(p)
@@ -362,7 +386,7 @@ def test_cli_wealth_grid_needs_positive_x_min(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_verify_passes_and_perturbation_fails(tmp_path):
-    fast = DESK_CONFIG.replace("n_x = 201", "n_x = 151").replace(
+    fast = DESK_CONFIG.replace("n_x = 201", "n_x = 101").replace(
         "x_min = 0.4", "x_min = 0.5"
     ).replace("x_max = 2.4", "x_max = 2.0")
     cfg_path = _write(tmp_path, "verify.cfg", fast)

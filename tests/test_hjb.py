@@ -351,3 +351,47 @@ def test_tridiagonal_solver_matches_dense_solve():
     dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
     assert np.allclose(_solve_tridiagonal(lower, diag, upper, rhs),
                        np.linalg.solve(dense, rhs), rtol=1e-13, atol=1e-13)
+
+
+def _edge_reaching_pair(rng):
+    """Two problems on the whole of [-5, 5] whose terminal data are ordered everywhere.
+
+    Unlike ``verify._random_ordered_problems``, the data do not vanish near
+    the edges, so the gap reaches the boundary rows from the first step.
+    """
+    lo = rng.uniform(0.1, 0.8)
+    set_ = AmbiguitySet(dim=1, sigma_lo_sq=lo, sigma_hi_sq=lo + rng.uniform(0.0, 0.8))
+    controls = tuple(rng.uniform(-1.0, 1.0, size=3))
+    c0, c1 = rng.uniform(-0.7, 0.7, size=2)
+    g0, g1 = rng.uniform(0.3, 1.0), rng.uniform(-0.2, 0.2)
+    a, b = rng.uniform(-1.0, 1.0, size=2)
+    s, p = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2 * np.pi)
+    common = dict(
+        drift=lambda t, x, u: (c0 + c1 * u) + 0.0 * x,
+        diffusion=lambda t, x, u: (g0 + g1 * u) + 0.0 * x,
+        running_cost=lambda t, x, u: 0.1 * u + 0.0 * x,
+        horizon=1.0, controls=controls, ambiguity=set_, segment_starts=(0.0,),
+        opt_direction="maximize" if rng.uniform() < 0.5 else "minimize",
+        attitude="upper" if rng.uniform() < 0.5 else "lower",
+    )
+
+    def terminal(x):
+        return a * np.sin(3.0 * x) + b * np.cos(2.0 * x)
+
+    def terminal_hi(x):
+        return terminal(x) + s * (1.1 + np.sin(5.0 * x + p))
+
+    return HjbProblem(terminal_cost=terminal, **common), HjbProblem(terminal_cost=terminal_hi,
+                                                                    **common)
+
+
+def test_implicit_edge_rows_keep_ordered_data_ordered():
+    rng = np.random.default_rng(17)
+    worst = -np.inf
+    for _ in range(40):
+        low, high = _edge_reaching_pair(rng)
+        count = suggest_time_steps(low, -5.0, 5.0, 41)
+        grid = Grid1D(-5.0, 5.0, 41, max(1, count // 4))
+        assert grid.n_t < count  # below the CFL count: the implicit sweep
+        worst = max(worst, float(np.max(solve(low, grid).values - solve(high, grid).values)))
+    assert worst <= 1e-12
