@@ -61,12 +61,8 @@ def _variance_levels(set_: AmbiguitySet, n_grid: int) -> np.ndarray:
 def _segment_matrices(set_: AmbiguitySet, n_grid: int) -> list[np.ndarray]:
     """Candidate covariances for one segment: diagonal entries on the grid."""
     levels = _variance_levels(set_, n_grid)
-    if set_.dim == 1:
-        return [np.asarray([[v]]) for v in levels]
-    mats = []
-    for diag in itertools.product(levels, repeat=set_.dim):
-        mats.append(np.diag(np.asarray(diag, dtype=float)))
-    return mats
+    return [np.diag(np.asarray(diag, dtype=float))
+            for diag in itertools.product(levels, repeat=set_.dim)]
 
 
 def candidate_schedules(

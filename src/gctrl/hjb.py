@@ -6,7 +6,9 @@ generator (upper or lower), which makes the equation fully nonlinear.  The
 grid picks the sweep: explicit when its step horizon / n_t meets the CFL
 bound, implicit otherwise.
 
-explicit: one forward step per level, monotone under the CFL bound
+explicit: one forward step per level.  Its interior rows are monotone under
+the CFL bound below; its one_sided edge rows are not, at any dt (see
+BoundaryRule).
 
     dt <= dx^2 / (sigma_hi_sq * max g^2 + dx * max |f| + dx^2 * discount).
 
@@ -51,10 +53,13 @@ class BoundaryRule:
     """How the two edge rows are closed.
 
     one_sided: the explicit sweep uses one-sided first/second differences
-    with the control frozen to the adjacent interior argopt.  The implicit
-    sweep drops the second-order term at the edge (V_xx ~ 0), keeps only
-    the inward-pointing drift, upwinded, and optimizes the edge row's own
-    control, which keeps it monotone.
+    with the control frozen to the adjacent interior argopt.  That closure
+    is not monotone: (v2 - 2 v1 + v0) / dx^2 weighs v1 by -2 w / dx^2, so
+    ordered data can cross at the edges, which is why
+    ``verify._random_ordered_problems`` keeps its supports 14 nodes away
+    from them.  The implicit sweep drops the second-order term at the edge
+    (V_xx ~ 0), keeps only the inward-pointing drift, upwinded, and
+    optimizes the edge row's own control, which keeps it monotone.
     power_dirichlet: edge value copied from the adjacent interior node
     scaled by (x_edge / x_adjacent)**exponent, for value functions with a
     known power shape in x.
@@ -194,31 +199,27 @@ def _broadcast_nodes(value, n_x: int) -> np.ndarray:
 
 
 def _tables(problem: HjbProblem, x: np.ndarray, t: float):
-    """Coefficient tables F, g^2, running cost, one row per control."""
+    """Node-major (n_x, n_u) tables F, g^2 and running cost, and the drift's
+    upwind parts max(F, 0) and min(F, 0) stacked into one (2, n_x, n_u) split."""
     n_u, n_x = len(problem.controls), x.size
-    F = np.empty((n_u, n_x))
-    G2 = np.empty((n_u, n_x))
-    C = np.empty((n_u, n_x))
+    F, G2, C = (np.empty((n_x, n_u)) for _ in range(3))
     for j, u in enumerate(problem.controls):
-        F[j] = _broadcast_nodes(problem.drift(t, x, u), n_x)
+        F[:, j] = _broadcast_nodes(problem.drift(t, x, u), n_x)
         g = _broadcast_nodes(problem.diffusion(t, x, u), n_x)
-        G2[j] = g * g
-        C[j] = _broadcast_nodes(problem.running_cost(t, x, u), n_x)
-    return F, G2, C
-
-
-def _cfl_denominator(problem: HjbProblem, F: np.ndarray, G2: np.ndarray, dx: float) -> float:
-    hi = problem.ambiguity.sigma_hi_sq
-    return float(hi * G2.max() + dx * np.abs(F).max() + dx * dx * problem.discount)
+        G2[:, j] = g * g
+        C[:, j] = _broadcast_nodes(problem.running_cost(t, x, u), n_x)
+    return F, G2, C, np.stack((np.maximum(F, 0.0), np.minimum(F, 0.0)))
 
 
 def _segment_tables(problem: HjbProblem, x: np.ndarray) -> dict:
-    """(F, G2, C) by start of each segment starting before the horizon."""
+    """(F, G2, C, split) by start of each segment starting before the horizon."""
     return {s: _tables(problem, x, s) for s in problem.segment_starts if s < problem.horizon}
 
 
 def _stable_dt(problem: HjbProblem, dx: float, segments: dict) -> float:
-    denom = max(_cfl_denominator(problem, F, G2, dx) for F, G2, _ in segments.values())
+    hi = problem.ambiguity.sigma_hi_sq
+    denom = max(float(hi * G2.max() + dx * np.abs(F).max() + dx * dx * problem.discount)
+                for F, G2, *_ in segments.values())
     return np.inf if denom == 0.0 else dx * dx / denom
 
 
@@ -285,11 +286,9 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     n_t = len(times) - 1
     n_x = x.size
     dx = float(x[1] - x[0])
-    lo = problem.ambiguity.sigma_lo_sq
-    hi = problem.ambiguity.sigma_hi_sq
     beta = problem.discount
     argopt = np.argmax if problem.opt_direction == "maximize" else np.argmin
-    bnd = problem.boundary
+    one_sided = problem.boundary.kind == "one_sided"
 
     values = np.empty((n_t + 1, n_x))
     values[n_t] = terminal_values
@@ -297,33 +296,31 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
 
     # The generator weight per node does not depend on the control: g^2 >= 0,
     # so sign(g^2 * cen) = sign(cen) and G(g^2 * cen) = g^2 * (slope * cen)
-    # with the slope picked from the curvature sign alone.
-    if problem.attitude == "upper":
-        w_pos, w_neg = 0.5 * hi, 0.5 * lo
-    else:
-        w_pos, w_neg = 0.5 * lo, 0.5 * hi
+    # with the slope, G(1) or -G(-1), picked from the curvature sign alone.
+    w_pos = g_scalar(1.0, problem.ambiguity, problem.attitude)
+    w_neg = -g_scalar(-1.0, problem.ambiguity, problem.attitude)
 
-    def step_tables(F, G2, C):
-        # Interior tables are node-major, (n_x - 2, n_u), so the argopt over
-        # controls reduces along the contiguous axis.  The last two entries
-        # are the inward-pointing drift at the left and right edge.
-        return (F, np.maximum(F, 0.0)[:, 1:-1].T.copy(), np.minimum(F, 0.0)[:, 1:-1].T.copy(),
-                G2, G2[:, 1:-1].T.copy(), C, C[:, 1:-1].T.copy(),
-                np.maximum(F[:, 0], 0.0), np.minimum(F[:, -1], 0.0))
+    # The edge rows, left then right, as (e, h, i, s, sign): the row e; the start h
+    # of the stencil (v[h+2] - 2 v[h+1] + v[h]) at the edge, whose middle node is the
+    # row's interior neighbour; the start i of the one-sided difference (v[i+1] - v[i]);
+    # and the upwind part split[s] of the drift that points inward, with its sign.
+    sides = ((0, 0, 0, 0, 1.0), (n_x - 1, n_x - 3, n_x - 2, 1, -1.0))
+    if not one_sided:
+        p = float(problem.boundary.exponent)
+        ratio = [(x[e] / x[h + 1]) ** p for e, h, *_ in sides]
 
-    starts, segment = problem.segment_starts, None
+    starts = problem.segment_starts
     cols = np.arange(n_x - 2)
-    n_u = len(problem.controls)
-    work = np.empty((n_x - 2, n_u))
-    tmp = np.empty((n_x - 2, n_u))
+    work, tmp = np.empty((2, n_x - 2, len(problem.controls)))
     if implicit:
-        lower, diag, upper, rhs = (np.empty(n_x) for _ in range(4))
-        if bnd.kind == "power_dirichlet":
-            p = float(bnd.exponent)
-            diag[0] = diag[-1] = 1.0
-            upper[0] = -((x[0] / x[1]) ** p)
-            lower[-1] = -((x[-1] / x[-2]) ** p)
-            rhs[0] = rhs[-1] = 0.0
+        # Band s couples a node to the neighbour split[s] upwinds toward:
+        # max(F, 0) to the upper band, min(F, 0) to the lower.
+        system = np.zeros((4, n_x))
+        upper, lower, diag, rhs = system
+        if not one_sided:
+            for (e, _, _, s, _), r in zip(sides, ratio):
+                diag[e] = 1.0
+                system[s, e] = -r
 
     def fill_generator(u, Fp, Fm, G2i, Ci):
         """work[i, j] = drift, generator and running-cost terms of control j at
@@ -345,10 +342,8 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
-        start = starts[bisect_right(starts, t_k) - 1]
-        if start != segment:
-            segment, tables = start, step_tables(*segments[start])
-        F, Fp, Fm, G2, G2i, C, Ci, Fin_l, Fin_r = tables
+        F, G2, C, split = segments[starts[bisect_right(starts, t_k) - 1]]
+        Fp, Fm, G2i, Ci = split[0, 1:-1], split[1, 1:-1], G2[1:-1], C[1:-1]
         v = values[k + 1]
 
         if implicit:
@@ -357,13 +352,13 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                 with np.errstate(over="ignore", invalid="ignore"):
                     positive = fill_generator(u, Fp, Fm, G2i, Ci)
                     best = argopt(work, axis=1)
-                    if bnd.kind == "one_sided":
+                    if one_sided:
                         # Each edge row optimizes its own inward-drift and running-cost terms.
-                        jl = int(argopt(Fin_l * ((u[1] - u[0]) / dx) + C[:, 0]))
-                        jr = int(argopt(Fin_r * ((u[-1] - u[-2]) / dx) + C[:, -1]))
+                        edge_j = tuple(int(argopt(split[s, e] * ((u[i + 1] - u[i]) / dx) + C[e]))
+                                       for e, _, i, s, _ in sides)
                     else:
-                        jl, jr = int(best[0]), int(best[-1])
-                if (chosen is not None and (jl, jr) == chosen[2]
+                        edge_j = int(best[0]), int(best[-1])  # the interior argopt next door
+                if (chosen is not None and edge_j == chosen[2]
                         and np.array_equal(best, chosen[0]) and np.array_equal(positive, chosen[1])):
                     break
                 if solves == _HOWARD_MAX_SOLVES:
@@ -371,7 +366,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                         f"Howard iteration still changing controls after {solves} "
                         f"linear solves at time level {k}"
                     )
-                chosen = (best, positive, (jl, jr))
+                chosen = (best, positive, edge_j)
                 diffusion = G2i[cols, best] * np.where(positive, w_pos, w_neg) / (dx * dx)
                 down = dt_k * (diffusion - Fm[cols, best] / dx)
                 up = dt_k * (diffusion + Fp[cols, best] / dx)
@@ -379,57 +374,40 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                 upper[1:-1] = -up
                 diag[1:-1] = 1.0 + beta * dt_k + down + up
                 rhs[1:-1] = v[1:-1] + dt_k * Ci[cols, best]
-                if bnd.kind == "one_sided":
-                    inward_l = dt_k * Fin_l[jl] / dx
-                    inward_r = -dt_k * Fin_r[jr] / dx
-                    diag[0] = 1.0 + beta * dt_k + inward_l
-                    upper[0] = -inward_l
-                    rhs[0] = v[0] + dt_k * C[jl, 0]
-                    diag[-1] = 1.0 + beta * dt_k + inward_r
-                    lower[-1] = -inward_r
-                    rhs[-1] = v[-1] + dt_k * C[jr, -1]
+                if one_sided:
+                    for (e, _, _, s, sign), j in zip(sides, edge_j):
+                        inward = sign * dt_k * split[s, e, j] / dx
+                        diag[e] = 1.0 + beta * dt_k + inward
+                        system[s, e] = -inward
+                        rhs[e] = v[e] + dt_k * C[e, j]
                 u = _solve_tridiagonal(lower, diag, upper, rhs)
                 solves += 1
                 _require_finite(u, k)
             values[k] = u
-            policy[k, 1:-1] = best
-            policy[k, 0], policy[k, -1] = jl, jr
-            continue
-
-        # Overflow in a diverging sweep is caught by the finiteness check below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            fill_generator(v, Fp, Fm, G2i, Ci)
-            work *= dt_k
-            work += (v[1:-1] * (1.0 - beta * dt_k))[:, None]
-        best = argopt(work, axis=1)
-        values[k, 1:-1] = work[cols, best]
+        else:
+            # Overflow in a diverging sweep is caught by the finiteness check below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                fill_generator(v, Fp, Fm, G2i, Ci)
+                work *= dt_k
+                work += (v[1:-1] * (1.0 - beta * dt_k))[:, None]
+            best = argopt(work, axis=1)
+            edge_j = int(best[0]), int(best[-1])
+            values[k, 1:-1] = work[cols, best]
+            for side, (e, h, i, _, _) in enumerate(sides):
+                if one_sided:
+                    j = edge_j[side]
+                    slope = (v[i + 1] - v[i]) / dx
+                    curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
+                    values[k, e] = v[e] + dt_k * (
+                        F[e, j] * slope
+                        + g_scalar(G2[e, j] * curv, problem.ambiguity, problem.attitude)
+                        + C[e, j] - beta * v[e]
+                    )
+                else:
+                    values[k, e] = values[k, h + 1] * ratio[side]
+            _require_finite(values[k], k)
         policy[k, 1:-1] = best
-
-        if bnd.kind == "one_sided":
-            jl = int(policy[k, 1])
-            dxl = (v[1] - v[0]) / dx
-            dxxl = (v[2] - 2.0 * v[1] + v[0]) / (dx * dx)
-            values[k, 0] = v[0] + dt_k * (
-                F[jl, 0] * dxl + g_scalar(G2[jl, 0] * dxxl, problem.ambiguity, problem.attitude)
-                + C[jl, 0] - beta * v[0]
-            )
-            jr = int(policy[k, n_x - 2])
-            dxr = (v[-1] - v[-2]) / dx
-            dxxr = (v[-1] - 2.0 * v[-2] + v[-3]) / (dx * dx)
-            values[k, -1] = v[-1] + dt_k * (
-                F[jr, -1] * dxr + g_scalar(G2[jr, -1] * dxxr, problem.ambiguity, problem.attitude)
-                + C[jr, -1] - beta * v[-1]
-            )
-            policy[k, 0] = jl
-            policy[k, -1] = jr
-        else:  # power_dirichlet
-            p = float(bnd.exponent)
-            values[k, 0] = values[k, 1] * (x[0] / x[1]) ** p
-            values[k, -1] = values[k, -2] * (x[-1] / x[-2]) ** p
-            policy[k, 0] = policy[k, 1]
-            policy[k, -1] = policy[k, -2]
-
-        _require_finite(values[k], k)
+        policy[k, 0], policy[k, -1] = edge_j
 
     return values, policy
 

@@ -37,6 +37,11 @@ BRANCH_RTOL = 1e-8
 # |eta| below this uses the linear limit A(t) = T - t + 1.
 ETA_ZERO_TOL = 1e-10
 
+# Range of the default control levels, and the rows of the policy CSV.
+PI_MAX = 1.0
+RHO_MIN, RHO_MAX = 1e-3, 3.0
+POLICY_CSV_ROWS = 21
+
 _ATTITUDES = ("pessimist", "optimist")
 _SIGNS = ("negative", "positive")
 
@@ -65,20 +70,7 @@ class MarketModel:
     @classmethod
     def constant(cls, r: float, alpha, gamma) -> "MarketModel":
         """Market with time-independent coefficients; scalars mean dim 1."""
-        a = np.atleast_1d(np.asarray(alpha, dtype=float))
-        g = np.atleast_2d(np.asarray(gamma, dtype=float))
-        d = a.shape[0]
-        if g.shape != (d, d):
-            raise ValueError(f"gamma must be {d}x{d}, got {g.shape}")
-        _require_positive_definite(g)
-        rr = float(r)
-        return cls(
-            r=lambda t: rr,
-            alpha=lambda t: a,
-            gamma=lambda t: g,
-            dim=d,
-            segment_starts=(0.0,),
-        )
+        return cls.piecewise((0.0,), (r,), (alpha,), (gamma,))
 
     @classmethod
     def piecewise(cls, starts: Sequence[float], r_vals, alpha_vals, gamma_vals) -> "MarketModel":
@@ -293,7 +285,7 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     times = np.linspace(0.0, horizon, n_t + 1)
 
     # The coefficients, hence eta, are constant on each segment.
-    starts = tuple(s for s in m.segment_starts if s <= horizon)
+    starts = tuple(s for s in m.segment_starts if s < horizon)
     per_segment = [eta(m, u, lam, s) for s in starts]
 
     def eta_fn(t: float) -> float:
@@ -411,14 +403,14 @@ def verify_hjb_residual(cf: ClosedForm, m: MarketModel, u: CrraUtility,
     return worst
 
 
-def default_pi_levels(n_pi: int = 41, pi_max: float = 1.0) -> np.ndarray:
-    """Evenly spaced risky fractions from 0 to pi_max."""
-    return np.linspace(0.0, pi_max, n_pi)
+def default_pi_levels(n_pi: int = 41) -> np.ndarray:
+    """Evenly spaced risky fractions from 0 to PI_MAX."""
+    return np.linspace(0.0, PI_MAX, n_pi)
 
 
-def default_rho_levels(n_rho: int = 33, rho_min: float = 1e-3, rho_max: float = 3.0) -> np.ndarray:
+def default_rho_levels(n_rho: int = 33) -> np.ndarray:
     """Log-spaced consumption-to-wealth rates; scale-free under power utility."""
-    return np.exp(np.linspace(np.log(rho_min), np.log(rho_max), n_rho))
+    return np.exp(np.linspace(np.log(RHO_MIN), np.log(RHO_MAX), n_rho))
 
 
 def control_grid(n_pi: int = 41, n_rho: int = 33) -> list[tuple[float, float]]:
@@ -505,15 +497,14 @@ def a_curve_csv_text(cf: ClosedForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility,
-                    set_: AmbiguitySet, n_rows: int = 21) -> str:
-    """CSV of the closed-form policy sampled in time.
+def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: AmbiguitySet) -> str:
+    """CSV of the closed-form policy at POLICY_CSV_ROWS evenly spaced times.
 
     Consumption is reported as the rate per unit wealth (independent of x),
     the portfolio as risky fractions, plus the two fund weights.
     """
     pol = optimal_policy(cf, m, u, set_)
-    ts = np.linspace(0.0, cf.horizon, n_rows)
+    ts = np.linspace(0.0, cf.horizon, POLICY_CSV_ROWS)
     d = m.dim
     head = ["t", "consumption_rate"] + [f"pi_{j}" for j in range(d)] + ["w_riskless", "w_risky"]
     lines = [",".join(head)]

@@ -484,3 +484,14 @@ def test_solve_a_evaluates_eta_once_per_segment(monkeypatch):
         assert cf.a_values.tobytes() == ref.tobytes()
         for t in np.linspace(0.0, 1.0, 41):
             assert cf.eta(t).hex() == eta(market, DESK_UTILITY, lam, t).hex()
+
+
+def test_segment_starting_at_the_horizon_does_not_reach_solve_a():
+    # No time of [0, T) lies in the second segment, so the grid solves this
+    # market exactly as the constant one; solve_A must as well.
+    market = MarketModel.piecewise((0.0, 1.0), (0.02, 0.02), (0.06, 0.5), (0.2, 0.2))
+    lam = worst_case_lambda(DESK_SET, "negative", "pessimist")
+    cf = solve_A(market, DESK_UTILITY, lam, n_t=2000, horizon=1.0)
+    const = desk_closed_form()
+    assert cf.resolved_branch == const.resolved_branch == "affine-exp"
+    assert cf.a_values.tobytes() == const.a_values.tobytes()
