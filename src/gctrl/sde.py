@@ -7,6 +7,12 @@ with increment covariance v(t) * dt, and controlled dynamics are integrated
 with the Euler-Maruyama scheme.  Randomness comes from one counter-based
 stream per path index, so enlarging the path count never reshuffles the paths
 already drawn and every run is bit-reproducible from its seed.
+
+All stepping goes through one loop, ``_euler_steps``, which advances blocks of
+rows stacked along the path axis over a run of steps.  ``integrate_gsde`` and
+``sample_gbm`` call it once over the whole horizon; the scenario search in
+``estimators`` calls it once per node of its schedule-prefix tree, over that
+node's segment only.
 """
 
 from __future__ import annotations
@@ -128,11 +134,16 @@ class SdeSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated paths: times (n_steps+1,), states (n_paths, n_steps+1, m)."""
+    """Simulated paths: times (n_steps+1,), states (n_paths, n_steps+1, m).
+
+    ``schedule`` is the scenario the paths were simulated under; it is None
+    on the bundles the scenario search hands its functional, which builds a
+    schedule for the chosen candidate only.
+    """
 
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
-    schedule: VolSchedule
+    schedule: VolSchedule | None
 
     @property
     def n_paths(self) -> int:
@@ -161,14 +172,28 @@ def _sqrt_psd(v: np.ndarray) -> np.ndarray:
     return (q * np.sqrt(w)) @ q.T
 
 
-def _validate_schedule(set_: AmbiguitySet, schedule: VolSchedule) -> None:
-    if schedule.dim != set_.dim:
-        raise ValueError(
-            f"schedule dimension {schedule.dim} does not match ambiguity set dim {set_.dim}"
-        )
-    for k, v in enumerate(schedule.values):
+def _checked_roots_t(spec: SdeSpec, set_: AmbiguitySet,
+                     values: Sequence[np.ndarray]) -> np.ndarray:
+    """Transposed square roots of ``values``, shape (len(values), d, d).
+
+    Each covariance must lie in the ambiguity set, and its dimension must
+    match both the set and the noise of ``spec``.
+    """
+    dim = values[0].shape[0]
+    if dim != set_.dim:
+        raise ValueError(f"schedule dimension {dim} does not match ambiguity set dim {set_.dim}")
+    for k, v in enumerate(values):
         if not contains(set_, v):
             raise ValueError(f"schedule value {k} lies outside the ambiguity set")
+    if dim != spec.dim_noise:
+        raise ValueError(f"noise dimension {spec.dim_noise} does not match schedule dim {dim}")
+    return np.stack([_sqrt_psd(v).T for v in values])
+
+
+def _step_intervals(breakpoints: Sequence[float], cfg: PathConfig) -> np.ndarray:
+    """Index of the schedule interval in force on each step [t_k, t_{k+1})."""
+    t_steps = np.arange(cfg.n_steps) * cfg.dt
+    return np.searchsorted(breakpoints, t_steps, side="right") - 1
 
 
 def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> PathBundle:
@@ -177,8 +202,7 @@ def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> Pa
     Paths start at zero; each increment is Gaussian with covariance
     v(t_k) * dt where v is the schedule value on [t_k, t_{k+1}).
     """
-    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, set_.dim)
-    return _integrate_batch(SdeSpec.brownian(set_.dim), set_, [schedule], cfg, normals)[0]
+    return integrate_gsde(SdeSpec.brownian(set_.dim), set_, schedule, cfg)
 
 
 def _coerce_drift(value, n: int, m: int) -> np.ndarray:
@@ -197,65 +221,47 @@ def _coerce_diffusion(value, n: int, m: int, d: int) -> np.ndarray:
     return np.broadcast_to(arr, (n, m, d))
 
 
-def _integrate_batch(
+def _euler_steps(
     spec: SdeSpec,
-    set_: AmbiguitySet,
-    schedules: Sequence[VolSchedule],
-    cfg: PathConfig,
+    states: np.ndarray,
+    roots_t: np.ndarray,
     normals: np.ndarray,
-    first_index: int | None = None,
-) -> list[PathBundle]:
-    """Euler-Maruyama integration under C schedules at once, one bundle each.
+    first_step: int,
+    dt: float,
+    candidates: Sequence[int] | None = None,
+) -> None:
+    """Euler-Maruyama steps from ``states[0]``, written to ``states[1:]``.
 
-    The schedules are stacked along the path axis, so the state has
-    C * n_paths rows and every schedule sees the same ``normals`` (common
-    random numbers).  States are stored time-major, (n_steps+1, C*n_paths, m),
-    so each step writes one contiguous block; every bundle's states are a
-    (n_paths, n_steps+1, m) view into that array.  A non-finite state aborts
-    with the path index within its schedule, and with the schedule's index
-    counted from ``first_index`` when one is given.
+    ``states`` is time-major, (len(roots_t)+1, C*n_paths, m): C blocks of
+    n_paths rows, block j integrated under the covariance whose transposed
+    root is ``roots_t[i, j]`` on global step ``first_step + i``.  Every block
+    sees the same ``normals`` (n_paths, n_steps, d), i.e. common random
+    numbers, and each row is computed independently of the others, so a row
+    has the same bits whichever blocks share the call.  A non-finite state
+    aborts with the path index within its block, and with
+    ``candidates[j]`` as the block's candidate schedule when given.
     """
-    for schedule in schedules:
-        _validate_schedule(set_, schedule)
-        if schedule.dim != spec.dim_noise:
-            raise ValueError(
-                f"noise dimension {spec.dim_noise} does not match schedule dim {schedule.dim}"
-            )
-    n, m, d, c = cfg.n_paths, spec.dim_state, spec.dim_noise, len(schedules)
-    rows = c * n
-    dt = cfg.dt
+    n, d = normals.shape[0], normals.shape[2]
+    rows, m = states.shape[1], states.shape[2]
     sqrt_dt = np.sqrt(dt)
-    # roots_t[k, j] is the transposed square root of the covariance that
-    # schedule j has in force on [t_k, t_{k+1}).
-    t_steps = np.arange(cfg.n_steps) * dt
-    roots_t = np.empty((cfg.n_steps, c, d, d))
-    for j, schedule in enumerate(schedules):
-        seg = np.searchsorted(schedule.breakpoints, t_steps, side="right") - 1
-        roots_t[:, j] = np.stack([_sqrt_psd(v).T for v in schedule.values])[seg]
-
-    states = np.empty((cfg.n_steps + 1, rows, m))
-    states[0] = spec.initial_state
     x = np.array(states[0])
-    for k in range(cfg.n_steps):
+    for i, root_t in enumerate(roots_t):
+        k = first_step + i
         t_k = k * dt
         u = spec.control(t_k, x) if spec.control is not None else None
         f = _coerce_drift(spec.drift(t_k, x, u), rows, m)
         g = _coerce_diffusion(spec.diffusion(t_k, x, u), rows, m, d)
-        dw = ((sqrt_dt * normals[:, k, :]) @ roots_t[k]).reshape(rows, d)
+        dw = ((sqrt_dt * normals[:, k, :]) @ root_t).reshape(rows, d)
         x = x + f * dt + np.einsum("pmd,pd->pm", g, dw)
         if not np.all(np.isfinite(x)):
             row = int(np.argwhere(~np.isfinite(x))[0, 0])
-            where = ("" if first_index is None
-                     else f" under candidate schedule {first_index + row // n}")
+            where = ("" if candidates is None
+                     else f" under candidate schedule {candidates[row // n]}")
             raise NumericError(
                 f"non-finite state on path {row % n} at step {k + 1} "
                 f"(t={t_k + dt:.6g}){where}; check drift/diffusion growth"
             )
-        states[k + 1] = x
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    per_schedule = states.reshape(cfg.n_steps + 1, c, n, m).transpose(1, 2, 0, 3)
-    return [PathBundle(times=times, states=per_schedule[j], schedule=s)
-            for j, s in enumerate(schedules)]
+        states[i + 1] = x
 
 
 def integrate_gsde(
@@ -271,8 +277,14 @@ def integrate_gsde(
     shape (n_paths, dim_state) is accepted as the one noise column.  A
     non-finite state aborts with the path and step where it first appeared.
     """
+    roots_t = _checked_roots_t(spec, set_, schedule.values)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
-    return _integrate_batch(spec, set_, [schedule], cfg, normals)[0]
+    states = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
+    states[0] = spec.initial_state
+    steps_roots_t = roots_t[_step_intervals(schedule.breakpoints, cfg)][:, None]
+    _euler_steps(spec, states, steps_roots_t, normals, 0, cfg.dt)
+    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+    return PathBundle(times=times, states=states.transpose(1, 0, 2), schedule=schedule)
 
 
 def bundle_csv_text(bundle: PathBundle) -> str:

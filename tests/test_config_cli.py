@@ -258,19 +258,26 @@ def test_cli_simulate_constant_functional(tmp_path):
 
 
 def test_cli_simulate_integrates_each_candidate_once(tmp_path, monkeypatch):
-    integrated = []
-    batch = sde._integrate_batch
+    """Every node of the schedule-prefix tree is stepped once, and the best paths never again."""
+    nodes = []
+    steps = sde._euler_steps
 
-    def counting(spec, set_, schedules, *args, **kwargs):
-        integrated.append(len(schedules))
-        return batch(spec, set_, schedules, *args, **kwargs)
+    def counting(spec, states, roots_t, normals, first_step, dt, candidates=None):
+        # one entry per stacked block: (first step, steps, first candidate below it)
+        blocks = roots_t.shape[1]
+        firsts = [None] * blocks if candidates is None else list(candidates)
+        nodes.extend((first_step, len(roots_t), c) for c in firsts)
+        return steps(spec, states, roots_t, normals, first_step, dt, candidates)
 
-    monkeypatch.setattr(sde, "_integrate_batch", counting)
-    monkeypatch.setattr(estimators, "_integrate_batch", counting)
+    monkeypatch.setattr(sde, "_euler_steps", counting)
+    monkeypatch.setattr(estimators, "_euler_steps", counting)
     text = GHEAT_CONFIG.replace("n_paths = 3000", "n_paths = 300")
     cfg_path = _write(tmp_path, "gheat.cfg", text)
     assert main(["simulate", "--config", cfg_path, "--output", str(tmp_path / "out")]) == 0
-    assert sum(integrated) == 3 ** 2  # n_grid ** n_segments
+    # n_grid = 3 levels on n_segments = 2 halves of n_steps = 200: 3 + 9 nodes
+    first_half = [(0, 100, 3 * level) for level in range(3)]
+    second_half = [(100, 100, candidate) for candidate in range(9)]
+    assert sorted(nodes) == first_half + second_half
 
 
 def test_cli_merton_report_values(tmp_path):

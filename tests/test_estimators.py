@@ -146,9 +146,16 @@ def test_candidate_schedule_counts():
     assert len(scheds2) == 16  # (2^2 diagonal combos)^2 segments
 
 
-def test_candidate_explosion_guarded():
+def test_candidate_explosion_guarded(monkeypatch):
     with pytest.raises(ValueError, match="candidates"):
         candidate_schedules(SET, 1.0, n_segments=10, n_grid=10)
+
+    def no_draws(*args):
+        raise AssertionError("normals drawn before the candidate guard")
+
+    monkeypatch.setattr(estimators, "path_normals", no_draws)
+    with pytest.raises(ValueError, match="candidates"):
+        upper_expectation_mc(_gbm_spec(), SET, terminal_square, _cfg(), n_segments=10, n_grid=10)
 
 
 def test_moment_check_validates_inputs():
@@ -233,6 +240,19 @@ def test_batch_size_does_not_change_results(monkeypatch, case, direction):
         assert np.array_equal(est.best_paths.states, best_states)
 
 
+def test_functional_may_return_a_view_of_its_bundle():
+    # the search reuses one path buffer, so it must copy the winner's values
+    cfg = _cfg(n_paths=50, n_steps=8)
+    schedules = candidate_schedules(SET, cfg.horizon, 2, 3)
+    ref = [integrate_gsde(_gbm_spec(), SET, s, cfg).states[:, -1, 0] for s in schedules]
+    best = int(np.argmax([v.mean() for v in ref]))
+    assert best < len(schedules) - 1
+    est = upper_expectation_mc(_gbm_spec(), SET, lambda b: b.states[:, -1, 0], cfg,
+                               n_segments=2, n_grid=3)
+    assert est.value == ref[best].mean()
+    assert est.std_error == float(ref[best].std(ddof=1) / np.sqrt(cfg.n_paths))
+
+
 def test_nonfinite_in_batch_names_candidate_and_path(monkeypatch):
     # drift turns NaN once |x| passes a threshold that, with these normals,
     # only the two highest constant variance levels reach before the last step
@@ -260,6 +280,102 @@ def test_nonfinite_in_batch_names_candidate_and_path(monkeypatch):
             assert candidate == 3  # the high-variance pair is split across chunks
         with pytest.raises(NumericError, match=f"on path {path} at step {step} "):
             integrate_gsde(spec, SET, schedules[candidate], cfg)
+
+
+@pytest.mark.parametrize("case", ["d2", "feedback", "uneven_steps"])
+def test_prefix_tree_matches_one_integration_per_candidate(monkeypatch, case):
+    set2 = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+    d2 = SdeSpec(dim_state=2, dim_noise=2, drift=lambda t, x, u: 0.0,
+                 diffusion=lambda t, x, u: np.eye(2), initial_state=[0.0, 0.0])
+    # (spec, set, n_segments, n_grid, n_steps, segments as (first step, steps))
+    spec, set_, n_segments, n_grid, n_steps, segments = {
+        "d2": (d2, set2, 2, 2, 12, [(0, 6), (6, 6)]),  # 4 covariances, 16 candidates
+        "feedback": (_feedback_spec(), SET, 3, 3, 12, [(0, 4), (4, 4), (8, 4)]),
+        # breakpoints 1/3 and 2/3 fall inside steps 4 and 8
+        "uneven_steps": (_gbm_spec(), SET, 3, 3, 13, [(0, 5), (5, 4), (9, 4)]),
+    }[case]
+    cfg = _cfg(n_paths=60, n_steps=n_steps)
+
+    def functional(bundle):
+        return np.sum(np.cos(bundle.states[:, -1, :]) + bundle.states[:, 5, :] ** 2, axis=1)
+
+    schedules = candidate_schedules(set_, cfg.horizon, n_segments, n_grid)
+    n_levels = round(len(schedules) ** (1 / n_segments))
+    ref_bundles = [integrate_gsde(spec, set_, s, cfg) for s in schedules]
+    ref_vals = [functional(bundle) for bundle in ref_bundles]
+    ref_means = [float(v.mean()) for v in ref_vals]
+
+    calls = []
+    steps = estimators._euler_steps
+
+    def recording_steps(spec, states, roots_t, normals, first_step, *rest):
+        calls.append((first_step, len(roots_t), roots_t.shape[1]))
+        return steps(spec, states, roots_t, normals, first_step, *rest)
+
+    monkeypatch.setattr(estimators, "_euler_steps", recording_steps)
+    per_group = (cfg.n_steps + n_segments) * cfg.n_paths * spec.dim_state
+    for group in sorted({1, 2, 3, n_levels}):  # 2 or 3 leaves a ragged last group
+        monkeypatch.setattr(estimators, "_BATCH_FLOATS", group * per_group)
+        for direction in ("upper", "lower"):
+            calls.clear()
+            means = []
+
+            def recording(bundle):
+                vals = functional(bundle)
+                means.append(float(vals.mean()))
+                return vals
+
+            est = upper_expectation_mc(spec, set_, recording, cfg, n_segments=n_segments,
+                                       n_grid=n_grid, direction=direction)
+            best = int(np.argmax(ref_means) if direction == "upper" else np.argmin(ref_means))
+            assert means == ref_means
+            assert est.value == ref_means[best]
+            assert est.std_error == float(ref_vals[best].std(ddof=1) / np.sqrt(cfg.n_paths))
+            assert est.best_schedule.breakpoints == schedules[best].breakpoints
+            for got, want in zip(est.best_schedule.values, schedules[best].values, strict=True):
+                assert np.array_equal(got, want)
+            assert np.array_equal(est.best_paths.states, ref_bundles[best].states)
+            assert {(first, n) for first, n, _ in calls} == set(segments)
+            assert max(blocks for _, _, blocks in calls) == group
+
+
+def test_nonfinite_in_prefix_tree_names_first_diverging_candidate(monkeypatch):
+    # The drift turns NaN in the second segment only, once |x| passes a threshold
+    # that only high variance levels reach.  Under first level 2 the top second
+    # level diverges steps before level 3 does, so naming the candidate that
+    # diverges first in time would name a later one than product order.
+    cfg = _cfg(n_paths=40, n_steps=20, seed=7)
+    walk = np.cumsum(np.sqrt(cfg.dt) * path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1), axis=1)
+    threshold = np.sqrt(0.7) * np.max(np.abs(walk[:, 10:-1]))
+    spec = SdeSpec(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda t, x, u: np.where((t >= 0.5) & (np.abs(x) > threshold), np.nan, 0.0),
+        diffusion=lambda t, x, u: 1.0,
+        initial_state=[0.0],
+    )
+    schedules = candidate_schedules(SET, cfg.horizon, 2, 5)
+    stops = {}
+    for candidate, schedule in enumerate(schedules):
+        try:
+            integrate_gsde(spec, SET, schedule, cfg)
+        except NumericError as exc:
+            found = re.search(r"on path (\d+) at step (\d+) ", str(exc))
+            stops[candidate] = tuple(int(g) for g in found.groups())
+    first = min(stops)
+    assert all(step > cfg.n_steps // 2 for _, step in stops.values())
+    assert any(c // 5 == first // 5 and stops[c][1] < stops[first][1] for c in stops)
+
+    for group in (1, 2, 5):
+        monkeypatch.setattr(estimators, "_BATCH_FLOATS", group * (cfg.n_steps + 2) * cfg.n_paths)
+        with pytest.raises(NumericError) as info:
+            upper_expectation_mc(spec, SET, terminal_square, cfg, n_segments=2, n_grid=5)
+        found = re.search(r"non-finite state on path (\d+) at step (\d+) "
+                          r".* under candidate schedule (\d+);", str(info.value))
+        assert found is not None, str(info.value)
+        path, step, candidate = (int(g) for g in found.groups())
+        assert candidate == first
+        assert (path, step) == stops[first]
 
 
 def test_moment_bound_contracting_sde_finite_k():
