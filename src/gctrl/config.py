@@ -143,7 +143,7 @@ class RunConfig:
     def market_model(self) -> MarketModel:
         mk = self.market
         try:
-            return MarketModel.piecewise(mk.segment_starts, mk.r, mk.alpha, mk.gamma)
+            return MarketModel(mk.segment_starts, mk.r, mk.alpha, mk.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

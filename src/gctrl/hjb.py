@@ -24,7 +24,6 @@ ties broken by lowest index, so runs are reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,7 +37,7 @@ from .estimators import (
     ExpectationEstimate,
     upper_expectation_mc,
 )
-from .sde import PathConfig, SdeSpec
+from .sde import PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
@@ -148,18 +147,8 @@ class HjbProblem:
             )
         if self.ambiguity.dim != 1:
             raise ValueError("the 1d solver uses a scalar generator; ambiguity.dim must be 1")
-        object.__setattr__(self, "segment_starts", _checked_segment_starts(self.segment_starts))
-
-
-def _checked_segment_starts(starts) -> tuple[float, ...]:
-    """``starts`` as a tuple of floats; ValueError unless it begins at 0 and increases strictly."""
-    try:
-        starts = tuple(float(s) for s in starts)
-    except TypeError:
-        raise ValueError("segment_starts must be a sequence of times") from None
-    if not starts or starts[0] != 0.0 or any(a >= b for a, b in zip(starts, starts[1:])):
-        raise ValueError("segment_starts must begin at 0 and increase strictly")
-    return starts
+        object.__setattr__(self, "segment_starts",
+                           _checked_starts(self.segment_starts, "segment_starts"))
 
 
 def gheat_problem(set_: AmbiguitySet, terminal_cost: Callable, horizon: float,
@@ -211,15 +200,15 @@ def _tables(problem: HjbProblem, x: np.ndarray, t: float):
     return F, G2, C, np.stack((np.maximum(F, 0.0), np.minimum(F, 0.0)))
 
 
-def _segment_tables(problem: HjbProblem, x: np.ndarray) -> dict:
-    """(F, G2, C, split) by start of each segment starting before the horizon."""
-    return {s: _tables(problem, x, s) for s in problem.segment_starts if s < problem.horizon}
+def _segment_tables(problem: HjbProblem, x: np.ndarray) -> list:
+    """(F, G2, C, split) of each segment starting before the horizon, in segment order."""
+    return [_tables(problem, x, s) for s in _starts_before(problem.segment_starts, problem.horizon)]
 
 
-def _stable_dt(problem: HjbProblem, dx: float, segments: dict) -> float:
+def _stable_dt(problem: HjbProblem, dx: float, segments: list) -> float:
     hi = problem.ambiguity.sigma_hi_sq
     denom = max(float(hi * G2.max() + dx * np.abs(F).max() + dx * dx * problem.discount)
-                for F, G2, *_ in segments.values())
+                for F, G2, *_ in segments)
     return np.inf if denom == 0.0 else dx * dx / denom
 
 
@@ -268,7 +257,7 @@ def _require_finite(row: np.ndarray, k: int) -> None:
 
 
 def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values: np.ndarray,
-           segments: dict):
+           segments: list):
     """Backward recursion over the ``_segment_tables``; returns (values, policy).
 
     ``times`` are levels of the grid's own time axis, so every sweep on one
@@ -309,7 +298,6 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
         p = float(problem.boundary.exponent)
         ratio = [(x[e] / x[h + 1]) ** p for e, h, *_ in sides]
 
-    starts = problem.segment_starts
     cols = np.arange(n_x - 2)
     work, tmp = np.empty((2, n_x - 2, len(problem.controls)))
     if implicit:
@@ -342,7 +330,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
-        F, G2, C, split = segments[starts[bisect_right(starts, t_k) - 1]]
+        F, G2, C, split = segments[_segment_index(problem.segment_starts, t_k)]
         Fp, Fm, G2i, Ci = split[0, 1:-1], split[1, 1:-1], G2[1:-1], C[1:-1]
         v = values[k + 1]
 
@@ -506,20 +494,11 @@ def evaluate_policy_mc(
         return comps[idx]
 
     policy = control_fn if control_fn is not None else lookup
-
-    def drift(t, x, u):
-        return np.asarray(problem.drift(t, x[:, 0], u), dtype=float).reshape(-1, 1)
-
-    def diffusion(t, x, u):
-        g = np.broadcast_to(np.asarray(problem.diffusion(t, x[:, 0], u), dtype=float),
-                            (x.shape[0],))
-        return g.reshape(-1, 1, 1)
-
     spec = SdeSpec(
         dim_state=1,
         dim_noise=1,
-        drift=drift,
-        diffusion=diffusion,
+        drift=lambda t, x, u: problem.drift(t, x[:, 0], u),
+        diffusion=lambda t, x, u: problem.diffusion(t, x[:, 0], u),
         initial_state=np.asarray([x0]),
         control=lambda t, x: policy(t, x[:, 0]),
     )

@@ -1,9 +1,9 @@
 """Robust consumption-portfolio choice under volatility ambiguity.
 
-Market coefficients are deterministic functions of time; the investor holds
-power utility and faces ambiguous volatility, so the value function's
-diffusion term is evaluated at a worst-case covariance matrix from the
-ambiguity set (largest variance for a pessimist with a concave value,
+Market coefficients are a piecewise-constant segment table in time; the
+investor holds power utility and faces ambiguous volatility, so the value
+function's diffusion term is evaluated at a worst-case covariance matrix from
+the ambiguity set (largest variance for a pessimist with a concave value,
 smallest for an optimist).  With that matrix frozen, the value function
 has the power form A(t)^kappa * x^(1-kappa) / (1-kappa) where A solves the
 linear terminal-value ODE
@@ -22,7 +22,6 @@ candidate expression satisfies the ODE in ``resolved_branch``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,7 +29,8 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, as_symmetric
 from .errors import ConsistencyError, NumericError
-from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, _checked_segment_starts, solve
+from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, solve
+from .sde import _checked_starts, _segment_index, _starts_before
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
 BRANCH_RTOL = 1e-8
@@ -46,57 +46,53 @@ _ATTITUDES = ("pessimist", "optimist")
 _SIGNS = ("negative", "positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketModel:
-    """Deterministic riskless rate, expected returns, and volatility loadings.
+    """Riskless rate, expected returns and volatility loadings, one entry per segment.
 
-    ``r(t)`` is scalar, ``alpha(t)`` has shape (dim,), ``gamma(t)`` has shape
-    (dim, dim) with gamma @ gamma.T positive definite wherever evaluated.
-    ``segment_starts`` are the starts of the right-open segments on which
-    the coefficients are constant.  ``solve_A`` and the grid solver evaluate
-    the coefficients once per segment, at its start, so coefficients that
-    vary within a segment must be declared with finer segments.
+    ``segment_starts`` are the starts of the right-open time segments;
+    entry i of ``r`` (a scalar), ``alpha`` (shape (dim,)) and ``gamma``
+    (shape (dim, dim), gamma @ gamma.T positive definite) holds on segment
+    i, and ``at(t)`` returns the triple in force at t.  The coefficients are
+    constant on each segment by construction, so ``solve_A`` and the grid
+    solver, which read them once per segment, see the whole market.
+    Scalars mean dim 1.
     """
 
-    r: Callable[[float], float]
-    alpha: Callable[[float], np.ndarray]
-    gamma: Callable[[float], np.ndarray]
-    dim: int
     segment_starts: tuple[float, ...]
+    r: tuple[float, ...]
+    alpha: tuple[np.ndarray, ...] = field(repr=False)
+    gamma: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "segment_starts", _checked_segment_starts(self.segment_starts))
-
-    @classmethod
-    def constant(cls, r: float, alpha, gamma) -> "MarketModel":
-        """Market with time-independent coefficients; scalars mean dim 1."""
-        return cls.piecewise((0.0,), (r,), (alpha,), (gamma,))
-
-    @classmethod
-    def piecewise(cls, starts: Sequence[float], r_vals, alpha_vals, gamma_vals) -> "MarketModel":
-        """Piecewise-constant coefficients on right-open time intervals."""
-        bps = _checked_segment_starts(starts)
-        rs = tuple(float(v) for v in r_vals)
-        alphas = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in alpha_vals)
-        gammas = tuple(np.atleast_2d(np.asarray(v, dtype=float)) for v in gamma_vals)
-        if not len(bps) == len(rs) == len(alphas) == len(gammas):
+        starts = _checked_starts(self.segment_starts, "segment_starts")
+        rs = tuple(float(v) for v in self.r)
+        alphas = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in self.alpha)
+        gammas = tuple(np.atleast_2d(np.asarray(v, dtype=float)) for v in self.gamma)
+        if not len(starts) == len(rs) == len(alphas) == len(gammas):
             raise ValueError("need one (r, alpha, gamma) triple per segment")
         d = alphas[0].shape[0]
         for a, g in zip(alphas, gammas):
             if a.shape != (d,) or g.shape != (d, d):
                 raise ValueError("segment coefficient shapes disagree")
             _require_positive_definite(g)
+        for name, value in (("segment_starts", starts), ("r", rs),
+                            ("alpha", alphas), ("gamma", gammas)):
+            object.__setattr__(self, name, value)
 
-        def seg(t: float) -> int:
-            return bisect_right(bps, t) - 1 if t >= 0.0 else 0
+    @classmethod
+    def constant(cls, r: float, alpha, gamma) -> "MarketModel":
+        """Market with time-independent coefficients."""
+        return cls((0.0,), (r,), (alpha,), (gamma,))
 
-        return cls(
-            r=lambda t: rs[seg(t)],
-            alpha=lambda t: alphas[seg(t)],
-            gamma=lambda t: gammas[seg(t)],
-            dim=d,
-            segment_starts=bps,
-        )
+    @property
+    def dim(self) -> int:
+        return self.alpha[0].shape[0]
+
+    def at(self, t: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """(r, alpha, gamma) of the segment in force at t; a time before 0 takes the first."""
+        i = _segment_index(self.segment_starts, t)
+        return self.r[i], self.alpha[i], self.gamma[i]
 
 
 def _require_positive_definite(g: np.ndarray) -> None:
@@ -176,10 +172,9 @@ class PolicyField:
 
 def market_price_of_risk(m: MarketModel, t: float) -> np.ndarray:
     """theta(t) = gamma(t)^(-1) (alpha(t) - r(t) * ones)."""
-    g = np.atleast_2d(np.asarray(m.gamma(t), dtype=float))
-    excess = np.atleast_1d(np.asarray(m.alpha(t), dtype=float)) - m.r(t)
+    r, alpha, gamma = m.at(t)
     try:
-        return np.linalg.solve(g, excess)
+        return np.linalg.solve(gamma, alpha - r)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"volatility loading matrix is singular at t={t}") from exc
 
@@ -225,7 +220,7 @@ def eta(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray, t: float) -> flo
     theta = market_price_of_risk(m, t)
     quad = _lambda_inv_quadratic(as_symmetric(lambda_bar, m.dim), theta)
     k = u.kappa
-    return u.beta - (1.0 - k) * m.r(t) - (1.0 - k) / (2.0 * k) * quad
+    return u.beta - (1.0 - k) * m.at(t)[0] - (1.0 - k) / (2.0 * k) * quad
 
 
 def _integrate_a(eta_fn: Callable[[float], float], kappa: float,
@@ -285,11 +280,11 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     times = np.linspace(0.0, horizon, n_t + 1)
 
     # The coefficients, hence eta, are constant on each segment.
-    starts = tuple(s for s in m.segment_starts if s < horizon)
+    starts = _starts_before(m.segment_starts, horizon)
     per_segment = [eta(m, u, lam, s) for s in starts]
 
     def eta_fn(t: float) -> float:
-        return per_segment[max(bisect_right(starts, t) - 1, 0)]
+        return per_segment[_segment_index(starts, t)]
 
     a_values = _integrate_a(eta_fn, u.kappa, times)
     if not np.all(np.isfinite(a_values)) or np.min(a_values) <= 0.0:
@@ -349,9 +344,8 @@ def optimal_policy(cf: ClosedForm, m: MarketModel, u: CrraUtility,
 
     def risky_fund(t: float) -> np.ndarray:
         theta = market_price_of_risk(m, t)
-        g = np.atleast_2d(np.asarray(m.gamma(t), dtype=float))
         try:
-            return np.linalg.solve(g.T, np.linalg.solve(lam, theta))
+            return np.linalg.solve(m.at(t)[2].T, np.linalg.solve(lam, theta))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular loading or covariance matrix at t={t}") from exc
 
@@ -391,14 +385,15 @@ def verify_hjb_residual(cf: ClosedForm, m: MarketModel, u: CrraUtility,
         vt = (k / (1.0 - k)) * a ** (k - 1.0) * ap * x ** (1.0 - k)
         vx = a**k * x ** (-k)
         vxx = -k * a**k * x ** (-k - 1.0)
+        r = m.at(t)[0]
         theta = market_price_of_risk(m, t)
         quad = _lambda_inv_quadratic(cf.lambda_bar, theta)
         resid = (
-            vt - beta * v + m.r(t) * x * vx
+            vt - beta * v + r * x * vx
             + (k / (1.0 - k)) * vx ** ((k - 1.0) / k)
             - (vx * vx / (2.0 * vxx)) * quad
         )
-        norm = 1.0 + abs(beta * v) + abs(m.r(t) * x * vx)
+        norm = 1.0 + abs(beta * v) + abs(r * x * vx)
         worst = max(worst, abs(resid) / norm)
     return worst
 
@@ -442,17 +437,12 @@ def merton_hjb_problem(
             raise ValueError("default control grid covers d=1; pass controls explicitly")
         controls = control_grid()
 
-    def scalar_gamma(t: float) -> float:
-        return float(np.atleast_2d(np.asarray(m.gamma(t)))[0, 0])
-
-    def excess(t: float) -> float:
-        return float(np.atleast_1d(np.asarray(m.alpha(t)))[0]) - m.r(t)
-
     def drift(t, x, uu):
-        return x * (uu[0] * excess(t) + m.r(t) - uu[1])
+        r, alpha, _ = m.at(t)
+        return x * (uu[0] * (float(alpha[0]) - r) + r - uu[1])
 
     def diffusion(t, x, uu):
-        return x * uu[0] * scalar_gamma(t)
+        return x * uu[0] * float(m.at(t)[2][0, 0])
 
     def running(t, x, uu):
         return u.utility(uu[1] * x)

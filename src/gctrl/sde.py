@@ -13,6 +13,12 @@ rows stacked along the path axis over a run of steps.  ``integrate_gsde`` and
 ``sample_gbm`` call it once over the whole horizon; the scenario search in
 ``estimators`` calls it once per node of its schedule-prefix tree, over that
 node's segment only.
+
+Every piecewise-constant object (a ``VolSchedule``, an ``hjb.HjbProblem``, a
+``merton.MarketModel``) keeps its segment rules here: ``_checked_starts``
+validates the starts (time 0 first, strictly increasing), ``_segment_index``
+picks the right-open segment in force at a time, and ``_starts_before`` drops
+the segments that start at or after a horizon and so never apply.
 """
 
 from __future__ import annotations
@@ -29,6 +35,27 @@ from .errors import NumericError
 _MASK64 = (1 << 64) - 1
 
 
+def _checked_starts(starts, name: str) -> tuple[float, ...]:
+    """``starts`` as floats; ValueError naming ``name`` unless they start at 0 and increase."""
+    try:
+        starts = tuple(float(s) for s in starts)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of times") from None
+    if not starts or starts[0] != 0.0 or any(a >= b for a, b in zip(starts, starts[1:])):
+        raise ValueError(f"{name} must start at time 0 and increase strictly")
+    return starts
+
+
+def _segment_index(starts: Sequence[float], t: float) -> int:
+    """Index of the right-open segment in force at t; a time before 0 takes the first."""
+    return max(bisect_right(starts, t) - 1, 0)
+
+
+def _starts_before(starts: Sequence[float], horizon: float) -> tuple[float, ...]:
+    """Starts of the segments that apply before ``horizon``; later ones never do."""
+    return tuple(s for s in starts if s < horizon)
+
+
 @dataclass(frozen=True)
 class VolSchedule:
     """Piecewise-constant covariance scenario on right-open intervals.
@@ -42,13 +69,7 @@ class VolSchedule:
     values: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        if not bps:
-            raise ValueError("schedule needs at least one breakpoint")
-        if bps[0] != 0.0:
-            raise ValueError("schedule must start at time 0 (interval not covered)")
-        if any(b1 >= b2 for b1, b2 in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        bps = _checked_starts(self.breakpoints, "breakpoints")
         mats = tuple(as_symmetric(v) for v in self.values)
         if len(mats) != len(bps):
             raise ValueError(
@@ -74,7 +95,7 @@ class VolSchedule:
         """Covariance in force at time t (right-open intervals)."""
         if t < 0.0:
             raise ValueError(f"schedule queried at negative time {t}")
-        return self.values[bisect_right(self.breakpoints, t) - 1]
+        return self.values[_segment_index(self.breakpoints, t)]
 
 
 @dataclass(frozen=True)
@@ -128,8 +149,9 @@ class SdeSpec:
     @classmethod
     def brownian(cls, dim: int) -> "SdeSpec":
         """Driftless unit diffusion from the origin: the state is the driving noise."""
+        eye = np.eye(dim)
         return cls(dim_state=dim, dim_noise=dim, drift=lambda t, x, u: 0.0,
-                   diffusion=lambda t, x, u: np.eye(dim), initial_state=np.zeros(dim))
+                   diffusion=lambda t, x, u: eye, initial_state=np.zeros(dim))
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ def test_parse_multisegment_market():
     ).replace("alpha = 0.06", "alpha = 0.06,0.07").replace("gamma = 0.2", "gamma = 0.2,0.25")
     cfg = parse_config_text(text)
     model = cfg.market_model()
-    assert model.r(0.25) == 0.02 and model.r(0.75) == 0.03
+    assert model.at(0.25)[0] == 0.02 and model.at(0.75)[0] == 0.03
     assert model.segment_starts == (0.0, 0.5)
     assert parse_config_text(canonical_text(cfg)) == cfg
 

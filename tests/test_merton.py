@@ -10,7 +10,7 @@ from gctrl import (
     CrraUtility,
     Grid1D,
     MarketModel,
-    NumericError,
+    VolSchedule,
     closed_form_value,
     eta,
     market_price_of_risk,
@@ -340,22 +340,22 @@ def test_default_control_grid_requires_scalar_market():
 
 
 def test_piecewise_market_lookup():
-    m = MarketModel.piecewise(
-        starts=(0.0, 0.5),
-        r_vals=(0.01, 0.03),
-        alpha_vals=((0.05,), (0.07,)),
-        gamma_vals=(((0.2,),), ((0.3,),)),
+    m = MarketModel(
+        segment_starts=(0.0, 0.5),
+        r=(0.01, 0.03),
+        alpha=((0.05,), (0.07,)),
+        gamma=(((0.2,),), ((0.3,),)),
     )
-    assert m.r(0.25) == 0.01 and m.r(0.75) == 0.03
-    assert m.alpha(0.6)[0] == 0.07
-    assert m.gamma(0.1)[0, 0] == 0.2
+    assert m.at(0.25)[0] == 0.01 and m.at(0.75)[0] == 0.03
+    assert m.at(0.6)[1][0] == 0.07
+    assert m.at(0.1)[2][0, 0] == 0.2
     assert m.segment_starts == (0.0, 0.5)
 
 
 def _segmented(gammas, starts=(0.0, 0.51, 0.52)):
     n = len(starts)
-    return MarketModel.piecewise(starts, (0.02,) * n, ((0.06,),) * n,
-                                 tuple(((g,),) for g in gammas))
+    return MarketModel(starts, (0.02,) * n, ((0.06,),) * n,
+                       tuple(((g,),) for g in gammas))
 
 
 def test_cfl_bound_exact_for_piecewise_market():
@@ -400,22 +400,14 @@ def test_identical_segments_match_constant_market(monkeypatch):
 
 
 def test_singular_gamma_raises():
-    m = MarketModel(
-        r=lambda t: 0.0,
-        alpha=lambda t: np.array([0.05, 0.05]),
-        gamma=lambda t: np.array([[1.0, 1.0], [1.0, 1.0]]),
-        dim=2,
-        segment_starts=(0.0,),
-    )
-    with pytest.raises(NumericError):
-        market_price_of_risk(m, 0.0)
+    with pytest.raises(ValueError, match="positive definite"):
+        MarketModel.constant(0.0, [0.05, 0.05], [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_market_model_checks_segment_starts():
     for starts in (None, (0.5,), (0.0, 0.5, 0.25)):
         with pytest.raises(ValueError, match="segment_starts"):
-            MarketModel(r=lambda t: 0.02, alpha=lambda t: np.array([0.06]),
-                        gamma=lambda t: np.array([[0.2]]), dim=1, segment_starts=starts)
+            MarketModel(r=(0.02,), alpha=((0.06,),), gamma=(((0.2,),),), segment_starts=starts)
 
 
 def test_policy_simulation_keeps_wealth_positive():
@@ -455,9 +447,25 @@ def test_implicit_desk_matches_closed_form(solves_per_level):
 
 
 def _three_segment_market():
-    return MarketModel.piecewise((0.0, 0.3, 0.6), (0.02, 0.03, 0.01),
-                                 ((0.06,), (0.08,), (0.05,)),
-                                 (((0.2,),), ((0.3,),), ((0.25,),)))
+    return MarketModel((0.0, 0.3, 0.6), (0.02, 0.03, 0.01),
+                       ((0.06,), (0.08,), (0.05,)),
+                       (((0.2,),), ((0.3,),), ((0.25,),)))
+
+
+def test_segment_lookups_agree_at_the_starts():
+    market = _three_segment_market()
+    starts = market.segment_starts
+    schedule = VolSchedule(breakpoints=starts, values=(0.3, 0.5, 0.7))
+    lam = worst_case_lambda(DESK_SET, "negative", "pessimist")
+    cf = solve_A(market, DESK_UTILITY, lam, n_t=400, horizon=1.0)
+    etas = [eta(market, DESK_UTILITY, lam, s) for s in starts]
+    assert len(set(etas)) == len(starts)
+    probes = [(0.0, 0)] + [(s, i) for i, s in enumerate(starts)]
+    probes += [(float(np.nextafter(s, -np.inf)), i - 1) for i, s in enumerate(starts) if i > 0]
+    for t, i in probes:
+        assert market.r.index(market.at(t)[0]) == i
+        assert (0.3, 0.5, 0.7).index(float(schedule.value_at(t)[0, 0])) == i
+        assert etas.index(cf.eta(t)) == i
 
 
 def test_solve_a_evaluates_eta_once_per_segment(monkeypatch):
@@ -489,9 +497,16 @@ def test_solve_a_evaluates_eta_once_per_segment(monkeypatch):
 def test_segment_starting_at_the_horizon_does_not_reach_solve_a():
     # No time of [0, T) lies in the second segment, so the grid solves this
     # market exactly as the constant one; solve_A must as well.
-    market = MarketModel.piecewise((0.0, 1.0), (0.02, 0.02), (0.06, 0.5), (0.2, 0.2))
+    market = MarketModel((0.0, 1.0), (0.02, 0.02), (0.06, 0.5), (0.2, 0.2))
     lam = worst_case_lambda(DESK_SET, "negative", "pessimist")
     cf = solve_A(market, DESK_UTILITY, lam, n_t=2000, horizon=1.0)
     const = desk_closed_form()
     assert cf.resolved_branch == const.resolved_branch == "affine-exp"
     assert cf.a_values.tobytes() == const.a_values.tobytes()
+    controls = control_grid(5, 5)
+    problems = [merton_hjb_problem(m, DESK_UTILITY, DESK_SET, 1.0, "pessimist", controls)
+                for m in (market, DESK_MARKET)]
+    grid = Grid1D(0.4, 2.4, 51, suggest_time_steps(problems[1], 0.4, 2.4, 51))
+    edge, flat = (solve(p, grid) for p in problems)
+    assert edge.values.tobytes() == flat.values.tobytes()
+    assert edge.policy.tobytes() == flat.policy.tobytes()

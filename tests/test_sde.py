@@ -5,6 +5,8 @@ import pytest
 
 from gctrl import (
     AmbiguitySet,
+    HjbProblem,
+    MarketModel,
     NumericError,
     PathConfig,
     SdeSpec,
@@ -125,6 +127,28 @@ def test_two_dimensional_increment_covariance():
 def test_schedule_gap_rejected():
     with pytest.raises(ValueError, match="not covered|start at time 0"):
         VolSchedule(breakpoints=(0.5,), values=(np.array([[0.5]]),))
+
+
+# Every piecewise-constant object, built from the given starts, with the name
+# of the field that holds them.
+_SEGMENTED = (
+    ("breakpoints", lambda s: VolSchedule(breakpoints=s, values=(0.5,))),
+    ("segment_starts", lambda s: HjbProblem(
+        drift=lambda t, x, u: 0.0 * x, diffusion=lambda t, x, u: 1.0 + 0.0 * x,
+        running_cost=lambda t, x, u: 0.0 * x, terminal_cost=lambda x: x, horizon=1.0,
+        controls=(0.0,), ambiguity=SET, segment_starts=s)),
+    ("segment_starts", lambda s: MarketModel(segment_starts=s, r=(0.02,), alpha=(0.06,),
+                                             gamma=(0.2,))),
+)
+
+
+@pytest.mark.parametrize("starts", [None, (), (0.5,), (0.0, 0.0), (0.0, 0.5, 0.25)],
+                         ids=["none", "empty", "late", "repeated", "decreasing"])
+@pytest.mark.parametrize("name,build", _SEGMENTED,
+                         ids=["VolSchedule", "HjbProblem", "MarketModel"])
+def test_segment_starts_are_checked_alike(name, build, starts):
+    with pytest.raises(ValueError, match=name):
+        build(starts)
 
 
 def test_schedule_outside_set_rejected():
