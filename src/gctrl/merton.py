@@ -67,8 +67,8 @@ class MarketModel:
     def __post_init__(self):
         starts = _checked_starts(self.segment_starts, "segment_starts")
         rs = tuple(float(v) for v in self.r)
-        alphas = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in self.alpha)
-        gammas = tuple(np.atleast_2d(np.asarray(v, dtype=float)) for v in self.gamma)
+        alphas = tuple(np.atleast_1d(np.array(v, dtype=float)) for v in self.alpha)
+        gammas = tuple(np.atleast_2d(np.array(v, dtype=float)) for v in self.gamma)
         if not len(starts) == len(rs) == len(alphas) == len(gammas):
             raise ValueError("need one (r, alpha, gamma) triple per segment")
         d = alphas[0].shape[0]

@@ -404,6 +404,13 @@ def test_singular_gamma_raises():
         MarketModel.constant(0.0, [0.05, 0.05], [[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_market_keeps_its_own_copy_of_the_coefficients():
+    gamma = np.array([[0.2]])
+    m = MarketModel.constant(0.02, 0.06, gamma)
+    gamma[0, 0] = 0.0
+    assert m.at(0.0)[2][0, 0] == 0.2
+
+
 def test_market_model_checks_segment_starts():
     for starts in (None, (0.5,), (0.0, 0.5, 0.25)):
         with pytest.raises(ValueError, match="segment_starts"):
@@ -460,7 +467,7 @@ def test_segment_lookups_agree_at_the_starts():
     cf = solve_A(market, DESK_UTILITY, lam, n_t=400, horizon=1.0)
     etas = [eta(market, DESK_UTILITY, lam, s) for s in starts]
     assert len(set(etas)) == len(starts)
-    probes = [(0.0, 0)] + [(s, i) for i, s in enumerate(starts)]
+    probes = [(s, i) for i, s in enumerate(starts)]  # starts[0] is t = 0
     probes += [(float(np.nextafter(s, -np.inf)), i - 1) for i, s in enumerate(starts) if i > 0]
     for t, i in probes:
         assert market.r.index(market.at(t)[0]) == i
