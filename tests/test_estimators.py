@@ -158,6 +158,18 @@ def test_candidate_explosion_guarded(monkeypatch):
         upper_expectation_mc(_gbm_spec(), SET, terminal_square, _cfg(), n_segments=10, n_grid=10)
 
 
+def test_search_trims_the_heap_before_drawing(monkeypatch):
+    # the search's buffers must not depend on which freed heap pages are still resident
+    calls = []
+    draw = estimators.path_normals
+    monkeypatch.setattr(estimators, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad)))
+    monkeypatch.setattr(estimators, "path_normals",
+                        lambda *args: calls.append(("draw",)) or draw(*args))
+    upper_expectation_mc(_gbm_spec(), SET, terminal_square, _cfg(n_paths=4, n_steps=4),
+                         n_segments=1, n_grid=2)
+    assert calls == [("trim", 0), ("draw",)]
+
+
 def test_moment_check_validates_inputs():
     with pytest.raises(ValueError, match="ell"):
         moment_bound_check(_gbm_spec(), SET, _cfg(n_paths=4, n_steps=32), ell=0)
