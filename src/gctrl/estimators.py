@@ -52,10 +52,9 @@ _MAX_CANDIDATES = 200_000
 # The search's per-depth segment buffers hold at most this many floats
 # (8 MiB), which bounds memory whatever the candidate count.
 _BATCH_FLOATS = 1 << 20
-# glibc keeps heap pages that earlier work freed resident, and whether the
-# search's path buffers landed in them turned on a few bytes of heap layout:
-# the output path's length moved ``gctrl verify``'s peak resident set by 3 MiB.
-# Trimming the heap first makes the search's peak what the search writes.
+# glibc keeps heap pages freed by earlier work resident; whether the search's
+# buffers reused them turned on a few bytes of layout (the output path's length
+# moved ``gctrl verify``'s peak by 3 MiB), so the search trims the heap first.
 _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 

@@ -214,8 +214,7 @@ def _checked_roots_t(spec: SdeSpec, set_: AmbiguitySet,
 
 def _step_intervals(breakpoints: Sequence[float], cfg: PathConfig) -> np.ndarray:
     """Index of the schedule interval in force on each step [t_k, t_{k+1})."""
-    t_steps = np.arange(cfg.n_steps) * cfg.dt
-    return np.searchsorted(breakpoints, t_steps, side="right") - 1
+    return np.array([_segment_index(breakpoints, k * cfg.dt) for k in range(cfg.n_steps)])
 
 
 def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> PathBundle:
