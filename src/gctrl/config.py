@@ -15,12 +15,16 @@ the ``TERMINALS`` and ``FUNCTIONALS`` preset tables.
 
 Market coefficients are piecewise constant: within a value, segments are
 separated by commas, vector entries by spaces, and matrix rows by
-semicolons (``gamma = 0.2 0; 0 0.3, 0.25 0; 0 0.3`` is two 2x2 segments).
+semicolons (``gamma = 0.2 0; 0 0.3, 0.25 0; 0 0.3`` is two 2x2 segments);
+an empty entry is an error.  The objects built from the config check their
+own rules; ``merton`` and ``verify``, which read the market, check that it
+has ``ambiguity.d`` assets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -123,10 +127,7 @@ class RunConfig:
 
     def ambiguity_set(self) -> AmbiguitySet:
         a = self.ambiguity
-        try:
-            return AmbiguitySet(dim=a.d, sigma_lo_sq=a.sigma_lo_sq, sigma_hi_sq=a.sigma_hi_sq)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built(AmbiguitySet, a.d, a.sigma_lo_sq, a.sigma_hi_sq)
 
     def ambiguity_set_1d(self) -> AmbiguitySet:
         """The ambiguity set, for the commands whose solver is one-dimensional."""
@@ -142,17 +143,18 @@ class RunConfig:
 
     def market_model(self) -> MarketModel:
         mk = self.market
-        try:
-            return MarketModel(mk.segment_starts, mk.r, mk.alpha, mk.gamma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built(MarketModel, mk.segment_starts, mk.r, mk.alpha, mk.gamma)
 
     def crra(self) -> CrraUtility:
-        ut = self.utility
-        try:
-            return CrraUtility(kappa=ut.kappa, beta=ut.beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built(CrraUtility, self.utility.kappa, self.utility.beta)
+
+
+def _built(cls, *args):
+    """``cls(*args)``, with the ValueError its constructor raises as a ConfigError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_float(text: str, line: int) -> float:
@@ -172,51 +174,39 @@ def _parse_int(text: str, line: int) -> int:
         raise ConfigError(f"expected an integer, got {text!r}", line) from exc
 
 
-def _parse_floats(text: str, line: int) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("expected a comma-separated list of numbers", line)
-    return tuple(_parse_float(p, line) for p in parts)
+def _parse_nested(text: str, line: int, seps: tuple) -> tuple:
+    """Split ``text`` by ``seps[0]``, each part by ``seps[1]`` and so on, into numbers."""
+    def parse(part: str, level: int):
+        if level == len(seps):
+            return _parse_float(part.strip(), line)
+        pieces = part.split(seps[level])
+        if not pieces or not all(p.strip() for p in pieces):
+            raise ConfigError(f"empty entry in {text!r}", line)
+        return tuple(parse(p, level + 1) for p in pieces)
 
-
-def _parse_vec_segments(text: str, line: int) -> tuple:
-    """Comma-separated segments, each a space-separated vector."""
-    segs = []
-    for seg in text.split(","):
-        entries = seg.split()
-        if not entries:
-            raise ConfigError("empty vector segment", line)
-        segs.append(tuple(_parse_float(e, line) for e in entries))
-    return tuple(segs)
-
-
-def _parse_mat_segments(text: str, line: int) -> tuple:
-    """Comma-separated segments, each rows split by ';' and entries by spaces."""
-    segs = []
-    for seg in text.split(","):
-        rows = []
-        for row in seg.split(";"):
-            entries = row.split()
-            if not entries:
-                raise ConfigError("empty matrix row", line)
-            rows.append(tuple(_parse_float(e, line) for e in entries))
-        width = {len(r) for r in rows}
-        if len(width) != 1 or len(rows) != width.pop():
-            raise ConfigError("matrix segments must be square", line)
-        segs.append(tuple(rows))
-    return tuple(segs)
+    return parse(text, 0)
 
 
 def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _fmt_vec_segments(segs: tuple) -> str:
-    return ",".join(" ".join(_fmt_float(e) for e in seg) for seg in segs)
+def _fmt_nested(value, seps: tuple) -> str:
+    if not seps:
+        return _fmt_float(value)
+    return (seps[0] or " ").join(_fmt_nested(v, seps[1:]) for v in value)
 
 
-def _fmt_mat_segments(segs: tuple) -> str:
-    return ",".join(";".join(" ".join(_fmt_float(e) for e in row) for row in seg) for seg in segs)
+# Separators of each nesting level of the market values, outermost first; None means whitespace.
+_FLOATS_SEPS, _VEC_SEPS, _MAT_SEPS = (",",), (",", None), (",", ";", None)
+
+
+def _parse_mat_segments(text: str, line: int) -> tuple:
+    """Matrix segments; each must be square."""
+    segs = _parse_nested(text, line, _MAT_SEPS)
+    if any(len(row) != len(seg) for seg in segs for row in seg):
+        raise ConfigError("matrix segments must be square", line)
+    return segs
 
 
 # (parser, formatter) for each field annotation of the section dataclasses.
@@ -224,9 +214,9 @@ _CODECS = {
     int: (_parse_int, str),
     float: (_parse_float, _fmt_float),
     str: (lambda text, line: text, str),
-    Floats: (_parse_floats, lambda v: ",".join(_fmt_float(x) for x in v)),
-    VecSegments: (_parse_vec_segments, _fmt_vec_segments),
-    MatSegments: (_parse_mat_segments, _fmt_mat_segments),
+    Floats: (partial(_parse_nested, seps=_FLOATS_SEPS), partial(_fmt_nested, seps=_FLOATS_SEPS)),
+    VecSegments: (partial(_parse_nested, seps=_VEC_SEPS), partial(_fmt_nested, seps=_VEC_SEPS)),
+    MatSegments: (_parse_mat_segments, partial(_fmt_nested, seps=_MAT_SEPS)),
 }
 
 
@@ -296,17 +286,8 @@ def parse_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    """Build the objects that check their own rules, then check the keys of the rest."""
     cfg.ambiguity_set()
-    d = cfg.ambiguity.d
-    mk = cfg.market
-    n_seg = len(mk.segment_starts)
-    if not (len(mk.r) == len(mk.alpha) == len(mk.gamma) == n_seg):
-        raise ConfigError("market lists must have one entry per segment")
-    for seg_a, seg_g in zip(mk.alpha, mk.gamma):
-        if len(seg_a) != d:
-            raise ConfigError(f"alpha segments must have {d} entries (ambiguity d)")
-        if len(seg_g) != d:
-            raise ConfigError(f"gamma segments must be {d}x{d} (ambiguity d)")
     cfg.market_model()
     cfg.crra()
     s = cfg.solver

@@ -176,8 +176,7 @@ class HjbSolution:
     def value_at(self, t: float, x: float) -> float:
         """Bilinear interpolation of the value field."""
         tt = np.clip(t, self.times[0], self.times[-1])
-        k = int(np.searchsorted(self.times, tt, side="right") - 1)
-        k = min(max(k, 0), len(self.times) - 2)
+        k = _segment_index(self.times[:-1], tt)
         w = (tt - self.times[k]) / (self.times[k + 1] - self.times[k])
         row = (1.0 - w) * self.values[k] + w * self.values[k + 1]
         return float(np.interp(x, self.x, row))
@@ -480,13 +479,12 @@ def evaluate_policy_mc(
         raise ValueError("cfg.horizon must equal the problem horizon")
 
     comps = _control_components(problem.controls)
-    times = solution.times
+    level_starts = solution.times[:-1].tolist()
     x_nodes = solution.x
     dx = float(x_nodes[1] - x_nodes[0])
-    n_levels = solution.policy.shape[0]
 
     def lookup(t, x_flat):
-        k = min(max(int(np.searchsorted(times, t, side="right") - 1), 0), n_levels - 1)
+        k = _segment_index(level_starts, t)
         i = np.clip(np.rint((x_flat - x_nodes[0]) / dx).astype(int), 0, len(x_nodes) - 1)
         idx = solution.policy[k, i]
         if isinstance(comps, tuple):
@@ -512,12 +510,10 @@ def evaluate_policy_mc(
             t_k = float(bundle.times[k])
             xk = bundle.states[:, k, 0]
             u = policy(t_k, xk)
-            phi = np.broadcast_to(
-                np.asarray(problem.running_cost(t_k, xk, u), dtype=float), xk.shape
-            )
+            phi = _broadcast_nodes(problem.running_cost(t_k, xk, u), xk.size)
             total = total + np.exp(-beta * t_k) * phi * dt
         xT = bundle.states[:, -1, 0]
-        term = np.broadcast_to(np.asarray(problem.terminal_cost(xT), dtype=float), xT.shape)
+        term = _broadcast_nodes(problem.terminal_cost(xT), xT.size)
         return total + np.exp(-beta * cfg.horizon) * term
 
     return upper_expectation_mc(

@@ -53,10 +53,10 @@ class MarketModel:
     ``segment_starts`` are the starts of the right-open time segments;
     entry i of ``r`` (a scalar), ``alpha`` (shape (dim,)) and ``gamma``
     (shape (dim, dim), gamma @ gamma.T positive definite) holds on segment
-    i, and ``at(t)`` returns the triple in force at t.  The coefficients are
-    constant on each segment by construction, so ``solve_A`` and the grid
-    solver, which read them once per segment, see the whole market.
-    Scalars mean dim 1.
+    i, and ``at(t)`` returns the triple in force at t, its arrays read-only.
+    The coefficients are constant on each segment by construction, so
+    ``solve_A`` and the grid solver, which read them once per segment, see
+    the whole market.  Scalars mean dim 1.
     """
 
     segment_starts: tuple[float, ...]
@@ -76,6 +76,7 @@ class MarketModel:
             if a.shape != (d,) or g.shape != (d, d):
                 raise ValueError("segment coefficient shapes disagree")
             _require_positive_definite(g)
+            a.flags.writeable = g.flags.writeable = False
         for name, value in (("segment_starts", starts), ("r", rs),
                             ("alpha", alphas), ("gamma", gammas)):
             object.__setattr__(self, name, value)
@@ -427,15 +428,16 @@ def merton_hjb_problem(
     Controls are (risky fraction, consumption rate as a fraction of wealth)
     pairs; the default grid covers d=1 markets.  A pessimist prices the
     diffusion term with the lower generator, an optimist with the upper.
+    The market must have ``set_.dim`` assets (ValueError otherwise).
     """
     if attitude not in _ATTITUDES:
         raise ValueError(f"attitude must be one of {_ATTITUDES}, got {attitude!r}")
-    if set_.dim != 1:
-        raise ValueError("the wealth PDE uses a scalar generator; set_.dim must be 1")
     if controls is None:
         if m.dim != 1:
             raise ValueError("default control grid covers d=1; pass controls explicitly")
         controls = control_grid()
+    if m.dim != set_.dim:
+        raise ValueError(f"the market has {m.dim} assets; the ambiguity set has dim {set_.dim}")
 
     def drift(t, x, uu):
         r, alpha, _ = m.at(t)

@@ -61,8 +61,8 @@ class VolSchedule:
     """Piecewise-constant covariance scenario on right-open intervals.
 
     ``breakpoints`` must start at 0.0 and increase strictly; ``values`` holds
-    one symmetric matrix per interval, the last interval extending to the end
-    of any horizon.
+    one symmetric read-only matrix per interval, the last interval extending
+    to the end of any horizon.
     """
 
     breakpoints: tuple[float, ...]
@@ -79,6 +79,8 @@ class VolSchedule:
         dims = {m.shape[0] for m in mats}
         if len(dims) != 1:
             raise ValueError("all schedule values must share one dimension")
+        for m in mats:
+            m.flags.writeable = False
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", mats)
 

@@ -81,11 +81,13 @@ class MertonRun:
 
 
 def merton_run(cfg: RunConfig) -> MertonRun:
-    """Closed form and grid solve of the configured problem; ConfigError unless d = 1, x_min > 0."""
+    """Closed form and grid solve; ConfigError unless d = 1, x_min > 0 and d market assets."""
     set_ = cfg.ambiguity_set_1d()
     market, util, s = cfg.market_model(), cfg.crra(), cfg.solver
     if not s.x_min > 0.0:
         raise ConfigError("the wealth grid must be truncated away from zero: solver.x_min > 0")
+    if market.dim != set_.dim:
+        raise ConfigError(f"the market has {market.dim} assets; ambiguity.d is {set_.dim}")
     attitude = merton_attitude(s.attitude)
     lam = worst_case_lambda(set_, "negative", attitude)
     cf = solve_A(market, util, lam, n_t=2000, horizon=s.horizon)
@@ -170,16 +172,14 @@ def check_maximizer_membership(rng: np.random.Generator, trials: int = 1000) -> 
 
 
 def _rotation_grid(n_angles: int = 96, n_levels: int = 17) -> np.ndarray:
-    """Unit-box conjugated diagonals R diag(u) R^T with u on [0,1]^2 grid."""
-    out = []
+    """Unit-box conjugated diagonals R diag(u) R^T, u on a [0,1]^2 grid; by angle, u1, u2."""
+    th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
+    c, s = np.cos(th), np.sin(th)
+    r = np.stack([c, -s, s, c], axis=-1).reshape(n_angles, 1, 1, 2, 2)
     us = np.linspace(0.0, 1.0, n_levels)
-    for th in np.linspace(0.0, np.pi, n_angles, endpoint=False):
-        c, s = np.cos(th), np.sin(th)
-        r = np.array([[c, -s], [s, c]])
-        for u1 in us:
-            for u2 in us:
-                out.append(r @ np.diag([u1, u2]) @ r.T)
-    return np.asarray(out)
+    diag = np.zeros((n_levels, n_levels, 2, 2))
+    diag[..., 0, 0], diag[..., 1, 1] = us[:, None], us[None, :]
+    return (r @ diag @ r.swapaxes(-1, -2)).reshape(-1, 2, 2)
 
 
 def check_bruteforce_agreement(rng: np.random.Generator, trials: int = 300) -> CheckResult:

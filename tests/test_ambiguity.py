@@ -195,3 +195,15 @@ def test_degenerate_set_directions_coincide():
         up = g_matrix(a, set_, "upper").value
         lo = g_matrix(a, set_, "lower").value
         assert up == pytest.approx(lo, abs=1e-12)
+
+
+def test_rotation_grid_matches_the_loop_over_angles_then_levels():
+    from gctrl.verify import _rotation_grid
+
+    us = np.linspace(0.0, 1.0, 5)
+    expected = []
+    for th in np.linspace(0.0, np.pi, 7, endpoint=False):
+        r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        expected += [r @ np.diag([u1, u2]) @ r.T for u1 in us for u2 in us]
+    assert np.array_equal(_rotation_grid(7, 5), np.asarray(expected))
+    assert _rotation_grid().shape == (96 * 17 * 17, 2, 2)

@@ -440,3 +440,77 @@ def test_cli_verify_implicit_adds_two_checks(tmp_path):
     assert names[8:10] == ["dpp_composition_portfolio", "dpp_composition_portfolio_implicit"]
     assert len(names) == 18
     assert names_by_run[1] == names
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n_x = 401\n", "line 1: key outside any [section]"),
+    ("[solver]\nn_x 401\n", "line 2: expected 'key = value', got 'n_x 401'"),
+    ("[nonsense]\nx = 1\n", "line 1: unknown section [nonsense]"),
+    ("[solver]\nwrong = 1\n", "line 2: unknown key 'wrong' in section [solver]"),
+    ("[solver]\nn_x = 101\nn_x = 201\n", "line 3: duplicate key 'n_x' in section [solver]"),
+    ("[solver]\ndirection = up\n",
+     "line 2: direction must be one of ('minimize', 'maximize'), got 'up'"),
+    ("[solver]\nn_x = 2.5\n", "line 2: expected an integer, got '2.5'"),
+    ("[utility]\nbeta = abc\n", "line 2: expected a number, got 'abc'"),
+    ("[utility]\nbeta = inf\n", "line 2: value must be finite, got 'inf'"),
+    ("[market]\nr = 0.02, x\n", "line 2: expected a number, got 'x'"),
+    ("[market]\ngamma = 0.2 0\n", "line 2: matrix segments must be square"),
+    ("[market]\ngamma = 0.2 0; 0\n", "line 2: matrix segments must be square"),
+    ("[market]\n\nsegment_starts = 0.0, , 0.5\n", "line 3: empty entry in '0.0, , 0.5'"),
+    ("[market]\nr = 0.02,\n", "line 2: empty entry in '0.02,'"),
+    ("[market]\nr =\n", "line 2: empty entry in ''"),
+    ("[market]\nalpha = 0.06,\n", "line 2: empty entry in '0.06,'"),
+    ("[market]\ngamma = 0.2 0;\n", "line 2: empty entry in '0.2 0;'"),
+    ("[market]\ngamma = 0.2,,0.3\n", "line 2: empty entry in '0.2,,0.3'"),
+    ("[ambiguity]\nd = 0\n", "dim must be a positive integer, got 0"),
+    ("[market]\nr = 0.02, 0.03\n", "need one (r, alpha, gamma) triple per segment"),
+    ("[market]\nsegment_starts = 0.0, 0.5\nr = 0.02, 0.02\nalpha = 0.06, 0.06 0.05\n"
+     "gamma = 0.2, 0.2\n", "segment coefficient shapes disagree"),
+    ("[market]\ngamma = 0\n", "gamma @ gamma.T must be positive definite"),
+    ("[utility]\nkappa = 1.0\n", "kappa must be positive and different from 1"),
+    ("[solver]\nx_min = 4.0\n", "solver.x_min must be below solver.x_max"),
+    ("[solver]\nn_x = 2\n", "solver.n_x must be at least 3"),
+    ("[solver]\nn_t = -1\n", "solver.n_t must be 0 (auto) or positive"),
+    ("[solver]\nhorizon = 0.0\n", "solver.horizon must be positive"),
+    ("[solver]\nn_rho = 1\n", "solver.n_pi and solver.n_rho must be at least 2"),
+    ("[simulation]\nn_grid = 0\n", "simulation sizes must be positive"),
+    ("[output]\nprefix =\n", "output.prefix must be nonempty"),
+])
+def test_parse_errors_give_their_message_and_line(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert str(exc.value) == message
+
+
+def test_canonical_text_of_a_two_asset_two_segment_market():
+    text = ("[ambiguity]\nd = 2\n[market]\nsegment_starts = 0, 0.5\nr = 0.02 ,0.03\n"
+            "alpha = 0.06  0.05, 0.07 0.04\ngamma = 0.2 0 ; 0 0.3, 0.25 0;0 0.3\n")
+    echo = canonical_text(parse_config_text(text))
+    assert ("[market]\nsegment_starts = 0.0,0.5\nr = 0.02,0.03\n"
+            "alpha = 0.06 0.05,0.07 0.04\n"
+            "gamma = 0.2 0.0;0.0 0.3,0.25 0.0;0.0 0.3\n") in echo
+    assert canonical_text(parse_config_text(echo)) == echo
+
+
+def test_cli_simulate_two_dimensional_noise_needs_no_market(tmp_path):
+    text = (GHEAT_CONFIG.replace("[ambiguity]", "[ambiguity]\nd = 2")
+            .replace("n_paths = 3000", "n_paths = 200").replace("n_steps = 200", "n_steps = 20"))
+    cfg_path = _write(tmp_path, "d2.cfg", text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--output", str(out)]) == 0
+    assert (out / "gheat_paths.csv").read_text().startswith("path_id,time,state_0,state_1\n")
+
+
+def test_cli_market_needs_ambiguity_d_assets(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("grid solve started before the config was rejected")
+
+    monkeypatch.setattr(verify, "solve", no_solve)
+    text = (DESK_CONFIG.replace("alpha = 0.06", "alpha = 0.06 0.05")
+            .replace("gamma = 0.2", "gamma = 0.2 0; 0 0.25"))
+    cfg_path = _write(tmp_path, "two_assets.cfg", text)
+    for command in ("merton", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--output", str(out)]) == 2
+        assert "the market has 2 assets; ambiguity.d is 1" in capsys.readouterr().err
+        assert not out.exists()

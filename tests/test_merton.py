@@ -517,3 +517,25 @@ def test_segment_starting_at_the_horizon_does_not_reach_solve_a():
     edge, flat = (solve(p, grid) for p in problems)
     assert edge.values.tobytes() == flat.values.tobytes()
     assert edge.policy.tobytes() == flat.policy.tobytes()
+
+
+def test_merton_problem_needs_one_asset_per_ambiguity_dimension():
+    m2 = MarketModel.constant(r=0.02, alpha=[0.06, 0.05], gamma=np.eye(2) * 0.2)
+    with pytest.raises(ValueError, match="the market has 2 assets; the ambiguity set has dim 1"):
+        merton_hjb_problem(m2, DESK_UTILITY, DESK_SET, 1.0, "pessimist", [(0.5, 0.1)])
+    set_2d = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+    with pytest.raises(ValueError, match="the market has 1 assets; the ambiguity set has dim 2"):
+        merton_hjb_problem(DESK_MARKET, DESK_UTILITY, set_2d, 1.0)
+    with pytest.raises(ValueError, match="scalar generator"):
+        merton_hjb_problem(m2, DESK_UTILITY, set_2d, 1.0, "pessimist", [(0.5, 0.1)])
+
+
+def test_market_and_schedule_entries_are_read_only():
+    market = MarketModel.constant(0.02, 0.06, 0.2)
+    with pytest.raises(ValueError, match="read-only"):
+        market.at(0.0)[2][0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        market.at(0.0)[1][0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        VolSchedule.constant(0.5).value_at(0.0)[0, 0] = 9.0
+    assert market_price_of_risk(market, 0.0)[0] == pytest.approx(0.2)
