@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FUNCTIONALS, TERMINALS, RunConfig, canonical_text, hjb_attitude, parse_config
+from .config import FUNCTIONALS, PAYOFFS, RunConfig, canonical_text, hjb_attitude, parse_config
 from .errors import ConfigError, ConsistencyError, NumericError
 from .estimators import upper_expectation_mc
 from .hjb import gheat_problem, solution_csv_text, solution_meta_text, solve
@@ -119,8 +119,8 @@ def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> Run
 
 def cmd_solve_hjb(cfg: RunConfig) -> tuple[RunReport, list]:
     s = cfg.solver
-    terminal = TERMINALS[s.terminal]
-    problem = gheat_problem(cfg.ambiguity_set_1d(), lambda x: terminal(x, s.terminal_constant),
+    payoff, c = PAYOFFS[s.terminal], s.terminal_constant
+    problem = gheat_problem(cfg.ambiguity_set_1d(), lambda x: payoff(x[:, None], c),
                             s.horizon, s.direction, hjb_attitude(s.attitude))
     grid = cfg.grid(problem)
     solution = solve(problem, grid)
@@ -202,10 +202,10 @@ def cmd_simulate(cfg: RunConfig) -> tuple[RunReport, list]:
     sim = cfg.simulation
     path_cfg = PathConfig(n_steps=sim.n_steps, horizon=cfg.solver.horizon,
                           n_paths=sim.n_paths, seed=sim.seed)
-    functional = FUNCTIONALS[sim.functional]
+    payoff, c = PAYOFFS[FUNCTIONALS[sim.functional]], sim.functional_constant
     direction = hjb_attitude(cfg.solver.attitude)
     est = upper_expectation_mc(SdeSpec.brownian(set_.dim), set_,
-                               lambda bundle: functional(bundle, sim.functional_constant),
+                               lambda bundle: payoff(bundle.states[:, -1, :], c),
                                path_cfg, n_segments=sim.n_segments,
                                direction=direction, n_grid=sim.n_grid)
 

@@ -9,9 +9,9 @@ parse -> emit -> parse is the identity.
 The sections are the fields of ``RunConfig`` and the keys are the fields of
 each section dataclass, parsed and emitted in field order.  A field's
 annotation picks its codec (``_CODECS``), and a key with a fixed set of
-choices carries them in its field metadata (``_one_of``); the
-``solver.terminal`` and ``simulation.functional`` choices are the keys of
-the ``TERMINALS`` and ``FUNCTIONALS`` preset tables.
+choices carries them in its field metadata (``_one_of``).  Both legs read
+one ``PAYOFFS`` table: ``solve-hjb`` takes ``solver.terminal`` at the grid
+nodes, ``simulate`` the payoff ``FUNCTIONALS`` names at each path's end.
 
 Market coefficients are piecewise constant: within a value, segments are
 separated by commas, vector entries by spaces, and matrix rows by
@@ -36,18 +36,15 @@ from .hjb import Grid1D, HjbProblem, suggest_time_steps
 from .merton import CrraUtility, MarketModel
 
 # Named presets the flat config selects; a preset's config choices are its table keys.
-# A terminal cost maps (nodes, solver.terminal_constant) to values.
-TERMINALS = {
-    "x_squared": lambda x, c: x**2,
-    "minus_x_squared": lambda x, c: -(x**2),
-    "constant": lambda x, c: c + 0.0 * x,
+# A payoff maps (states of shape (..., d), the preset's constant) to one value per state.
+PAYOFFS = {
+    "x_squared": lambda x, c: np.sum(x**2, axis=-1),
+    "minus_x_squared": lambda x, c: -np.sum(x**2, axis=-1),
+    "constant": lambda x, c: np.full(x.shape[:-1], c),
 }
-# A path functional maps (bundle, simulation.functional_constant) to one value per path.
-FUNCTIONALS = {
-    "terminal_square": lambda bundle, c: np.sum(bundle.states[:, -1, :] ** 2, axis=1),
-    "neg_terminal_square": lambda bundle, c: -np.sum(bundle.states[:, -1, :] ** 2, axis=1),
-    "constant": lambda bundle, c: np.full(bundle.n_paths, c),
-}
+# simulate's path functionals, each named for the payoff it takes at a path's last state.
+FUNCTIONALS = {"terminal_square": "x_squared", "neg_terminal_square": "minus_x_squared",
+               "constant": "constant"}
 
 # Annotations of the market tuples; each picks its own codec (see _CODECS).
 Floats = tuple[float, ...]
@@ -84,7 +81,7 @@ class UtilityCfg:
 @dataclass(frozen=True)
 class SolverCfg:
     problem: str = _one_of("g_heat", ("g_heat",))
-    terminal: str = _one_of("x_squared", TERMINALS)
+    terminal: str = _one_of("x_squared", PAYOFFS)
     terminal_constant: float = 0.0
     x_min: float = -4.0
     x_max: float = 4.0

@@ -1,13 +1,15 @@
 """Config parsing and the four CLI commands, including exit codes."""
 
 import dataclasses
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gctrl import ConfigError, estimators, sde, verify
 from gctrl.cli import main
-from gctrl.config import RunConfig, canonical_text, parse_config_text
+from gctrl.config import FUNCTIONALS, PAYOFFS, RunConfig, canonical_text, parse_config_text
 
 DESK_CONFIG = """
 [ambiguity]
@@ -120,6 +122,20 @@ def test_readme_config_table_names_every_key():
     assert sorted(documented) == sorted(declared)
 
 
+def test_readme_preset_lists_are_the_choices():
+    """The README lists solver.terminal's payoffs and pairs each simulation.functional with
+    its payoff, in choice order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    meaning = {row.split(" | ")[0][2:]: row.split(" | ")[2]
+               for row in readme.splitlines() if row.startswith("| ")}
+    choices = {f"{section.name}.{key.name}": list(key.metadata["choices"])
+               for section in dataclasses.fields(RunConfig)
+               for key in dataclasses.fields(section.default) if "choices" in key.metadata}
+    assert re.findall(r"`(\w+)`", meaning["solver.terminal"]) == choices["solver.terminal"]
+    pairs = re.findall(r"`(\w+)` is `(\w+)`", meaning["simulation.functional"])
+    assert pairs == [(name, FUNCTIONALS[name]) for name in choices["simulation.functional"]]
+
+
 def test_parse_choice_errors_name_the_choices_in_order():
     for section, key, choices in (
         ("solver", "terminal", "('x_squared', 'minus_x_squared', 'constant')"),
@@ -129,6 +145,32 @@ def test_parse_choice_errors_name_the_choices_in_order():
         with pytest.raises(ConfigError) as exc:
             parse_config_text(f"[{section}]\n{key} = nope\n")
         assert str(exc.value) == f"line 2: {key} must be one of {choices}, got 'nope'"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_functionals_are_their_payoffs_at_the_last_state(d):
+    """Each functional keeps the bits of the path functional it replaced, and each payoff
+    on grid nodes those of the terminal cost it replaced."""
+    rng = np.random.default_rng(d)
+    # The layout the scenario search hands its functional: a path-major view of step-major rows.
+    states = rng.normal(size=(9, 40, d)).transpose(1, 0, 2)
+    c, n = 2.5, states.shape[0]
+    references = {
+        "terminal_square": np.sum(states[:, -1, :] ** 2, axis=1),
+        "neg_terminal_square": -np.sum(states[:, -1, :] ** 2, axis=1),
+        "constant": np.full(n, c),
+    }
+    assert list(FUNCTIONALS) == list(references)
+    for name, expected in references.items():
+        assert PAYOFFS[FUNCTIONALS[name]](states[:, -1, :], c).tobytes() == expected.tobytes()
+
+    x = np.sort(rng.uniform(-4.0, 4.0, 25))
+    for c in (0.0, 2.5, -3.0):
+        for name, expected in (("x_squared", x**2), ("minus_x_squared", -(x**2)),
+                               ("constant", c + 0.0 * x)):
+            assert PAYOFFS[name](x[:, None], c).tobytes() == expected.tobytes()
+    # The one node value that moved: c + 0.0 * x was +0.0 at x >= 0 for c = -0.0.
+    assert np.signbit(PAYOFFS["constant"](x[:, None], -0.0)).all()
 
 
 def test_parse_unknown_key_reports_line():
