@@ -16,9 +16,9 @@ nodes, ``simulate`` the payoff ``FUNCTIONALS`` names at each path's end.
 Market coefficients are piecewise constant: within a value, segments are
 separated by commas, vector entries by spaces, and matrix rows by
 semicolons (``gamma = 0.2 0; 0 0.3, 0.25 0; 0 0.3`` is two 2x2 segments);
-an empty entry is an error.  The objects built from the config check their
-own rules; ``merton`` and ``verify``, which read the market, check that it
-has ``ambiguity.d`` assets.
+an empty entry is an error.  The parser builds the ambiguity set and the
+utility, which check their own rules; the market is built, and checked to
+have ``ambiguity.d`` assets, only by ``merton`` and ``verify``, which read it.
 """
 
 from __future__ import annotations
@@ -285,7 +285,6 @@ def parse_config(path) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     """Build the objects that check their own rules, then check the keys of the rest."""
     cfg.ambiguity_set()
-    cfg.market_model()
     cfg.crra()
     s = cfg.solver
     if not s.x_min < s.x_max:

@@ -505,10 +505,6 @@ def test_cli_verify_implicit_adds_two_checks(tmp_path):
     ("[market]\ngamma = 0.2 0;\n", "line 2: empty entry in '0.2 0;'"),
     ("[market]\ngamma = 0.2,,0.3\n", "line 2: empty entry in '0.2,,0.3'"),
     ("[ambiguity]\nd = 0\n", "dim must be a positive integer, got 0"),
-    ("[market]\nr = 0.02, 0.03\n", "need one (r, alpha, gamma) triple per segment"),
-    ("[market]\nsegment_starts = 0.0, 0.5\nr = 0.02, 0.02\nalpha = 0.06, 0.06 0.05\n"
-     "gamma = 0.2, 0.2\n", "segment coefficient shapes disagree"),
-    ("[market]\ngamma = 0\n", "gamma @ gamma.T must be positive definite"),
     ("[utility]\nkappa = 1.0\n", "kappa must be positive and different from 1"),
     ("[solver]\nx_min = 4.0\n", "solver.x_min must be below solver.x_max"),
     ("[solver]\nn_x = 2\n", "solver.n_x must be at least 3"),
@@ -556,3 +552,32 @@ def test_cli_market_needs_ambiguity_d_assets(tmp_path, capsys, monkeypatch):
         assert main([command, "--config", cfg_path, "--output", str(out)]) == 2
         assert "the market has 2 assets; ambiguity.d is 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("market, message", [
+    pytest.param("r = 0.02, 0.03", "need one (r, alpha, gamma) triple per segment", id="triple"),
+    pytest.param("segment_starts = 0.0, 0.5\nr = 0.02, 0.02\nalpha = 0.06, 0.06 0.05\n"
+                 "gamma = 0.2, 0.2", "segment coefficient shapes disagree", id="shapes"),
+    pytest.param("gamma = 0", "gamma @ gamma.T must be positive definite", id="gamma"),
+])
+def test_cli_market_errors_exit_2_where_the_market_is_read(tmp_path, capsys, monkeypatch,
+                                                           market, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("grid solve started before the config was rejected")
+
+    monkeypatch.setattr(verify, "solve", no_solve)
+    text = DESK_CONFIG.replace("[market]\nr = 0.02\nalpha = 0.06\ngamma = 0.2\n",
+                               f"[market]\n{market}\n")
+    cfg_path = _write(tmp_path, "market.cfg", text)
+    for command in ("merton", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--output", str(out)]) == 2
+        assert f"config error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_solve_hjb_and_simulate_do_not_read_the_market(tmp_path):
+    text = "[market]\ngamma = 0\n\n" + GHEAT_CONFIG.replace("n_paths = 3000", "n_paths = 300")
+    cfg_path = _write(tmp_path, "market.cfg", text)
+    for command in ("solve-hjb", "simulate"):
+        assert main([command, "--config", cfg_path, "--output", str(tmp_path / command)]) == 0
