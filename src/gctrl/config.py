@@ -2,9 +2,9 @@
 
 The format is one level deep: ``[section]`` headers followed by
 ``key = value`` lines; full-line comments start with ``#`` or ``;``.
-Every key has a documented default, unknown sections or keys are hard
-errors with the offending line number, and emission is canonical so that
-parse -> emit -> parse is the identity.
+Every key has a documented default, every parse error (an unknown section
+or key, or a value that breaks a rule) names the offending line, and
+emission is canonical so that parse -> emit -> parse is the identity.
 
 The sections are the fields of ``RunConfig`` and the keys are the fields of
 each section dataclass, parsed and emitted in field order.  A field's
@@ -234,6 +234,7 @@ def parse_config_text(text: str) -> RunConfig:
     """Parse config text; unknown sections or keys are hard errors."""
     schema = _schema()
     raw: dict[str, dict[str, tuple]] = {name: {} for name in schema}
+    headers: dict[str, int] = {}  # the first line of each [section]
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -243,6 +244,7 @@ def parse_config_text(text: str) -> RunConfig:
             section = stripped[1:-1].strip()
             if section not in schema:
                 raise ConfigError(f"unknown section [{section}]", lineno)
+            headers.setdefault(section, lineno)
             continue
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {stripped!r}", lineno)
@@ -270,7 +272,7 @@ def parse_config_text(text: str) -> RunConfig:
         sections[name] = section_type(**values)
 
     cfg = RunConfig(**sections)
-    _validate(cfg)
+    _validate(cfg, raw, headers)
     return cfg
 
 
@@ -282,26 +284,38 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Build the objects that check their own rules, then check the keys of the rest."""
-    cfg.ambiguity_set()
-    cfg.crra()
-    s = cfg.solver
+def _validate(cfg: RunConfig, raw: dict, headers: dict) -> None:
+    """Build the objects that check their own rules, then check the keys of the rest.
+
+    A constructor's error reports the line of its [section] header, a key
+    check's error the first line that sets one of the keys at fault.
+    """
+    for section, build in (("ambiguity", cfg.ambiguity_set), ("utility", cfg.crra)):
+        try:
+            build()
+        except ConfigError as exc:
+            raise ConfigError(str(exc), headers.get(section)) from exc
+
+    def fail(message: str, section: str, *keys: str):
+        lines = [raw[section][key][1] for key in keys if key in raw[section]]
+        raise ConfigError(message, min(lines, default=None))
+
+    s, sim = cfg.solver, cfg.simulation
     if not s.x_min < s.x_max:
-        raise ConfigError("solver.x_min must be below solver.x_max")
+        fail("solver.x_min must be below solver.x_max", "solver", "x_min", "x_max")
     if s.n_x < 3:
-        raise ConfigError("solver.n_x must be at least 3")
+        fail("solver.n_x must be at least 3", "solver", "n_x")
     if s.n_t < 0:
-        raise ConfigError("solver.n_t must be 0 (auto) or positive")
+        fail("solver.n_t must be 0 (auto) or positive", "solver", "n_t")
     if not s.horizon > 0:
-        raise ConfigError("solver.horizon must be positive")
-    if s.n_pi < 2 or s.n_rho < 2:
-        raise ConfigError("solver.n_pi and solver.n_rho must be at least 2")
-    sim = cfg.simulation
-    if sim.n_paths < 1 or sim.n_steps < 1 or sim.n_segments < 1 or sim.n_grid < 1:
-        raise ConfigError("simulation sizes must be positive")
+        fail("solver.horizon must be positive", "solver", "horizon")
+    if small := [key for key in ("n_pi", "n_rho") if getattr(s, key) < 2]:
+        fail("solver.n_pi and solver.n_rho must be at least 2", "solver", *small)
+    if small := [key for key in ("n_paths", "n_steps", "n_segments", "n_grid")
+                 if getattr(sim, key) < 1]:
+        fail("simulation sizes must be positive", "simulation", *small)
     if not cfg.output.prefix:
-        raise ConfigError("output.prefix must be nonempty")
+        fail("output.prefix must be nonempty", "output", "prefix")
 
 
 def canonical_text(cfg: RunConfig) -> str:

@@ -484,6 +484,12 @@ def test_cli_verify_implicit_adds_two_checks(tmp_path):
     assert names_by_run[1] == names
 
 
+def _late(text: str, line: int, message: str):
+    """A row for a check made once the whole text is read, which reports ``line``; its id
+    names the text and the rule's message."""
+    return pytest.param(text, f"line {line}: {message}", id=f"{text}-{message}")
+
+
 @pytest.mark.parametrize("text, message", [
     ("n_x = 401\n", "line 1: key outside any [section]"),
     ("[solver]\nn_x 401\n", "line 2: expected 'key = value', got 'n_x 401'"),
@@ -504,15 +510,20 @@ def test_cli_verify_implicit_adds_two_checks(tmp_path):
     ("[market]\nalpha = 0.06,\n", "line 2: empty entry in '0.06,'"),
     ("[market]\ngamma = 0.2 0;\n", "line 2: empty entry in '0.2 0;'"),
     ("[market]\ngamma = 0.2,,0.3\n", "line 2: empty entry in '0.2,,0.3'"),
-    ("[ambiguity]\nd = 0\n", "dim must be a positive integer, got 0"),
-    ("[utility]\nkappa = 1.0\n", "kappa must be positive and different from 1"),
-    ("[solver]\nx_min = 4.0\n", "solver.x_min must be below solver.x_max"),
-    ("[solver]\nn_x = 2\n", "solver.n_x must be at least 3"),
-    ("[solver]\nn_t = -1\n", "solver.n_t must be 0 (auto) or positive"),
-    ("[solver]\nhorizon = 0.0\n", "solver.horizon must be positive"),
-    ("[solver]\nn_rho = 1\n", "solver.n_pi and solver.n_rho must be at least 2"),
-    ("[simulation]\nn_grid = 0\n", "simulation sizes must be positive"),
-    ("[output]\nprefix =\n", "output.prefix must be nonempty"),
+    _late("[ambiguity]\nd = 0\n", 1, "dim must be a positive integer, got 0"),
+    _late("[utility]\nkappa = 1.0\n", 1, "kappa must be positive and different from 1"),
+    _late("[output]\nprefix = p\n[utility]\nbeta = 0.1\nkappa = -1\n", 3,
+          "kappa must be positive and different from 1"),
+    _late("[solver]\nx_min = 4.0\n", 2, "solver.x_min must be below solver.x_max"),
+    _late("[solver]\nn_x = 51\nx_max = -5.0\nx_min = 0.0\n", 3,
+          "solver.x_min must be below solver.x_max"),
+    _late("[solver]\nn_x = 2\n", 2, "solver.n_x must be at least 3"),
+    _late("[solver]\nn_t = -1\n", 2, "solver.n_t must be 0 (auto) or positive"),
+    _late("[solver]\nhorizon = 0.0\n", 2, "solver.horizon must be positive"),
+    _late("[solver]\nn_rho = 1\n", 2, "solver.n_pi and solver.n_rho must be at least 2"),
+    _late("[solver]\nn_pi = 21\nn_rho = 1\n", 3, "solver.n_pi and solver.n_rho must be at least 2"),
+    _late("[simulation]\nn_grid = 0\n", 2, "simulation sizes must be positive"),
+    _late("[output]\nprefix =\n", 2, "output.prefix must be nonempty"),
 ])
 def test_parse_errors_give_their_message_and_line(text, message):
     with pytest.raises(ConfigError) as exc:
