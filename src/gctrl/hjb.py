@@ -187,27 +187,30 @@ def _broadcast_nodes(value, n_x: int) -> np.ndarray:
 
 
 def _tables(problem: HjbProblem, x: np.ndarray, t: float):
-    """Node-major (n_x, n_u) tables F, g^2 and running cost, and the drift's
+    """Node-major (n_x, n_u) tables g^2 and running cost, and the drift F's
     upwind parts max(F, 0) and min(F, 0) stacked into one (2, n_x, n_u) split."""
     n_u, n_x = len(problem.controls), x.size
-    F, G2, C = (np.empty((n_x, n_u)) for _ in range(3))
+    G2, C = (np.empty((n_x, n_u)) for _ in range(2))
+    split = np.empty((2, n_x, n_u))  # split[0] holds F until its upwind parts are taken
     for j, u in enumerate(problem.controls):
-        F[:, j] = _broadcast_nodes(problem.drift(t, x, u), n_x)
+        split[0, :, j] = _broadcast_nodes(problem.drift(t, x, u), n_x)
         g = _broadcast_nodes(problem.diffusion(t, x, u), n_x)
         G2[:, j] = g * g
         C[:, j] = _broadcast_nodes(problem.running_cost(t, x, u), n_x)
-    return F, G2, C, np.stack((np.maximum(F, 0.0), np.minimum(F, 0.0)))
+    np.minimum(split[0], 0.0, out=split[1])
+    np.maximum(split[0], 0.0, out=split[0])
+    return G2, C, split
 
 
 def _segment_tables(problem: HjbProblem, x: np.ndarray) -> list:
-    """(F, G2, C, split) of each segment starting before the horizon, in segment order."""
+    """(G2, C, split) of each segment starting before the horizon, in segment order."""
     return [_tables(problem, x, s) for s in _starts_before(problem.segment_starts, problem.horizon)]
 
 
 def _stable_dt(problem: HjbProblem, dx: float, segments: list) -> float:
     hi = problem.ambiguity.sigma_hi_sq
-    denom = max(float(hi * G2.max() + dx * np.abs(F).max() + dx * dx * problem.discount)
-                for F, G2, *_ in segments)
+    denom = max(float(hi * G2.max() + dx * max(split[0].max(), -split[1].min())
+                      + dx * dx * problem.discount) for G2, _, split in segments)
     return np.inf if denom == 0.0 else dx * dx / denom
 
 
@@ -329,7 +332,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
-        F, G2, C, split = segments[_segment_index(problem.segment_starts, t_k)]
+        G2, C, split = segments[_segment_index(problem.segment_starts, t_k)]
         Fp, Fm, G2i, Ci = split[0, 1:-1], split[1, 1:-1], G2[1:-1], C[1:-1]
         v = values[k + 1]
 
@@ -386,7 +389,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                     slope = (v[i + 1] - v[i]) / dx
                     curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
                     values[k, e] = v[e] + dt_k * (
-                        F[e, j] * slope
+                        (split[0, e, j] + split[1, e, j]) * slope
                         + g_scalar(G2[e, j] * curv, problem.ambiguity, problem.attitude)
                         + C[e, j] - beta * v[e]
                     )
