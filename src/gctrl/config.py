@@ -297,8 +297,7 @@ def _validate(cfg: RunConfig, raw: dict, headers: dict) -> None:
             raise ConfigError(str(exc), headers.get(section)) from exc
 
     def fail(message: str, section: str, *keys: str):
-        lines = [raw[section][key][1] for key in keys if key in raw[section]]
-        raise ConfigError(message, min(lines, default=None))
+        raise ConfigError(message, min(raw[section][key][1] for key in keys if key in raw[section]))
 
     s, sim = cfg.solver, cfg.simulation
     if not s.x_min < s.x_max:
