@@ -294,7 +294,7 @@ def _validate(cfg: RunConfig, raw: dict, headers: dict) -> None:
         try:
             build()
         except ConfigError as exc:
-            raise ConfigError(str(exc), headers.get(section)) from exc
+            raise ConfigError(str(exc), headers[section]) from exc
 
     def fail(message: str, section: str, *keys: str):
         raise ConfigError(message, min(raw[section][key][1] for key in keys if key in raw[section]))
