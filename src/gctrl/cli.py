@@ -33,7 +33,7 @@ from .merton import (
     policy_csv_text,
     verify_hjb_residual,
 )
-from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text
+from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text, table_csv_text
 from .verify import TOL_RESIDUAL, merton_run, run_all_checks
 
 EXIT_OK = 0
@@ -102,14 +102,15 @@ def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> Run
     """Run one command and write its artifacts, the report last.
 
     The command's ``cmd_*`` function is looked up in the module globals at
-    call time, so rebinding it (as a tracer does) takes effect.  It returns
-    the report plus one renderer per artifact before the report; each text
-    is rendered only when it is written, so no two large texts are alive at
-    once.
+    call time, so rebinding it (as a tracer does) takes effect.  It fills in
+    the report's results (and exit code) and returns one renderer per
+    artifact before the report; each text is rendered only when it is
+    written, so no two large texts are alive at once.
     """
     paths = [out_dir / f"{cfg.output.prefix}_{suffix}" for suffix in COMMANDS[command][1]]
     _check_overwrite(paths, force)
-    report, renderers = globals()["cmd_" + command.replace("-", "_")](cfg)
+    report = RunReport(command=command, config_echo=canonical_text(cfg))
+    renderers = globals()["cmd_" + command.replace("-", "_")](cfg, report)
     for path, render in zip(paths[:-1], renderers, strict=True):
         _write_text(path, render())
     report.artifact_paths = [str(p) for p in paths]
@@ -117,24 +118,22 @@ def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> Run
     return report
 
 
-def cmd_solve_hjb(cfg: RunConfig) -> tuple[RunReport, list]:
+def cmd_solve_hjb(cfg: RunConfig, report: RunReport) -> list:
     s = cfg.solver
     payoff, c = PAYOFFS[s.terminal], s.terminal_constant
     problem = gheat_problem(cfg.ambiguity_set_1d(), lambda x: payoff(x[:, None], c),
                             s.horizon, s.direction, hjb_attitude(s.attitude))
     grid = cfg.grid(problem)
     solution = solve(problem, grid)
-    report = RunReport(command="solve-hjb", config_echo=canonical_text(cfg))
     report.results["problem"] = s.problem
     report.results["n_t"] = grid.n_t
     report.results["dt"] = problem.horizon / grid.n_t
     report.results["V(0,0)"] = solution.value_at(0.0, 0.0)
     report.results["V(0,x0)"] = solution.value_at(0.0, cfg.simulation.x0)
-    return report, [lambda: solution_csv_text(solution),
-                    lambda: solution_meta_text(problem, grid)]
+    return [lambda: solution_csv_text(solution), lambda: solution_meta_text(problem, grid)]
 
 
-def cmd_merton(cfg: RunConfig) -> tuple[RunReport, list]:
+def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
     s = cfg.solver
     run = merton_run(cfg)
     market, util, cf, solution = run.market, run.utility, run.closed_form, run.solution
@@ -149,7 +148,6 @@ def cmd_merton(cfg: RunConfig) -> tuple[RunReport, list]:
             f"closed-form HJB residual {residual:.3g} exceeds {TOL_RESIDUAL:g}"
         )
 
-    report = RunReport(command="merton", config_echo=canonical_text(cfg))
     res = report.results
     res["attitude"] = run.attitude
     res["resolved_branch"] = cf.resolved_branch
@@ -173,19 +171,12 @@ def cmd_merton(cfg: RunConfig) -> tuple[RunReport, list]:
         res["degenerate_ambiguity"] = "true (single prior; pessimist and optimist coincide)"
         res["pessimist_optimist_gap"] = gap
 
-    def compare_csv_text() -> str:
-        lines = ["x,pde_value,closed_form_value,rel_error"]
-        for i, xv in enumerate(solution.x):
-            lines.append(
-                f"{format(xv, '.17g')},{format(solution.values[0, i], '.17g')},"
-                f"{format(run.closed_row[i], '.17g')},{format(run.rel_error[i], '.17g')}"
-            )
-        return "\n".join(lines) + "\n"
-
-    return report, [lambda: a_curve_csv_text(cf),
-                    lambda: policy_csv_text(cf, market, util, set_),
-                    compare_csv_text,
-                    lambda: solution_csv_text(solution)]
+    return [lambda: a_curve_csv_text(cf),
+            lambda: policy_csv_text(cf, market, util, set_),
+            lambda: table_csv_text("x,pde_value,closed_form_value,rel_error",
+                                   "%.17g,%.17g,%.17g,%.17g\n", solution.x,
+                                   solution.values[0], run.closed_row, run.rel_error),
+            lambda: solution_csv_text(solution)]
 
 
 def _schedule_text(schedule: VolSchedule, horizon: float) -> str:
@@ -197,7 +188,7 @@ def _schedule_text(schedule: VolSchedule, horizon: float) -> str:
     return " | ".join(parts)
 
 
-def cmd_simulate(cfg: RunConfig) -> tuple[RunReport, list]:
+def cmd_simulate(cfg: RunConfig, report: RunReport) -> list:
     set_ = cfg.ambiguity_set()
     sim = cfg.simulation
     path_cfg = PathConfig(n_steps=sim.n_steps, horizon=cfg.solver.horizon,
@@ -209,7 +200,6 @@ def cmd_simulate(cfg: RunConfig) -> tuple[RunReport, list]:
                                path_cfg, n_segments=sim.n_segments,
                                direction=direction, n_grid=sim.n_grid)
 
-    report = RunReport(command="simulate", config_echo=canonical_text(cfg))
     res = report.results
     res["functional"] = sim.functional
     res["direction"] = direction
@@ -217,12 +207,11 @@ def cmd_simulate(cfg: RunConfig) -> tuple[RunReport, list]:
     res["std_error"] = est.std_error
     res["n_schedules_searched"] = est.n_schedules_searched
     res["best_schedule"] = _schedule_text(est.best_schedule, cfg.solver.horizon)
-    return report, [lambda: bundle_csv_text(est.best_paths)]
+    return [lambda: bundle_csv_text(est.best_paths)]
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[RunReport, list]:
+def cmd_verify(cfg: RunConfig, report: RunReport) -> list:
     checks = run_all_checks(cfg)
-    report = RunReport(command="verify", config_echo=canonical_text(cfg))
     n_failed = 0
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -231,7 +220,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[RunReport, list]:
     report.results["checks_total"] = len(checks)
     report.results["checks_failed"] = n_failed
     report.exit_code = EXIT_OK if n_failed == 0 else EXIT_VERIFY_FAILED
-    return report, []
+    return []
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -52,9 +52,10 @@ _MAX_CANDIDATES = 200_000
 # The search's per-depth segment buffers hold at most this many floats
 # (8 MiB), which bounds memory whatever the candidate count.
 _BATCH_FLOATS = 1 << 20
-# glibc keeps heap pages freed by earlier work resident; whether the search's
-# buffers reused them turned on a few bytes of layout (the output path's length
-# moved ``gctrl verify``'s peak by 3 MiB), so the search trims the heap first.
+# glibc keeps heap pages freed by earlier work (``verify``'s grid solves)
+# resident.  Handing them back before the search lowers ``gctrl verify`` on
+# configs/desk.cfg from 56.4-56.8 to 53.9-54.3 MiB peak RSS (x86-64, Python
+# 3.11, numpy 2.4), at every output-path length tried.
 _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 
@@ -191,10 +192,10 @@ def upper_expectation_mc(
     Candidates are visited in ``candidate_schedules`` order by the
     depth-first prefix walk described in the module docstring, in at most
     ``_BATCH_FLOATS`` floats of segment buffers.  ``bundle.states`` is a view
-    that the next candidate overwrites, and ``bundle.schedule`` is None.  If
-    paths turn non-finite, the ``NumericError`` names the first candidate in
-    product order whose paths diverge, with the path and step at which
-    ``integrate_gsde`` on that candidate would stop, whatever the group size.
+    that the next candidate overwrites.  If paths turn non-finite, the
+    ``NumericError`` names the first candidate in product order whose paths
+    diverge, with the path and step at which ``integrate_gsde`` on that
+    candidate would stop, whatever the group size.
     """
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
@@ -213,7 +214,7 @@ def upper_expectation_mc(
     # which the next candidate overwrites.
     best_states = np.empty((cfg.n_paths, cfg.n_steps + 1, spec.dim_state))
     for levels, path in _leaves(spec, cfg, normals, roots_t, breakpoints):
-        bundle = PathBundle(times, path.transpose(1, 0, 2), None)
+        bundle = PathBundle(times, path.transpose(1, 0, 2))
         # A copy, since the functional may return a view of the buffer.
         vals = np.array(functional(bundle), dtype=float).reshape(-1)
         if vals.shape != (cfg.n_paths,):
@@ -234,7 +235,7 @@ def upper_expectation_mc(
         std_error=std_error,
         best_schedule=best_schedule,
         n_schedules_searched=len(means),
-        best_paths=PathBundle(times, best_states, best_schedule),
+        best_paths=PathBundle(times, best_states),
     )
 
 

@@ -25,6 +25,7 @@ ties broken by lowest index, so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -37,7 +38,7 @@ from .estimators import (
     ExpectationEstimate,
     upper_expectation_mc,
 )
-from .sde import PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before
+from .sde import PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before, csv_text
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
@@ -537,21 +538,16 @@ def solution_csv_text(solution: HjbSolution) -> str:
     The terminal level carries control_index -1 and an empty control column
     since no decision is taken there.
     """
-    # x and control cells are formatted once; each time level is one
-    # %-template filled by a single call ("%.17g" matches format(v, ".17g")).
+    # x and control cells are formatted once; each time level is one block,
+    # and the terminal level's index -1 picks the appended "-1," cell.
     x_cells = [f"{x:.17g},%.17g," for x in solution.x.tolist()]
     control_cells = [f"{j},{_format_control(c)}\n" for j, c in enumerate(solution.controls)]
-    n_t = solution.policy.shape[0]
-    chunks = ["t,x,value,control_index,control_value\n"]
-    for k, t in enumerate(solution.times.tolist()):
-        if k < n_t:
-            rows = map(str.__add__, x_cells,
-                       map(control_cells.__getitem__, solution.policy[k].tolist()))
-        else:
-            rows = [cell + "-1,\n" for cell in x_cells]
-        prefix = f"{t:.9f},"
-        chunks.append((prefix + prefix.join(rows)) % tuple(solution.values[k].tolist()))
-    return "".join(chunks)
+    control_cells.append("-1,\n")
+    levels = chain(solution.policy, [np.full(len(x_cells), -1)])
+    return csv_text("t,x,value,control_index,control_value", (
+        (f"{t:.9f},", map(str.__add__, x_cells, map(control_cells.__getitem__, level.tolist())),
+         values.tolist())
+        for t, values, level in zip(solution.times.tolist(), solution.values, levels)))
 
 
 def solution_meta_text(problem: HjbProblem, grid: Grid1D) -> str:

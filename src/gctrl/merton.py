@@ -30,7 +30,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, as_symmetric
 from .errors import ConsistencyError, NumericError
 from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, solve
-from .sde import _checked_starts, _segment_index, _starts_before
+from .sde import _checked_starts, _segment_index, _starts_before, table_csv_text
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
 BRANCH_RTOL = 1e-8
@@ -483,10 +483,7 @@ def solve_merton_pde(
 
 def a_curve_csv_text(cf: ClosedForm) -> str:
     """CSV rows ``t,A`` of the integrated curve."""
-    lines = ["t,A"]
-    for t, a in zip(cf.times, cf.a_values):
-        lines.append(f"{t:.9f},{format(a, '.17g')}")
-    return "\n".join(lines) + "\n"
+    return table_csv_text("t,A", "%.9f,%.17g\n", cf.times, cf.a_values)
 
 
 def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: AmbiguitySet) -> str:
@@ -499,12 +496,8 @@ def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: Ambigu
     ts = np.linspace(0.0, cf.horizon, POLICY_CSV_ROWS)
     d = m.dim
     head = ["t", "consumption_rate"] + [f"pi_{j}" for j in range(d)] + ["w_riskless", "w_risky"]
-    lines = [",".join(head)]
-    for t in ts:
-        pi = np.atleast_1d(pol.portfolio(t, 1.0))
-        w1, w2, _ = pol.fund_weights(t, 1.0)
-        cells = [f"{t:.9f}", format(pol.consumption(t, 1.0), ".17g")]
-        cells += [format(v, ".17g") for v in pi]
-        cells += [format(w1, ".17g"), format(w2, ".17g")]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    consumption = [pol.consumption(t, 1.0) for t in ts]
+    pis = np.array([np.atleast_1d(pol.portfolio(t, 1.0)) for t in ts])
+    weights = np.array([pol.fund_weights(t, 1.0)[:2] for t in ts])
+    return table_csv_text(",".join(head), "%.9f" + ",%.17g" * (d + 3) + "\n",
+                          ts, consumption, *pis.T, *weights.T)

@@ -19,6 +19,10 @@ Every piecewise-constant object (a ``VolSchedule``, an ``hjb.HjbProblem``, a
 validates the starts (time 0 first, strictly increasing), ``_segment_index``
 picks the right-open segment in force at a time, and ``_starts_before`` drops
 the segments that start at or after a horizon and so never apply.
+
+``csv_text`` is the one CSV layout: every CSV artifact (paths, grid
+solutions and the three portfolio tables) is a header line plus blocks of
+%-template rows rendered by it.
 """
 
 from __future__ import annotations
@@ -158,16 +162,10 @@ class SdeSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated paths: times (n_steps+1,), states (n_paths, n_steps+1, m).
-
-    ``schedule`` is the scenario the paths were simulated under; it is None
-    on the bundles the scenario search hands its functional, which builds a
-    schedule for the chosen candidate only.
-    """
+    """Simulated paths: times (n_steps+1,), states (n_paths, n_steps+1, m)."""
 
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
-    schedule: VolSchedule | None
 
     @property
     def n_paths(self) -> int:
@@ -307,18 +305,33 @@ def integrate_gsde(
     steps_roots_t = roots_t[_step_intervals(schedule.breakpoints, cfg)][:, None]
     _euler_steps(spec, states, steps_roots_t, normals, 0, cfg.dt)
     times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    return PathBundle(times=times, states=states.transpose(1, 0, 2), schedule=schedule)
+    return PathBundle(times=times, states=states.transpose(1, 0, 2))
+
+
+def csv_text(header: str, blocks) -> str:
+    """CSV text: the ``header`` line, then each block ``(lead, rows, values)``.
+
+    ``rows`` are %-template lines; each is prefixed by ``lead`` and the block
+    is filled by one ``%`` call with ``values``.  Every CSV artifact is
+    rendered here, in one number format: ``%.9f`` for times and ``%.17g``
+    (which matches ``format(v, ".17g")``, round-trip exact) for values.
+    """
+    chunks = [header + "\n"]
+    for lead, rows, values in blocks:
+        chunks.append((lead + lead.join(rows)) % tuple(values))
+    return "".join(chunks)
+
+
+def table_csv_text(header: str, row: str, *columns) -> str:
+    """CSV text of equal-length ``columns``: the ``row`` template once per entry."""
+    values = np.column_stack(columns).ravel().tolist()
+    return csv_text(header, [("", [row] * len(columns[0]), values)])
 
 
 def bundle_csv_text(bundle: PathBundle) -> str:
-    """CSV export: header row, 9-decimal times, 17-significant-digit states."""
+    """CSV export: one block per path, its times formatted once for all paths."""
     m = bundle.states.shape[2]
-    # Times are formatted once into %-template rows shared by every path; each
-    # path is one format call ("%.17g" matches format(v, ".17g")).
     time_rows = [f"{t:.9f}" + ",%.17g" * m + "\n" for t in bundle.times.tolist()]
-    chunks = ["path_id,time," + ",".join(f"state_{j}" for j in range(m)) + "\n"]
-    for p in range(bundle.n_paths):
-        prefix = f"{p},"
-        states = tuple(bundle.states[p].ravel().tolist())
-        chunks.append((prefix + prefix.join(time_rows)) % states)
-    return "".join(chunks)
+    header = "path_id,time," + ",".join(f"state_{j}" for j in range(m))
+    return csv_text(header, ((f"{p},", time_rows, states.ravel().tolist())
+                             for p, states in enumerate(bundle.states)))

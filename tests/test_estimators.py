@@ -159,7 +159,7 @@ def test_candidate_explosion_guarded(monkeypatch):
 
 
 def test_search_trims_the_heap_before_drawing(monkeypatch):
-    # the search's buffers must not depend on which freed heap pages are still resident
+    # the heap is trimmed before the search allocates, so earlier work's freed pages are returned
     calls = []
     draw = estimators.path_normals
     monkeypatch.setattr(estimators, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad)))

@@ -10,14 +10,25 @@ compares each renderer with a row-by-row reference on edge values, which
 holds on any platform.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from gctrl.cli import main
+from gctrl import cli, merton
+from gctrl.cli import COMMANDS, RunReport, main
+from gctrl.config import parse_config_text
 from gctrl.hjb import Grid1D, HjbSolution, solution_csv_text
-from gctrl.sde import PathBundle, VolSchedule, bundle_csv_text
+from gctrl.merton import (
+    POLICY_CSV_ROWS,
+    ClosedForm,
+    MarketModel,
+    PolicyField,
+    a_curve_csv_text,
+    policy_csv_text,
+)
+from gctrl.sde import PathBundle, bundle_csv_text
 
 HEAT = """
 [ambiguity]
@@ -186,6 +197,40 @@ def _reference_bundle_csv(bundle: PathBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reference_a_curve_csv(cf: ClosedForm) -> str:
+    lines = ["t,A"]
+    for t, a in zip(cf.times, cf.a_values):
+        lines.append(f"{t:.9f},{format(a, '.17g')}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_policy_csv(cf, m, u, set_) -> str:
+    pol = merton.optimal_policy(cf, m, u, set_)
+    ts = np.linspace(0.0, cf.horizon, POLICY_CSV_ROWS)
+    d = m.dim
+    head = ["t", "consumption_rate"] + [f"pi_{j}" for j in range(d)] + ["w_riskless", "w_risky"]
+    lines = [",".join(head)]
+    for t in ts:
+        pi = np.atleast_1d(pol.portfolio(t, 1.0))
+        w1, w2, _ = pol.fund_weights(t, 1.0)
+        cells = [f"{t:.9f}", format(pol.consumption(t, 1.0), ".17g")]
+        cells += [format(v, ".17g") for v in pi]
+        cells += [format(w1, ".17g"), format(w2, ".17g")]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_compare_csv(run) -> str:
+    solution = run.solution
+    lines = ["x,pde_value,closed_form_value,rel_error"]
+    for i, xv in enumerate(solution.x):
+        lines.append(
+            f"{format(xv, '.17g')},{format(solution.values[0, i], '.17g')},"
+            f"{format(run.closed_row[i], '.17g')},{format(run.rel_error[i], '.17g')}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 EDGE = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 1.0, -3.0, 2.0**53,
                  1e16, 1e17, 0.1, 1.0 / 3.0, -2.5e-7, 123456789.0, np.inf, -np.inf, np.nan, -np.nan])
 
@@ -216,7 +261,53 @@ def test_bundle_renderer_matches_reference_on_edge_values(m):
     if m > 1:
         states[:, :, -1] = rng.standard_normal((n_paths, n_steps + 1)) * 1e-3
     times = np.linspace(0.0, 0.7, n_steps + 1)
-    schedule = VolSchedule.constant(np.eye(m))
-    bundle = PathBundle(times=times, states=states, schedule=schedule)
+    bundle = PathBundle(times=times, states=states)
     text = bundle_csv_text(bundle)
     assert text == _reference_bundle_csv(bundle)
+
+
+def test_a_curve_renderer_matches_reference_on_edge_values():
+    times = np.concatenate([[0.0, 1e-10, 0.123456789012, -0.0, 1.0 / 3.0], EDGE[5:]])
+    cf = ClosedForm(times=times, a_values=EDGE, eta=lambda t: 0.0, lambda_bar=np.eye(1))
+    assert a_curve_csv_text(cf) == _reference_a_curve_csv(cf)
+
+
+@pytest.mark.parametrize("market", [
+    MarketModel((0.0,), (0.02,), ((0.06,),), (((0.2,),),)),
+    MarketModel((0.0,), (0.02,), ((0.06, 0.05),), (((0.2, 0.0), (0.0, 0.25)),)),
+], ids=["1-asset", "2-asset"])
+def test_policy_renderer_matches_reference_on_edge_values(monkeypatch, market):
+    cf = ClosedForm(times=np.linspace(0.0, 0.7, 5), a_values=np.ones(5), eta=lambda t: 0.0,
+                    lambda_bar=np.eye(market.dim))
+    row = {t: k for k, t in enumerate(np.linspace(0.0, cf.horizon, POLICY_CSV_ROWS).tolist())}
+
+    def edge(t, shift):
+        return EDGE[(row[float(t)] + shift) % EDGE.size]
+
+    pol = PolicyField(
+        consumption=lambda t, x: edge(t, 0),
+        portfolio=lambda t, x: np.array([edge(t, 3 + 5 * j) for j in range(market.dim)]),
+        fund_weights=lambda t, x: (edge(t, 7), edge(t, 11), None),
+    )
+    monkeypatch.setattr(merton, "optimal_policy", lambda cf, m, u, set_: pol)
+    assert policy_csv_text(cf, market, None, None) == _reference_policy_csv(cf, market, None, None)
+
+
+def test_compare_renderer_matches_reference_on_edge_values(monkeypatch):
+    real_run, edged = cli.merton_run, []
+
+    def edge_run(cfg):
+        run = real_run(cfg)
+        n_x = run.solution.x.size
+        values = run.solution.values.copy()
+        values[0] = np.resize(EDGE[::-1], n_x)
+        solution = dataclasses.replace(run.solution, x=np.resize(EDGE, n_x), values=values)
+        edged.append(dataclasses.replace(run, solution=solution,
+                                         closed_row=np.resize(np.roll(EDGE, 7), n_x),
+                                         rel_error=np.resize(np.roll(EDGE, 13), n_x)))
+        return edged[-1]
+
+    monkeypatch.setattr(cli, "merton_run", edge_run)
+    renderers = cli.cmd_merton(parse_config_text(DESK), RunReport("merton", ""))
+    render = dict(zip(COMMANDS["merton"][1], renderers))["compare.csv"]
+    assert render() == _reference_compare_csv(edged[0])

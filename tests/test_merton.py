@@ -292,22 +292,6 @@ def _desk_pde(attitude="pessimist", set_=DESK_SET, n_pi=21, n_rho=33, n_x=201):
     return solve(problem, Grid1D(0.4, 2.4, n_x, 200))
 
 
-def test_pde_matches_closed_form_on_interior_window():
-    sol = _desk_pde()
-    cf = desk_closed_form()
-    lo_i, hi_i = 201 // 10, 201 - 201 // 10
-    closed = np.asarray([closed_form_value(cf, DESK_UTILITY, 0.0, xv) for xv in sol.x])
-    rel = np.abs(sol.values[0] - closed) / np.abs(closed)
-    assert np.max(rel[lo_i:hi_i]) <= 0.02
-
-
-def test_pde_extracted_portfolio_near_analytic():
-    sol = _desk_pde()
-    lo_i, hi_i = 201 // 10, 201 - 201 // 10
-    pis = np.asarray([sol.controls[j][0] for j in sol.policy[0]])
-    assert np.max(np.abs(pis[lo_i:hi_i] - 0.5)) <= 0.05
-
-
 def test_degenerate_set_pessimist_equals_optimist_and_classical():
     set_ = AmbiguitySet(dim=1, sigma_lo_sq=1.0, sigma_hi_sq=1.0)
     pess = _desk_pde("pessimist", set_=set_, n_pi=21, n_rho=25)
