@@ -26,15 +26,13 @@ call: copy whatever must outlive it.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ambiguity import AmbiguitySet
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .sde import (
     PathBundle,
     PathConfig,
@@ -52,11 +50,6 @@ _MAX_CANDIDATES = 200_000
 # The search's per-depth segment buffers hold at most this many floats
 # (8 MiB), which bounds memory whatever the candidate count.
 _BATCH_FLOATS = 1 << 20
-# glibc keeps heap pages freed by earlier work (``verify``'s grid solves)
-# resident.  Handing them back before the search lowers ``gctrl verify`` on
-# configs/desk.cfg from 56.4-56.8 to 53.9-54.3 MiB peak RSS (x86-64, Python
-# 3.11, numpy 2.4), at every output-path length tried.
-_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 
 @dataclass(frozen=True)
@@ -93,21 +86,20 @@ def _variance_levels(set_: AmbiguitySet, n_grid: int) -> np.ndarray:
 def _segment_matrices(set_: AmbiguitySet, n_grid: int, n_segments: int) -> list[np.ndarray]:
     """Candidate covariances for one segment: diagonal entries on the grid.
 
-    Raises before any path is drawn when the product family over
-    ``n_segments`` would exceed ``_MAX_CANDIDATES``.
+    Raises a ConfigError before any matrix is built or path drawn when the
+    product family over ``n_segments`` would exceed ``_MAX_CANDIDATES``.
     """
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
     levels = _variance_levels(set_, n_grid)
-    seg_mats = [np.diag(np.asarray(diag, dtype=float))
-                for diag in itertools.product(levels, repeat=set_.dim)]
-    total = len(seg_mats) ** n_segments
+    total = len(levels) ** (set_.dim * n_segments)
     if total > _MAX_CANDIDATES:
-        raise ValueError(
+        raise ConfigError(
             f"schedule grid has {total} candidates (> {_MAX_CANDIDATES}); "
             "reduce n_segments, n_grid, or the dimension"
         )
-    return seg_mats
+    return [np.diag(np.asarray(diag, dtype=float))
+            for diag in itertools.product(levels, repeat=set_.dim)]
 
 
 def _breakpoints(horizon: float, n_segments: int) -> tuple[float, ...]:
@@ -203,8 +195,6 @@ def upper_expectation_mc(
     seg_mats = _segment_matrices(set_, n_grid, n_segments)
     roots_t = _checked_roots_t(spec, set_, seg_mats)
     breakpoints = _breakpoints(cfg.horizon, n_segments)
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
 

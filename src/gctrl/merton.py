@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, as_symmetric
+from .ambiguity import AmbiguitySet, as_symmetric, g_matrix
 from .errors import ConsistencyError, NumericError
 from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, solve
 from .sde import _checked_starts, _segment_index, _starts_before, table_csv_text
@@ -188,16 +188,17 @@ def worst_case_lambda(set_: AmbiguitySet, vxx_sign: str = "negative",
     form in the covariance, scaled by the sign of the value's second space
     derivative.  A pessimist takes the infimum: with a concave value
     (negative sign) that lands on the largest variance; an optimist's
-    supremum lands on the smallest.  Both flip for a convex value.
+    supremum lands on the smallest.  Both flip for a convex value.  So this is
+    ``g_matrix``'s attaining matrix for -I (negative) or I (positive), in the
+    lower direction for a pessimist and the upper one for an optimist.
     """
     if attitude not in _ATTITUDES:
         raise ValueError(f"attitude must be one of {_ATTITUDES}, got {attitude!r}")
     if vxx_sign not in _SIGNS:
         raise ValueError(f"vxx_sign must be one of {_SIGNS}, got {vxx_sign!r}")
-    pessimist = attitude == "pessimist"
-    negative = vxx_sign == "negative"
-    level = set_.sigma_hi_sq if pessimist == negative else set_.sigma_lo_sq
-    return level * np.eye(set_.dim)
+    sign = -1.0 if vxx_sign == "negative" else 1.0
+    return g_matrix(sign * np.eye(set_.dim), set_,
+                    "lower" if attitude == "pessimist" else "upper").maximizer
 
 
 def _lambda_inv_quadratic(lambda_bar: np.ndarray, theta: np.ndarray) -> float:

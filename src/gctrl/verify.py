@@ -81,11 +81,13 @@ class MertonRun:
 
 
 def merton_run(cfg: RunConfig) -> MertonRun:
-    """Closed form and grid solve; ConfigError unless d = 1, x_min > 0 and d market assets."""
+    """Closed form and grid solve; ConfigError unless d = 1, x_min, x0 > 0 and d market assets."""
     set_ = cfg.ambiguity_set_1d()
     market, util, s = cfg.market_model(), cfg.crra(), cfg.solver
     if not s.x_min > 0.0:
         raise ConfigError("the wealth grid must be truncated away from zero: solver.x_min > 0")
+    if not cfg.simulation.x0 > 0.0:
+        raise ConfigError("the initial wealth must be positive: simulation.x0 > 0")
     if market.dim != set_.dim:
         raise ConfigError(f"the market has {market.dim} assets; ambiguity.d is {set_.dim}")
     attitude = merton_attitude(s.attitude)
@@ -284,7 +286,22 @@ def check_comparison_principle(name: str, problems) -> CheckResult:
 def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     """Run the full cross-check suite for one configuration; ConfigError unless d = 1."""
     run = merton_run(cfg)
-    rng = np.random.default_rng(cfg.simulation.seed)
+    market, util, cf, sol = run.market, run.utility, run.closed_form, run.solution
+    set_1d, horizon, sim = run.problem.ambiguity, cfg.solver.horizon, cfg.simulation
+
+    # The Monte Carlo leg runs first, so that its search allocates on a heap the checks
+    # have not fragmented yet.  It draws from its own streams and keeps its report slot.
+    path_cfg = PathConfig(n_steps=sim.n_steps, horizon=horizon,
+                          n_paths=sim.n_paths, seed=sim.seed)
+
+    def control_fn(t, x_flat):
+        return run.pi_hat, 1.0 / float(cf.a_at(t))
+
+    est = evaluate_policy_mc(run.problem, sol, set_1d, path_cfg, x0=sim.x0,
+                             control_fn=control_fn,
+                             n_segments=min(sim.n_segments, 2), n_grid=min(sim.n_grid, 3))
+
+    rng = np.random.default_rng(sim.seed)
     results = [
         check_subadditivity(rng),
         check_homogeneity(rng),
@@ -297,9 +314,6 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     coarse = [(low, high, dataclasses.replace(grid, n_t=3)) for low, high, grid in ordered]
     results.append(check_comparison_principle("comparison_principle_implicit", coarse))
 
-    set_1d = run.problem.ambiguity
-    horizon = cfg.solver.horizon
-
     # Composition of the dynamic-programming recursion, heat-type problem.
     heat = gheat_problem(set_1d, lambda x: x**2, horizon)
     n_t = suggest_time_steps(heat, -4.0, 4.0, 101)
@@ -309,7 +323,6 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
                            dpp_composition_check(heat, heat_grid, t_bar), TOL_DPP))
 
     # Portfolio problem at the configured parameters.
-    market, util, cf, sol = run.market, run.utility, run.closed_form, run.solution
     small_nt = suggest_time_steps(run.problem, 0.5, 2.0, 81)
     small_grid = Grid1D(0.5, 2.0, 81, small_nt)
     t_bar = float(np.linspace(0.0, horizon, small_nt + 1)[small_nt // 2])
@@ -327,16 +340,6 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     results.append(_result("pi_extraction",
                            float(np.max(np.abs(pis[run.interior] - run.pi_hat))), TOL_PI_ABS))
 
-    sim = cfg.simulation
-    path_cfg = PathConfig(n_steps=sim.n_steps, horizon=horizon,
-                          n_paths=sim.n_paths, seed=sim.seed)
-
-    def control_fn(t, x_flat):
-        return run.pi_hat, 1.0 / float(cf.a_at(t))
-
-    est = evaluate_policy_mc(run.problem, sol, set_1d, path_cfg, x0=sim.x0,
-                             control_fn=control_fn,
-                             n_segments=min(sim.n_segments, 2), n_grid=min(sim.n_grid, 3))
     v_target = closed_form_value(cf, util, 0.0, sim.x0)
     results.append(_result("mc_vs_closed_form",
                            abs(est.value - v_target) / abs(v_target), TOL_MC_REL))

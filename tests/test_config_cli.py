@@ -434,6 +434,62 @@ def test_cli_wealth_grid_needs_positive_x_min(tmp_path, capsys, monkeypatch):
             assert not out.exists()
 
 
+def test_cli_wealth_problems_need_positive_x0(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("grid solve started before the config was rejected")
+
+    monkeypatch.setattr(verify, "solve", no_solve)
+    for x0 in ("0.0", "-1.0"):
+        cfg_path = _write(tmp_path, "x0.cfg", DESK_CONFIG.replace("x0 = 1.0", f"x0 = {x0}"))
+        for command in ("merton", "verify"):
+            out = tmp_path / f"{command}_{x0}"
+            assert main([command, "--config", cfg_path, "--output", str(out)]) == 2
+            assert "simulation.x0 > 0" in capsys.readouterr().err
+            assert not out.exists()
+    # the other two commands take any initial state
+    text = GHEAT_CONFIG.replace("[simulation]", "[simulation]\nx0 = -1.0").replace(
+        "n_paths = 3000", "n_paths = 200")
+    cfg_path = _write(tmp_path, "gheat_x0.cfg", text)
+    for command in ("solve-hjb", "simulate"):
+        assert main([command, "--config", cfg_path, "--output", str(tmp_path / command)]) == 0
+
+
+def test_cli_simulate_over_the_candidate_cap_is_a_config_error(tmp_path, capsys):
+    # d = 2 with 5 levels per axis is 25 covariances a segment: 25^4 = 390625 schedules
+    text = GHEAT_CONFIG.replace("[ambiguity]", "[ambiguity]\nd = 2").replace(
+        "n_segments = 2\nn_grid = 3", "n_segments = 4\nn_grid = 5")
+    cfg_path = _write(tmp_path, "cap.cfg", text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--output", str(out)]) == 2
+    assert "schedule grid has 390625 candidates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_runs_the_monte_carlo_leg_before_the_checks(monkeypatch):
+    # The policy MC follows the grid solve of merton_run and precedes every check, so
+    # its search allocates before the checks' solves have churned the heap.
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    names = ["solve", "evaluate_policy_mc", "dpp_composition_check"]
+    names += [name for name in dir(verify) if name.startswith("check_")]
+    for name in names:
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    fast = (DESK_CONFIG.replace("n_x = 201", "n_x = 61").replace("x_min = 0.4", "x_min = 0.5")
+            .replace("x_max = 2.4", "x_max = 2.0").replace("n_paths = 1500", "n_paths = 50")
+            .replace("n_steps = 150", "n_steps = 10"))
+    verify.run_all_checks(parse_config_text(fast))
+    assert calls[:2] == ["solve", "evaluate_policy_mc"]
+    assert "evaluate_policy_mc" not in calls[2:]
+    assert {"check_subadditivity", "check_comparison_principle",
+            "dpp_composition_check"} <= set(calls[2:])
+
+
 def test_cli_verify_passes_and_perturbation_fails(tmp_path):
     fast = DESK_CONFIG.replace("n_x = 201", "n_x = 101").replace(
         "x_min = 0.4", "x_min = 0.5"

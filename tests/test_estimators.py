@@ -7,6 +7,7 @@ import pytest
 
 from gctrl import (
     AmbiguitySet,
+    ConfigError,
     NumericError,
     PathConfig,
     SdeSpec,
@@ -147,27 +148,16 @@ def test_candidate_schedule_counts():
 
 
 def test_candidate_explosion_guarded(monkeypatch):
-    with pytest.raises(ValueError, match="candidates"):
+    def not_before_the_guard(*args):
+        raise AssertionError("covariances built or normals drawn before the candidate guard")
+
+    # the count comes from the levels alone, so a high dimension is rejected at no cost
+    monkeypatch.setattr(estimators.np, "diag", not_before_the_guard)
+    monkeypatch.setattr(estimators, "path_normals", not_before_the_guard)
+    with pytest.raises(ConfigError, match="candidates"):
         candidate_schedules(SET, 1.0, n_segments=10, n_grid=10)
-
-    def no_draws(*args):
-        raise AssertionError("normals drawn before the candidate guard")
-
-    monkeypatch.setattr(estimators, "path_normals", no_draws)
-    with pytest.raises(ValueError, match="candidates"):
+    with pytest.raises(ConfigError, match="candidates"):
         upper_expectation_mc(_gbm_spec(), SET, terminal_square, _cfg(), n_segments=10, n_grid=10)
-
-
-def test_search_trims_the_heap_before_drawing(monkeypatch):
-    # the heap is trimmed before the search allocates, so earlier work's freed pages are returned
-    calls = []
-    draw = estimators.path_normals
-    monkeypatch.setattr(estimators, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad)))
-    monkeypatch.setattr(estimators, "path_normals",
-                        lambda *args: calls.append(("draw",)) or draw(*args))
-    upper_expectation_mc(_gbm_spec(), SET, terminal_square, _cfg(n_paths=4, n_steps=4),
-                         n_segments=1, n_grid=2)
-    assert calls == [("trim", 0), ("draw",)]
 
 
 def test_moment_check_validates_inputs():
