@@ -5,8 +5,10 @@ Every command takes ``--config <path>`` plus optional ``--output <dir>``,
 (overrides the config seed).  ``COMMANDS`` lists each command's artifact
 files in write order, the report last, and ``run_command`` is the one
 writer: it refuses to overwrite before any computation, runs the command's
-``cmd_*`` function, and only then renders and writes each artifact in turn.
-So a failing run leaves no partial artifacts.
+``cmd_*`` function, and only then streams each artifact, chunk by chunk, to
+a temporary file beside it.  The files are published under their names
+together, once every write has succeeded, so a failing run leaves no
+partial artifacts and, with ``--force``, the previous set untouched.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numerical error, 4 oracle inconsistency.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +28,7 @@ import numpy as np
 from .config import FUNCTIONALS, PAYOFFS, RunConfig, canonical_text, hjb_attitude, parse_config
 from .errors import ConfigError, ConsistencyError, NumericError
 from .estimators import upper_expectation_mc
-from .hjb import gheat_problem, solution_csv_text, solution_meta_text, solve
+from .hjb import gheat_problem, solution_csv_chunks, solution_meta_text, solve
 from .merton import (
     a_curve_csv_text,
     closed_form_value,
@@ -33,7 +36,7 @@ from .merton import (
     policy_csv_text,
     verify_hjb_residual,
 )
-from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_text, table_csv_text
+from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_chunks, table_csv_text
 from .verify import TOL_RESIDUAL, merton_run, run_all_checks
 
 EXIT_OK = 0
@@ -90,31 +93,42 @@ def _check_overwrite(paths: list[Path], force: bool) -> None:
         )
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # Written a MiB at a time, so a large artifact is never held as str and bytes at once.
+def _write_text(path: Path, chunks) -> None:
+    """Write ``chunks``, an iterable of text chunks or one str, as it yields them."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(0, len(text), 1 << 20):
-            fh.write(text[i:i + (1 << 20)])
+        fh.writelines([chunks] if isinstance(chunks, str) else chunks)
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
-    """Run one command and write its artifacts, the report last.
+    """Run one command and publish its artifacts together, the report last.
 
     The command's ``cmd_*`` function is looked up in the module globals at
     call time, so rebinding it (as a tracer does) takes effect.  It fills in
     the report's results (and exit code) and returns one renderer per
-    artifact before the report; each text is rendered only when it is
-    written, so no two large texts are alive at once.
+    artifact before the report.  A renderer returns its text, or for a large
+    artifact an iterable of chunks that is streamed to the file, so no
+    artifact's whole text is ever held.  Each artifact is written to a
+    temporary name in ``out_dir``; only when every write has succeeded are
+    they renamed into place, the report last.  On any error the temporaries
+    are removed, so the directory keeps what it held before the run.
     """
     paths = [out_dir / f"{cfg.output.prefix}_{suffix}" for suffix in COMMANDS[command][1]]
     _check_overwrite(paths, force)
     report = RunReport(command=command, config_echo=canonical_text(cfg))
     renderers = globals()["cmd_" + command.replace("-", "_")](cfg, report)
-    for path, render in zip(paths[:-1], renderers, strict=True):
-        _write_text(path, render())
     report.artifact_paths = [str(p) for p in paths]
-    _write_text(paths[-1], report_text(report))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temps = []
+    try:
+        for path, render in zip(paths, [*renderers, lambda: report_text(report)], strict=True):
+            temps.append(path.with_name(f".{path.name}.tmp"))
+            _write_text(temps[-1], render())
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
     return report
 
 
@@ -130,7 +144,7 @@ def cmd_solve_hjb(cfg: RunConfig, report: RunReport) -> list:
     report.results["dt"] = problem.horizon / grid.n_t
     report.results["V(0,0)"] = solution.value_at(0.0, 0.0)
     report.results["V(0,x0)"] = solution.value_at(0.0, cfg.simulation.x0)
-    return [lambda: solution_csv_text(solution), lambda: solution_meta_text(problem, grid)]
+    return [lambda: solution_csv_chunks(solution), lambda: solution_meta_text(problem, grid)]
 
 
 def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
@@ -176,7 +190,7 @@ def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
             lambda: table_csv_text("x,pde_value,closed_form_value,rel_error",
                                    "%.17g,%.17g,%.17g,%.17g\n", solution.x,
                                    solution.values[0], run.closed_row, run.rel_error),
-            lambda: solution_csv_text(solution)]
+            lambda: solution_csv_chunks(solution)]
 
 
 def _schedule_text(schedule: VolSchedule, horizon: float) -> str:
@@ -207,7 +221,7 @@ def cmd_simulate(cfg: RunConfig, report: RunReport) -> list:
     res["std_error"] = est.std_error
     res["n_schedules_searched"] = est.n_schedules_searched
     res["best_schedule"] = _schedule_text(est.best_schedule, cfg.solver.horizon)
-    return [lambda: bundle_csv_text(est.best_paths)]
+    return [lambda: bundle_csv_chunks(est.best_paths)]
 
 
 def cmd_verify(cfg: RunConfig, report: RunReport) -> list:

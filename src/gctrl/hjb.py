@@ -38,7 +38,7 @@ from .estimators import (
     ExpectationEstimate,
     upper_expectation_mc,
 )
-from .sde import PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before, csv_text
+from .sde import PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before, csv_chunks
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
@@ -532,8 +532,8 @@ def _format_control(value) -> str:
     return format(float(value), ".17g")
 
 
-def solution_csv_text(solution: HjbSolution) -> str:
-    """CSV rows ``t,x,value,control_index,control_value`` over the grid.
+def solution_csv_chunks(solution: HjbSolution):
+    """CSV rows ``t,x,value,control_index,control_value`` over the grid, one chunk per level.
 
     The terminal level carries control_index -1 and an empty control column
     since no decision is taken there.
@@ -544,10 +544,15 @@ def solution_csv_text(solution: HjbSolution) -> str:
     control_cells = [f"{j},{_format_control(c)}\n" for j, c in enumerate(solution.controls)]
     control_cells.append("-1,\n")
     levels = chain(solution.policy, [np.full(len(x_cells), -1)])
-    return csv_text("t,x,value,control_index,control_value", (
+    return csv_chunks("t,x,value,control_index,control_value", (
         (f"{t:.9f},", map(str.__add__, x_cells, map(control_cells.__getitem__, level.tolist())),
          values.tolist())
         for t, values, level in zip(solution.times.tolist(), solution.values, levels)))
+
+
+def solution_csv_text(solution: HjbSolution) -> str:
+    """The joined text of ``solution_csv_chunks(solution)``."""
+    return "".join(solution_csv_chunks(solution))
 
 
 def solution_meta_text(problem: HjbProblem, grid: Grid1D) -> str:

@@ -20,9 +20,12 @@ validates the starts (time 0 first, strictly increasing), ``_segment_index``
 picks the right-open segment in force at a time, and ``_starts_before`` drops
 the segments that start at or after a horizon and so never apply.
 
-``csv_text`` is the one CSV layout: every CSV artifact (paths, grid
+``csv_chunks`` is the one CSV layout: every CSV artifact (paths, grid
 solutions and the three portfolio tables) is a header line plus blocks of
-%-template rows rendered by it.
+%-template rows rendered by it, one chunk per block.  The CLI writes the
+chunks of the large artifacts (``bundle_csv_chunks``,
+``hjb.solution_csv_chunks``) straight to the file; ``csv_text`` and the
+``*_csv_text`` renderers are their joined strings.
 """
 
 from __future__ import annotations
@@ -308,18 +311,23 @@ def integrate_gsde(
     return PathBundle(times=times, states=states.transpose(1, 0, 2))
 
 
-def csv_text(header: str, blocks) -> str:
-    """CSV text: the ``header`` line, then each block ``(lead, rows, values)``.
+def csv_chunks(header: str, blocks):
+    """CSV text in chunks: the ``header`` line, then one per block ``(lead, rows, values)``.
 
     ``rows`` are %-template lines; each is prefixed by ``lead`` and the block
     is filled by one ``%`` call with ``values``.  Every CSV artifact is
     rendered here, in one number format: ``%.9f`` for times and ``%.17g``
     (which matches ``format(v, ".17g")``, round-trip exact) for values.
+    Blocks are drawn lazily, so a writer holds one block's text at a time.
     """
-    chunks = [header + "\n"]
+    yield header + "\n"
     for lead, rows, values in blocks:
-        chunks.append((lead + lead.join(rows)) % tuple(values))
-    return "".join(chunks)
+        yield (lead + lead.join(rows)) % tuple(values)
+
+
+def csv_text(header: str, blocks) -> str:
+    """The joined text of ``csv_chunks(header, blocks)``."""
+    return "".join(csv_chunks(header, blocks))
 
 
 def table_csv_text(header: str, row: str, *columns) -> str:
@@ -328,10 +336,15 @@ def table_csv_text(header: str, row: str, *columns) -> str:
     return csv_text(header, [("", [row] * len(columns[0]), values)])
 
 
-def bundle_csv_text(bundle: PathBundle) -> str:
-    """CSV export: one block per path, its times formatted once for all paths."""
+def bundle_csv_chunks(bundle: PathBundle):
+    """CSV export in chunks: one block per path, its times formatted once for all paths."""
     m = bundle.states.shape[2]
     time_rows = [f"{t:.9f}" + ",%.17g" * m + "\n" for t in bundle.times.tolist()]
     header = "path_id,time," + ",".join(f"state_{j}" for j in range(m))
-    return csv_text(header, ((f"{p},", time_rows, states.ravel().tolist())
-                             for p, states in enumerate(bundle.states)))
+    return csv_chunks(header, ((f"{p},", time_rows, states.ravel().tolist())
+                               for p, states in enumerate(bundle.states)))
+
+
+def bundle_csv_text(bundle: PathBundle) -> str:
+    """The joined text of ``bundle_csv_chunks(bundle)``."""
+    return "".join(bundle_csv_chunks(bundle))

@@ -648,3 +648,77 @@ def test_cli_solve_hjb_and_simulate_do_not_read_the_market(tmp_path):
     cfg_path = _write(tmp_path, "market.cfg", text)
     for command in ("solve-hjb", "simulate"):
         assert main([command, "--config", cfg_path, "--output", str(tmp_path / command)]) == 0
+
+
+def _fails_after_first_chunk(chunk_form):
+    def failing(*args):
+        chunks = iter(chunk_form(*args))
+        yield next(chunks)
+        raise RuntimeError("renderer failed mid-file")
+
+    return failing
+
+
+@pytest.mark.parametrize("command, chunk_form", [
+    pytest.param("simulate", "bundle_csv_chunks", id="simulate-first-artifact"),
+    pytest.param("merton", "solution_csv_chunks", id="merton-fourth-artifact"),
+])
+def test_cli_publishes_all_artifacts_or_none(tmp_path, monkeypatch, command, chunk_form):
+    from test_golden_artifacts import DESK
+
+    from gctrl import cli
+
+    cfg = parse_config_text(DESK if command == "merton" else GHEAT_CONFIG)
+    names = sorted(f"{cfg.output.prefix}_{suffix}" for suffix in cli.COMMANDS[command][1])
+    out = tmp_path / "out"
+    cli.run_command(command, cfg, out, force=False)
+    assert sorted(p.name for p in out.iterdir()) == names
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    monkeypatch.setattr(cli, chunk_form, _fails_after_first_chunk(getattr(cli, chunk_form)))
+    # Another horizon changes every artifact, so one published ahead of the failure would show.
+    shorter = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, horizon=0.5))
+    with pytest.raises(RuntimeError, match="mid-file"):
+        cli.run_command(command, shorter, out, force=True)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    with pytest.raises(RuntimeError, match="mid-file"):
+        cli.run_command(command, cfg, fresh, force=False)
+    assert not fresh.exists() or not list(fresh.iterdir())
+
+
+def _traced_peak(write) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_streams_the_solution_csv(tmp_path):
+    from gctrl.cli import run_command
+
+    text = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text("utf-8")
+    cfg = parse_config_text(text.replace("n_x = 401", "n_x = 201"))
+    peak = _traced_peak(lambda: run_command("solve-hjb", cfg, tmp_path, force=False))
+    size = (tmp_path / "heat_solution.csv").stat().st_size
+    assert size > 6e6
+    assert peak < size / 2, (peak, size)
+
+
+def test_cli_writer_streams_a_paths_bundle(tmp_path):
+    from gctrl.ambiguity import AmbiguitySet
+    from gctrl.cli import _write_text
+
+    set_ = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+    bundle = sde.sample_gbm(set_, sde.VolSchedule.constant(1.0),
+                            sde.PathConfig(n_steps=100, horizon=1.0, n_paths=2000, seed=3))
+    path = tmp_path / "paths.csv"
+    peak = _traced_peak(lambda: _write_text(path, sde.bundle_csv_chunks(bundle)))
+    size = path.stat().st_size
+    assert size > 5e6
+    assert path.read_text("utf-8") == sde.bundle_csv_text(bundle)
+    assert peak < size / 2, (peak, size)
