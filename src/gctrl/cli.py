@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,7 +123,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> Run
             temps.append(path.with_name(f".{path.name}.tmp"))
             _write_text(temps[-1], render())
         for temp, path in zip(temps, paths):
-            os.replace(temp, path)
+            temp.replace(path)
     except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
