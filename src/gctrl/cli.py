@@ -5,8 +5,10 @@ Every command takes ``--config <path>`` plus optional ``--output <dir>``,
 (overrides the config seed).  ``COMMANDS`` lists each command's artifact
 files in write order, the report last, and ``run_command`` is the one
 writer: it refuses to overwrite before any computation, runs the command's
-``cmd_*`` function, and only then streams each artifact, chunk by chunk, to
-a temporary file beside it.  The files are published under their names
+``cmd_*`` function, and only then writes each artifact to a temporary file
+beside it.  CSV artifacts go through ``sde.write_csv``, which formats a
+large one in ranges on the usable CPUs, in forked workers that are all gone
+when it returns or raises.  The files are published under their names
 together, once every write has succeeded, so a failing run leaves no
 partial artifacts and, with ``--force``, the previous set untouched.
 
@@ -29,13 +31,21 @@ from .errors import ConfigError, ConsistencyError, NumericError
 from .estimators import upper_expectation_mc
 from .hjb import gheat_problem, solution_csv_chunks, solution_meta_text, solve
 from .merton import (
-    a_curve_csv_text,
+    a_curve_csv_chunks,
     closed_form_value,
     merton_hjb_problem,
-    policy_csv_text,
+    policy_csv_chunks,
     verify_hjb_residual,
 )
-from .sde import PathConfig, SdeSpec, VolSchedule, bundle_csv_chunks, table_csv_text
+from .sde import (
+    CsvTable,
+    PathConfig,
+    SdeSpec,
+    VolSchedule,
+    bundle_csv_chunks,
+    table_csv_chunks,
+    write_csv,
+)
 from .verify import TOL_RESIDUAL, merton_run, run_all_checks
 
 EXIT_OK = 0
@@ -92,10 +102,12 @@ def _check_overwrite(paths: list[Path], force: bool) -> None:
         )
 
 
-def _write_text(path: Path, chunks) -> None:
-    """Write ``chunks``, an iterable of text chunks or one str, as it yields them."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines([chunks] if isinstance(chunks, str) else chunks)
+def _write_text(path: Path, content: str | CsvTable) -> None:
+    """Write ``content``: a str as it is, a CSV table through ``sde.write_csv``."""
+    if isinstance(content, CsvTable):
+        write_csv(path, content)
+    else:
+        path.write_text(content, encoding="utf-8", newline="\n")
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> RunReport:
@@ -104,12 +116,13 @@ def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> Run
     The command's ``cmd_*`` function is looked up in the module globals at
     call time, so rebinding it (as a tracer does) takes effect.  It fills in
     the report's results (and exit code) and returns one renderer per
-    artifact before the report.  A renderer returns its text, or for a large
-    artifact an iterable of chunks that is streamed to the file, so no
-    artifact's whole text is ever held.  Each artifact is written to a
-    temporary name in ``out_dir``; only when every write has succeeded are
-    they renamed into place, the report last.  On any error the temporaries
-    are removed, so the directory keeps what it held before the run.
+    artifact before the report.  A renderer returns its text, or for a CSV
+    artifact its ``sde.CsvTable``, which ``sde.write_csv`` writes block by
+    block, so no CSV artifact's whole text is ever held.  Each artifact is
+    written to a temporary name in ``out_dir``; only when every write has
+    succeeded are they renamed into place, the report last.  On any error
+    the temporaries are removed, so the directory keeps what it held before
+    the run.
     """
     paths = [out_dir / f"{cfg.output.prefix}_{suffix}" for suffix in COMMANDS[command][1]]
     _check_overwrite(paths, force)
@@ -184,11 +197,11 @@ def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
         res["degenerate_ambiguity"] = "true (single prior; pessimist and optimist coincide)"
         res["pessimist_optimist_gap"] = gap
 
-    return [lambda: a_curve_csv_text(cf),
-            lambda: policy_csv_text(cf, market, util, set_),
-            lambda: table_csv_text("x,pde_value,closed_form_value,rel_error",
-                                   "%.17g,%.17g,%.17g,%.17g\n", solution.x,
-                                   solution.values[0], run.closed_row, run.rel_error),
+    return [lambda: a_curve_csv_chunks(cf),
+            lambda: policy_csv_chunks(cf, market, util, set_),
+            lambda: table_csv_chunks("x,pde_value,closed_form_value,rel_error",
+                                     "%.17g,%.17g,%.17g,%.17g\n", solution.x,
+                                     solution.values[0], run.closed_row, run.rel_error),
             lambda: solution_csv_chunks(solution)]
 
 

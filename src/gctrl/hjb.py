@@ -25,7 +25,6 @@ ties broken by lowest index, so runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -38,7 +37,7 @@ from .estimators import (
     ExpectationEstimate,
     upper_expectation_mc,
 )
-from .sde import PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before, csv_chunks
+from .sde import CsvTable, PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
@@ -532,8 +531,8 @@ def _format_control(value) -> str:
     return format(float(value), ".17g")
 
 
-def solution_csv_chunks(solution: HjbSolution):
-    """CSV rows ``t,x,value,control_index,control_value`` over the grid, one chunk per level.
+def solution_csv_chunks(solution: HjbSolution) -> CsvTable:
+    """CSV rows ``t,x,value,control_index,control_value`` over the grid, one block per level.
 
     The terminal level carries control_index -1 and an empty control column
     since no decision is taken there.
@@ -543,11 +542,15 @@ def solution_csv_chunks(solution: HjbSolution):
     x_cells = [f"{x:.17g},%.17g," for x in solution.x.tolist()]
     control_cells = [f"{j},{_format_control(c)}\n" for j, c in enumerate(solution.controls)]
     control_cells.append("-1,\n")
-    levels = chain(solution.policy, [np.full(len(x_cells), -1)])
-    return csv_chunks("t,x,value,control_index,control_value", (
-        (f"{t:.9f},", map(str.__add__, x_cells, map(control_cells.__getitem__, level.tolist())),
-         values.tolist())
-        for t, values, level in zip(solution.times.tolist(), solution.values, levels)))
+    times, policy = solution.times.tolist(), solution.policy
+
+    def level(i: int) -> tuple:
+        picks = policy[i].tolist() if i < len(policy) else [-1] * len(x_cells)
+        return (f"{times[i]:.9f},", map(str.__add__, x_cells, map(control_cells.__getitem__, picks)),
+                solution.values[i].tolist())
+
+    return CsvTable("t,x,value,control_index,control_value", len(times), level,
+                    solution.values.size)
 
 
 def solution_csv_text(solution: HjbSolution) -> str:

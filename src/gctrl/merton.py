@@ -30,7 +30,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, as_symmetric, g_matrix
 from .errors import ConsistencyError, NumericError
 from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, solve
-from .sde import _checked_starts, _segment_index, _starts_before, table_csv_text
+from .sde import CsvTable, _checked_starts, _segment_index, _starts_before, table_csv_chunks
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
 BRANCH_RTOL = 1e-8
@@ -482,12 +482,18 @@ def solve_merton_pde(
     return solve(problem, grid)
 
 
-def a_curve_csv_text(cf: ClosedForm) -> str:
+def a_curve_csv_chunks(cf: ClosedForm) -> CsvTable:
     """CSV rows ``t,A`` of the integrated curve."""
-    return table_csv_text("t,A", "%.9f,%.17g\n", cf.times, cf.a_values)
+    return table_csv_chunks("t,A", "%.9f,%.17g\n", cf.times, cf.a_values)
 
 
-def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: AmbiguitySet) -> str:
+def a_curve_csv_text(cf: ClosedForm) -> str:
+    """The joined text of ``a_curve_csv_chunks(cf)``."""
+    return "".join(a_curve_csv_chunks(cf))
+
+
+def policy_csv_chunks(cf: ClosedForm, m: MarketModel, u: CrraUtility,
+                      set_: AmbiguitySet) -> CsvTable:
     """CSV of the closed-form policy at POLICY_CSV_ROWS evenly spaced times.
 
     Consumption is reported as the rate per unit wealth (independent of x),
@@ -500,5 +506,10 @@ def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: Ambigu
     consumption = [pol.consumption(t, 1.0) for t in ts]
     pis = np.array([np.atleast_1d(pol.portfolio(t, 1.0)) for t in ts])
     weights = np.array([pol.fund_weights(t, 1.0)[:2] for t in ts])
-    return table_csv_text(",".join(head), "%.9f" + ",%.17g" * (d + 3) + "\n",
-                          ts, consumption, *pis.T, *weights.T)
+    return table_csv_chunks(",".join(head), "%.9f" + ",%.17g" * (d + 3) + "\n",
+                            ts, consumption, *pis.T, *weights.T)
+
+
+def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: AmbiguitySet) -> str:
+    """The joined text of ``policy_csv_chunks(cf, m, u, set_)``."""
+    return "".join(policy_csv_chunks(cf, m, u, set_))

@@ -20,18 +20,26 @@ validates the starts (time 0 first, strictly increasing), ``_segment_index``
 picks the right-open segment in force at a time, and ``_starts_before`` drops
 the segments that start at or after a horizon and so never apply.
 
-``csv_chunks`` is the one CSV layout: every CSV artifact (paths, grid
+``CsvTable`` is the one CSV layout: every CSV artifact (paths, grid
 solutions and the three portfolio tables) is a header line plus blocks of
-%-template rows rendered by it, one chunk per block.  The CLI writes the
-chunks of the large artifacts (``bundle_csv_chunks``,
-``hjb.solution_csv_chunks``) straight to the file; ``csv_text`` and the
-``*_csv_text`` renderers are their joined strings.
+%-template rows, any of which can be rendered on its own.  ``write_csv`` is
+the one CSV writer: it formats contiguous ranges of a table's blocks on the
+usable CPUs, in forked workers, and joins their parts in order, so the bytes
+do not depend on the CPU count.  The ``*_csv_chunks`` functions build the
+tables (``bundle_csv_chunks``, ``hjb.solution_csv_chunks`` and the
+portfolio tables in ``merton``); ``csv_text`` and the ``*_csv_text``
+renderers are their joined strings.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import signal
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -233,7 +241,7 @@ def _coerce_drift(value, n: int, m: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 1 and m == 1 and arr.shape[0] == n:
         arr = arr[:, None]
-    return np.broadcast_to(arr, (n, m))
+    return arr if arr.shape == (n, m) else np.broadcast_to(arr, (n, m))
 
 
 def _coerce_diffusion(value, n: int, m: int, d: int) -> np.ndarray:
@@ -242,7 +250,26 @@ def _coerce_diffusion(value, n: int, m: int, d: int) -> np.ndarray:
         arr = arr[:, :, None]
     elif d == 1 and m == 1 and arr.ndim == 1 and arr.shape[0] == n:
         arr = arr[:, None, None]
-    return np.broadcast_to(arr, (n, m, d))
+    return arr if arr.shape == (n, m, d) else np.broadcast_to(arr, (n, m, d))
+
+
+def _reusing(coerce: Callable) -> Callable:
+    """``coerce`` that hands back its last result when given the same value again.
+
+    Only results that cannot go stale are reused: that of a number, which
+    cannot change, and that of a float64 array of unchanged shape, which is a
+    view of the array and so reads its current entries.  A constant drift or
+    diffusion (``SdeSpec.brownian``'s) is thus coerced once per call.
+    """
+    last = [None, None, None]  # value, its shape, result
+
+    def coerced(value, *shape):
+        if not (value is last[0] and (isinstance(value, (int, float)) or (
+                getattr(value, "dtype", None) == float and value.shape == last[1]))):
+            last[:] = value, getattr(value, "shape", None), coerce(value, *shape)
+        return last[2]
+
+    return coerced
 
 
 def _euler_steps(
@@ -269,12 +296,13 @@ def _euler_steps(
     rows, m = states.shape[1], states.shape[2]
     sqrt_dt = np.sqrt(dt)
     x = np.array(states[0])
+    drift, diffusion = _reusing(_coerce_drift), _reusing(_coerce_diffusion)
     for i, root_t in enumerate(roots_t):
         k = first_step + i
         t_k = k * dt
         u = spec.control(t_k, x) if spec.control is not None else None
-        f = _coerce_drift(spec.drift(t_k, x, u), rows, m)
-        g = _coerce_diffusion(spec.diffusion(t_k, x, u), rows, m, d)
+        f = drift(spec.drift(t_k, x, u), rows, m)
+        g = diffusion(spec.diffusion(t_k, x, u), rows, m, d)
         dw = ((sqrt_dt * normals[:, k, :]) @ root_t).reshape(rows, d)
         x = x + f * dt + np.einsum("pmd,pd->pm", g, dw)
         if not np.all(np.isfinite(x)):
@@ -311,38 +339,145 @@ def integrate_gsde(
     return PathBundle(times=times, states=states.transpose(1, 0, 2))
 
 
-def csv_chunks(header: str, blocks):
-    """CSV text in chunks: the ``header`` line, then one per block ``(lead, rows, values)``.
+# A range holds at least this many values: about 30 ms of formatting, against
+# about 7 ms to fork and reap a worker from a 100 MB process (2-CPU x86-64).
+# Smaller tables stay in-process.
+MIN_RANGE_VALUES = 50_000
 
-    ``rows`` are %-template lines; each is prefixed by ``lead`` and the block
-    is filled by one ``%`` call with ``values``.  Every CSV artifact is
-    rendered here, in one number format: ``%.9f`` for times and ``%.17g``
-    (which matches ``format(v, ".17g")``, round-trip exact) for values.
-    Blocks are drawn lazily, so a writer holds one block's text at a time.
+
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV artifact as random-access blocks: the ``header`` line, then ``n_blocks`` blocks.
+
+    ``block(i)`` returns ``(lead, rows, values)``: ``rows`` are %-template
+    lines; each is prefixed by ``lead`` and the block is filled by one ``%``
+    call with ``values``.  Every CSV artifact is rendered this way, in one
+    number format: ``%.9f`` for times and ``%.17g`` (which matches
+    ``format(v, ".17g")``, round-trip exact) for values.  ``n_values``, the
+    number of values in the table, sizes its split in ``write_csv``.
+    Iterating the table yields its text in chunks, the header line first and
+    then one chunk per block.
     """
-    yield header + "\n"
-    for lead, rows, values in blocks:
-        yield (lead + lead.join(rows)) % tuple(values)
+
+    header: str
+    n_blocks: int
+    block: Callable[[int], tuple]
+    n_values: int
+
+    def chunks(self, start: int, stop: int):
+        """Text of blocks ``start`` to ``stop - 1``, one chunk per block, each built on demand."""
+        for i in range(start, stop):
+            lead, rows, values = self.block(i)
+            yield (lead + lead.join(rows)) % tuple(values)
+
+    def __iter__(self):
+        yield self.header + "\n"
+        yield from self.chunks(0, self.n_blocks)
 
 
 def csv_text(header: str, blocks) -> str:
-    """The joined text of ``csv_chunks(header, blocks)``."""
-    return "".join(csv_chunks(header, blocks))
+    """CSV text of a ``header`` line and ``blocks``, an iterable of ``(lead, rows, values)``."""
+    blocks = list(blocks)
+    return "".join(CsvTable(header, len(blocks), blocks.__getitem__, 0))
 
 
-def table_csv_text(header: str, row: str, *columns) -> str:
-    """CSV text of equal-length ``columns``: the ``row`` template once per entry."""
+def _range_count(table: CsvTable) -> int:
+    """Ranges to split ``table`` into: one per usable CPU, each of ``MIN_RANGE_VALUES`` or more."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, table.n_blocks, table.n_values // MIN_RANGE_VALUES))
+
+
+def _write_range(part: Path, table: CsvTable, start: int, stop: int) -> None:
+    """Body of a forked worker: write blocks ``start`` to ``stop - 1`` to ``part`` and exit.
+
+    It only formats text and never returns: ``os._exit`` skips the parent's
+    exit handlers and the flushing of the stdio buffers it inherited.
+    """
+    code = 1
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(table.chunks(start, stop))
+        code = 0
+    except BaseException as exc:
+        with contextlib.suppress(BaseException):
+            os.write(2, f"gctrl: CSV worker for {part.name} failed: {exc!r}\n".encode())
+    finally:
+        os._exit(code)
+
+
+def _append(part: Path, out) -> None:
+    """Append the file ``part`` to ``out``, an unbuffered binary file positioned at its end."""
+    with open(part, "rb") as src:
+        with contextlib.suppress(AttributeError, OSError):  # no copy_file_range for these files
+            while os.copy_file_range(src.fileno(), out.fileno(), 1 << 30):
+                pass
+        shutil.copyfileobj(src, out)  # whatever copy_file_range left
+
+
+def write_csv(path: Path, table: CsvTable) -> None:
+    """Write ``table`` to ``path``, formatting contiguous ranges of its blocks on the usable CPUs.
+
+    There is one range per usable CPU (``os.sched_getaffinity``), but each
+    range holds at least ``MIN_RANGE_VALUES`` values, so a small table, one
+    CPU or a platform without ``os.fork`` gives a single range written here.
+    The parent forks one worker for each range after the first; a worker
+    writes its range to ``<path>.part<k>`` beside ``path`` and exits.  The
+    parent writes the header and the first range itself, then reaps the
+    workers in order and appends their parts, so the bytes do not depend on
+    the number of ranges.  A worker that exits non-zero or by a signal raises
+    RuntimeError.  On any error, the workers still running are killed and
+    reaped; the part files are always removed, ``path`` is left to the caller.
+    """
+    n = _range_count(table)
+    bounds = [table.n_blocks * k // n for k in range(n + 1)]
+    parts = [path.with_name(f"{path.name}.part{k}") for k in range(1, n)]
+    running = []
+    try:
+        for k, part in enumerate(parts, 1):
+            pid = os.fork()
+            if pid == 0:
+                _write_range(part, table, bounds[k], bounds[k + 1])
+            running.append(pid)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(table.header + "\n")
+            fh.writelines(table.chunks(bounds[0], bounds[1]))
+        with open(path, "r+b", buffering=0) as out:
+            out.seek(0, os.SEEK_END)
+            for part in parts:
+                code = os.waitstatus_to_exitcode(os.waitpid(running[0], 0)[1])
+                del running[0]
+                if code != 0:
+                    raise RuntimeError(f"CSV worker writing {part.name} exited with status {code}")
+                _append(part, out)
+    except BaseException:
+        for pid in running:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
+
+
+def table_csv_chunks(header: str, row: str, *columns) -> CsvTable:
+    """CSV table of equal-length ``columns``: one block, the ``row`` template once per entry."""
     values = np.column_stack(columns).ravel().tolist()
-    return csv_text(header, [("", [row] * len(columns[0]), values)])
+    rows = [row] * len(columns[0])
+    return CsvTable(header, 1, lambda i: ("", rows, values), len(values))
 
 
-def bundle_csv_chunks(bundle: PathBundle):
-    """CSV export in chunks: one block per path, its times formatted once for all paths."""
-    m = bundle.states.shape[2]
+def bundle_csv_chunks(bundle: PathBundle) -> CsvTable:
+    """CSV export as a table of one block per path, its times formatted once for all paths."""
+    states = bundle.states
+    m = states.shape[2]
     time_rows = [f"{t:.9f}" + ",%.17g" * m + "\n" for t in bundle.times.tolist()]
     header = "path_id,time," + ",".join(f"state_{j}" for j in range(m))
-    return csv_chunks(header, ((f"{p},", time_rows, states.ravel().tolist())
-                               for p, states in enumerate(bundle.states)))
+    return CsvTable(header, len(states), lambda p: (f"{p},", time_rows, states[p].ravel().tolist()),
+                    states.size)
 
 
 def bundle_csv_text(bundle: PathBundle) -> str:

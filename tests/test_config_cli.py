@@ -652,9 +652,14 @@ def test_cli_solve_hjb_and_simulate_do_not_read_the_market(tmp_path):
 
 def _fails_after_first_chunk(chunk_form):
     def failing(*args):
-        chunks = iter(chunk_form(*args))
-        yield next(chunks)
-        raise RuntimeError("renderer failed mid-file")
+        table = chunk_form(*args)
+
+        def block(i):
+            if i > 0:
+                raise RuntimeError("renderer failed mid-file")
+            return table.block(i)
+
+        return dataclasses.replace(table, block=block)
 
     return failing
 

@@ -183,6 +183,28 @@ def test_feedback_control_reaches_drift():
     assert abs(bundle.states[0, -1, 0] - np.exp(-1.0)) < 1e-3
 
 
+def test_drift_and_diffusion_changed_in_place_are_read_at_every_step():
+    # The Euler loop reuses the coercion of a value returned again; an array
+    # returned again but changed in place must still be read afresh, whether
+    # its coercion is a view (float64) or a copy (integers).
+    cfg = _cfg(n_paths=5, n_steps=8)
+    drift, diffusion = np.zeros(1, dtype=int), np.zeros((1, 1))
+
+    def drift_in_place(t, x, u):
+        drift[0] = round(8 * t)
+        return drift
+
+    def diffusion_in_place(t, x, u):
+        diffusion[0, 0] = 2.0 - t
+        return diffusion
+
+    specs = [SdeSpec(1, 1, drift_in_place, diffusion_in_place, np.zeros(1)),
+             SdeSpec(1, 1, lambda t, x, u: float(round(8 * t)),
+                     lambda t, x, u: np.array([[2.0 - t]]), np.zeros(1))]
+    in_place, fresh = (integrate_gsde(s, SET, VolSchedule.constant(0.5), cfg) for s in specs)
+    assert np.array_equal(in_place.states, fresh.states)
+
+
 def test_csv_format_and_stability():
     cfg = _cfg(n_paths=2, n_steps=3)
     bundle = sample_gbm(SET, VolSchedule.constant(0.5), cfg)
