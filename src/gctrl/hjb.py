@@ -16,7 +16,7 @@ implicit: backward Euler, monotone at any dt.  Each level is solved by
 Howard policy iteration (Forsyth & Labahn 2007; Bokanowski, Maroso &
 Zidani 2009): fix every node's control and generator weight from the
 current iterate, solve the resulting tridiagonal M-matrix system, and
-repeat until no node's choice changes.
+repeat until a solve moves no node by more than 8 eps max(1, |u|_inf).
 
 Controls live on a finite list and are searched exhaustively at every node,
 ties broken by lowest index, so runs are reproducible.
@@ -45,6 +45,8 @@ _BOUNDARY_KINDS = ("one_sided", "power_dirichlet")
 
 # Linear solves one implicit time level may take before Howard iteration gives up.
 _HOWARD_MAX_SOLVES = 50
+# A level has settled once a linear solve moves no node by more than this times max(1, |u|_inf).
+_HOWARD_SETTLED = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -266,11 +268,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     grid takes the same scheme: explicit when horizon / n_t is within the
     monotone bound, implicit otherwise.
 
-    Each implicit level starts from the argopt on the level above and stops
-    once every node's (control, generator weight) pair reproduces itself on
-    the iterate it produced.  The edge rows enter the tridiagonal system,
-    whose elimination folds the power_dirichlet edges into the first and
-    last interior rows.
+    Each implicit level starts from the last choices of the level above (the
+    argopt on its value where the segment changes) and stops once a solve
+    moves no node by more than ``_HOWARD_SETTLED`` times max(1, |u|_inf).
+    The edge rows enter the tridiagonal system, whose elimination folds the
+    power_dirichlet edges into the first and last interior rows.
     """
     implicit = problem.horizon / grid.n_t > _stable_dt(problem, grid.dx, segments) * (1.0 + 1e-9)
     x = grid.nodes()
@@ -329,34 +331,34 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
         np.add(work, Ci, out=work)
         return positive
 
+    seg_above = None
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
-        G2, C, split = segments[_segment_index(problem.segment_starts, t_k)]
+        seg = _segment_index(problem.segment_starts, t_k)
+        G2, C, split = segments[seg]
         Fp, Fm, G2i, Ci = split[0, 1:-1], split[1, 1:-1], G2[1:-1], C[1:-1]
         v = values[k + 1]
 
         if implicit:
-            u, chosen, solves = v, None, 0
+            u, solves = v, 0
             while True:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    positive = fill_generator(u, Fp, Fm, G2i, Ci)
-                    best = argopt(work, axis=1)
-                    if one_sided:
-                        # Each edge row optimizes its own inward-drift and running-cost terms.
-                        edge_j = tuple(int(argopt(split[s, e] * ((u[i + 1] - u[i]) / dx) + C[e]))
-                                       for e, _, i, s, _ in sides)
-                    else:
-                        edge_j = int(best[0]), int(best[-1])  # the interior argopt next door
-                if (chosen is not None and edge_j == chosen[2]
-                        and np.array_equal(best, chosen[0]) and np.array_equal(positive, chosen[1])):
-                    break
+                if solves or seg != seg_above:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        positive = fill_generator(u, Fp, Fm, G2i, Ci)
+                        best = argopt(work, axis=1)
+                        if one_sided:
+                            # Each edge row optimizes its own inward-drift and running-cost terms.
+                            edge_j = tuple(
+                                int(argopt(split[s, e] * ((u[i + 1] - u[i]) / dx) + C[e]))
+                                for e, _, i, s, _ in sides)
+                        else:
+                            edge_j = int(best[0]), int(best[-1])  # the interior argopt next door
                 if solves == _HOWARD_MAX_SOLVES:
                     raise NumericError(
-                        f"Howard iteration still changing controls after {solves} "
+                        f"Howard iteration: value not settled after {solves} "
                         f"linear solves at time level {k}"
                     )
-                chosen = (best, positive, edge_j)
                 diffusion = G2i[cols, best] * np.where(positive, w_pos, w_neg) / (dx * dx)
                 down = dt_k * (diffusion - Fm[cols, best] / dx)
                 up = dt_k * (diffusion + Fp[cols, best] / dx)
@@ -370,9 +372,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                         diag[e] = 1.0 + beta * dt_k + inward
                         system[s, e] = -inward
                         rhs[e] = v[e] + dt_k * C[e, j]
-                u = _solve_tridiagonal(lower, diag, upper, rhs)
+                u_prev, u = u, _solve_tridiagonal(lower, diag, upper, rhs)
                 solves += 1
                 _require_finite(u, k)
+                if np.max(np.abs(u - u_prev)) <= _HOWARD_SETTLED * max(1.0, np.max(np.abs(u))):
+                    break
             values[k] = u
         else:
             # Overflow in a diverging sweep is caught by the finiteness check below.
@@ -398,6 +402,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             _require_finite(values[k], k)
         policy[k, 1:-1] = best
         policy[k, 0], policy[k, -1] = edge_j
+        seg_above = seg
 
     return values, policy
 
@@ -408,7 +413,7 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
     The sweep is explicit when dt = horizon / n_t meets the CFL bound
     (n_t at or above ``suggest_time_steps``) and implicit below it.  The
     implicit sweep raises NumericError (with the time level) if Howard
-    iteration does not settle within _HOWARD_MAX_SOLVES linear solves.
+    iteration's value does not settle within _HOWARD_MAX_SOLVES linear solves.
     Either raises NumericError (with time level and node) if the sweep
     produces a non-finite value.
     """

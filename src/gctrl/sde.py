@@ -27,8 +27,8 @@ the one CSV writer: it formats contiguous ranges of a table's blocks on the
 usable CPUs, in forked workers, and joins their parts in order, so the bytes
 do not depend on the CPU count.  The ``*_csv_chunks`` functions build the
 tables (``bundle_csv_chunks``, ``hjb.solution_csv_chunks`` and the
-portfolio tables in ``merton``); ``csv_text`` and the ``*_csv_text``
-renderers are their joined strings.
+portfolio tables in ``merton``); the ``*_csv_text`` renderers are their
+joined strings.
 """
 
 from __future__ import annotations
@@ -373,12 +373,6 @@ class CsvTable:
     def __iter__(self):
         yield self.header + "\n"
         yield from self.chunks(0, self.n_blocks)
-
-
-def csv_text(header: str, blocks) -> str:
-    """CSV text of a ``header`` line and ``blocks``, an iterable of ``(lead, rows, values)``."""
-    blocks = list(blocks)
-    return "".join(CsvTable(header, len(blocks), blocks.__getitem__, 0))
 
 
 def _range_count(table: CsvTable) -> int:

@@ -1,6 +1,7 @@
 """Monotone HJB solver: moment identities, DPP exactness, scheme properties."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from gctrl import (
     solve,
     suggest_time_steps,
 )
+from gctrl.hjb import gheat_problem
 from gctrl.merton import control_grid
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+SIGMA_LO, SIGMA_HI = math.sqrt(SET.sigma_lo_sq), math.sqrt(SET.sigma_hi_sq)
 
 
 def heat_problem(terminal, set_=SET, attitude="upper", controls=(0.0,), horizon=1.0):
@@ -346,6 +349,53 @@ def test_howard_cap_raises_with_the_level(monkeypatch):
         solve(problem, Grid1D(-2.0, 2.0, 21, 5))
 
 
+def _normal_cdf(z):
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z.tolist()])
+
+
+def _kinked_error(terminal, exact, attitude, n_x, n_t):
+    """Max error on |x| <= 3 of the implicit G-heat value at time 0 on [-6, 6], horizon 1."""
+    problem = gheat_problem(SET, terminal, 1.0, attitude=attitude)
+    assert n_t < suggest_time_steps(problem, -6.0, 6.0, n_x)
+    sol = solve(problem, Grid1D(-6.0, 6.0, n_x, n_t))
+    inner = np.abs(sol.x) <= 3.0
+    return float(np.max(np.abs(sol.values[0, inner] - exact(sol.x[inner]))))
+
+
+@pytest.mark.parametrize("attitude", ["upper", "lower"])
+def test_implicit_call_matches_the_bachelier_price(attitude):
+    """max(x, 0) is convex, so the upper value is the Bachelier price at sigma_hi
+    and the lower one at sigma_lo.  Its curvature is zero off the kink."""
+    sigma = SIGMA_HI if attitude == "upper" else SIGMA_LO
+
+    def bachelier(x):
+        z = x / sigma
+        return x * _normal_cdf(z) + sigma * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    assert _kinked_error(lambda x: np.maximum(x, 0.0), bachelier, attitude, 401, 100) <= 1e-3
+
+
+def _digital_upper(x):
+    """The upper G-heat value of 1{x >= 0} after unit time: convex left of 0 at
+    sigma_hi, concave right of it at sigma_lo, C^1 at 0."""
+    a, b = (2.0 * s / (SIGMA_HI + SIGMA_LO) for s in (SIGMA_HI, SIGMA_LO))
+    return np.where(x < 0.0, a * _normal_cdf(x / SIGMA_HI), 1.0 - b * _normal_cdf(-x / SIGMA_LO))
+
+
+@pytest.mark.parametrize("attitude", ["upper", "lower"])
+def test_implicit_digital_matches_the_g_normal_closed_form_to_first_order(attitude):
+    """1{x >= 0} is flat off its jump, where rounding flips the curvature sign."""
+    exact = _digital_upper if attitude == "upper" else (lambda x: 1.0 - _digital_upper(-x))
+
+    def digital(x):
+        return np.where(x >= 0.0, 1.0, 0.0)
+
+    fine = _kinked_error(digital, exact, attitude, 801, 200)
+    coarse = _kinked_error(digital, exact, attitude, 401, 100)
+    assert fine <= 5e-3
+    assert 1.8 <= coarse / fine <= 2.2
+
+
 def test_tridiagonal_solver_matches_dense_solve():
     from gctrl.hjb import _solve_tridiagonal
 
@@ -412,6 +462,7 @@ IMPLICIT_CSV_SHA256 = {
     "heat-count/4": "f9e1d6d76f960580a2148a70e1839da26e6fda9ae1b5b3625d1973dc96d981db",
     "desk-n_t-20": "4e862fe6e9375f09b1484e496b23c464cafe9a6899734451e1bff6399c119b9c",
     "ordered-count/5": "8cd99235d00cff8b760325da2084ee1e81df5adab7d3c9cbb88ea4486512d62f",
+    "desk-3-segments-n_t-20": "344ed76036799a5fd164d864c3c3d9211ee9b5c4517d98470b946ded7dc77be3",
 }
 
 
@@ -424,17 +475,30 @@ def _implicit_case(name):
     if name.startswith("ordered"):
         problem, _ = _ordered_pair(lambda x: 0.0 * x, lambda x: 0.0 * x)
         return problem, Grid1D(-3.0, 3.0, 61, suggest_time_steps(problem, -3.0, 3.0, 61) // 5)
-    problem = merton_hjb_problem(MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2),
-                                 CrraUtility(kappa=2.0, beta=0.1), SET, 1.0, "pessimist",
-                                 control_grid(5, 5))
+    market = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
+    if name.startswith("desk-3-segments"):
+        # Levels 6 and 14 of 20 start a new market segment.
+        market = MarketModel((0.0, 0.3, 0.7), (0.02, 0.03, 0.01), (0.06, 0.09, 0.04),
+                             (0.2, 0.3, 0.15))
+    problem = merton_hjb_problem(market, CrraUtility(kappa=2.0, beta=0.1), SET, 1.0,
+                                 "pessimist", control_grid(5, 5))
     return problem, Grid1D(0.4, 2.4, 21, 20)
 
 
 @pytest.mark.parametrize("name", list(IMPLICIT_CSV_SHA256))
 def test_implicit_sweep_bytes_are_pinned(name):
     """One-sided rows without drift (heat) and with it (ordered), and power-Dirichlet
-    rows (desk), each below its CFL count."""
+    rows (desk, with one market segment and with three), each below its CFL count."""
     problem, grid = _implicit_case(name)
     assert grid.n_t < suggest_time_steps(problem, grid.x_min, grid.x_max, grid.n_x)
     text = solution_csv_text(solve(problem, grid))
     assert hashlib.sha256(text.encode()).hexdigest() == IMPLICIT_CSV_SHA256[name]
+
+
+def test_howard_cap_of_one_solve_cannot_show_a_level_settled(monkeypatch):
+    from gctrl import hjb
+
+    monkeypatch.setattr(hjb, "_HOWARD_MAX_SOLVES", 1)
+    problem, grid = _implicit_case("desk-n_t-20")
+    with pytest.raises(NumericError, match="value not settled .* time level 19$"):
+        solve(problem, grid)
