@@ -392,9 +392,10 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                     j = edge_j[side]
                     slope = (v[i + 1] - v[i]) / dx
                     curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
+                    alpha = G2[e, j] * curv
                     values[k, e] = v[e] + dt_k * (
                         (split[0, e, j] + split[1, e, j]) * slope
-                        + g_scalar(G2[e, j] * curv, problem.ambiguity, problem.attitude)
+                        + alpha * (w_pos if alpha > 0.0 else w_neg)
                         + C[e, j] - beta * v[e]
                     )
                 else:
@@ -457,13 +458,6 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> fl
     return float(np.max(np.abs(head[0] - direct[0])))
 
 
-def _control_components(controls: tuple):
-    if isinstance(controls[0], tuple):
-        return tuple(np.asarray([c[i] for c in controls], dtype=float)
-                     for i in range(len(controls[0])))
-    return np.asarray(controls, dtype=float)
-
-
 def evaluate_policy_mc(
     problem: HjbProblem,
     solution: HjbSolution,
@@ -477,7 +471,9 @@ def evaluate_policy_mc(
     """Scenario-optimized Monte Carlo value of a feedback policy from x0.
 
     By default the policy is the solution's argopt field (nearest-node
-    lookup); pass ``control_fn(t, x_array) -> control values`` to evaluate an
+    lookup), handed to the callables as an array over the paths, or for
+    tuple controls one such array per component along the first axis; pass
+    ``control_fn(t, x_array) -> control values`` to evaluate an
     analytic policy on the same dynamics instead.  The schedule search runs
     in the problem's attitude: upper maximizes the sampled mean over priors,
     lower minimizes it.  For a correct solver the estimate matches
@@ -486,7 +482,7 @@ def evaluate_policy_mc(
     if abs(cfg.horizon - problem.horizon) > 1e-12 * max(1.0, problem.horizon):
         raise ValueError("cfg.horizon must equal the problem horizon")
 
-    comps = _control_components(problem.controls)
+    comps = np.asarray(problem.controls, dtype=float).T  # component-major
     level_starts = solution.times[:-1].tolist()
     x_nodes = solution.x
     dx = float(x_nodes[1] - x_nodes[0])
@@ -494,10 +490,7 @@ def evaluate_policy_mc(
     def lookup(t, x_flat):
         k = _segment_index(level_starts, t)
         i = np.clip(np.rint((x_flat - x_nodes[0]) / dx).astype(int), 0, len(x_nodes) - 1)
-        idx = solution.policy[k, i]
-        if isinstance(comps, tuple):
-            return tuple(c[idx] for c in comps)
-        return comps[idx]
+        return comps[..., solution.policy[k, i]]
 
     policy = control_fn if control_fn is not None else lookup
     spec = SdeSpec(

@@ -9,10 +9,10 @@ stream per path index, so enlarging the path count never reshuffles the paths
 already drawn and every run is bit-reproducible from its seed.
 
 All stepping goes through one loop, ``_euler_steps``, which advances blocks of
-rows stacked along the path axis over a run of steps.  ``integrate_gsde`` and
-``sample_gbm`` call it once over the whole horizon; the scenario search in
-``estimators`` calls it once per node of its schedule-prefix tree, over that
-node's segment only.
+rows stacked along the path axis over a run of steps, reading each drift and
+diffusion as numpy broadcasts it.  ``integrate_gsde`` and ``sample_gbm`` call
+it once over the whole horizon; the scenario search in ``estimators`` calls
+it once per node of its schedule-prefix tree, over that node's segment only.
 
 Every piecewise-constant object (a ``VolSchedule``, an ``hjb.HjbProblem``, a
 ``merton.MarketModel``) keeps its segment rules here: ``_checked_starts``
@@ -139,13 +139,18 @@ class PathConfig:
 class SdeSpec:
     """Controlled diffusion in feedback form.
 
-    ``drift(t, x, u)`` must broadcast to (n_paths, dim_state) and
-    ``diffusion(t, x, u)`` to (n_paths, dim_state, dim_noise) when ``x`` has
-    shape (n_paths, dim_state); plain scalars and constant arrays are fine.
-    ``control(t, x)`` produces the feedback value handed to both; ``None``
-    means an uncontrolled system (the callables receive u=None).  Each row of
-    ``x`` is one path and must be treated independently of the others: the
-    scenario search stacks the paths of several schedules into one array.
+    When ``x`` has shape (n_paths, dim_state), ``drift(t, x, u)`` must
+    broadcast to (n_paths, dim_state) and ``diffusion(t, x, u)`` to
+    (n_paths, dim_state, dim_noise); plain numbers and constant arrays are
+    fine.  Three shapes broadcasting would misread are taken by their leading
+    axes instead: with one state, an (n_paths,) drift is a column; with one
+    noise, an (n_paths, dim_state) diffusion is the one noise column, and with
+    one state as well, so is an (n_paths,) diffusion.  Any other shape raises
+    ValueError.  ``control(t, x)`` produces the feedback value handed to
+    both; ``None`` means an uncontrolled system (the callables receive
+    u=None).  Each row of ``x`` is one path and must be treated
+    independently of the others: the scenario search stacks the paths of
+    several schedules into one array.
     """
 
     dim_state: int
@@ -237,41 +242,6 @@ def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> Pa
     return integrate_gsde(SdeSpec.brownian(set_.dim), set_, schedule, cfg)
 
 
-def _coerce_drift(value, n: int, m: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1 and m == 1 and arr.shape[0] == n:
-        arr = arr[:, None]
-    return arr if arr.shape == (n, m) else np.broadcast_to(arr, (n, m))
-
-
-def _coerce_diffusion(value, n: int, m: int, d: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if d == 1 and arr.ndim == 2 and arr.shape == (n, m):
-        arr = arr[:, :, None]
-    elif d == 1 and m == 1 and arr.ndim == 1 and arr.shape[0] == n:
-        arr = arr[:, None, None]
-    return arr if arr.shape == (n, m, d) else np.broadcast_to(arr, (n, m, d))
-
-
-def _reusing(coerce: Callable) -> Callable:
-    """``coerce`` that hands back its last result when given the same value again.
-
-    Only results that cannot go stale are reused: that of a number, which
-    cannot change, and that of a float64 array of unchanged shape, which is a
-    view of the array and so reads its current entries.  A constant drift or
-    diffusion (``SdeSpec.brownian``'s) is thus coerced once per call.
-    """
-    last = [None, None, None]  # value, its shape, result
-
-    def coerced(value, *shape):
-        if not (value is last[0] and (isinstance(value, (int, float)) or (
-                getattr(value, "dtype", None) == float and value.shape == last[1]))):
-            last[:] = value, getattr(value, "shape", None), coerce(value, *shape)
-        return last[2]
-
-    return coerced
-
-
 def _euler_steps(
     spec: SdeSpec,
     states: np.ndarray,
@@ -288,23 +258,38 @@ def _euler_steps(
     root is ``roots_t[i, j]`` on global step ``first_step + i``.  Every block
     sees the same ``normals`` (n_paths, n_steps, d), i.e. common random
     numbers, and each row is computed independently of the others, so a row
-    has the same bits whichever blocks share the call.  A non-finite state
-    aborts with the path index within its block, and with
+    has the same bits whichever blocks share the call.  Each drift and
+    diffusion is used in the shape returned (``SdeSpec`` gives the rule),
+    never copied to full shape: numpy broadcasts it, and ``einsum`` contracts
+    the diffusion with the increments over any leading axes.  A non-finite
+    state aborts with the path index within its block, and with
     ``candidates[j]`` as the block's candidate schedule when given.
     """
     n, d = normals.shape[0], normals.shape[2]
     rows, m = states.shape[1], states.shape[2]
     sqrt_dt = np.sqrt(dt)
     x = np.array(states[0])
-    drift, diffusion = _reusing(_coerce_drift), _reusing(_coerce_diffusion)
     for i, root_t in enumerate(roots_t):
         k = first_step + i
         t_k = k * dt
         u = spec.control(t_k, x) if spec.control is not None else None
-        f = drift(spec.drift(t_k, x, u), rows, m)
-        g = diffusion(spec.diffusion(t_k, x, u), rows, m, d)
+        f = np.asarray(spec.drift(t_k, x, u), dtype=float)
+        g = np.asarray(spec.diffusion(t_k, x, u), dtype=float)
+        if m == 1 and f.shape == (rows,):
+            f = f[:, None]
+        if d == 1 and g.shape == (rows, m):
+            g = g[:, :, None]
+        elif d == m == 1 and g.shape == (rows,):
+            g = g[:, None, None]
+        elif g.ndim < 2:
+            g = np.broadcast_to(g, (m, d))
+        if g.shape[-1] not in (1, d):  # at d = 1, einsum would stretch dw's one column
+            raise ValueError(f"diffusion of shape {g.shape} does not have {d} noise columns")
         dw = ((sqrt_dt * normals[:, k, :]) @ root_t).reshape(rows, d)
-        x = x + f * dt + np.einsum("pmd,pd->pm", g, dw)
+        x = x + f * dt + np.einsum("...md,...d->...m", g, dw)
+        if x.shape != (rows, m):
+            raise ValueError(f"drift {f.shape} and diffusion {g.shape} do not broadcast "
+                             f"to states of shape {(rows, m)}")
         if not np.all(np.isfinite(x)):
             row = int(np.argwhere(~np.isfinite(x))[0, 0])
             where = ("" if candidates is None
@@ -325,9 +310,9 @@ def integrate_gsde(
     """Euler-Maruyama integration of a controlled SDE under one scenario.
 
     x_{k+1} = x_k + drift(t_k, x_k, u_k) dt + diffusion(t_k, x_k, u_k) dB_k,
-    with u_k = control(t_k, x_k).  For single-noise systems a diffusion of
-    shape (n_paths, dim_state) is accepted as the one noise column.  A
-    non-finite state aborts with the path and step where it first appeared.
+    with u_k = control(t_k, x_k), the drift and diffusion of the shapes
+    ``SdeSpec`` accepts.  A non-finite state aborts with the path and step
+    where it first appeared.
     """
     roots_t = _checked_roots_t(spec, set_, schedule.values)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)

@@ -252,6 +252,26 @@ def test_policy_mc_constant_terminal_exact():
     assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
 
+def test_policy_mc_default_lookup_of_tuple_controls_is_nearest_node():
+    market = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
+    problem = merton_hjb_problem(market, CrraUtility(kappa=2.0, beta=0.1), SET, 1.0,
+                                 "pessimist", control_grid(11, 9))
+    sol = solve(problem, Grid1D(0.4, 2.4, 41, 40))
+    controls = np.array(problem.controls)
+
+    def by_hand(t, x):
+        k = int(np.searchsorted(sol.times[:-1], t, side="right")) - 1
+        j = sol.policy[k, np.abs(x[:, None] - sol.x).argmin(axis=1)]
+        return controls[j, 0], controls[j, 1]
+
+    cfg = PathConfig(n_steps=40, horizon=1.0, n_paths=500, seed=31)
+    default, manual = (evaluate_policy_mc(problem, sol, SET, cfg, x0=1.0, control_fn=fn,
+                                          n_segments=2, n_grid=2)
+                       for fn in (None, by_hand))
+    assert default.value == manual.value and default.std_error == manual.std_error
+    assert np.array_equal(default.best_paths.states, manual.best_paths.states)
+
+
 def test_csv_export_shape_and_meta():
     problem = heat_problem(lambda x: x**2)
     grid = Grid1D(-1.0, 1.0, 5, 4)

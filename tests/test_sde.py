@@ -184,9 +184,8 @@ def test_feedback_control_reaches_drift():
 
 
 def test_drift_and_diffusion_changed_in_place_are_read_at_every_step():
-    # The Euler loop reuses the coercion of a value returned again; an array
-    # returned again but changed in place must still be read afresh, whether
-    # its coercion is a view (float64) or a copy (integers).
+    # An array returned again but changed in place since the last step is read
+    # afresh at every step, whether it is float64 or of integers.
     cfg = _cfg(n_paths=5, n_steps=8)
     drift, diffusion = np.zeros(1, dtype=int), np.zeros((1, 1))
 
@@ -203,6 +202,76 @@ def test_drift_and_diffusion_changed_in_place_are_read_at_every_step():
                      lambda t, x, u: np.array([[2.0 - t]]), np.zeros(1))]
     in_place, fresh = (integrate_gsde(s, SET, VolSchedule.constant(0.5), cfg) for s in specs)
     assert np.array_equal(in_place.states, fresh.states)
+
+
+_ROWS = 5
+_DIMS = ((1, 1), (2, 1), (1, 2), (3, 2), (2, 3))  # (dim_state m, dim_noise d)
+
+
+def _shape_cases():
+    for m, d in _DIMS:
+        drifts = [(), (m,), (1, m), (_ROWS, 1)] + [(_ROWS,)] * (m == 1)
+        diffusions = ([(), (d,), (m, d), (m, 1), (1, d), (_ROWS, 1, d), (1, 1, 1), (1, m, d)]
+                      + [(_ROWS, m)] * (d == 1) + [(_ROWS,)] * (d == m == 1))
+        for s in drifts:
+            yield pytest.param(m, d, s, (_ROWS, m, d), id=f"m{m}-d{d}-drift{s}")
+        for s in diffusions:
+            yield pytest.param(m, d, (_ROWS, m), s, id=f"m{m}-d{d}-diffusion{s}")
+
+
+def _shaped(shape, t):
+    """Distinct entries of ``shape`` that change with t; a plain number for shape ()."""
+    value = (1.0 + t) * 0.1 * np.arange(1.0, np.prod(shape) + 1.0).reshape(shape)
+    return value if shape else float(value)
+
+
+def _at_full_shape(value, full):
+    """``value`` as the Euler step reads it, broadcast to ``full`` shape.
+
+    A shape that ``full`` starts with (a (rows,) drift when m = 1, a
+    (rows, m) or (rows,) diffusion when d = 1) gains trailing axes; any other
+    shape broadcasts from the right.  The result is a view, not a copy: where
+    a diffusion is broadcast along d >= 2 noise columns, einsum sums
+    g * dw over them as g * sum(dw), whose last bit can differ from that of
+    the same values laid out in full.
+    """
+    value = np.asarray(value)
+    if value.ndim and full[:value.ndim] == value.shape:
+        value = value.reshape(value.shape + (1,) * (len(full) - value.ndim))
+    return np.broadcast_to(value, full)
+
+
+def _shape_run(m, d, drift, diffusion):
+    set_ = AmbiguitySet(dim=d, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+    cov = 0.4 * np.eye(d) + 0.1  # eigenvalues 0.4 and 0.4 + 0.1 d, inside the set
+    spec = SdeSpec(m, d, drift, diffusion, np.zeros(m))
+    return integrate_gsde(spec, set_, VolSchedule.constant(cov), _cfg(n_paths=_ROWS, n_steps=6))
+
+
+@pytest.mark.parametrize("m,d,drift_shape,diffusion_shape", _shape_cases())
+def test_drift_and_diffusion_shapes_read_as_their_full_shapes(m, d, drift_shape, diffusion_shape):
+    """Every accepted shape gives the bits of returning its values broadcast to full shape."""
+    full_f, full_g = (_ROWS, m), (_ROWS, m, d)
+    shaped = _shape_run(m, d, lambda t, x, u: _shaped(drift_shape, t),
+                        lambda t, x, u: _shaped(diffusion_shape, 2.0 * t))
+    full = _shape_run(m, d, lambda t, x, u: _at_full_shape(_shaped(drift_shape, t), full_f),
+                      lambda t, x, u: _at_full_shape(_shaped(diffusion_shape, 2.0 * t), full_g))
+    assert np.array_equal(shaped.states, full.states)
+
+
+@pytest.mark.parametrize("m,d", _DIMS)
+@pytest.mark.parametrize("case", ["drift-wide", "drift-extra-axis",
+                                  "diffusion-wide", "diffusion-extra-axis"])
+def test_misshaped_drift_or_diffusion_raises(m, d, case):
+    drift_shape, diffusion_shape = {
+        "drift-wide": ((_ROWS, m + 1), (_ROWS, m, d)),
+        "drift-extra-axis": ((1, _ROWS, m), (_ROWS, m, d)),
+        "diffusion-wide": ((_ROWS, m), (m, d + 1)),
+        "diffusion-extra-axis": ((_ROWS, m), (1, _ROWS, m, d)),
+    }[case]
+    with pytest.raises(ValueError):
+        _shape_run(m, d, lambda t, x, u: np.ones(drift_shape),
+                   lambda t, x, u: np.ones(diffusion_shape))
 
 
 def test_csv_format_and_stability():
