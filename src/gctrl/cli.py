@@ -8,7 +8,8 @@ writer: it refuses to overwrite before any computation, runs the command's
 ``cmd_*`` function, and only then writes each artifact to a temporary file
 beside it.  CSV artifacts go through ``sde.write_csv``, which formats a
 large one in ranges on the usable CPUs, in forked workers that are all gone
-when it returns or raises.  The files are published under their names
+when it returns or raises; ``verify`` runs its market-free checks in one
+such worker.  The files are published under their names
 together, once every write has succeeded, so a failing run leaves no
 partial artifacts and, with ``--force``, the previous set untouched.
 

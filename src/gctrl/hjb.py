@@ -270,7 +270,8 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
 
     Each implicit level starts from the last choices of the level above (the
     argopt on its value where the segment changes) and stops once a solve
-    moves no node by more than ``_HOWARD_SETTLED`` times max(1, |u|_inf).
+    moves no node by more than ``_HOWARD_SETTLED`` times max(1, |u|_inf); a
+    solve that returns the iterate of two solves before raises NumericError.
     The edge rows enter the tridiagonal system, whose elimination folds the
     power_dirichlet edges into the first and last interior rows.
     """
@@ -341,7 +342,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
         v = values[k + 1]
 
         if implicit:
-            u, solves = v, 0
+            u, u_prev, solves = v, None, 0
             while True:
                 if solves or seg != seg_above:
                     with np.errstate(over="ignore", invalid="ignore"):
@@ -372,11 +373,16 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                         diag[e] = 1.0 + beta * dt_k + inward
                         system[s, e] = -inward
                         rhs[e] = v[e] + dt_k * C[e, j]
-                u_prev, u = u, _solve_tridiagonal(lower, diag, upper, rhs)
+                u_before, u_prev, u = u_prev, u, _solve_tridiagonal(lower, diag, upper, rhs)
                 solves += 1
                 _require_finite(u, k)
                 if np.max(np.abs(u - u_prev)) <= _HOWARD_SETTLED * max(1.0, np.max(np.abs(u))):
                     break
+                # From the second solve on, each solve's choices are a function of the
+                # iterate alone, so an iterate repeated bit for bit repeats forever.
+                if solves >= 3 and np.array_equal(u, u_before):
+                    raise NumericError(
+                        f"Howard iteration cycles between two iterates at time level {k}")
             values[k] = u
         else:
             # Overflow in a diverging sweep is caught by the finiteness check below.
@@ -414,7 +420,8 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
     The sweep is explicit when dt = horizon / n_t meets the CFL bound
     (n_t at or above ``suggest_time_steps``) and implicit below it.  The
     implicit sweep raises NumericError (with the time level) if Howard
-    iteration's value does not settle within _HOWARD_MAX_SOLVES linear solves.
+    iteration's value does not settle within _HOWARD_MAX_SOLVES linear solves,
+    or at once if its iterates cycle between two arrays bit for bit.
     Either raises NumericError (with time level and node) if the sweep
     produces a non-finite value.
     """

@@ -28,19 +28,22 @@ usable CPUs, in forked workers, and joins their parts in order, so the bytes
 do not depend on the CPU count.  The ``*_csv_chunks`` functions build the
 tables (``bundle_csv_chunks``, ``hjb.solution_csv_chunks`` and the
 portfolio tables in ``merton``); the ``*_csv_text`` renderers are their
-joined strings.
+joined strings.  ``_run_jobs`` is the one place that forks, reaps and kills
+workers, for these ranges and for ``verify``'s two check groups.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
+import pickle
 import shutil
 import signal
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -360,30 +363,91 @@ class CsvTable:
         yield from self.chunks(0, self.n_blocks)
 
 
-def _range_count(table: CsvTable) -> int:
-    """Ranges to split ``table`` into: one per usable CPU, each of ``MIN_RANGE_VALUES`` or more."""
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 without ``os.fork`` or ``os.sched_getaffinity``."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, table.n_blocks, table.n_values // MIN_RANGE_VALUES))
+    return len(os.sched_getaffinity(0))
 
 
-def _write_range(part: Path, table: CsvTable, start: int, stop: int) -> None:
-    """Body of a forked worker: write blocks ``start`` to ``stop - 1`` to ``part`` and exit.
+def _range_count(table: CsvTable) -> int:
+    """Ranges to split ``table`` into: one per usable CPU, each of ``MIN_RANGE_VALUES`` or more."""
+    return max(1, min(_usable_cpus(), table.n_blocks, table.n_values // MIN_RANGE_VALUES))
 
-    It only formats text and never returns: ``os._exit`` skips the parent's
-    exit handlers and the flushing of the stdio buffers it inherited.
+
+def _worker(job: Callable[[], object], fd: int) -> NoReturn:
+    """Body of a forked worker: send ``job``'s outcome, pickled, to the pipe ``fd`` and exit.
+
+    The outcome is ``(True, result)``, or ``(False, exc)`` for the Exception
+    it raised; any other BaseException sends nothing and exits with status 1.
+    It never returns: ``os._exit`` skips the parent's exit handlers and the
+    flushing of the stdio buffers it inherited.
     """
     code = 1
     try:
-        with open(part, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(table.chunks(start, stop))
+        try:
+            outcome = pickle.dumps((True, job()))
+        except Exception as exc:
+            outcome = pickle.dumps((False, exc))
+        with open(fd, "wb") as out:
+            out.write(outcome)
         code = 0
     except BaseException as exc:
         with contextlib.suppress(BaseException):
-            os.write(2, f"gctrl: CSV worker for {part.name} failed: {exc!r}\n".encode())
+            os.write(2, f"gctrl: worker failed: {exc!r}\n".encode())
     finally:
         os._exit(code)
+
+
+def _run_jobs(jobs: list) -> list:
+    """Results of ``jobs``, callables without arguments, in order; later jobs run in workers.
+
+    Job 0 runs here.  Each later job runs in a forked worker when ``os.fork``
+    exists and more than one CPU is usable; otherwise the jobs run here, in
+    order.  A worker sends back its pickled result, or the Exception it
+    raised, which is raised here with its type.  A worker that dies, or exits
+    without sending anything, raises RuntimeError.  On any error, every
+    worker still running is killed and reaped.  Job 0 runs before any
+    worker's result is read, so its own error wins.
+    """
+    if len(jobs) == 1 or _usable_cpus() < 2:
+        return [job() for job in jobs]
+    running, pipes = [], []
+    try:
+        for job in jobs[1:]:
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(job, write)
+            finally:
+                os.close(write)  # the worker never gets here
+            running.append(pid)
+        results = [jobs[0]()]
+        for k, read in enumerate(pipes, 1):
+            with open(read, "rb", closefd=False) as src:
+                outcome = src.read()  # to the end first: a worker blocks on a full pipe
+            code = os.waitstatus_to_exitcode(os.waitpid(running[0], 0)[1])
+            del running[0]
+            if code != 0 or not outcome:
+                raise RuntimeError(f"worker for job {k} exited with status {code} "
+                                   "without sending its result")
+            ok, value = pickle.loads(outcome)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for pid in running:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        for read in pipes:
+            os.close(read)
 
 
 def _append(part: Path, out) -> None:
@@ -401,42 +465,31 @@ def write_csv(path: Path, table: CsvTable) -> None:
     There is one range per usable CPU (``os.sched_getaffinity``), but each
     range holds at least ``MIN_RANGE_VALUES`` values, so a small table, one
     CPU or a platform without ``os.fork`` gives a single range written here.
-    The parent forks one worker for each range after the first; a worker
-    writes its range to ``<path>.part<k>`` beside ``path`` and exits.  The
-    parent writes the header and the first range itself, then reaps the
-    workers in order and appends their parts, so the bytes do not depend on
-    the number of ranges.  A worker that exits non-zero or by a signal raises
-    RuntimeError.  On any error, the workers still running are killed and
-    reaped; the part files are always removed, ``path`` is left to the caller.
+    The ranges are ``_run_jobs``'s jobs: the parent writes the header and the
+    first range to ``path``, a forked worker writes each later range to
+    ``<path>.part<k>`` beside it, and the parent appends the parts in order,
+    so the bytes do not depend on the number of ranges.  A worker's error is
+    raised here with its type, and a worker that dies or exits without
+    reporting raises RuntimeError; on any error the workers still running
+    are killed and reaped.  The part files are always removed, ``path`` is
+    left to the caller.
     """
     n = _range_count(table)
     bounds = [table.n_blocks * k // n for k in range(n + 1)]
     parts = [path.with_name(f"{path.name}.part{k}") for k in range(1, n)]
-    running = []
+
+    def write_range(k: int) -> None:
+        with open(parts[k - 1] if k else path, "w", encoding="utf-8", newline="\n") as fh:
+            if k == 0:
+                fh.write(table.header + "\n")
+            fh.writelines(table.chunks(bounds[k], bounds[k + 1]))
+
     try:
-        for k, part in enumerate(parts, 1):
-            pid = os.fork()
-            if pid == 0:
-                _write_range(part, table, bounds[k], bounds[k + 1])
-            running.append(pid)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table.header + "\n")
-            fh.writelines(table.chunks(bounds[0], bounds[1]))
+        _run_jobs([functools.partial(write_range, k) for k in range(n)])
         with open(path, "r+b", buffering=0) as out:
             out.seek(0, os.SEEK_END)
             for part in parts:
-                code = os.waitstatus_to_exitcode(os.waitpid(running[0], 0)[1])
-                del running[0]
-                if code != 0:
-                    raise RuntimeError(f"CSV worker writing {part.name} exited with status {code}")
                 _append(part, out)
-    except BaseException:
-        for pid in running:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-        raise
     finally:
         for part in parts:
             part.unlink(missing_ok=True)

@@ -3,6 +3,13 @@
 Each check returns a CheckResult with the measured gap and the bound it was
 held to; the CLI renders one PASS/FAIL line per check and exits nonzero if
 any fail.  Tolerances mirror the package's own regression gates.
+
+The checks form two groups that share no state: the Merton group solves the
+configured portfolio problem and holds it against its closed form and its
+Monte Carlo leg; the market-free group draws its problems from the seed.
+``run_all_checks`` runs the market-free group in a forked worker beside the
+Merton group when a second CPU is usable, and the report's bytes do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .merton import (
     verify_hjb_residual,
     worst_case_lambda,
 )
-from .sde import PathConfig, VolSchedule, bundle_csv_text, sample_gbm
+from .sde import PathConfig, VolSchedule, _run_jobs, bundle_csv_text, sample_gbm
 
 TOL_EXACT = 1e-12
 TOL_DPP = 1e-10
@@ -80,16 +87,24 @@ class MertonRun:
     interior_rel_error: float
 
 
-def merton_run(cfg: RunConfig) -> MertonRun:
-    """Closed form and grid solve; ConfigError unless d = 1, x_min, x0 > 0 and d market assets."""
+def _merton_inputs(cfg: RunConfig) -> tuple[AmbiguitySet, MarketModel, CrraUtility]:
+    """The configured set, market and utility; ConfigError unless d = 1, x_min, x0 > 0 and
+    the market has d assets."""
     set_ = cfg.ambiguity_set_1d()
-    market, util, s = cfg.market_model(), cfg.crra(), cfg.solver
-    if not s.x_min > 0.0:
+    market, util = cfg.market_model(), cfg.crra()
+    if not cfg.solver.x_min > 0.0:
         raise ConfigError("the wealth grid must be truncated away from zero: solver.x_min > 0")
     if not cfg.simulation.x0 > 0.0:
         raise ConfigError("the initial wealth must be positive: simulation.x0 > 0")
     if market.dim != set_.dim:
         raise ConfigError(f"the market has {market.dim} assets; ambiguity.d is {set_.dim}")
+    return set_, market, util
+
+
+def merton_run(cfg: RunConfig) -> MertonRun:
+    """Closed form and grid solve; ConfigError as ``_merton_inputs``, before either starts."""
+    set_, market, util = _merton_inputs(cfg)
+    s = cfg.solver
     attitude = merton_attitude(s.attitude)
     lam = worst_case_lambda(set_, "negative", attitude)
     cf = solve_A(market, util, lam, n_t=2000, horizon=s.horizon)
@@ -284,13 +299,28 @@ def check_comparison_principle(name: str, problems) -> CheckResult:
 
 
 def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
-    """Run the full cross-check suite for one configuration; ConfigError unless d = 1."""
+    """Run the full cross-check suite for one configuration; ConfigError unless d = 1.
+
+    The checks fall in two groups that share no state, run side by side by
+    ``sde._run_jobs``: the Merton checks here and the market-free checks in
+    a forked worker, when a second CPU is usable.  The config is checked
+    first, so a config error comes before the worker starts.  The report
+    keeps the checks' order: the market-free group's first eight, the Merton
+    group, then the market-free group's last two.
+    """
+    _merton_inputs(cfg)
+    merton, free = _run_jobs([lambda: _merton_checks(cfg), lambda: _market_free_checks(cfg)])
+    return [*free[:8], *merton, *free[8:]]
+
+
+def _merton_checks(cfg: RunConfig) -> list[CheckResult]:
+    """The checks of the configured portfolio problem, the Monte Carlo leg's among them."""
     run = merton_run(cfg)
     market, util, cf, sol = run.market, run.utility, run.closed_form, run.solution
     set_1d, horizon, sim = run.problem.ambiguity, cfg.solver.horizon, cfg.simulation
 
-    # The Monte Carlo leg runs first, so that its search allocates on a heap the checks
-    # have not fragmented yet.  It draws from its own streams and keeps its report slot.
+    # The Monte Carlo leg runs first, so that its search allocates on a heap this group's
+    # checks have not fragmented yet.  It draws from its own streams and keeps its report slot.
     path_cfg = PathConfig(n_steps=sim.n_steps, horizon=horizon,
                           n_paths=sim.n_paths, seed=sim.seed)
 
@@ -301,33 +331,12 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
                              control_fn=control_fn,
                              n_segments=min(sim.n_segments, 2), n_grid=min(sim.n_grid, 3))
 
-    rng = np.random.default_rng(sim.seed)
-    results = [
-        check_subadditivity(rng),
-        check_homogeneity(rng),
-        check_direction_order(rng),
-        check_maximizer_membership(rng),
-        check_bruteforce_agreement(rng),
-    ]
-    ordered = [_random_ordered_problems(rng) for _ in range(100)]
-    results.append(check_comparison_principle("comparison_principle", ordered))
-    coarse = [(low, high, dataclasses.replace(grid, n_t=3)) for low, high, grid in ordered]
-    results.append(check_comparison_principle("comparison_principle_implicit", coarse))
-
-    # Composition of the dynamic-programming recursion, heat-type problem.
-    heat = gheat_problem(set_1d, lambda x: x**2, horizon)
-    n_t = suggest_time_steps(heat, -4.0, 4.0, 101)
-    heat_grid = Grid1D(-4.0, 4.0, 101, n_t)
-    t_bar = float(np.linspace(0.0, horizon, n_t + 1)[n_t // 2])
-    results.append(_result("dpp_composition_heat",
-                           dpp_composition_check(heat, heat_grid, t_bar), TOL_DPP))
-
     # Portfolio problem at the configured parameters.
     small_nt = suggest_time_steps(run.problem, 0.5, 2.0, 81)
     small_grid = Grid1D(0.5, 2.0, 81, small_nt)
     t_bar = float(np.linspace(0.0, horizon, small_nt + 1)[small_nt // 2])
-    results.append(_result("dpp_composition_portfolio",
-                           dpp_composition_check(run.problem, small_grid, t_bar), TOL_DPP))
+    results = [_result("dpp_composition_portfolio",
+                       dpp_composition_check(run.problem, small_grid, t_bar), TOL_DPP)]
     # 20 steps are far below this grid's explicit count (774 on the desk market): implicit.
     implicit_grid = Grid1D(0.5, 2.0, 81, 20)
     t_bar = float(np.linspace(0.0, horizon, 21)[10])
@@ -364,6 +373,33 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
         w1, w2, _f2 = pol.fund_weights(t, x)
         worst_w = max(worst_w, abs((w1 + w2) - 1.0))
     results.append(_result("fund_weights_sum", worst_w, 0.0))
+    return results
+
+
+def _market_free_checks(cfg: RunConfig) -> list[CheckResult]:
+    """The checks that do not read the market: generator suites, comparison principle,
+    heat DPP, the ambiguity order of the portfolio weight and CSV byte stability."""
+    set_1d, horizon, sim = cfg.ambiguity_set_1d(), cfg.solver.horizon, cfg.simulation
+    rng = np.random.default_rng(sim.seed)
+    results = [
+        check_subadditivity(rng),
+        check_homogeneity(rng),
+        check_direction_order(rng),
+        check_maximizer_membership(rng),
+        check_bruteforce_agreement(rng),
+    ]
+    ordered = [_random_ordered_problems(rng) for _ in range(100)]
+    results.append(check_comparison_principle("comparison_principle", ordered))
+    coarse = [(low, high, dataclasses.replace(grid, n_t=3)) for low, high, grid in ordered]
+    results.append(check_comparison_principle("comparison_principle_implicit", coarse))
+
+    # Composition of the dynamic-programming recursion, heat-type problem.
+    heat = gheat_problem(set_1d, lambda x: x**2, horizon)
+    n_t = suggest_time_steps(heat, -4.0, 4.0, 101)
+    heat_grid = Grid1D(-4.0, 4.0, 101, n_t)
+    t_bar = float(np.linspace(0.0, horizon, n_t + 1)[n_t // 2])
+    results.append(_result("dpp_composition_heat",
+                           dpp_composition_check(heat, heat_grid, t_bar), TOL_DPP))
 
     mono_rng = np.random.default_rng(sim.seed + 3)
     violations = 0

@@ -1,6 +1,7 @@
 """Config parsing and the four CLI commands, including exit codes."""
 
 import dataclasses
+import os
 import re
 from pathlib import Path
 
@@ -465,9 +466,9 @@ def test_cli_simulate_over_the_candidate_cap_is_a_config_error(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_verify_runs_the_monte_carlo_leg_before_the_checks(monkeypatch):
-    # The policy MC follows the grid solve of merton_run and precedes every check, so
-    # its search allocates before the checks' solves have churned the heap.
+def _recorded_verify_calls(monkeypatch, cpus: int) -> tuple[list, list]:
+    """Names of the ``verify`` functions called in this process, in order, and the
+    checks' results, from ``run_all_checks`` on a small desk config with ``cpus`` usable CPUs."""
     calls = []
 
     def recording(name, fn):
@@ -476,6 +477,7 @@ def test_verify_runs_the_monte_carlo_leg_before_the_checks(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     names = ["solve", "evaluate_policy_mc", "dpp_composition_check"]
     names += [name for name in dir(verify) if name.startswith("check_")]
     for name in names:
@@ -483,11 +485,37 @@ def test_verify_runs_the_monte_carlo_leg_before_the_checks(monkeypatch):
     fast = (DESK_CONFIG.replace("n_x = 201", "n_x = 61").replace("x_min = 0.4", "x_min = 0.5")
             .replace("x_max = 2.4", "x_max = 2.0").replace("n_paths = 1500", "n_paths = 50")
             .replace("n_steps = 150", "n_steps = 10"))
-    verify.run_all_checks(parse_config_text(fast))
+    return calls, verify.run_all_checks(parse_config_text(fast))
+
+
+def test_verify_runs_the_monte_carlo_leg_before_the_checks(monkeypatch):
+    # The policy MC follows the grid solve of merton_run and precedes every check, so
+    # its search allocates before the checks' solves have churned the heap.  With one
+    # usable CPU every check runs in this process, where the calls are recorded.
+    calls, _ = _recorded_verify_calls(monkeypatch, cpus=1)
     assert calls[:2] == ["solve", "evaluate_policy_mc"]
     assert "evaluate_policy_mc" not in calls[2:]
     assert {"check_subadditivity", "check_comparison_principle",
             "dpp_composition_check"} <= set(calls[2:])
+
+
+VERIFY_CHECKS = [
+    "g_subadditivity", "g_positive_homogeneity", "g_upper_ge_lower", "g_maximizer_membership",
+    "g_bruteforce_agreement", "comparison_principle", "comparison_principle_implicit",
+    "dpp_composition_heat", "dpp_composition_portfolio", "dpp_composition_portfolio_implicit",
+    "pde_vs_closed_form", "pi_extraction", "mc_vs_closed_form", "hjb_residual",
+    "hjb_residual_sensitivity", "fund_weights_sum", "pi_decreasing_in_ambiguity",
+    "csv_byte_stability",
+]
+
+
+def test_verify_with_two_cpus_runs_the_monte_carlo_leg_first_here(monkeypatch):
+    # The market-free checks run in a forked worker, which this process does not record.
+    calls, results = _recorded_verify_calls(monkeypatch, cpus=2)
+    assert calls[:2] == ["solve", "evaluate_policy_mc"]
+    assert calls.count("evaluate_policy_mc") == 1
+    assert "check_subadditivity" not in calls
+    assert [r.name for r in results] == VERIFY_CHECKS
 
 
 def test_cli_verify_passes_and_perturbation_fails(tmp_path):

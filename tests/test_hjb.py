@@ -522,3 +522,35 @@ def test_howard_cap_of_one_solve_cannot_show_a_level_settled(monkeypatch):
     problem, grid = _implicit_case("desk-n_t-20")
     with pytest.raises(NumericError, match="value not settled .* time level 19$"):
         solve(problem, grid)
+
+
+def _diffusion_scaled_problem(trial: int, direction: str, attitude: str) -> HjbProblem:
+    """Problem ``trial`` of a family whose controls scale the diffusion: drift a u,
+    diffusion u, running cost c u^2, terminal sin(3 b x) + b x^2, discount |beta|."""
+    rng = np.random.default_rng(7)
+    for _ in range(trial + 1):
+        lo = rng.uniform(0.1, 0.8)
+        hi = lo + rng.uniform(0.0, 0.8)
+        a, b, c, beta = rng.uniform(-1.0, 1.0, size=4)
+    return HjbProblem(
+        drift=lambda t, x, u: a * u + 0.0 * x,
+        diffusion=lambda t, x, u: u + 0.0 * x,
+        running_cost=lambda t, x, u: c * u * u + 0.0 * x,
+        terminal_cost=lambda x: np.sin(3.0 * b * x) + b * x * x,
+        horizon=0.5,
+        controls=(0.0, 0.5, -0.5),
+        ambiguity=AmbiguitySet(dim=1, sigma_lo_sq=lo, sigma_hi_sq=hi),
+        discount=abs(beta),
+        opt_direction=direction,
+        attitude=attitude,
+        segment_starts=(0.0,),
+    )
+
+
+def test_howard_two_cycle_raises_at_once(solves_per_level):
+    # The control minimum over a generator that maximizes over the curvature sign is a
+    # min-max, where policy iteration need not converge: level 1's iterates alternate.
+    problem = _diffusion_scaled_problem(10, "minimize", "upper")
+    with pytest.raises(NumericError, match="cycles between two iterates at time level 1$"):
+        solve(problem, Grid1D(-2.0, 2.0, 41, 3))
+    assert max(solves_per_level) <= 4
