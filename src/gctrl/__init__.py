@@ -16,7 +16,6 @@ from .estimators import (
     upper_expectation_mc,
 )
 from .hjb import (
-    BoundaryRule,
     Grid1D,
     HjbProblem,
     HjbSolution,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguitySet",
-    "BoundaryRule",
     "ClosedForm",
     "ConfigError",
     "ConsistencyError",

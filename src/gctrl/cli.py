@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FUNCTIONALS, PAYOFFS, RunConfig, canonical_text, hjb_attitude, parse_config
+from .config import (FUNCTIONALS, PAYOFFS, SEEDS, RunConfig, canonical_text, hjb_attitude,
+                     parse_config)
 from .errors import ConfigError, ConsistencyError, NumericError
 from .estimators import upper_expectation_mc
 from .hjb import gheat_problem, solution_csv_chunks, solution_meta_text, solve
@@ -123,30 +124,39 @@ def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> Run
     written to a temporary name in ``out_dir``; only when every write has
     succeeded are they renamed into place, the report last.  On any error
     the temporaries are removed, so the directory keeps what it held before
-    the run.
+    the run.  An ``out_dir`` that exists and is not a directory is a
+    ConfigError before the command runs, and so is an OSError from creating
+    the directory or writing or renaming an artifact, after it.
     """
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output directory {out_dir} exists and is not a directory")
     paths = [out_dir / f"{cfg.output.prefix}_{suffix}" for suffix in COMMANDS[command][1]]
     _check_overwrite(paths, force)
     report = RunReport(command=command, config_echo=canonical_text(cfg))
     renderers = globals()["cmd_" + command.replace("-", "_")](cfg, report)
     report.artifact_paths = [str(p) for p in paths]
-    out_dir.mkdir(parents=True, exist_ok=True)
     temps = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for path, render in zip(paths, [*renderers, lambda: report_text(report)], strict=True):
             temps.append(path.with_name(f".{path.name}.tmp"))
             _write_text(temps[-1], render())
         for temp, path in zip(temps, paths):
             temp.replace(path)
-    except BaseException:
+    except BaseException as exc:
         for temp in temps:
             temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write the artifacts in {out_dir}: {exc}") from exc
         raise
     return report
 
 
 def cmd_solve_hjb(cfg: RunConfig, report: RunReport) -> list:
-    s = cfg.solver
+    s, x0 = cfg.solver, cfg.simulation.x0
+    if not s.x_min <= x0 <= s.x_max:
+        raise ConfigError(f"simulation.x0 = {x0!r} lies outside the grid "
+                          f"[solver.x_min, solver.x_max] = [{s.x_min!r}, {s.x_max!r}]")
     payoff, c = PAYOFFS[s.terminal], s.terminal_constant
     problem = gheat_problem(cfg.ambiguity_set_1d(), lambda x: payoff(x[:, None], c),
                             s.horizon, s.direction, hjb_attitude(s.attitude))
@@ -155,8 +165,9 @@ def cmd_solve_hjb(cfg: RunConfig, report: RunReport) -> list:
     report.results["problem"] = s.problem
     report.results["n_t"] = grid.n_t
     report.results["dt"] = problem.horizon / grid.n_t
-    report.results["V(0,0)"] = solution.value_at(0.0, 0.0)
-    report.results["V(0,x0)"] = solution.value_at(0.0, cfg.simulation.x0)
+    if s.x_min <= 0.0 <= s.x_max:
+        report.results["V(0,0)"] = solution.value_at(0.0, 0.0)
+    report.results["V(0,x0)"] = solution.value_at(0.0, x0)
     return [lambda: solution_csv_chunks(solution), lambda: solution_meta_text(problem, grid)]
 
 
@@ -270,6 +281,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if args.seed not in SEEDS:
+                raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
             cfg = dataclasses.replace(
                 cfg, simulation=dataclasses.replace(cfg.simulation, seed=args.seed)
             )

@@ -23,6 +23,7 @@ have ``ambiguity.d`` assets, only by ``merton`` and ``verify``, which read it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -45,6 +46,8 @@ PAYOFFS = {
 # simulate's path functionals, each named for the payoff it takes at a path's last state.
 FUNCTIONALS = {"terminal_square": "x_squared", "neg_terminal_square": "minus_x_squared",
                "constant": "constant"}
+# The seeds of simulation.seed and --seed: the path streams key on 64 bits of the seed.
+SEEDS = range(2**64)
 
 # Annotations of the market tuples; each picks its own codec (see _CODECS).
 Floats = tuple[float, ...]
@@ -313,8 +316,13 @@ def _validate(cfg: RunConfig, raw: dict, headers: dict) -> None:
     if small := [key for key in ("n_paths", "n_steps", "n_segments", "n_grid")
                  if getattr(sim, key) < 1]:
         fail("simulation sizes must be positive", "simulation", *small)
+    if sim.seed not in SEEDS:
+        fail(f"simulation.seed must be in [0, 2**64), got {sim.seed}", "simulation", "seed")
     if not cfg.output.prefix:
         fail("output.prefix must be nonempty", "output", "prefix")
+    if {os.sep, os.altsep} & set(cfg.output.prefix):
+        fail(f"output.prefix must not contain a path separator, got {cfg.output.prefix!r}",
+             "output", "prefix")
 
 
 def canonical_text(cfg: RunConfig) -> str:

@@ -7,8 +7,8 @@ grid picks the sweep: explicit when its step horizon / n_t meets the CFL
 bound, implicit otherwise.
 
 explicit: one forward step per level.  Its interior rows are monotone under
-the CFL bound below; its one_sided edge rows are not, at any dt (see
-BoundaryRule).
+the CFL bound below; its one-sided edge rows are not, at any dt (see
+HjbProblem).
 
     dt <= dx^2 / (sigma_hi_sq * max g^2 + dx * max |f| + dx^2 * discount).
 
@@ -41,39 +41,11 @@ from .sde import CsvTable, PathConfig, SdeSpec, _checked_starts, _segment_index,
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
-_BOUNDARY_KINDS = ("one_sided", "power_dirichlet")
 
 # Linear solves one implicit time level may take before Howard iteration gives up.
 _HOWARD_MAX_SOLVES = 50
 # A level has settled once a linear solve moves no node by more than this times max(1, |u|_inf).
 _HOWARD_SETTLED = 8.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class BoundaryRule:
-    """How the two edge rows are closed.
-
-    one_sided: the explicit sweep uses one-sided first/second differences
-    with the control frozen to the adjacent interior argopt.  That closure
-    is not monotone: (v2 - 2 v1 + v0) / dx^2 weighs v1 by -2 w / dx^2, so
-    ordered data can cross at the edges, which is why
-    ``verify._random_ordered_problems`` keeps its supports 14 nodes away
-    from them.  The implicit sweep drops the second-order term at the edge
-    (V_xx ~ 0), keeps only the inward-pointing drift, upwinded, and
-    optimizes the edge row's own control, which keeps it monotone.
-    power_dirichlet: edge value copied from the adjacent interior node
-    scaled by (x_edge / x_adjacent)**exponent, for value functions with a
-    known power shape in x.
-    """
-
-    kind: str = "one_sided"
-    exponent: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _BOUNDARY_KINDS:
-            raise ValueError(f"boundary kind must be one of {_BOUNDARY_KINDS}, got {self.kind!r}")
-        if self.kind == "power_dirichlet" and self.exponent is None:
-            raise ValueError("power_dirichlet boundary needs an exponent")
 
 
 @dataclass(frozen=True)
@@ -118,6 +90,18 @@ class HjbProblem:
     tables and the explicit CFL bound once per segment, from the segment
     start, so a coefficient that varies within a segment must be declared
     with finer segments.
+
+    ``edge_power`` picks how the two edge rows are closed.  None (one-sided):
+    the explicit sweep uses one-sided first/second differences with the
+    control frozen to the adjacent interior argopt.  That closure is not
+    monotone: (v2 - 2 v1 + v0) / dx^2 weighs v1 by -2 w / dx^2, so ordered
+    data can cross at the edges, which is why
+    ``verify._random_ordered_problems`` keeps its supports 14 nodes away from
+    them.  The implicit sweep drops the second-order term at the edge
+    (V_xx ~ 0), keeps only the inward-pointing drift, upwinded, and optimizes
+    the edge row's own control, which keeps it monotone.  A number p (power
+    Dirichlet): the edge value is the adjacent interior node's scaled by
+    (x_edge / x_adjacent)**p, for value functions with a known power shape x^p.
     """
 
     drift: Callable
@@ -131,7 +115,7 @@ class HjbProblem:
     discount: float = 0.0
     opt_direction: str = "minimize"
     attitude: str = "upper"
-    boundary: BoundaryRule = BoundaryRule()
+    edge_power: float | None = None
 
     def __post_init__(self):
         if not self.horizon > 0.0:
@@ -176,16 +160,14 @@ class HjbSolution:
     controls: tuple = field(repr=False)
 
     def value_at(self, t: float, x: float) -> float:
-        """Bilinear interpolation of the value field."""
-        tt = np.clip(t, self.times[0], self.times[-1])
-        k = _segment_index(self.times[:-1], tt)
-        w = (tt - self.times[k]) / (self.times[k + 1] - self.times[k])
+        """Bilinear interpolation of the value field; ValueError off the grid."""
+        if not (self.times[0] <= t <= self.times[-1] and self.x[0] <= x <= self.x[-1]):
+            raise ValueError(f"(t, x) = ({t}, {x}) lies outside the grid "
+                             f"[{self.times[0]}, {self.times[-1]}] x [{self.x[0]}, {self.x[-1]}]")
+        k = _segment_index(self.times[:-1], t)
+        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
         row = (1.0 - w) * self.values[k] + w * self.values[k + 1]
         return float(np.interp(x, self.x, row))
-
-
-def _broadcast_nodes(value, n_x: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=float), (n_x,))
 
 
 def _tables(problem: HjbProblem, x: np.ndarray, t: float):
@@ -195,10 +177,9 @@ def _tables(problem: HjbProblem, x: np.ndarray, t: float):
     G2, C = (np.empty((n_x, n_u)) for _ in range(2))
     split = np.empty((2, n_x, n_u))  # split[0] holds F until its upwind parts are taken
     for j, u in enumerate(problem.controls):
-        split[0, :, j] = _broadcast_nodes(problem.drift(t, x, u), n_x)
-        g = _broadcast_nodes(problem.diffusion(t, x, u), n_x)
-        G2[:, j] = g * g
-        C[:, j] = _broadcast_nodes(problem.running_cost(t, x, u), n_x)
+        split[0, :, j] = problem.drift(t, x, u)
+        G2[:, j] = np.asarray(problem.diffusion(t, x, u), dtype=float) ** 2
+        C[:, j] = problem.running_cost(t, x, u)
     np.minimum(split[0], 0.0, out=split[1])
     np.maximum(split[0], 0.0, out=split[0])
     return G2, C, split
@@ -282,7 +263,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     dx = float(x[1] - x[0])
     beta = problem.discount
     argopt = np.argmax if problem.opt_direction == "maximize" else np.argmin
-    one_sided = problem.boundary.kind == "one_sided"
+    one_sided = problem.edge_power is None
 
     values = np.empty((n_t + 1, n_x))
     values[n_t] = terminal_values
@@ -300,8 +281,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     # and the upwind part split[s] of the drift that points inward, with its sign.
     sides = ((0, 0, 0, 0, 1.0), (n_x - 1, n_x - 3, n_x - 2, 1, -1.0))
     if not one_sided:
-        p = float(problem.boundary.exponent)
-        ratio = [(x[e] / x[h + 1]) ** p for e, h, *_ in sides]
+        ratio = [(x[e] / x[h + 1]) ** float(problem.edge_power) for e, h, *_ in sides]
 
     cols = np.arange(n_x - 2)
     work, tmp = np.empty((2, n_x - 2, len(problem.controls)))
@@ -428,8 +408,7 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
     x = grid.nodes()
     segments = _segment_tables(problem, x)
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
-    terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
-    values, policy = _sweep(problem, grid, times, terminal, segments)
+    values, policy = _sweep(problem, grid, times, problem.terminal_cost(x), segments)
     return HjbSolution(
         grid=grid,
         x=x,
@@ -457,7 +436,7 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> fl
         raise ValueError("t_bar must lie strictly between 0 and the horizon")
 
     x = grid.nodes()
-    terminal = _broadcast_nodes(problem.terminal_cost(x), grid.n_x).copy()
+    terminal = problem.terminal_cost(x)
     segments = _segment_tables(problem, x)
     direct, _ = _sweep(problem, grid, times, terminal, segments)
     tail, _ = _sweep(problem, grid, times[k_bar:], terminal, segments)
@@ -518,11 +497,9 @@ def evaluate_policy_mc(
             t_k = float(bundle.times[k])
             xk = bundle.states[:, k, 0]
             u = policy(t_k, xk)
-            phi = _broadcast_nodes(problem.running_cost(t_k, xk, u), xk.size)
-            total = total + np.exp(-beta * t_k) * phi * dt
-        xT = bundle.states[:, -1, 0]
-        term = _broadcast_nodes(problem.terminal_cost(xT), xT.size)
-        return total + np.exp(-beta * cfg.horizon) * term
+            total += np.exp(-beta * t_k) * problem.running_cost(t_k, xk, u) * dt
+        total += np.exp(-beta * cfg.horizon) * problem.terminal_cost(bundle.states[:, -1, 0])
+        return total
 
     return upper_expectation_mc(
         spec, set_, functional, cfg,
@@ -575,7 +552,7 @@ def solution_meta_text(problem: HjbProblem, grid: Grid1D) -> str:
         ("discount", problem.discount),
         ("attitude", problem.attitude),
         ("opt_direction", problem.opt_direction),
-        ("boundary", problem.boundary.kind),
+        ("boundary", "one_sided" if problem.edge_power is None else "power_dirichlet"),
         ("sigma_lo_sq", amb.sigma_lo_sq),
         ("sigma_hi_sq", amb.sigma_hi_sq),
         ("n_controls", len(problem.controls)),

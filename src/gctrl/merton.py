@@ -29,7 +29,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, as_symmetric, g_matrix
 from .errors import ConsistencyError, NumericError
-from .hjb import BoundaryRule, Grid1D, HjbProblem, HjbSolution, solve
+from .hjb import Grid1D, HjbProblem, HjbSolution, solve
 from .sde import CsvTable, _checked_starts, _segment_index, _starts_before, table_csv_chunks
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
@@ -461,7 +461,7 @@ def merton_hjb_problem(
         discount=u.beta,
         opt_direction="maximize",
         attitude="lower" if attitude == "pessimist" else "upper",
-        boundary=BoundaryRule(kind="power_dirichlet", exponent=1.0 - u.kappa),
+        edge_power=1.0 - u.kappa,
         segment_starts=m.segment_starts,
     )
 

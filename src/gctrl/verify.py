@@ -237,10 +237,11 @@ def _random_ordered_problems(rng: np.random.Generator):
     The grid has 12 steps at 0.9 times the CFL bound, so ``solve`` sweeps
     explicitly.  The support sits 14 nodes away from each edge, so in 12
     steps the explicit stencil never transports a nonzero gap into the
-    boundary closures, which are not monotone (see ``hjb.BoundaryRule``), and
-    the discrete comparison principle holds exactly on the whole grid.  On 3 steps (3.6 times the bound) ``solve`` sweeps
-    implicitly, which reaches the edges in one step; its edge closure is
-    monotone, so the principle holds there too.
+    one-sided edge closures, which are not monotone (see ``hjb.HjbProblem``),
+    and the discrete comparison principle holds exactly on the whole grid.  On
+    3 steps (3.6 times the bound) ``solve`` sweeps implicitly, which reaches
+    the edges in one step; its edge closure is monotone, so the principle
+    holds there too.
     """
     lo = rng.uniform(0.1, 0.8)
     hi = lo + rng.uniform(0.0, 0.8)

@@ -466,6 +466,97 @@ def test_cli_simulate_over_the_candidate_cap_is_a_config_error(tmp_path, capsys)
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 1])
+@pytest.mark.parametrize("command", ["solve-hjb", "merton", "simulate", "verify"])
+def test_cli_seeds_outside_64_bits_are_config_errors(tmp_path, capsys, command, seed):
+    """A seed from the file names its line, one from --seed the flag, before any computation."""
+    text = DESK_CONFIG if command in ("merton", "verify") else GHEAT_CONFIG
+    out = tmp_path / "out"
+    ok_path = _write(tmp_path, "ok.cfg", text)
+    assert main([command, "--config", ok_path, "--output", str(out), "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == f"config error: --seed must be in [0, 2**64), got {seed}\n"
+    bad = re.sub(r"seed = \d+", f"seed = {seed}", text)
+    line = bad.splitlines().index(f"seed = {seed}") + 1
+    bad_path = _write(tmp_path, "bad.cfg", bad)
+    assert main([command, "--config", bad_path, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: line {line}: simulation.seed must be in [0, 2**64), got {seed}\n")
+    assert not out.exists()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("grid solve started before the config was rejected")
+
+
+def test_cli_prefix_with_a_path_separator_writes_nothing(tmp_path, capsys, monkeypatch):
+    from gctrl import cli
+
+    monkeypatch.setattr(cli, "solve", _no_solve)
+    cfg_path = _write(tmp_path, "up.cfg", GHEAT_CONFIG.replace("prefix = gheat",
+                                                              "prefix = ../escaped"))
+    assert main(["solve-hjb", "--config", cfg_path, "--output", str(tmp_path / "out")]) == 2
+    assert "output.prefix must not contain a path separator" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["up.cfg"]
+
+
+def test_cli_output_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    from gctrl import cli
+
+    cfg_path = _write(tmp_path, "gheat.cfg", GHEAT_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve", _no_solve)
+        assert main(["solve-hjb", "--config", cfg_path, "--output", str(taken)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: output directory {taken} exists and is not a directory\n")
+    # A directory below a file fails only when it is made, after the solve.
+    assert main(["solve-hjb", "--config", cfg_path, "--output", str(taken / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write the artifacts in {taken / 'sub'}: ")
+    assert err.count("\n") == 1
+    assert taken.read_text() == "keep\n"
+
+
+def test_cli_failed_rename_exits_2_and_keeps_the_directory(tmp_path, capsys, monkeypatch):
+    cfg_path = _write(tmp_path, "gheat.cfg", GHEAT_CONFIG.replace("n_x = 401", "n_x = 41"))
+    out = tmp_path / "out"
+    assert main(["solve-hjb", "--config", cfg_path, "--output", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def refuse(self, target):
+        raise OSError(30, "Read-only file system", str(target))
+
+    monkeypatch.setattr(Path, "replace", refuse)
+    args = ["solve-hjb", "--config", cfg_path, "--output", str(out), "--force", "--seed", "8"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write the artifacts in {out}: ")
+    assert "Read-only file system" in err and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_solve_hjb_needs_x0_on_the_grid(tmp_path, capsys, monkeypatch):
+    from gctrl import cli
+
+    text = GHEAT_CONFIG.replace("[simulation]", "[simulation]\nx0 = 10.0")
+    cfg_path = _write(tmp_path, "far.cfg", text)
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve", _no_solve)
+        assert main(["solve-hjb", "--config", cfg_path, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: simulation.x0 = 10.0 lies outside the grid "
+                                       "[solver.x_min, solver.x_max] = [-4.0, 4.0]\n")
+    assert not out.exists()
+    # A grid away from 0 reports V(0,x0) alone; V(0,0) would lie off the grid.
+    right = text.replace("x0 = 10.0", "x0 = 1.0").replace("x_min = -4.0", "x_min = 0.5")
+    assert main(["solve-hjb", "--config", _write(tmp_path, "right.cfg", right),
+                 "--output", str(out)]) == 0
+    report = (out / "gheat_report.txt").read_text()
+    assert "V(0,x0) = " in report and "V(0,0)" not in report
+
+
 def _recorded_verify_calls(monkeypatch, cpus: int) -> tuple[list, list]:
     """Names of the ``verify`` functions called in this process, in order, and the
     checks' results, from ``run_all_checks`` on a small desk config with ``cpus`` usable CPUs."""
@@ -608,6 +699,13 @@ def _late(text: str, line: int, message: str):
     _late("[solver]\nn_pi = 21\nn_rho = 1\n", 3, "solver.n_pi and solver.n_rho must be at least 2"),
     _late("[simulation]\nn_grid = 0\n", 2, "simulation sizes must be positive"),
     _late("[output]\nprefix =\n", 2, "output.prefix must be nonempty"),
+    _late("[output]\nprefix = sub/heat\n", 2,
+          "output.prefix must not contain a path separator, got 'sub/heat'"),
+    _late("[output]\nprefix = ../escaped\n", 2,
+          "output.prefix must not contain a path separator, got '../escaped'"),
+    _late("[simulation]\nseed = -1\n", 2, "simulation.seed must be in [0, 2**64), got -1"),
+    _late("[simulation]\nseed = 18446744073709551616\n", 2,
+          "simulation.seed must be in [0, 2**64), got 18446744073709551616"),
 ])
 def test_parse_errors_give_their_message_and_line(text, message):
     with pytest.raises(ConfigError) as exc:

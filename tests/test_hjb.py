@@ -8,7 +8,6 @@ import pytest
 
 from gctrl import (
     AmbiguitySet,
-    BoundaryRule,
     CrraUtility,
     Grid1D,
     HjbProblem,
@@ -61,6 +60,15 @@ def test_negative_quadratic_terminal_lower_moment():
     sol = solve(problem, auto_grid(problem, -4.0, 4.0, 201))
     assert sol.value_at(0.0, 0.0) == pytest.approx(-0.25, abs=1e-2)
 
+
+
+def test_value_at_is_an_error_off_the_grid():
+    problem = heat_problem(lambda x: x**2)
+    sol = solve(problem, auto_grid(problem, -4.0, 4.0, 81))
+    assert sol.value_at(1.0, 4.0) == 16.0  # the terminal row at the grid's corner
+    for t, x in ((0.0, 10.0), (0.0, -4.5), (-0.1, 0.0), (1.5, 0.0)):
+        with pytest.raises(ValueError, match="lies outside the grid"):
+            sol.value_at(t, x)
 
 def test_constant_terminal_preserved_exactly():
     problem = heat_problem(lambda x: 5.5 + 0.0 * x)
@@ -298,7 +306,7 @@ def test_power_dirichlet_boundary_preserves_power_shape():
         ambiguity=SET,
         opt_direction="maximize",
         attitude="lower",
-        boundary=BoundaryRule(kind="power_dirichlet", exponent=-1.0),
+        edge_power=-1.0,
         segment_starts=(0.0,),
     )
     sol = solve(problem, Grid1D(0.5, 2.0, 31, 10))
