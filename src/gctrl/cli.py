@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,14 +97,6 @@ def report_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_overwrite(paths: list[Path], force: bool) -> None:
-    existing = [str(p) for p in paths if p.exists()]
-    if existing and not force:
-        raise ConfigError(
-            "refusing to overwrite existing files (pass --force): " + ", ".join(existing)
-        )
-
-
 def _write_text(path: Path, content: str | CsvTable) -> None:
     """Write ``content``: a str as it is, a CSV table through ``sde.write_csv``."""
     if isinstance(content, CsvTable):
@@ -122,33 +115,48 @@ def run_command(command: str, cfg: RunConfig, out_dir: Path, force: bool) -> Run
     artifact its ``sde.CsvTable``, which ``sde.write_csv`` writes block by
     block, so no CSV artifact's whole text is ever held.  Each artifact is
     written to a temporary name in ``out_dir``; only when every write has
-    succeeded are they renamed into place, the report last.  On any error
-    the temporaries are removed, so the directory keeps what it held before
-    the run.  An ``out_dir`` that exists and is not a directory is a
-    ConfigError before the command runs, and so is an OSError from creating
-    the directory or writing or renaming an artifact, after it.
+    succeeded are they renamed into place, the report last, each file they
+    replace kept as a hard-linked backup that any error puts back.  On any
+    error the other renamed files and the temporaries are removed too, so
+    the directory keeps what it held before the run.  An ``out_dir`` that
+    exists and is not a directory is a ConfigError before the command runs,
+    and so is any OSError of writing the artifacts, after it.
     """
     if out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"output directory {out_dir} exists and is not a directory")
     paths = [out_dir / f"{cfg.output.prefix}_{suffix}" for suffix in COMMANDS[command][1]]
-    _check_overwrite(paths, force)
+    existing = [p for p in paths if p.exists()]
+    if existing and not force:
+        raise ConfigError("refusing to overwrite existing files (pass --force): "
+                          + ", ".join(map(str, existing)))
     report = RunReport(command=command, config_echo=canonical_text(cfg))
     renderers = globals()["cmd_" + command.replace("-", "_")](cfg, report)
     report.artifact_paths = [str(p) for p in paths]
-    temps = []
+    temps, backups, published = [], {}, []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, render in zip(paths, [*renderers, lambda: report_text(report)], strict=True):
             temps.append(path.with_name(f".{path.name}.tmp"))
             _write_text(temps[-1], render())
+        for path in existing:
+            backups[path] = path.with_name(f".{path.name}.bak")
+            backups[path].unlink(missing_ok=True)
+            os.link(path, backups[path])
         for temp, path in zip(temps, paths):
             temp.replace(path)
+            published.append(path)
     except BaseException as exc:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
+        for path in published:
+            if path in backups:
+                backups.pop(path).replace(path)
+            else:
+                path.unlink()
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write the artifacts in {out_dir}: {exc}") from exc
         raise
+    finally:
+        for temp in [*temps, *backups.values()]:
+            temp.unlink(missing_ok=True)
     return report
 
 

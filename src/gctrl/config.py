@@ -323,6 +323,9 @@ def _validate(cfg: RunConfig, raw: dict, headers: dict) -> None:
     if {os.sep, os.altsep} & set(cfg.output.prefix):
         fail(f"output.prefix must not contain a path separator, got {cfg.output.prefix!r}",
              "output", "prefix")
+    for key in ("directory", "prefix"):
+        if "\0" in (value := getattr(cfg.output, key)):
+            fail(f"output.{key} must not contain a NUL byte, got {value!r}", "output", key)
 
 
 def canonical_text(cfg: RunConfig) -> str:

@@ -18,8 +18,8 @@ Zidani 2009): fix every node's control and generator weight from the
 current iterate, solve the resulting tridiagonal M-matrix system, and
 repeat until a solve moves no node by more than 8 eps max(1, |u|_inf).
 
-Controls live on a finite list and are searched exhaustively at every node,
-ties broken by lowest index, so runs are reproducible.
+Controls live on a finite list; both sweeps search it exhaustively on one
+Hamiltonian table, ties broken by lowest index, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
 
     def fill_generator(u, Fp, Fm, G2i, Ci):
         """work[i, j] = drift, generator and running-cost terms of control j at
-        interior node i on the iterate u; returns where the curvature is positive."""
+        interior node i on u; returns each row's argopt and where cen > 0."""
         fwd = (u[2:] - u[1:-1]) / dx
         bwd = (u[1:-1] - u[:-2]) / dx
         cen = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
@@ -310,7 +310,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
         np.multiply(G2i, w[:, None], out=tmp)
         np.add(work, tmp, out=work)
         np.add(work, Ci, out=work)
-        return positive
+        return argopt(work, axis=1), positive
 
     seg_above = None
     for k in range(n_t - 1, -1, -1):
@@ -326,15 +326,12 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             while True:
                 if solves or seg != seg_above:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        positive = fill_generator(u, Fp, Fm, G2i, Ci)
-                        best = argopt(work, axis=1)
+                        best, positive = fill_generator(u, Fp, Fm, G2i, Ci)
                         if one_sided:
                             # Each edge row optimizes its own inward-drift and running-cost terms.
                             edge_j = tuple(
                                 int(argopt(split[s, e] * ((u[i + 1] - u[i]) / dx) + C[e]))
                                 for e, _, i, s, _ in sides)
-                        else:
-                            edge_j = int(best[0]), int(best[-1])  # the interior argopt next door
                 if solves == _HOWARD_MAX_SOLVES:
                     raise NumericError(
                         f"Howard iteration: value not settled after {solves} "
@@ -366,16 +363,13 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             values[k] = u
         else:
             # Overflow in a diverging sweep is caught by the finiteness check below.
+            # Rounding is monotone, so the argopt of the Hamiltonian also optimizes the update.
             with np.errstate(over="ignore", invalid="ignore"):
-                fill_generator(v, Fp, Fm, G2i, Ci)
-                work *= dt_k
-                work += (v[1:-1] * (1.0 - beta * dt_k))[:, None]
-            best = argopt(work, axis=1)
-            edge_j = int(best[0]), int(best[-1])
-            values[k, 1:-1] = work[cols, best]
+                best, _ = fill_generator(v, Fp, Fm, G2i, Ci)
+                values[k, 1:-1] = work[cols, best] * dt_k + v[1:-1] * (1.0 - beta * dt_k)
             for side, (e, h, i, _, _) in enumerate(sides):
                 if one_sided:
-                    j = edge_j[side]
+                    j = best[h]  # the argopt of the interior neighbour h + 1
                     slope = (v[i + 1] - v[i]) / dx
                     curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
                     alpha = G2[e, j] * curv
@@ -388,7 +382,8 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                     values[k, e] = values[k, h + 1] * ratio[side]
             _require_finite(values[k], k)
         policy[k, 1:-1] = best
-        policy[k, 0], policy[k, -1] = edge_j
+        # Only the implicit one-sided edge rows choose their own control.
+        policy[k, 0], policy[k, -1] = edge_j if implicit and one_sided else (best[0], best[-1])
         seg_above = seg
 
     return values, policy
@@ -422,11 +417,11 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
 def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> float:
     """Max gap between a direct solve and the two-stage composed solve.
 
-    Solves on [t_bar, T], installs that slice as a synthetic terminal
-    condition on [0, t_bar], and compares the composed initial values with
-    the direct ones.  All three sweeps take the scheme ``solve`` takes on the
-    grid, and on the shared grid either one-step recursion composes exactly,
-    so the gap is rounding-level.
+    The direct sweep's levels on [t_bar, T] are the solve there; its level at
+    t_bar is swept back to 0 as a synthetic terminal condition, and those
+    composed initial values are compared with the direct ones.  Both sweeps
+    take the scheme ``solve`` takes on the grid, and on the shared grid
+    either one-step recursion composes exactly, so the gap is rounding-level.
     """
     times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
     k_bar = int(np.argmin(np.abs(times - t_bar)))
@@ -436,11 +431,9 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> fl
         raise ValueError("t_bar must lie strictly between 0 and the horizon")
 
     x = grid.nodes()
-    terminal = problem.terminal_cost(x)
     segments = _segment_tables(problem, x)
-    direct, _ = _sweep(problem, grid, times, terminal, segments)
-    tail, _ = _sweep(problem, grid, times[k_bar:], terminal, segments)
-    head, _ = _sweep(problem, grid, times[: k_bar + 1], tail[0], segments)
+    direct, _ = _sweep(problem, grid, times, problem.terminal_cost(x), segments)
+    head, _ = _sweep(problem, grid, times[: k_bar + 1], direct[k_bar], segments)
     return float(np.max(np.abs(head[0] - direct[0])))
 
 

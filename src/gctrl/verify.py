@@ -116,7 +116,7 @@ def merton_run(cfg: RunConfig) -> MertonRun:
     problem = merton_hjb_problem(market, util, set_, s.horizon, attitude,
                                  control_grid(s.n_pi, s.n_rho))
     solution = solve(problem, cfg.grid(problem))
-    closed = np.asarray([closed_form_value(cf, util, 0.0, xv) for xv in solution.x])
+    closed = closed_form_value(cf, util, 0.0, solution.x)
     rel = np.abs(solution.values[0] - closed) / np.abs(closed)
     interior = slice(s.n_x // 10, s.n_x - s.n_x // 10)
     return MertonRun(market, util, attitude, cf, checked, pi_hat, problem, solution,
@@ -127,6 +127,12 @@ def _result(name: str, measured: float, bound: float, larger_is_fail: bool = Tru
     passed = measured <= bound if larger_is_fail else measured >= bound
     rel = "<=" if larger_is_fail else ">="
     return CheckResult(name=name, passed=passed, measured=measured, bound=f"{rel} {bound:g}")
+
+
+def _dpp_result(name: str, problem: HjbProblem, grid: Grid1D) -> CheckResult:
+    """``dpp_composition_check`` split at the grid's middle time level."""
+    t_bar = float(np.linspace(0.0, problem.horizon, grid.n_t + 1)[grid.n_t // 2])
+    return _result(name, dpp_composition_check(problem, grid, t_bar), TOL_DPP)
 
 
 def _random_sym(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -140,12 +146,19 @@ def _random_set(rng: np.random.Generator, d: int) -> AmbiguitySet:
     return AmbiguitySet(dim=d, sigma_lo_sq=lo, sigma_hi_sq=hi)
 
 
-def check_subadditivity(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
-    worst = -np.inf
+def _trials(rng: np.random.Generator, trials: int):
+    """Per trial, a random set of dimension 1 to 3 and a symmetric matrix of that size;
+    a generator, so a suite's further draws for a trial come before the next trial's."""
     for _ in range(trials):
         d = int(rng.integers(1, 4))
         set_ = _random_set(rng, d)
-        a, b = _random_sym(rng, d), _random_sym(rng, d)
+        yield set_, _random_sym(rng, d)
+
+
+def check_subadditivity(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
+    worst = -np.inf
+    for set_, a in _trials(rng, trials):
+        b = _random_sym(rng, set_.dim)
         gap = g_matrix(a + b, set_).value - g_matrix(a, set_).value - g_matrix(b, set_).value
         worst = max(worst, gap)
     return _result("g_subadditivity", worst, TOL_EXACT)
@@ -153,10 +166,7 @@ def check_subadditivity(rng: np.random.Generator, trials: int = 1000) -> CheckRe
 
 def check_homogeneity(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
-        d = int(rng.integers(1, 4))
-        set_ = _random_set(rng, d)
-        a = _random_sym(rng, d)
+    for set_, a in _trials(rng, trials):
         lam = rng.uniform(0.0, 10.0)
         worst = max(worst, abs(g_matrix(lam * a, set_).value - lam * g_matrix(a, set_).value))
     return _result("g_positive_homogeneity", worst, TOL_EXACT)
@@ -164,22 +174,14 @@ def check_homogeneity(rng: np.random.Generator, trials: int = 1000) -> CheckResu
 
 def check_direction_order(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
     worst = -np.inf
-    for _ in range(trials):
-        d = int(rng.integers(1, 4))
-        set_ = _random_set(rng, d)
-        a = _random_sym(rng, d)
-        worst = max(
-            worst, g_matrix(a, set_, "lower").value - g_matrix(a, set_, "upper").value
-        )
+    for set_, a in _trials(rng, trials):
+        worst = max(worst, g_matrix(a, set_, "lower").value - g_matrix(a, set_, "upper").value)
     return _result("g_upper_ge_lower", worst, TOL_EXACT)
 
 
 def check_maximizer_membership(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
     failures = 0
-    for _ in range(trials):
-        d = int(rng.integers(1, 4))
-        set_ = _random_set(rng, d)
-        a = _random_sym(rng, d)
+    for set_, a in _trials(rng, trials):
         for direction in ("upper", "lower"):
             gv = g_matrix(a, set_, direction)
             ok = contains(set_, gv.maximizer)
@@ -333,16 +335,11 @@ def _merton_checks(cfg: RunConfig) -> list[CheckResult]:
                              n_segments=min(sim.n_segments, 2), n_grid=min(sim.n_grid, 3))
 
     # Portfolio problem at the configured parameters.
-    small_nt = suggest_time_steps(run.problem, 0.5, 2.0, 81)
-    small_grid = Grid1D(0.5, 2.0, 81, small_nt)
-    t_bar = float(np.linspace(0.0, horizon, small_nt + 1)[small_nt // 2])
-    results = [_result("dpp_composition_portfolio",
-                       dpp_composition_check(run.problem, small_grid, t_bar), TOL_DPP)]
+    small_grid = Grid1D(0.5, 2.0, 81, suggest_time_steps(run.problem, 0.5, 2.0, 81))
+    results = [_dpp_result("dpp_composition_portfolio", run.problem, small_grid)]
     # 20 steps are far below this grid's explicit count (774 on the desk market): implicit.
-    implicit_grid = Grid1D(0.5, 2.0, 81, 20)
-    t_bar = float(np.linspace(0.0, horizon, 21)[10])
-    results.append(_result("dpp_composition_portfolio_implicit",
-                           dpp_composition_check(run.problem, implicit_grid, t_bar), TOL_DPP))
+    results.append(_dpp_result("dpp_composition_portfolio_implicit", run.problem,
+                               dataclasses.replace(small_grid, n_t=20)))
 
     results.append(_result("pde_vs_closed_form", run.interior_rel_error, TOL_PDE_REL))
 
@@ -396,11 +393,8 @@ def _market_free_checks(cfg: RunConfig) -> list[CheckResult]:
 
     # Composition of the dynamic-programming recursion, heat-type problem.
     heat = gheat_problem(set_1d, lambda x: x**2, horizon)
-    n_t = suggest_time_steps(heat, -4.0, 4.0, 101)
-    heat_grid = Grid1D(-4.0, 4.0, 101, n_t)
-    t_bar = float(np.linspace(0.0, horizon, n_t + 1)[n_t // 2])
-    results.append(_result("dpp_composition_heat",
-                           dpp_composition_check(heat, heat_grid, t_bar), TOL_DPP))
+    results.append(_dpp_result("dpp_composition_heat", heat,
+                               Grid1D(-4.0, 4.0, 101, suggest_time_steps(heat, -4.0, 4.0, 101))))
 
     mono_rng = np.random.default_rng(sim.seed + 3)
     violations = 0

@@ -519,22 +519,34 @@ def test_cli_output_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypat
     assert taken.read_text() == "keep\n"
 
 
-def test_cli_failed_rename_exits_2_and_keeps_the_directory(tmp_path, capsys, monkeypatch):
-    cfg_path = _write(tmp_path, "gheat.cfg", GHEAT_CONFIG.replace("n_x = 401", "n_x = 41"))
-    out = tmp_path / "out"
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_cli_failed_rename_exits_2_and_keeps_the_directory(tmp_path, capsys, monkeypatch,
+                                                           failing):
+    text = GHEAT_CONFIG.replace("n_x = 401", "n_x = 41")
+    cfg_path = _write(tmp_path, "gheat.cfg", text)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
     assert main(["solve-hjb", "--config", cfg_path, "--output", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # The second run's solution differs from the first, so each artifact it publishes would show.
+    short_path = _write(tmp_path, "short.cfg", text.replace("[solver]", "[solver]\nhorizon = 0.5"))
+    capsys.readouterr()
 
-    def refuse(self, target):
-        raise OSError(30, "Read-only file system", str(target))
+    replace, calls = Path.replace, []
 
-    monkeypatch.setattr(Path, "replace", refuse)
-    args = ["solve-hjb", "--config", cfg_path, "--output", str(out), "--force", "--seed", "8"]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write the artifacts in {out}: ")
-    assert "Read-only file system" in err and err.count("\n") == 1
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    def refuse_one(self, target):
+        calls.append(target)
+        if len(calls) == failing:
+            raise OSError(30, "Read-only file system", str(target))
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", refuse_one)
+    for args, kept in ((["--output", str(out), "--force"], before), (["--output", str(fresh)], {})):
+        calls.clear()
+        assert main(["solve-hjb", "--config", short_path, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write the artifacts in {args[1]}: ")
+        assert "Read-only file system" in err and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in Path(args[1]).iterdir()} == kept
 
 
 def test_cli_solve_hjb_needs_x0_on_the_grid(tmp_path, capsys, monkeypatch):
@@ -703,6 +715,10 @@ def _late(text: str, line: int, message: str):
           "output.prefix must not contain a path separator, got 'sub/heat'"),
     _late("[output]\nprefix = ../escaped\n", 2,
           "output.prefix must not contain a path separator, got '../escaped'"),
+    _late("[output]\nprefix = g\x00x\n", 2,
+          "output.prefix must not contain a NUL byte, got 'g\\x00x'"),
+    _late("[output]\nprefix = g\ndirectory = o\x00x\n", 3,
+          "output.directory must not contain a NUL byte, got 'o\\x00x'"),
     _late("[simulation]\nseed = -1\n", 2, "simulation.seed must be in [0, 2**64), got -1"),
     _late("[simulation]\nseed = 18446744073709551616\n", 2,
           "simulation.seed must be in [0, 2**64), got 18446744073709551616"),

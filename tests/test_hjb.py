@@ -158,6 +158,49 @@ def test_dpp_rejects_off_grid_split_time():
         dpp_composition_check(problem, grid, t_bar=0.0)
 
 
+@pytest.mark.parametrize("implicit", [False, True])
+def test_dpp_composition_check_sees_a_sweep_that_depends_on_its_start(monkeypatch, implicit):
+    # A planted defect: every sweep scales the terminal row it is handed by 1 + 1e-9, so
+    # that a sweep no longer composes with itself and the check must read above TOL_DPP.
+    from gctrl import hjb
+    from gctrl.verify import TOL_DPP
+
+    problem, grid = _implicit_case("desk-n_t-20")
+    if not implicit:
+        grid = auto_grid(problem, grid.x_min, grid.x_max, grid.n_x)
+    assert (grid.n_t < suggest_time_steps(problem, grid.x_min, grid.x_max, grid.n_x)) == implicit
+    t_bar = float(np.linspace(0.0, problem.horizon, grid.n_t + 1)[grid.n_t // 2])
+    assert dpp_composition_check(problem, grid, t_bar) <= TOL_DPP
+    sweep = hjb._sweep
+    monkeypatch.setattr(hjb, "_sweep", lambda problem, grid, times, terminal, segments:
+                        sweep(problem, grid, times, terminal * (1.0 + 1e-9), segments))
+    assert dpp_composition_check(problem, grid, t_bar) > TOL_DPP
+
+
+def test_control_ties_break_toward_the_lowest_index():
+    # Control 2 duplicates control 0, so wherever control 0 is optimal the two tie bit for
+    # bit; both sweeps must pick index 0 there and solve as if the duplicate were absent.
+    def problem(controls):
+        return HjbProblem(
+            drift=lambda t, x, u: u + 0.0 * x,
+            diffusion=lambda t, x, u: 1.0 + 0.0 * x,
+            running_cost=lambda t, x, u: 0.0 * x,
+            terminal_cost=np.sin,
+            horizon=0.5,
+            controls=controls,
+            ambiguity=SET,
+            segment_starts=(0.0,),
+        )
+
+    duplicated, plain = problem((-0.5, 0.5, -0.5)), problem((-0.5, 0.5))
+    count = suggest_time_steps(duplicated, -3.0, 3.0, 61)
+    for n_t in (count, count // 5):  # explicit, then implicit
+        grid = Grid1D(-3.0, 3.0, 61, n_t)
+        sol, ref = solve(duplicated, grid), solve(plain, grid)
+        assert np.any(sol.policy == 0) and not np.any(sol.policy == 2)
+        assert np.array_equal(sol.policy, ref.policy) and np.array_equal(sol.values, ref.values)
+
+
 def test_controlled_problem_picks_better_drift():
     # maximize terminal x: the control with positive drift must win everywhere
     problem = HjbProblem(
