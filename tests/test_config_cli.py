@@ -540,13 +540,14 @@ def test_cli_failed_rename_exits_2_and_keeps_the_directory(tmp_path, capsys, mon
         return replace(self, target)
 
     monkeypatch.setattr(Path, "replace", refuse_one)
-    for args, kept in ((["--output", str(out), "--force"], before), (["--output", str(fresh)], {})):
+    # Over the old set with --force, the old set stays; into a fresh directory, nothing appears.
+    for directory, flags, kept in ((out, ["--force"], before), (fresh, [], {})):
         calls.clear()
-        assert main(["solve-hjb", "--config", short_path, *args]) == 2
+        assert main(["solve-hjb", "--config", short_path, "--output", str(directory), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot write the artifacts in {args[1]}: ")
+        assert err.startswith(f"config error: cannot write the artifacts in {directory}: ")
         assert "Read-only file system" in err and err.count("\n") == 1
-        assert {p.name: p.read_bytes() for p in Path(args[1]).iterdir()} == kept
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == kept
 
 
 def test_cli_solve_hjb_needs_x0_on_the_grid(tmp_path, capsys, monkeypatch):
