@@ -6,7 +6,16 @@ the robust Merton consumption-portfolio problem with its power-utility
 closed forms.
 """
 
-from .ambiguity import AmbiguitySet, GValue, as_symmetric, contains, g_matrix, g_scalar
+from .ambiguity import (
+    AmbiguitySet,
+    GValue,
+    as_symmetric,
+    contains,
+    contains_stack,
+    g_matrix,
+    g_scalar,
+    g_stack,
+)
 from .errors import ConfigError, ConsistencyError, GctrlError, NumericError
 from .estimators import (
     ExpectationEstimate,
@@ -16,6 +25,7 @@ from .estimators import (
     upper_expectation_mc,
 )
 from .hjb import (
+    ControlComponent,
     Grid1D,
     HjbProblem,
     HjbSolution,
@@ -59,6 +69,7 @@ __all__ = [
     "ClosedForm",
     "ConfigError",
     "ConsistencyError",
+    "ControlComponent",
     "CrraUtility",
     "ExpectationEstimate",
     "GValue",
@@ -79,11 +90,13 @@ __all__ = [
     "candidate_schedules",
     "closed_form_value",
     "contains",
+    "contains_stack",
     "dpp_composition_check",
     "eta",
     "evaluate_policy_mc",
     "g_matrix",
     "g_scalar",
+    "g_stack",
     "integrate_gsde",
     "market_price_of_risk",
     "max_stable_dt",

@@ -67,6 +67,23 @@ class GValue:
     maximizer: np.ndarray = field(repr=False)
 
 
+def _symmetric_parts(a, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The float stack (..., d, d) of ``a`` as its symmetric parts (a + a^T) / 2,
+    and a mask of the members whose asymmetry stays within SYMMETRY_RTOL of their
+    own scale.  A scalar or 1-element array is one 1x1 matrix.  ValueError
+    unless the last two axes are square, and dim x dim when ``dim`` is given.
+    """
+    arr = np.atleast_2d(np.asarray(a, dtype=float))
+    if arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise ValueError(f"expected a {dim}x{dim} matrix, got {arr.shape[-1]}x{arr.shape[-1]}")
+    flipped = arr.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+    symmetric = ~(np.abs(arr - flipped).max(axis=(-2, -1)) > SYMMETRY_RTOL * scale)
+    return 0.5 * (arr + flipped), symmetric
+
+
 def as_symmetric(a, dim: int | None = None) -> np.ndarray:
     """Validate ``a`` as a symmetric square matrix and return (a + a.T) / 2.
 
@@ -74,14 +91,18 @@ def as_symmetric(a, dim: int | None = None) -> np.ndarray:
     beyond SYMMETRY_RTOL (relative to the matrix scale) is an error.
     """
     arr = np.atleast_2d(np.asarray(a, dtype=float))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {arr.shape[0]}x{arr.shape[0]}")
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr - arr.T)) > SYMMETRY_RTOL * scale:
+    sym, symmetric = _symmetric_parts(arr, dim)
+    if not symmetric:
         raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (arr + arr.T)
+    return sym
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, stacked; a stacked matmul keeps np.dot's
+    reduction, hence its bits, on every member (a plain sum or einsum does not)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _eigh(sym: np.ndarray):
@@ -110,28 +131,54 @@ def g_scalar(alpha: float | np.ndarray, set_: AmbiguitySet,
     return float(value) if value.ndim == 0 else value
 
 
-def g_matrix(a, set_: AmbiguitySet, direction: str = "upper") -> GValue:
-    """Matrix generator: half the sup (upper) or inf (lower) of tr(a @ L).
+def g_stack(a, lo, hi, direction: str = "upper") -> GValue:
+    """The generator over a stack: ``a`` is (..., d, d), each member held to its
+    own box [lo, hi] of variances, given as arrays of the stack's shape or as scalars.
 
-    The extremum over the box is attained at a matrix sharing the eigenbasis
-    of ``a``; each eigen-direction picks the high variance where the matching
-    eigenvalue of ``a`` is positive and the low variance where it is negative
+    Returns the values (...) and the attaining matrices (..., d, d).  Each
+    member's bits are those of ``g_matrix`` on it alone, which is this on a
+    stack of one.  The extremum is attained at a matrix sharing the eigenbasis
+    of the member; each eigen-direction picks the high variance where the
+    matching eigenvalue is positive and the low variance where it is negative
     (mirrored for the lower direction).  Zero eigenvalues take the high
     variance (upper) or the low variance (lower) so the attaining matrix is
-    deterministic; the value is unaffected.
+    deterministic; the value is unaffected.  ValueError if a member is not
+    symmetric.
     """
     _check_direction(direction)
-    sym = as_symmetric(a, dim=set_.dim)
+    sym, symmetric = _symmetric_parts(a)
+    if not np.all(symmetric):
+        raise ValueError("matrix is not symmetric within tolerance")
     w, q = _eigh(sym)
-    lo, hi = set_.sigma_lo_sq, set_.sigma_hi_sq
-    if direction == "upper":
-        chosen = np.where(w > 0.0, hi, np.where(w < 0.0, lo, hi))
-    else:
-        chosen = np.where(w > 0.0, lo, np.where(w < 0.0, hi, lo))
-    value = 0.5 * float(np.dot(chosen, w))
-    maximizer = (q * chosen) @ q.T
-    maximizer = 0.5 * (maximizer + maximizer.T)
-    return GValue(value=value, maximizer=maximizer)
+    lo, hi = (np.asarray(b, dtype=float)[..., None] for b in (lo, hi))
+    chosen = np.where(w < 0.0, lo, hi) if direction == "upper" else np.where(w < 0.0, hi, lo)
+    value = 0.5 * _dot(chosen, w)
+    maximizer = (q * chosen[..., None, :]) @ q.swapaxes(-1, -2)
+    return GValue(value=value, maximizer=0.5 * (maximizer + maximizer.swapaxes(-1, -2)))
+
+
+def g_matrix(a, set_: AmbiguitySet, direction: str = "upper") -> GValue:
+    """Matrix generator: half the sup (upper) or inf (lower) of tr(a @ L) over the set.
+
+    ``g_stack`` on the one matrix, which must be set_.dim x set_.dim and symmetric.
+    """
+    gv = g_stack(as_symmetric(a, dim=set_.dim), set_.sigma_lo_sq, set_.sigma_hi_sq, direction)
+    return GValue(value=float(gv.value), maximizer=gv.maximizer)
+
+
+def contains_stack(lam, lo, hi) -> np.ndarray:
+    """Membership over a stack: ``lam`` is (..., d, d), each member tested against
+    its own bounds lo and hi (arrays of the stack's shape, or scalars).
+
+    A member is inside when it is symmetric and all its eigenvalues lie in
+    [lo, hi] up to MEMBERSHIP_ATOL.  Each member's answer is that of
+    ``contains`` on it alone.  ValueError unless the last two axes are square.
+    """
+    sym, symmetric = _symmetric_parts(lam)
+    w = np.linalg.eigvalsh(sym)
+    lo, hi = (np.asarray(b, dtype=float)[..., None] for b in (lo, hi))
+    return symmetric & np.all(w >= lo - MEMBERSHIP_ATOL, axis=-1) & np.all(
+        w <= hi + MEMBERSHIP_ATOL, axis=-1)
 
 
 def contains(set_: AmbiguitySet, lam) -> bool:
@@ -144,8 +191,4 @@ def contains(set_: AmbiguitySet, lam) -> bool:
         sym = as_symmetric(lam, dim=set_.dim)
     except ValueError:
         return False
-    w = np.linalg.eigvalsh(sym)
-    return bool(
-        np.all(w >= set_.sigma_lo_sq - MEMBERSHIP_ATOL)
-        and np.all(w <= set_.sigma_hi_sq + MEMBERSHIP_ATOL)
-    )
+    return bool(contains_stack(sym, set_.sigma_lo_sq, set_.sigma_hi_sq))

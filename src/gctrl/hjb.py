@@ -18,12 +18,18 @@ Zidani 2009): fix every node's control and generator weight from the
 current iterate, solve the resulting tridiagonal M-matrix system, and
 repeat until a solve moves no node by more than 8 eps max(1, |u|_inf).
 
-Controls live on a finite list; both sweeps search it exhaustively on one
-Hamiltonian table, ties broken by lowest index, so runs are reproducible.
+Controls live on a finite list, optionally declared as a product of
+components (``ControlComponent``) whose drift parts are upwinded each by its
+own sign, which keeps the scheme monotone.  The Hamiltonian is then a sum of
+one term per component, so both sweeps search each component's levels on a
+table of its own instead of the product, with the bound above reading max g^2
+and max |f| as sums over the components.  Ties within a component go to its
+lowest level, so runs are reproducible.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,6 +80,22 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
+class ControlComponent:
+    """One factor of a product control set, with its additive share of the coefficients.
+
+    ``drift``, ``diffusion`` and ``running_cost`` take (t, x, level) for one
+    of ``levels`` and broadcast over the node array x like the problem's own
+    callables.  The problem's drift and running cost are the sums of the
+    components' parts, and its squared diffusion the sum of their squares.
+    """
+
+    levels: tuple
+    drift: Callable
+    diffusion: Callable
+    running_cost: Callable
+
+
+@dataclass(frozen=True)
 class HjbProblem:
     """Terminal-value control problem with ambiguous volatility, 1d state.
 
@@ -102,6 +124,14 @@ class HjbProblem:
     the edge row's own control, which keeps it monotone.  A number p (power
     Dirichlet): the edge value is the adjacent interior node's scaled by
     (x_edge / x_adjacent)**p, for value functions with a known power shape x^p.
+
+    ``components`` optionally declares the control list a product: ``controls``
+    must then be the tuples of the components' levels in component-major order
+    (the last component varying fastest), and the solver reads the
+    components' callables, upwinding each drift part by its own sign.  The
+    problem's own callables must equal the components' sums up to rounding;
+    the policy Monte Carlo reads them.  Without a declaration the whole list
+    is one component with the problem's own callables.
     """
 
     drift: Callable
@@ -116,6 +146,7 @@ class HjbProblem:
     opt_direction: str = "minimize"
     attitude: str = "upper"
     edge_power: float | None = None
+    components: tuple[ControlComponent, ...] | None = None
 
     def __post_init__(self):
         if not self.horizon > 0.0:
@@ -123,6 +154,12 @@ class HjbProblem:
         if len(self.controls) == 0:
             raise ValueError("controls must be a nonempty list")
         object.__setattr__(self, "controls", tuple(self.controls))
+        if self.components is not None:
+            object.__setattr__(self, "components", tuple(self.components))
+            product = tuple(itertools.product(*(c.levels for c in self.components)))
+            if not self.components or self.controls != product:
+                raise ValueError("controls must be the component-major product of the "
+                                 "components' levels")
         if self.discount < 0.0:
             raise ValueError("discount must be nonnegative")
         if self.attitude not in _ATTITUDES:
@@ -170,16 +207,41 @@ class HjbSolution:
         return float(np.interp(x, self.x, row))
 
 
+def _components(problem: HjbProblem) -> tuple[ControlComponent, ...]:
+    """The declared components, or the whole control list as one component."""
+    if problem.components is not None:
+        return problem.components
+    return (ControlComponent(problem.controls, problem.drift, problem.diffusion,
+                             problem.running_cost),)
+
+
+def _spans(problem: HjbProblem) -> list[slice]:
+    """Each component's columns of the ``_tables`` tables, in component order."""
+    stops = np.cumsum([len(c.levels) for c in _components(problem)]).tolist()
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+def _product_sums(table: np.ndarray, spans: list[slice]) -> np.ndarray:
+    """``table``'s last axis, its columns (``_spans``), summed over the components
+    at every control of the product, in component-major order."""
+    total = table[..., spans[0]]
+    for s in spans[1:]:
+        total = (total[..., :, None] + table[..., None, s]).reshape(*table.shape[:-1], -1)
+    return total
+
+
 def _tables(problem: HjbProblem, x: np.ndarray, t: float):
-    """Node-major (n_x, n_u) tables g^2 and running cost, and the drift F's
-    upwind parts max(F, 0) and min(F, 0) stacked into one (2, n_x, n_u) split."""
-    n_u, n_x = len(problem.controls), x.size
+    """Node-major (n_x, n_cols) tables g^2 and running cost, and the drift F's
+    upwind parts max(F, 0) and min(F, 0) stacked into one (2, n_x, n_cols) split.
+    The columns run over each component's levels in turn (``_spans``)."""
+    columns = [(c, u) for c in _components(problem) for u in c.levels]
+    n_u, n_x = len(columns), x.size
     G2, C = (np.empty((n_x, n_u)) for _ in range(2))
     split = np.empty((2, n_x, n_u))  # split[0] holds F until its upwind parts are taken
-    for j, u in enumerate(problem.controls):
-        split[0, :, j] = problem.drift(t, x, u)
-        G2[:, j] = np.asarray(problem.diffusion(t, x, u), dtype=float) ** 2
-        C[:, j] = problem.running_cost(t, x, u)
+    for j, (c, u) in enumerate(columns):
+        split[0, :, j] = c.drift(t, x, u)
+        G2[:, j] = np.asarray(c.diffusion(t, x, u), dtype=float) ** 2
+        C[:, j] = c.running_cost(t, x, u)
     np.minimum(split[0], 0.0, out=split[1])
     np.maximum(split[0], 0.0, out=split[0])
     return G2, C, split
@@ -192,7 +254,12 @@ def _segment_tables(problem: HjbProblem, x: np.ndarray) -> list:
 
 def _stable_dt(problem: HjbProblem, dx: float, segments: list) -> float:
     hi = problem.ambiguity.sigma_hi_sq
-    denom = max(float(hi * G2.max() + dx * max(split[0].max(), -split[1].min())
+    spans = _spans(problem)
+
+    def worst(table):  # over the nodes, the sum of each component's largest entry
+        return sum(table[:, s].max(axis=1) for s in spans).max()
+
+    denom = max(float(hi * worst(G2) + dx * worst(np.maximum(split[0], -split[1]))
                       + dx * dx * problem.discount) for G2, _, split in segments)
     return np.inf if denom == 0.0 else dx * dx / denom
 
@@ -262,7 +329,8 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     n_x = x.size
     dx = float(x[1] - x[0])
     beta = problem.discount
-    argopt = np.argmax if problem.opt_direction == "maximize" else np.argmin
+    # The methods, not the np.argmax and np.argmin wrappers, which cost a call per level.
+    argopt = np.ndarray.argmax if problem.opt_direction == "maximize" else np.ndarray.argmin
     one_sided = problem.edge_power is None
 
     values = np.empty((n_t + 1, n_x))
@@ -284,7 +352,15 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
         ratio = [(x[e] / x[h + 1]) ** float(problem.edge_power) for e, h, *_ in sides]
 
     cols = np.arange(n_x - 2)
-    work, tmp = np.empty((2, n_x - 2, len(problem.controls)))
+    spans = _spans(problem)
+    work, tmp = np.empty((2, n_x - 2, spans[-1].stop))
+    work_parts = [work[:, s] for s in spans]
+    if one_sided:
+        # Per segment and side, the edge row's drift, g^2, running cost and inward drift
+        # part at every control.
+        edge_rows = [[tuple(_product_sums(np.stack([split[0, e] + split[1, e], G2[e], C[e],
+                                                    split[s, e]]), spans))
+                      for e, _, _, s, _ in sides] for G2, C, split in segments]
     if implicit:
         # Band s couples a node to the neighbour split[s] upwinds toward:
         # max(F, 0) to the upper band, min(F, 0) to the lower.
@@ -295,9 +371,25 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                 diag[e] = 1.0
                 system[s, e] = -r
 
+    # The interior rows choose one column per component, ``picks``.
+    def at(table, picks):
+        """The sum over the components of ``table`` at each interior row's picks."""
+        total = table[cols, picks[0]]
+        for j in picks[1:]:
+            total = total + table[cols, j]
+        return total
+
+    def product_index(picks):
+        """The index in ``controls`` of the picks, component-major."""
+        index = picks[0]
+        for j, s in zip(picks[1:], spans[1:]):
+            index = index * (s.stop - s.start) + (j - s.start)
+        return index
+
     def fill_generator(u, Fp, Fm, G2i, Ci):
-        """work[i, j] = drift, generator and running-cost terms of control j at
-        interior node i on u; returns each row's argopt and where cen > 0."""
+        """work[i, j] = drift, generator and running-cost terms of column j at
+        interior node i on u; returns each component's argopt column per row
+        and where cen > 0."""
         fwd = (u[2:] - u[1:-1]) / dx
         bwd = (u[1:-1] - u[:-2]) / dx
         cen = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
@@ -310,7 +402,10 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
         np.multiply(G2i, w[:, None], out=tmp)
         np.add(work, tmp, out=work)
         np.add(work, Ci, out=work)
-        return argopt(work, axis=1), positive
+        picks = [argopt(part, axis=1) for part in work_parts]
+        for j, s in zip(picks[1:], spans[1:]):
+            j += s.start
+        return picks, positive
 
     seg_above = None
     for k in range(n_t - 1, -1, -1):
@@ -329,27 +424,28 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                         best, positive = fill_generator(u, Fp, Fm, G2i, Ci)
                         if one_sided:
                             # Each edge row optimizes its own inward-drift and running-cost terms.
-                            edge_j = tuple(
-                                int(argopt(split[s, e] * ((u[i + 1] - u[i]) / dx) + C[e]))
-                                for e, _, i, s, _ in sides)
+                            edge_j = tuple(product_index(
+                                [int(argopt(split[s, e, c] * ((u[i + 1] - u[i]) / dx) + C[e, c]))
+                                 + c.start for c in spans]) for e, _, i, s, _ in sides)
                 if solves == _HOWARD_MAX_SOLVES:
                     raise NumericError(
                         f"Howard iteration: value not settled after {solves} "
                         f"linear solves at time level {k}"
                     )
-                diffusion = G2i[cols, best] * np.where(positive, w_pos, w_neg) / (dx * dx)
-                down = dt_k * (diffusion - Fm[cols, best] / dx)
-                up = dt_k * (diffusion + Fp[cols, best] / dx)
+                diffusion = at(G2i, best) * np.where(positive, w_pos, w_neg) / (dx * dx)
+                down = dt_k * (diffusion - at(Fm, best) / dx)
+                up = dt_k * (diffusion + at(Fp, best) / dx)
                 lower[1:-1] = -down
                 upper[1:-1] = -up
                 diag[1:-1] = 1.0 + beta * dt_k + down + up
-                rhs[1:-1] = v[1:-1] + dt_k * Ci[cols, best]
+                rhs[1:-1] = v[1:-1] + dt_k * at(Ci, best)
                 if one_sided:
-                    for (e, _, _, s, sign), j in zip(sides, edge_j):
-                        inward = sign * dt_k * split[s, e, j] / dx
+                    for (e, _, _, s, sign), (_, _, cost, part), j in zip(sides, edge_rows[seg],
+                                                                          edge_j):
+                        inward = sign * dt_k * part[j] / dx
                         diag[e] = 1.0 + beta * dt_k + inward
                         system[s, e] = -inward
-                        rhs[e] = v[e] + dt_k * C[e, j]
+                        rhs[e] = v[e] + dt_k * cost[j]
                 u_before, u_prev, u = u_prev, u, _solve_tridiagonal(lower, diag, upper, rhs)
                 solves += 1
                 _require_finite(u, k)
@@ -361,29 +457,32 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                     raise NumericError(
                         f"Howard iteration cycles between two iterates at time level {k}")
             values[k] = u
+            index = product_index(best)
         else:
             # Overflow in a diverging sweep is caught by the finiteness check below.
             # Rounding is monotone, so the argopt of the Hamiltonian also optimizes the update.
             with np.errstate(over="ignore", invalid="ignore"):
                 best, _ = fill_generator(v, Fp, Fm, G2i, Ci)
-                values[k, 1:-1] = work[cols, best] * dt_k + v[1:-1] * (1.0 - beta * dt_k)
+                values[k, 1:-1] = at(work, best) * dt_k + v[1:-1] * (1.0 - beta * dt_k)
+            index = product_index(best)
             for side, (e, h, i, _, _) in enumerate(sides):
                 if one_sided:
-                    j = best[h]  # the argopt of the interior neighbour h + 1
+                    drift, g2, cost, _ = edge_rows[seg][side]
+                    j = index[h]  # the control of the interior neighbour h + 1
                     slope = (v[i + 1] - v[i]) / dx
                     curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
-                    alpha = G2[e, j] * curv
+                    alpha = g2[j] * curv
                     values[k, e] = v[e] + dt_k * (
-                        (split[0, e, j] + split[1, e, j]) * slope
+                        drift[j] * slope
                         + alpha * (w_pos if alpha > 0.0 else w_neg)
-                        + C[e, j] - beta * v[e]
+                        + cost[j] - beta * v[e]
                     )
                 else:
                     values[k, e] = values[k, h + 1] * ratio[side]
             _require_finite(values[k], k)
-        policy[k, 1:-1] = best
+        policy[k, 1:-1] = index
         # Only the implicit one-sided edge rows choose their own control.
-        policy[k, 0], policy[k, -1] = edge_j if implicit and one_sided else (best[0], best[-1])
+        policy[k, 0], policy[k, -1] = edge_j if implicit and one_sided else (index[0], index[-1])
         seg_above = seg
 
     return values, policy

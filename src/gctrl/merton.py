@@ -29,7 +29,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySet, as_symmetric, g_matrix
 from .errors import ConsistencyError, NumericError
-from .hjb import Grid1D, HjbProblem, HjbSolution, solve
+from .hjb import ControlComponent, Grid1D, HjbProblem, HjbSolution, solve
 from .sde import CsvTable, _checked_starts, _segment_index, _starts_before, table_csv_chunks
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
@@ -427,9 +427,14 @@ def merton_hjb_problem(
     """Assemble the wealth-equation control problem for the grid solver.
 
     Controls are (risky fraction, consumption rate as a fraction of wealth)
-    pairs; the default grid covers d=1 markets.  A pessimist prices the
-    diffusion term with the lower generator, an optimist with the upper.
-    The market must have ``set_.dim`` assets (ValueError otherwise).
+    pairs; the default grid covers d=1 markets.  The list must be the
+    pi-major product of its distinct risky fractions and its distinct
+    consumption rates, as ``control_grid`` lists them (ValueError otherwise):
+    the problem declares the two as control components, the fraction with
+    drift x (r + pi (alpha - r)) and diffusion x pi gamma, the rate with drift
+    -rho x and running cost U(rho x).  A pessimist prices the diffusion term
+    with the lower generator, an optimist with the upper.  The market must
+    have ``set_.dim`` assets (ValueError otherwise).
     """
     if attitude not in _ATTITUDES:
         raise ValueError(f"attitude must be one of {_ATTITUDES}, got {attitude!r}")
@@ -439,30 +444,42 @@ def merton_hjb_problem(
         controls = control_grid()
     if m.dim != set_.dim:
         raise ValueError(f"the market has {m.dim} assets; the ambiguity set has dim {set_.dim}")
+    controls = tuple(tuple(c) for c in controls)
 
+    # The grid reads the two components; the policy Monte Carlo steps the whole drift.
     def drift(t, x, uu):
         r, alpha, _ = m.at(t)
         return x * (uu[0] * (float(alpha[0]) - r) + r - uu[1])
 
-    def diffusion(t, x, uu):
-        return x * uu[0] * float(m.at(t)[2][0, 0])
+    def pi_drift(t, x, pi):
+        r, alpha, _ = m.at(t)
+        return x * (r + pi * (float(alpha[0]) - r))
 
-    def running(t, x, uu):
-        return u.utility(uu[1] * x)
+    def pi_diffusion(t, x, pi):
+        return x * pi * float(m.at(t)[2][0, 0])
 
+    def rho_cost(t, x, rho):
+        return u.utility(rho * x)
+
+    risky = ControlComponent(tuple(dict.fromkeys(c[0] for c in controls)), pi_drift,
+                             pi_diffusion, running_cost=lambda t, x, pi: 0.0 * x)
+    consumption = ControlComponent(tuple(dict.fromkeys(c[1] for c in controls)),
+                                   drift=lambda t, x, rho: -rho * x,
+                                   diffusion=lambda t, x, rho: 0.0 * x, running_cost=rho_cost)
     return HjbProblem(
         drift=drift,
-        diffusion=diffusion,
-        running_cost=running,
+        diffusion=lambda t, x, uu: pi_diffusion(t, x, uu[0]),
+        running_cost=lambda t, x, uu: rho_cost(t, x, uu[1]),
         terminal_cost=u.utility,
         horizon=horizon,
-        controls=tuple(controls),
+        controls=controls,
         ambiguity=set_,
         discount=u.beta,
         opt_direction="maximize",
         attitude="lower" if attitude == "pessimist" else "upper",
         edge_power=1.0 - u.kappa,
         segment_starts=m.segment_starts,
+        components=(risky, consumption),
     )
 
 

@@ -6,10 +6,12 @@ any fail.  Tolerances mirror the package's own regression gates.
 
 The checks form two groups that share no state: the Merton group solves the
 configured portfolio problem and holds it against its closed form and its
-Monte Carlo leg; the market-free group draws its problems from the seed.
-``run_all_checks`` runs the market-free group in a forked worker beside the
-Merton group when a second CPU is usable, and the report's bytes do not
-depend on it.
+Monte Carlo leg, then runs the two market-free checks with streams of their
+own; the market-free group draws its problems from the seed.  The generator
+suites draw their trials one by one and evaluate them in stacks, one per
+dimension.  ``run_all_checks`` runs the market-free group in a forked worker
+beside the Merton group when a second CPU is usable, and the report's bytes
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambiguity import AmbiguitySet, contains, g_matrix, g_scalar
+from .ambiguity import AmbiguitySet, _dot, contains_stack, g_scalar, g_stack
 from .config import RunConfig, merton_attitude
 from .errors import ConfigError
 from .hjb import (
@@ -140,53 +142,56 @@ def _random_sym(rng: np.random.Generator, d: int) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _random_set(rng: np.random.Generator, d: int) -> AmbiguitySet:
+def _random_bounds(rng: np.random.Generator) -> tuple[float, float]:
+    """Variance bounds (lo, hi) of a random ambiguity set."""
     lo = rng.uniform(0.05, 1.0)
-    hi = lo + rng.uniform(0.0, 2.0)
-    return AmbiguitySet(dim=d, sigma_lo_sq=lo, sigma_hi_sq=hi)
+    return lo, lo + rng.uniform(0.0, 2.0)
 
 
-def _trials(rng: np.random.Generator, trials: int):
-    """Per trial, a random set of dimension 1 to 3 and a symmetric matrix of that size;
-    a generator, so a suite's further draws for a trial come before the next trial's."""
+def _trials(rng: np.random.Generator, trials: int, more=lambda rng, d: ()) -> list:
+    """Per trial, random variance bounds for a dimension from 1 to 3, a symmetric
+    matrix of that size and then ``more(rng, d)``'s draws, all in trial order.
+    Returned as stacks, one tuple (lo, hi, a, *more) of arrays per dimension drawn."""
+    rows = {1: [], 2: [], 3: []}
     for _ in range(trials):
         d = int(rng.integers(1, 4))
-        set_ = _random_set(rng, d)
-        yield set_, _random_sym(rng, d)
+        lo, hi = _random_bounds(rng)
+        rows[d].append((lo, hi, _random_sym(rng, d), *more(rng, d)))
+    return [tuple(map(np.array, zip(*r))) for r in rows.values() if r]
 
 
 def check_subadditivity(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
     worst = -np.inf
-    for set_, a in _trials(rng, trials):
-        b = _random_sym(rng, set_.dim)
-        gap = g_matrix(a + b, set_).value - g_matrix(a, set_).value - g_matrix(b, set_).value
-        worst = max(worst, gap)
+    for lo, hi, a, b in _trials(rng, trials, lambda rng, d: (_random_sym(rng, d),)):
+        gap = g_stack(a + b, lo, hi).value - g_stack(a, lo, hi).value - g_stack(b, lo, hi).value
+        worst = max(worst, float(np.max(gap)))
     return _result("g_subadditivity", worst, TOL_EXACT)
 
 
 def check_homogeneity(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
     worst = 0.0
-    for set_, a in _trials(rng, trials):
-        lam = rng.uniform(0.0, 10.0)
-        worst = max(worst, abs(g_matrix(lam * a, set_).value - lam * g_matrix(a, set_).value))
+    for lo, hi, a, lam in _trials(rng, trials, lambda rng, d: (rng.uniform(0.0, 10.0),)):
+        gap = g_stack(lam[:, None, None] * a, lo, hi).value - lam * g_stack(a, lo, hi).value
+        worst = max(worst, float(np.max(np.abs(gap))))
     return _result("g_positive_homogeneity", worst, TOL_EXACT)
 
 
 def check_direction_order(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
     worst = -np.inf
-    for set_, a in _trials(rng, trials):
-        worst = max(worst, g_matrix(a, set_, "lower").value - g_matrix(a, set_, "upper").value)
+    for lo, hi, a in _trials(rng, trials):
+        gap = g_stack(a, lo, hi, "lower").value - g_stack(a, lo, hi, "upper").value
+        worst = max(worst, float(np.max(gap)))
     return _result("g_upper_ge_lower", worst, TOL_EXACT)
 
 
 def check_maximizer_membership(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
     failures = 0
-    for set_, a in _trials(rng, trials):
+    for lo, hi, a in _trials(rng, trials):
         for direction in ("upper", "lower"):
-            gv = g_matrix(a, set_, direction)
-            ok = contains(set_, gv.maximizer)
-            ok = ok and abs(0.5 * float(np.tensordot(a, gv.maximizer)) - gv.value) <= 1e-12
-            failures += 0 if ok else 1
+            gv = g_stack(a, lo, hi, direction)
+            attained = 0.5 * _dot(a.reshape(len(a), -1), gv.maximizer.reshape(len(a), -1))
+            ok = contains_stack(gv.maximizer, lo, hi) & (np.abs(attained - gv.value) <= 1e-12)
+            failures += int(np.count_nonzero(~ok))
     return _result("g_maximizer_membership", float(failures), 0.0)
 
 
@@ -202,31 +207,63 @@ def _rotation_grid(n_angles: int = 96, n_levels: int = 17) -> np.ndarray:
 
 
 def check_bruteforce_agreement(rng: np.random.Generator, trials: int = 300) -> CheckResult:
-    """Grid search over the box must match the eigenvalue formula, d <= 2."""
-    grid = _rotation_grid()
+    """Grid search over the box must match the eigenvalue formula, d <= 2.
+
+    The d = 2 trials are evaluated together once all trials are drawn, so a
+    failing one no longer stops the draws; it is reported as before.
+    """
     worst = 0.0
+    planar = []
     for _ in range(trials):
         if rng.uniform() < 0.3:
-            set_ = _random_set(rng, 1)
+            lo, hi = _random_bounds(rng)
             alpha = rng.normal(scale=2.0)
-            levels = np.linspace(set_.sigma_lo_sq, set_.sigma_hi_sq, 41)
+            levels = np.linspace(lo, hi, 41)
             brute = 0.5 * np.max(alpha * levels)
-            exact = g_scalar(alpha, set_)
-            scale = 1.0 + abs(alpha) * (set_.sigma_hi_sq - set_.sigma_lo_sq)
+            exact = g_scalar(alpha, AmbiguitySet(dim=1, sigma_lo_sq=lo, sigma_hi_sq=hi))
+            scale = 1.0 + abs(alpha) * (hi - lo)
             worst = max(worst, abs(exact - brute) / scale)
         else:
-            set_ = _random_set(rng, 2)
-            a = _random_sym(rng, 2)
-            lo, hi = set_.sigma_lo_sq, set_.sigma_hi_sq
-            # tr(A (lo I + (hi-lo) K)) over the precomputed unit grid K
-            traces = lo * np.trace(a) + (hi - lo) * np.einsum("kij,ij->k", grid, a)
-            brute = 0.5 * float(np.max(traces))
-            exact = g_matrix(a, set_).value
-            if brute > exact + 1e-9:
-                return CheckResult("g_bruteforce_agreement", False, brute - exact, "<= 1e-9")
-            scale = (1.0 + float(np.abs(np.linalg.eigvalsh(a)).sum())) * (hi - lo + 1.0)
-            worst = max(worst, (exact - brute) / scale)
-    return _result("g_bruteforce_agreement", worst, 5e-3)
+            planar.append((*_random_bounds(rng), _random_sym(rng, 2)))
+    if not planar:
+        return _result("g_bruteforce_agreement", worst, 5e-3)
+    lo, hi, a = map(np.array, zip(*planar))
+    # tr(A (lo I + (hi-lo) K)) over the unit grid K is nondecreasing in tr(A K), and so
+    # is its rounding: its largest value is the one at the largest tr(A K).
+    grid = _rotation_grid()
+    edge = np.concatenate([np.einsum("kij,nij->nk", grid, a[i:i + 16]).max(axis=1)
+                           for i in range(0, len(a), 16)])
+    brute = 0.5 * (lo * np.trace(a, axis1=1, axis2=2) + (hi - lo) * edge)
+    exact = g_stack(a, lo, hi).value
+    over = np.flatnonzero(brute > exact + 1e-9)
+    if over.size:
+        i = over[0]
+        return CheckResult("g_bruteforce_agreement", False, float(brute[i] - exact[i]), "<= 1e-9")
+    scale = (1.0 + np.abs(np.linalg.eigvalsh(a)).sum(axis=1)) * (hi - lo + 1.0)
+    return _result("g_bruteforce_agreement", max(worst, float(np.max((exact - brute) / scale))),
+                   5e-3)
+
+
+def check_pi_decreasing(rng: np.random.Generator, trials: int = 1000) -> CheckResult:
+    """The pessimist's risky fraction theta / (kappa gamma lambda) must fall as the
+    high variance grows; lambda is the attaining variance of the lower generator at -1."""
+    draws = []
+    for _ in range(trials):
+        r = rng.uniform(0.0, 0.05)
+        alpha = r + rng.uniform(0.01, 0.1)
+        gam = rng.uniform(0.1, 0.5)
+        kap = rng.uniform(0.2, 5.0)
+        if abs(kap - 1.0) < 1e-3:
+            kap += 0.01
+        lo = rng.uniform(0.05, 0.5)
+        hi1 = lo + rng.uniform(0.01, 1.0)
+        hi2 = hi1 + rng.uniform(0.01, 1.0)
+        draws.append((r, alpha, gam, kap, lo, hi1, hi2))
+    r, alpha, gam, kap, lo, hi1, hi2 = np.array(draws).reshape(trials, 7).T
+    lam = g_stack(np.full((2, trials, 1, 1), -1.0), lo, np.stack([hi1, hi2]),
+                  "lower").maximizer[..., 0, 0]
+    pis = (alpha - r) / gam / (kap * gam * lam)
+    return _result("pi_decreasing_in_ambiguity", float(np.count_nonzero(~(pis[0] > pis[1]))), 0.0)
 
 
 def _bump(x: np.ndarray) -> np.ndarray:
@@ -305,15 +342,16 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     """Run the full cross-check suite for one configuration; ConfigError unless d = 1.
 
     The checks fall in two groups that share no state, run side by side by
-    ``sde._run_jobs``: the Merton checks here and the market-free checks in
-    a forked worker, when a second CPU is usable.  The config is checked
-    first, so a config error comes before the worker starts.  The report
-    keeps the checks' order: the market-free group's first eight, the Merton
-    group, then the market-free group's last two.
+    ``sde._run_jobs``: the Merton checks and the two checks with streams of
+    their own here, and the market-free checks in a forked worker, when a
+    second CPU is usable.  The config is checked first, so a config error
+    comes before the worker starts.  The report lists the worker's checks
+    first.
     """
     _merton_inputs(cfg)
-    merton, free = _run_jobs([lambda: _merton_checks(cfg), lambda: _market_free_checks(cfg)])
-    return [*free[:8], *merton, *free[8:]]
+    merton, free = _run_jobs([lambda: [*_merton_checks(cfg), *_own_stream_checks(cfg)],
+                              lambda: _market_free_checks(cfg)])
+    return [*free, *merton]
 
 
 def _merton_checks(cfg: RunConfig) -> list[CheckResult]:
@@ -375,10 +413,10 @@ def _merton_checks(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _market_free_checks(cfg: RunConfig) -> list[CheckResult]:
-    """The checks that do not read the market: generator suites, comparison principle,
-    heat DPP, the ambiguity order of the portfolio weight and CSV byte stability."""
-    set_1d, horizon, sim = cfg.ambiguity_set_1d(), cfg.solver.horizon, cfg.simulation
-    rng = np.random.default_rng(sim.seed)
+    """The checks that draw from the seed's stream and do not read the market:
+    generator suites, comparison principle and heat DPP."""
+    set_1d, horizon = cfg.ambiguity_set_1d(), cfg.solver.horizon
+    rng = np.random.default_rng(cfg.simulation.seed)
     results = [
         check_subadditivity(rng),
         check_homogeneity(rng),
@@ -395,37 +433,22 @@ def _market_free_checks(cfg: RunConfig) -> list[CheckResult]:
     heat = gheat_problem(set_1d, lambda x: x**2, horizon)
     results.append(_dpp_result("dpp_composition_heat", heat,
                                Grid1D(-4.0, 4.0, 101, suggest_time_steps(heat, -4.0, 4.0, 101))))
+    return results
 
-    mono_rng = np.random.default_rng(sim.seed + 3)
-    violations = 0
-    for _ in range(1000):
-        r = mono_rng.uniform(0.0, 0.05)
-        alpha = r + mono_rng.uniform(0.01, 0.1)
-        gam = mono_rng.uniform(0.1, 0.5)
-        kap = mono_rng.uniform(0.2, 5.0)
-        if abs(kap - 1.0) < 1e-3:
-            kap += 0.01
-        lo_v = mono_rng.uniform(0.05, 0.5)
-        hi1 = lo_v + mono_rng.uniform(0.01, 1.0)
-        hi2 = hi1 + mono_rng.uniform(0.01, 1.0)
-        pis_ = []
-        for hi_v in (hi1, hi2):
-            sset = AmbiguitySet(dim=1, sigma_lo_sq=lo_v, sigma_hi_sq=hi_v)
-            lam_ = worst_case_lambda(sset, "negative", "pessimist")
-            theta = (alpha - r) / gam
-            pis_.append(float(theta / (kap * gam * lam_[0, 0])))
-        violations += 0 if pis_[0] > pis_[1] else 1
-    results.append(_result("pi_decreasing_in_ambiguity", float(violations), 0.0))
 
-    csv_rng = np.random.default_rng(sim.seed + 4)
+def _own_stream_checks(cfg: RunConfig) -> list[CheckResult]:
+    """The two market-free checks on streams of their own: the ambiguity order of the
+    portfolio weight (seed + 3) and CSV byte stability (seed + 4)."""
+    set_1d, seed = cfg.ambiguity_set_1d(), cfg.simulation.seed
+    results = [check_pi_decreasing(np.random.default_rng(seed + 3))]
+    csv_rng = np.random.default_rng(seed + 4)
     mismatches = 0
     for _ in range(100):
-        seed = int(csv_rng.integers(0, 2**32))
-        small = PathConfig(n_steps=4, horizon=1.0, n_paths=3, seed=seed)
+        path_seed = int(csv_rng.integers(0, 2**32))
+        small = PathConfig(n_steps=4, horizon=1.0, n_paths=3, seed=path_seed)
         sched = VolSchedule.constant(set_1d.sigma_hi_sq)
         a = bundle_csv_text(sample_gbm(set_1d, sched, small))
         b = bundle_csv_text(sample_gbm(set_1d, sched, small))
         mismatches += 0 if a == b else 1
     results.append(_result("csv_byte_stability", float(mismatches), 0.0))
-
     return results

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gctrl import AmbiguitySet, as_symmetric, contains, g_matrix, g_scalar
+from gctrl.ambiguity import contains_stack, g_stack
 
 SET_1D = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 SET_2D = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
@@ -207,3 +208,77 @@ def test_rotation_grid_matches_the_loop_over_angles_then_levels():
         expected += [r @ np.diag([u1, u2]) @ r.T for u1 in us for u2 in us]
     assert np.array_equal(_rotation_grid(7, 5), np.asarray(expected))
     assert _rotation_grid().shape == (96 * 17 * 17, 2, 2)
+
+
+def _stack_with_zero_eigenvalues(rng, d, n=300):
+    """n random symmetric d x d matrices, the first tenth diagonal with exact zeros on the
+    diagonal (so exactly zero eigenvalues), one of them the zero matrix; and per-member
+    variance bounds."""
+    a = rng.normal(size=(n, d, d))
+    a = 0.5 * (a + a.swapaxes(-1, -2))
+    diagonal = rng.normal(size=(n // 10, d)) * (rng.uniform(size=(n // 10, d)) < 0.5)
+    a[: n // 10] = 0.0
+    a[: n // 10, np.arange(d), np.arange(d)] = diagonal
+    a[0] = 0.0
+    lo = rng.uniform(0.05, 1.0, n)
+    return a, lo, lo + rng.uniform(0.0, 2.0, n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_each_member_of_a_stack_has_the_bits_of_its_own_call(d, direction):
+    a, lo, hi = _stack_with_zero_eigenvalues(np.random.default_rng(50 + d), d)
+    stack = g_stack(a, lo, hi, direction)
+    assert stack.value.shape == (len(a),) and stack.maximizer.shape == a.shape
+    zeros = 0
+    for i in range(len(a)):
+        one = g_matrix(a[i], AmbiguitySet(dim=d, sigma_lo_sq=lo[i], sigma_hi_sq=hi[i]), direction)
+        assert stack.value[i].tobytes() == np.float64(one.value).tobytes()
+        assert stack.maximizer[i].tobytes() == one.maximizer.tobytes()
+        w, q = np.linalg.eigh(a[i])
+        # A zero eigenvalue takes the high variance (upper) or the low one (lower).
+        tie = hi[i] if direction == "upper" else lo[i]
+        for j in np.flatnonzero(w == 0.0):
+            zeros += 1
+            assert q[:, j] @ stack.maximizer[i] @ q[:, j] == pytest.approx(tie, abs=1e-12)
+    assert zeros >= len(a) // 20
+
+
+def test_stack_takes_scalars_and_broadcasts_scalar_bounds():
+    for alpha in (-1.5, 0.0, 0.7):
+        for direction in ("upper", "lower"):
+            one = g_matrix(alpha, SET_1D, direction)
+            stacked = g_stack(alpha, SET_1D.sigma_lo_sq, SET_1D.sigma_hi_sq, direction)
+            assert stacked.value.shape == () and stacked.maximizer.shape == (1, 1)
+            assert float(stacked.value) == one.value == g_scalar(alpha, SET_1D, direction)
+            assert stacked.maximizer.tobytes() == one.maximizer.tobytes()
+    a, _, _ = _stack_with_zero_eigenvalues(np.random.default_rng(60), 2, n=40)
+    stack = g_stack(a, SET_2D.sigma_lo_sq, SET_2D.sigma_hi_sq)
+    for i in range(len(a)):
+        one = g_matrix(a[i], SET_2D)
+        assert stack.value[i] == one.value
+        assert stack.maximizer[i].tobytes() == one.maximizer.tobytes()
+
+
+def test_stack_rejects_an_asymmetric_member():
+    a = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match="not symmetric"):
+        g_stack(a, 0.25, 1.0)
+    with pytest.raises(ValueError, match="square"):
+        g_stack(np.zeros((3, 2, 3)), 0.25, 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_contains_on_a_stack_answers_as_each_member_alone(d):
+    rng = np.random.default_rng(70 + d)
+    a, lo, hi = _stack_with_zero_eigenvalues(rng, d, n=120)
+    inside = g_stack(a, lo, hi).maximizer
+    lams = np.concatenate([inside, a, inside * 1.5])
+    lams[1, 0, -1] += 0.5 * (d > 1)  # a member that is not symmetric
+    lo, hi = np.tile(lo, 3), np.tile(hi, 3)
+    answers = contains_stack(lams, lo, hi)
+    expected = [contains(AmbiguitySet(dim=d, sigma_lo_sq=lo[i], sigma_hi_sq=hi[i]), lams[i])
+                for i in range(len(lams))]
+    assert answers.dtype == bool and answers.tolist() == expected
+    assert all(expected[2:120]) and not all(expected[120:])
+    assert expected[1] == (d == 1)

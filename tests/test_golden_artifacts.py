@@ -130,11 +130,11 @@ GOLDEN = {
         "desk_policy.csv":
             "72a6e031becaf17826647ce191d2086abfa8a3e7029dc70d85fa13152170b68e",
         "desk_compare.csv":
-            "f74925c8f755dbf9c544c70af2653025a7f6ae0ef9e4c1bfb14ba83859a1770b",
+            "1a73324beb71cc5651edf8810366755ad62d7df515b28c8917b213ee18a72a8f",
         "desk_solution.csv":
-            "5bb2f33555deb3a56cd92f27b861009d616e56aa554a48feda9741a8b1ba47d9",
+            "6b648d17386f0681a136f5c2f52af21cd4f121033e0ee15ce607ead1f03c47d0",
         "desk_report.txt":
-            "8abc0ddb66f8e5e09320615d9a0b9627f2d39716c622eb90bdb959f52f694189",
+            "2960e213e62052589dc94caa15f2fb7bfa08a09b1794906b02b954cc69442685",
     },
     ("simulate", HEAT): {
         "heat_paths.csv":

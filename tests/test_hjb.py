@@ -1,6 +1,9 @@
 """Monotone HJB solver: moment identities, DPP exactness, scheme properties."""
 
+import dataclasses
 import hashlib
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +26,7 @@ from gctrl import (
     solve,
     suggest_time_steps,
 )
-from gctrl.hjb import gheat_problem
+from gctrl.hjb import ControlComponent, gheat_problem
 from gctrl.merton import control_grid
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
@@ -199,6 +202,134 @@ def test_control_ties_break_toward_the_lowest_index():
         sol, ref = solve(duplicated, grid), solve(plain, grid)
         assert np.any(sol.policy == 0) and not np.any(sol.policy == 2)
         assert np.array_equal(sol.policy, ref.policy) and np.array_equal(sol.values, ref.values)
+
+
+def _desk_problem(controls):
+    return merton_hjb_problem(MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2),
+                              CrraUtility(kappa=2.0, beta=0.1), SET, 1.0, "pessimist", controls)
+
+
+@pytest.mark.parametrize("n_x, implicit", [(201, True), (81, False)])
+def test_component_picks_match_the_exhaustive_product_search(monkeypatch, n_x, implicit):
+    # At every fill of either sweep on a desk grid, the product table of the term-wise
+    # Hamiltonian, H_pi[p] + H_rho[q] in pi-major order, searched exhaustively, takes its
+    # optimum at the components' picks, bit for bit.  Its lowest optimal index is the
+    # picks' own, except where two sums round to one value; there the picks are strictly
+    # better on one component's own table.  The pi level 0.5 and the fourth rho level are
+    # duplicated: their ties go to the first copy, which is the lowest product index, and
+    # the solve is the one without the copies.
+    from gctrl import hjb
+
+    plain = _desk_problem(control_grid(21, 33))
+    pis, rhos = (c.levels for c in plain.components)
+    copied = (pis[:11] + pis[10:], rhos[:4] + rhos[3:])
+    dup = dataclasses.replace(
+        plain, controls=tuple(itertools.product(*copied)),
+        components=tuple(dataclasses.replace(c, levels=levels)
+                         for c, levels in zip(plain.components, copied)))
+    count = suggest_time_steps(dup, 0.4, 2.4, n_x)
+    grid = Grid1D(0.4, 2.4, n_x, 200 if implicit else count)
+    assert (grid.n_t < count) == implicit
+    fills = []
+    require_finite = hjb._require_finite
+
+    def spy(row, k):  # every level of either sweep and every Howard solve passes here
+        caller = inspect.currentframe().f_back.f_locals
+        fills.append((caller["work"].copy(), [j.copy() for j in caller["best"]]))
+        require_finite(row, k)
+
+    monkeypatch.setattr(hjb, "_require_finite", spy)
+    sol = solve(dup, grid)
+    n_pi, n_rho = len(copied[0]), len(copied[1])
+    rows = np.arange(n_x - 2)
+    for work, (p, q) in fills:
+        h_pi, h_rho, q = work[:, :n_pi], work[:, n_pi:], q - n_pi
+        product = (h_pi[:, :, None] + h_rho[:, None, :]).reshape(n_x - 2, -1)
+        exhaustive = product.argmax(axis=1)
+        assert product[rows, exhaustive].tobytes() == (h_pi[rows, p] + h_rho[rows, q]).tobytes()
+        tie = exhaustive != p * n_rho + q
+        e_p, e_q = np.divmod(exhaustive[tie], n_rho)
+        assert np.all(exhaustive[tie] < (p * n_rho + q)[tie])
+        assert np.all((h_pi[tie, p[tie]] > h_pi[tie, e_p])
+                      | (h_rho[tie, q[tie]] > h_rho[tie, e_q]))
+    assert len(fills) >= grid.n_t
+    assert not np.any(sol.policy // n_rho == 11) and not np.any(sol.policy % n_rho == 4)
+
+    ref = solve(plain, grid)
+    p, q = np.divmod(ref.policy, len(rhos))
+    assert sol.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(sol.policy, (p + (p > 10)) * n_rho + q + (q > 3))
+
+
+def _two_component_pair(rng, edge_power):
+    """Two problems whose controls are a product of two components and whose terminal and
+    running data are ordered, supported where |x - mid| < 1.5; and their 41-node grid.
+
+    One component steers the drift either way and scales the diffusion; the other
+    drifts backward and carries a running cost, as consumption does in the wealth
+    problem.  With one-sided edges the grid is [-5, 5], so that the support stays
+    14 nodes from each edge as in ``verify._random_ordered_problems``; with power
+    edges it is [0.5, 3.5].  The grid has 12 steps at 0.9 times the CFL bound.
+    """
+    lo = rng.uniform(0.1, 0.8)
+    set_ = AmbiguitySet(dim=1, sigma_lo_sq=lo, sigma_hi_sq=lo + rng.uniform(0.0, 0.8))
+    c0, c1 = rng.uniform(-0.7, 0.7, size=2)
+    g0, g1 = rng.uniform(0.3, 1.0), rng.uniform(-0.2, 0.2)
+    a, b, s = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.0)
+    common = dict(discount=rng.uniform(0.0, 0.5), segment_starts=(0.0,), edge_power=edge_power,
+                  opt_direction="maximize" if rng.uniform() < 0.5 else "minimize",
+                  attitude="upper" if rng.uniform() < 0.5 else "lower")
+    x_min, x_max = (-5.0, 5.0) if edge_power is None else (0.5, 3.5)
+    mid = 0.5 * (x_min + x_max)
+
+    def bump(x):
+        return np.maximum(0.0, 1.0 - ((x - mid) / 1.5) ** 2) ** 3
+
+    steer = ControlComponent(tuple(rng.uniform(-1.0, 1.0, size=3)),
+                             drift=lambda t, x, u: (c0 + c1 * u) + 0.0 * x,
+                             diffusion=lambda t, x, u: (g0 + g1 * u) + 0.0 * x,
+                             running_cost=lambda t, x, u: 0.1 * u * bump(x))
+    brake = ControlComponent(tuple(rng.uniform(0.0, 1.0, size=3)),
+                             drift=lambda t, x, r: -r + 0.0 * x,
+                             diffusion=lambda t, x, r: 0.0 * x,
+                             running_cost=lambda t, x, r: -0.3 * r * r * bump(x))
+
+    def problem(shift, horizon=1.0):
+        return HjbProblem(
+            drift=lambda t, x, u: steer.drift(t, x, u[0]) + brake.drift(t, x, u[1]),
+            diffusion=lambda t, x, u: steer.diffusion(t, x, u[0]),
+            running_cost=lambda t, x, u: (steer.running_cost(t, x, u[0])
+                                          + brake.running_cost(t, x, u[1]) + shift * bump(x)),
+            terminal_cost=lambda x: bump(x) * (a * np.sin(3.0 * x) + b * np.cos(2.0 * x)
+                                               + shift * (1.1 + np.sin(2.0 * x))),
+            horizon=horizon, controls=tuple(itertools.product(steer.levels, brake.levels)),
+            ambiguity=set_, components=(steer, brake), **common)
+
+    grid = Grid1D(x_min, x_max, 41, 12)
+    horizon = 0.9 * max_stable_dt(problem(0.0), grid) * 12
+    return problem(0.0, horizon), problem(s, horizon), grid
+
+
+@pytest.mark.parametrize("edge_power", [None, -1.0])
+def test_two_component_problems_keep_ordered_data_ordered(edge_power):
+    rng = np.random.default_rng(23)
+    worst = -np.inf
+    for _ in range(20):
+        low, high, grid = _two_component_pair(rng, edge_power)
+        for n_t in (12, 3):  # explicit, then implicit at 3.6 times the bound
+            sweep = dataclasses.replace(grid, n_t=n_t)
+            assert (n_t < suggest_time_steps(low, grid.x_min, grid.x_max, grid.n_x)) == (n_t == 3)
+            worst = max(worst, float(np.max(solve(low, sweep).values - solve(high, sweep).values)))
+    assert worst <= 1e-12
+
+
+def test_merton_controls_must_be_a_pi_major_product():
+    pairs = control_grid(3, 2)
+    rho_major = sorted(pairs, key=lambda u: (u[1], u[0]))
+    for controls in (rho_major, pairs[:-1], pairs[:2] + pairs[3:4], pairs + pairs[:2]):
+        with pytest.raises(ValueError, match="component-major product"):
+            _desk_problem(controls)
+    assert _desk_problem(pairs).controls == tuple(pairs)
 
 
 def test_controlled_problem_picks_better_drift():
@@ -531,9 +662,9 @@ def test_implicit_edge_rows_keep_ordered_data_ordered():
 IMPLICIT_CSV_SHA256 = {
     "heat-count-1": "b05afad999a06d47f67c203b5feda65b2e6e7c587484145873fd23bc096ee9ad",
     "heat-count/4": "f9e1d6d76f960580a2148a70e1839da26e6fda9ae1b5b3625d1973dc96d981db",
-    "desk-n_t-20": "4e862fe6e9375f09b1484e496b23c464cafe9a6899734451e1bff6399c119b9c",
+    "desk-n_t-20": "3419e4a006f26d8b91f2b97ff585899e6f432be8c96537c7d6a27bd0cf6f0ca2",
     "ordered-count/5": "8cd99235d00cff8b760325da2084ee1e81df5adab7d3c9cbb88ea4486512d62f",
-    "desk-3-segments-n_t-20": "344ed76036799a5fd164d864c3c3d9211ee9b5c4517d98470b946ded7dc77be3",
+    "desk-3-segments-n_t-20": "f3323b45c4a1b2810b546500304d712309071628258ec811526c21da47960561",
 }
 
 
