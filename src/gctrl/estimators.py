@@ -16,16 +16,23 @@ descends into each child in order; every prefix is integrated once.  Rows
 are integrated independently under the same normal draws, so a shared
 prefix has the same bits as integrating each candidate on its own.
 
+A large search is split into contiguous ranges of that order, one per usable
+CPU, each walked by its own process (``upper_expectation_mc`` tells how).  A
+range's walk starts by integrating every segment of its first candidate, so
+a prefix that straddles two ranges is integrated in both.
+
 Memory is bounded by ``_BATCH_FLOATS``: the group size is chosen so that the
 per-depth segment buffers, (n_steps + n_segments) * group * n_paths * m
 floats in all, fit in it, and beside them sits one (n_steps+1, n_paths, m)
-buffer in which each candidate's path is assembled.  The bundle a functional
-receives is a view of that buffer, valid only until the functional's next
-call: copy whatever must outlive it.
+buffer in which each candidate's path is assembled; each process walking a
+range holds its own.  The bundle a functional receives is a view of that
+buffer, valid only until the functional's next call: copy whatever must
+outlive it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -40,6 +47,8 @@ from .sde import (
     VolSchedule,
     _checked_roots_t,
     _euler_steps,
+    _run_jobs,
+    _split_count,
     _step_intervals,
     path_normals,
 )
@@ -50,6 +59,14 @@ _MAX_CANDIDATES = 200_000
 # The search's per-depth segment buffers hold at most this many floats
 # (8 MiB), which bounds memory whatever the candidate count.
 _BATCH_FLOATS = 1 << 20
+# A range of the search holds at least this many path-steps (candidates x
+# paths x steps): 11 ms of walking on a 625-candidate prefix tree, about 100 ms
+# on one segment (2-CPU x86-64).  A split costs a fork and reap (2-3 ms), the
+# worker's walk down to its first candidate, and the winner integrated again (a
+# sixth of a 9-candidate search).  Split in two, a 9-candidate search of 3.6M
+# path-steps took 18-23% longer, one of 9M between 9% less and 6% more, and a
+# 625-candidate one of 12.5M a third less.
+MIN_RANGE_PATH_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -117,9 +134,10 @@ def candidate_schedules(
 
 
 def _leaves(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
-            breakpoints: tuple[float, ...]):
-    """Yield ``(levels, path)`` for every schedule over ``breakpoints``, in product order.
+            breakpoints: tuple[float, ...], start: int = 0, stop: int | None = None):
+    """Yield ``(levels, path)`` for schedules ``start`` to ``stop - 1`` over ``breakpoints``.
 
+    The schedules are numbered in product order, all of them by default.
     ``levels`` indexes ``roots_t``, the transposed roots of the segment
     covariances, one entry per segment.  ``path`` is the time-major
     (n_steps+1, n_paths, m) assembly buffer, overwritten for the next
@@ -133,10 +151,13 @@ def _leaves(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.nda
     path[0] = spec.initial_state
     bufs = [np.empty((k1 - k0 + 1, group * n, m)) for k0, k1 in zip(cuts, cuts[1:])]
     held = [range(0)] * n_segments  # the siblings whose segment each buffer holds
-    for index, levels in enumerate(itertools.product(range(n_levels), repeat=n_segments)):
+    order = itertools.product(range(n_levels), repeat=n_segments)
+    for index, levels in enumerate(itertools.islice(order, start, stop), start):
         # Product order moves the last nonzero level and resets the later ones to 0,
-        # so ``index`` is the first candidate under each node stepped below it.
-        top = max((j for j, level in enumerate(levels) if level), default=0)
+        # so ``index`` is the first candidate under each node stepped below it.  The
+        # first candidate walked has no path yet: every segment is stepped for it.
+        top = 0 if index == start else max((j for j, level in enumerate(levels) if level),
+                                           default=0)
         for depth in range(top, n_segments):
             k0, k1, level = cuts[depth], cuts[depth + 1], levels[depth]
             if depth > top or level not in held[depth]:
@@ -188,6 +209,19 @@ def upper_expectation_mc(
     ``NumericError`` names the first candidate in product order whose paths
     diverge, with the path and step at which ``integrate_gsde`` on that
     candidate would stop, whatever the group size.
+
+    That order is split into contiguous ranges of candidates, one per usable
+    CPU, but each of at least ``MIN_RANGE_PATH_STEPS`` path-steps (candidates
+    x paths x steps), so a small search runs here alone.  This process walks
+    the first range; a worker forked by ``sde._run_jobs`` walks each other
+    range and sends back only its means, which are merged here in order.  A
+    candidate's paths depend on the shared draws and its own schedule alone,
+    so the estimate is the same at any CPU count, and so is the error raised:
+    the first in candidate order.  The functional and the callables of
+    ``spec`` may therefore run in a forked worker, whose side effects the
+    caller does not see.  When a worker's candidate is chosen, this process
+    integrates it and evaluates its functional a second time, to fill
+    ``best_paths``.
     """
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
@@ -197,31 +231,53 @@ def upper_expectation_mc(
     breakpoints = _breakpoints(cfg.horizon, n_segments)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+    n_candidates = len(seg_mats) ** n_segments
+    n_ranges = _split_count(n_candidates, n_candidates * cfg.n_paths * cfg.n_steps,
+                            MIN_RANGE_PATH_STEPS)
+    bounds = [n_candidates * k // n_ranges for k in range(n_ranges + 1)]
 
-    means = []
-    best = None
     # The best candidate's states are copied out of the assembly buffer,
     # which the next candidate overwrites.
     best_states = np.empty((cfg.n_paths, cfg.n_steps + 1, spec.dim_state))
-    for levels, path in _leaves(spec, cfg, normals, roots_t, breakpoints):
-        bundle = PathBundle(times, path.transpose(1, 0, 2))
-        # A copy, since the functional may return a view of the buffer.
-        vals = np.array(functional(bundle), dtype=float).reshape(-1)
-        if vals.shape != (cfg.n_paths,):
-            raise ValueError(
-                f"functional must return one value per path, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("functional returned a non-finite value")
-        means.append(vals.mean())
-        if best is None or sign * means[-1] > sign * means[best]:
-            best, best_levels, best_vals = len(means) - 1, levels, vals
-            best_states[...] = bundle.states
+    best_levels = best_vals = None
+
+    def walk(start: int, stop: int, keep: bool) -> list[float]:
+        """The means of candidates ``start`` to ``stop - 1``, in order.
+
+        With ``keep``, each candidate better than all before it in the range
+        leaves its levels, values and states in ``best_*``.
+        """
+        nonlocal best_levels, best_vals
+        means, best = [], None
+        for levels, path in _leaves(spec, cfg, normals, roots_t, breakpoints, start, stop):
+            bundle = PathBundle(times, path.transpose(1, 0, 2))
+            # A copy, since the functional may return a view of the buffer.
+            vals = np.array(functional(bundle), dtype=float).reshape(-1)
+            if vals.shape != (cfg.n_paths,):
+                raise ValueError(
+                    f"functional must return one value per path, got shape {vals.shape}"
+                )
+            if not np.all(np.isfinite(vals)):
+                raise NumericError("functional returned a non-finite value")
+            means.append(float(vals.mean()))
+            if keep and (best is None or sign * means[-1] > sign * means[best]):
+                best, best_levels, best_vals = len(means) - 1, levels, vals
+                best_states[...] = bundle.states
+        return means
+
+    jobs = [functools.partial(walk, bounds[k], bounds[k + 1], k == 0) for k in range(n_ranges)]
+    means = [mean for part in _run_jobs(jobs) for mean in part]
+    best = 0
+    for index, mean in enumerate(means):
+        if sign * mean > sign * means[best]:
+            best = index
+    if best >= bounds[1]:  # a worker's candidate: its paths are integrated again here
+        walk(best, best + 1, True)
 
     std_error = 0.0 if cfg.n_paths < 2 else float(best_vals.std(ddof=1) / np.sqrt(cfg.n_paths))
     best_schedule = VolSchedule(breakpoints, tuple(seg_mats[i] for i in best_levels))
     return ExpectationEstimate(
-        value=float(means[best]),
+        value=means[best],
         std_error=std_error,
         best_schedule=best_schedule,
         n_schedules_searched=len(means),

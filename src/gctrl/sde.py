@@ -29,7 +29,8 @@ do not depend on the CPU count.  The ``*_csv_chunks`` functions build the
 tables (``bundle_csv_chunks``, ``hjb.solution_csv_chunks`` and the
 portfolio tables in ``merton``); the ``*_csv_text`` renderers are their
 joined strings.  ``_run_jobs`` is the one place that forks, reaps and kills
-workers, for these ranges and for ``verify``'s two check groups.
+workers: for these ranges, for ``verify``'s two check groups, and for the
+contiguous ranges of candidates of the scenario search in ``estimators``.
 """
 
 from __future__ import annotations
@@ -198,11 +199,16 @@ def path_normals(seed: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
     do not depend on how many other paths are requested.
     """
     out = np.empty((n_paths, n_steps, dim))
-    seed_lo = int(seed) & _MASK64
+    bits = np.random.Philox(key=int(seed) & _MASK64)
+    gen = np.random.Generator(bits)
+    # A fresh generator's state: counter 0, key [seed, 0], no buffered words.  Path p
+    # restarts from it with key [seed, p], i.e. the 128-bit key (p << 64) | seed.
+    state = bits.state
+    key = state["state"]["key"]
     for p in range(n_paths):
-        key = (p << 64) | seed_lo
-        gen = np.random.Generator(np.random.Philox(key=key))
-        out[p] = gen.standard_normal((n_steps, dim))
+        key[1] = p
+        bits.state = state
+        gen.standard_normal(out=out[p])
     return out
 
 
@@ -263,8 +269,9 @@ def _euler_steps(
     numbers, and each row is computed independently of the others, so a row
     has the same bits whichever blocks share the call.  Each drift and
     diffusion is used in the shape returned (``SdeSpec`` gives the rule),
-    never copied to full shape: numpy broadcasts it, and ``einsum`` contracts
-    the diffusion with the increments over any leading axes.  A non-finite
+    never copied to full shape: numpy broadcasts it, and the diffusion is
+    contracted with the increments over any leading axes, by a plain product
+    with one noise and by ``einsum`` with more.  A non-finite
     state aborts with the path index within its block, and with
     ``candidates[j]`` as the block's candidate schedule when given.
     """
@@ -286,14 +293,20 @@ def _euler_steps(
             g = g[:, None, None]
         elif g.ndim < 2:
             g = np.broadcast_to(g, (m, d))
-        if g.shape[-1] not in (1, d):  # at d = 1, einsum would stretch dw's one column
+        if g.shape[-1] not in (1, d):  # at d = 1, the product would read column 0 alone
             raise ValueError(f"diffusion of shape {g.shape} does not have {d} noise columns")
-        dw = ((sqrt_dt * normals[:, k, :]) @ root_t).reshape(rows, d)
-        x = x + f * dt + np.einsum("...md,...d->...m", g, dw)
+        if d == 1:  # plain products, faster than @ and einsum and with their bits
+            dw = ((sqrt_dt * normals[:, k, :]) * root_t).reshape(rows, 1)
+            noise = g[..., 0] * dw
+            noise += 0.0  # turns a -0.0 product to +0.0, as einsum's sum from 0.0 does
+        else:
+            dw = ((sqrt_dt * normals[:, k, :]) @ root_t).reshape(rows, d)
+            noise = np.einsum("...md,...d->...m", g, dw)
+        x = x + f * dt + noise
         if x.shape != (rows, m):
             raise ValueError(f"drift {f.shape} and diffusion {g.shape} do not broadcast "
                              f"to states of shape {(rows, m)}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             row = int(np.argwhere(~np.isfinite(x))[0, 0])
             where = ("" if candidates is None
                      else f" under candidate schedule {candidates[row // n]}")
@@ -370,9 +383,18 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _split_count(n_items: int, work: int, min_work: int) -> int:
+    """Contiguous ranges to split ``n_items`` items doing ``work`` in all into.
+
+    One per usable CPU, but at most one per item, and each range does at
+    least ``min_work``: less does not repay forking its worker.
+    """
+    return max(1, min(_usable_cpus(), n_items, work // min_work))
+
+
 def _range_count(table: CsvTable) -> int:
     """Ranges to split ``table`` into: one per usable CPU, each of ``MIN_RANGE_VALUES`` or more."""
-    return max(1, min(_usable_cpus(), table.n_blocks, table.n_values // MIN_RANGE_VALUES))
+    return _split_count(table.n_blocks, table.n_values, MIN_RANGE_VALUES)
 
 
 def _worker(job: Callable[[], object], fd: int) -> NoReturn:

@@ -1,8 +1,18 @@
 """Shared fixtures."""
 
 import inspect
+import os
 
 import pytest
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets how many CPUs ``os.sched_getaffinity`` reports as usable: ``usable_cpus(n)``."""
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_count
 
 
 @pytest.fixture

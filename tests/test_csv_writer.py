@@ -15,10 +15,6 @@ HEAT = (Path(__file__).resolve().parents[1] / "configs" / "heat.cfg").read_text(
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 
 
-def _usable_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -40,8 +36,8 @@ def _recording_solution_table(monkeypatch) -> list:
     return seen
 
 
-def test_range_count_follows_the_table_size(monkeypatch):
-    _usable_cpus(monkeypatch, 8)
+def test_range_count_follows_the_table_size(usable_cpus):
+    usable_cpus(8)
     n = sde.MIN_RANGE_VALUES
 
     def table(n_blocks, n_values):
@@ -52,13 +48,13 @@ def test_range_count_follows_the_table_size(monkeypatch):
     assert sde._range_count(table(1000, 2 * n)) == 2
     assert sde._range_count(table(3, 100 * n)) == 3
     assert sde._range_count(table(1000, 100 * n)) == 8
-    _usable_cpus(monkeypatch, 1)
+    usable_cpus(1)
     assert sde._range_count(table(1000, 100 * n)) == 1
 
 
 @pytest.mark.parametrize("cpus", [3, 1])
-def test_split_artifacts_equal_the_joined_text(tmp_path, monkeypatch, cpus):
-    _usable_cpus(monkeypatch, cpus)
+def test_split_artifacts_equal_the_joined_text(tmp_path, monkeypatch, usable_cpus, cpus):
+    usable_cpus(cpus)
     seen = _recording_solution_table(monkeypatch)
     cli.run_command("solve-hjb", _heat_201(), tmp_path, force=False)
     table = hjb.solution_csv_chunks(seen[0])
@@ -93,9 +89,9 @@ def _interrupt():
     pytest.param("last", _interrupt, RuntimeError, id="worker-raises"),
     pytest.param("first", _interrupt, KeyboardInterrupt, id="parent-interrupted"),
 ])
-def test_a_failing_range_leaves_the_directory_as_it_was(tmp_path, monkeypatch, where, failure,
-                                                        error):
-    _usable_cpus(monkeypatch, 2)
+def test_a_failing_range_leaves_the_directory_as_it_was(tmp_path, monkeypatch, usable_cpus, where,
+                                                        failure, error):
+    usable_cpus(2)
     out = tmp_path / "out"
     cli.run_command("solve-hjb", _heat_201(), out, force=False)
     before = {p.name: p.read_bytes() for p in out.iterdir()}

@@ -15,7 +15,7 @@ from gctrl import (
     integrate_gsde,
     sample_gbm,
 )
-from gctrl.sde import path_normals
+from gctrl.sde import _sqrt_psd, path_normals
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 
@@ -272,6 +272,54 @@ def test_misshaped_drift_or_diffusion_raises(m, d, case):
     with pytest.raises(ValueError):
         _shape_run(m, d, lambda t, x, u: np.ones(drift_shape),
                    lambda t, x, u: np.ones(diffusion_shape))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_path_normals_are_one_fresh_generator_per_path(seed, dim):
+    got = path_normals(seed, 7, 13, dim)
+    for p in range(7):
+        gen = np.random.Generator(np.random.Philox(key=(p << 64) | seed))
+        assert np.array_equal(got[p], gen.standard_normal((13, dim)))
+
+
+def _live_second_component(x):
+    g = np.zeros((len(x), 2, 1))
+    g[:, 1, 0] = 1.0 + 0.1 * np.cos(x[:, 1])
+    return g
+
+
+@pytest.mark.parametrize("diffusion", [
+    pytest.param(lambda t, x, u: _live_second_component(x), id="rows-m-d"),
+    pytest.param(lambda t, x, u: _live_second_component(x)[:, :, 0], id="rows-m"),
+    pytest.param(lambda t, x, u: np.array([[0.0], [0.7]]), id="m-d"),
+])
+def test_one_noise_step_has_the_bits_of_the_einsum_contraction(diffusion):
+    # State 0 starts at -0.0 under a -0.0 drift and no diffusion: a product g * dw of
+    # -0.0 would keep it at -0.0 on the paths whose increment is negative, where
+    # einsum's sum, 0.0 + g * dw, turns it to +0.0.
+    cfg = _cfg(n_paths=_ROWS, n_steps=10)
+
+    def drift(t, x, u):
+        return np.column_stack([np.full(len(x), -0.0), 0.3 * np.sin(x[:, 1])])
+
+    spec = SdeSpec(2, 1, drift, diffusion, np.array([-0.0, 0.5]))
+    got = integrate_gsde(spec, SET, VolSchedule.constant(0.5), cfg).states
+
+    root_t = _sqrt_psd(np.array([[0.5]])).T
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1)
+    x = np.tile(spec.initial_state, (_ROWS, 1))
+    want = [x]
+    for k in range(cfg.n_steps):
+        t = k * cfg.dt
+        g = np.asarray(diffusion(t, x, None)).reshape(-1, 2, 1)
+        dw = (np.sqrt(cfg.dt) * normals[:, k, :]) @ root_t
+        x = x + drift(t, x, None) * cfg.dt + np.einsum("...md,...d->...m", g, dw)
+        want.append(x)
+    want = np.stack(want, axis=1)
+    assert np.any(normals < 0.0) and np.signbit(want[:, 0, 0]).all()
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_csv_format_and_stability():

@@ -24,10 +24,6 @@ FAST_DESK = (DESK_CONFIG.replace("n_x = 201", "n_x = 101").replace("x_min = 0.4"
 TEST_PID = os.getpid()
 
 
-def _usable_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 def _assert_no_child_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -42,8 +38,8 @@ def _in_worker(fn):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_verify_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus):
-    _usable_cpus(monkeypatch, cpus)
+def test_verify_bytes_do_not_depend_on_the_cpu_count(tmp_path, usable_cpus, cpus):
+    usable_cpus(cpus)
     assert main(["verify", "--config", DESK_CFG, "--seed", "7", "--output", str(tmp_path)]) == 0
     text = (tmp_path / "desk_verify.txt").read_bytes()
     assert hashlib.sha256(text).hexdigest() == DESK_VERIFY_SHA256
@@ -58,8 +54,9 @@ def _killed():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def test_a_numeric_error_in_the_worker_exits_3_with_its_message(tmp_path, monkeypatch, capsys):
-    _usable_cpus(monkeypatch, 2)
+def test_a_numeric_error_in_the_worker_exits_3_with_its_message(tmp_path, monkeypatch, usable_cpus,
+                                                               capsys):
+    usable_cpus(2)
     monkeypatch.setattr(verify, "check_homogeneity", _in_worker(_numeric_error))
     out = tmp_path / "out"
     assert main(["verify", "--config", _write(tmp_path, "desk.cfg", FAST_DESK),
@@ -70,8 +67,8 @@ def test_a_numeric_error_in_the_worker_exits_3_with_its_message(tmp_path, monkey
     _assert_no_child_left()
 
 
-def test_a_killed_worker_raises_runtime_error(tmp_path, monkeypatch):
-    _usable_cpus(monkeypatch, 2)
+def test_a_killed_worker_raises_runtime_error(tmp_path, monkeypatch, usable_cpus):
+    usable_cpus(2)
     monkeypatch.setattr(verify, "check_subadditivity", _in_worker(_killed))
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="status -9"):
@@ -80,8 +77,8 @@ def test_a_killed_worker_raises_runtime_error(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
-def test_an_interrupt_in_the_parent_kills_and_reaps_the_worker(tmp_path, monkeypatch):
-    _usable_cpus(monkeypatch, 2)
+def test_an_interrupt_in_the_parent_kills_and_reaps_the_worker(tmp_path, monkeypatch, usable_cpus):
+    usable_cpus(2)
     # The worker would take a minute; the interrupt must not wait for it.
     monkeypatch.setattr(verify, "check_subadditivity", _in_worker(lambda: time.sleep(60)))
 
@@ -98,8 +95,8 @@ def test_an_interrupt_in_the_parent_kills_and_reaps_the_worker(tmp_path, monkeyp
     _assert_no_child_left()
 
 
-def test_no_command_leaves_a_process_behind(tmp_path, monkeypatch):
-    _usable_cpus(monkeypatch, 2)
+def test_no_command_leaves_a_process_behind(tmp_path, usable_cpus):
+    usable_cpus(2)
     # The solution (401 nodes x 301 levels) and the paths (3000 x 201) are split in two ranges.
     gheat = _write(tmp_path, "gheat.cfg", GHEAT_CONFIG.replace("[solver]", "[solver]\nn_t = 300"))
     desk = _write(tmp_path, "desk.cfg", FAST_DESK)
