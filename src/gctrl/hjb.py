@@ -24,7 +24,8 @@ own sign, which keeps the scheme monotone.  The Hamiltonian is then a sum of
 one term per component, so both sweeps search each component's levels on a
 table of its own instead of the product, with the bound above reading max g^2
 and max |f| as sums over the components.  Ties within a component go to its
-lowest level, so runs are reproducible.
+lowest level, so runs are reproducible.  Every row, the edge rows included,
+holds one level per component; the product index is formed only for the policy.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ class ControlComponent:
     of ``levels`` and broadcast over the node array x like the problem's own
     callables.  The problem's drift and running cost are the sums of the
     components' parts, and its squared diffusion the sum of their squares.
+    With one noise the components' diffusions add, so a sum of squares is the
+    squared diffusion only when at most one component diffuses, as in
+    ``merton_hjb_problem``.
     """
 
     levels: tuple
@@ -221,15 +225,6 @@ def _spans(problem: HjbProblem) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def _product_sums(table: np.ndarray, spans: list[slice]) -> np.ndarray:
-    """``table``'s last axis, its columns (``_spans``), summed over the components
-    at every control of the product, in component-major order."""
-    total = table[..., spans[0]]
-    for s in spans[1:]:
-        total = (total[..., :, None] + table[..., None, s]).reshape(*table.shape[:-1], -1)
-    return total
-
-
 def _tables(problem: HjbProblem, x: np.ndarray, t: float):
     """Node-major (n_x, n_cols) tables g^2 and running cost, and the drift F's
     upwind parts max(F, 0) and min(F, 0) stacked into one (2, n_x, n_cols) split.
@@ -303,7 +298,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 
 
 def _require_finite(row: np.ndarray, k: int) -> None:
-    if not np.all(np.isfinite(row)):
+    if not np.isfinite(row).all():  # the method: np.all costs a wrapper call per level
         i_bad = int(np.argwhere(~np.isfinite(row))[0][0])
         raise NumericError(f"non-finite value at time level {k} node {i_bad}")
 
@@ -322,6 +317,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     solve that returns the iterate of two solves before raises NumericError.
     The edge rows enter the tridiagonal system, whose elimination folds the
     power_dirichlet edges into the first and last interior rows.
+
+    Every row holds one column of ``_tables`` per component, its picks: the
+    interior rows (``best``) pick on the Hamiltonian table, an implicit one-sided
+    edge row on its own inward-drift and running-cost terms, any other edge row
+    takes its interior neighbour's.  Rows sum their picks' entries in component order.
     """
     implicit = problem.horizon / grid.n_t > _stable_dt(problem, grid.dx, segments) * (1.0 + 1e-9)
     x = grid.nodes()
@@ -356,11 +356,10 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     work, tmp = np.empty((2, n_x - 2, spans[-1].stop))
     work_parts = [work[:, s] for s in spans]
     if one_sided:
-        # Per segment and side, the edge row's drift, g^2, running cost and inward drift
-        # part at every control.
-        edge_rows = [[tuple(_product_sums(np.stack([split[0, e] + split[1, e], G2[e], C[e],
-                                                    split[s, e]]), spans))
-                      for e, _, _, s, _ in sides] for G2, C, split in segments]
+        # Per segment and side, the edge row's drift, g^2, running cost and inward drift part,
+        # one row each over the columns of ``_tables``; ``at`` reads them with rows=slice(None).
+        edge_tables = [[np.stack([split[0, e] + split[1, e], G2[e], C[e], split[s, e]])
+                        for e, _, _, s, _ in sides] for G2, C, split in segments]
     if implicit:
         # Band s couples a node to the neighbour split[s] upwinds toward:
         # max(F, 0) to the upper band, min(F, 0) to the lower.
@@ -371,13 +370,16 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                 diag[e] = 1.0
                 system[s, e] = -r
 
-    # The interior rows choose one column per component, ``picks``.
-    def at(table, picks):
-        """The sum over the components of ``table`` at each interior row's picks."""
-        total = table[cols, picks[0]]
+    def at(table, picks, rows=cols):
+        """The sum over the components, in component order, of ``table`` at the picks."""
+        total = table[rows, picks[0]]
         for j in picks[1:]:
-            total = total + table[cols, j]
+            total = total + table[rows, j]
         return total
+
+    def neighbour_picks(best):
+        """The picks of the edge rows' interior neighbours, the first and last interior rows."""
+        return [[j[0] for j in best], [j[-1] for j in best]]
 
     def product_index(picks):
         """The index in ``controls`` of the picks, component-major."""
@@ -422,11 +424,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                 if solves or seg != seg_above:
                     with np.errstate(over="ignore", invalid="ignore"):
                         best, positive = fill_generator(u, Fp, Fm, G2i, Ci)
-                        if one_sided:
-                            # Each edge row optimizes its own inward-drift and running-cost terms.
-                            edge_j = tuple(product_index(
-                                [int(argopt(split[s, e, c] * ((u[i + 1] - u[i]) / dx) + C[e, c]))
-                                 + c.start for c in spans]) for e, _, i, s, _ in sides)
+                        # A one-sided edge row optimizes its own inward-drift and running-cost
+                        # terms, one component at a time.
+                        edge = neighbour_picks(best) if not one_sided else [
+                            [int(argopt(split[s, e, c] * ((u[i + 1] - u[i]) / dx) + C[e, c]))
+                             + c.start for c in spans] for e, _, i, s, _ in sides]
                 if solves == _HOWARD_MAX_SOLVES:
                     raise NumericError(
                         f"Howard iteration: value not settled after {solves} "
@@ -440,12 +442,12 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                 diag[1:-1] = 1.0 + beta * dt_k + down + up
                 rhs[1:-1] = v[1:-1] + dt_k * at(Ci, best)
                 if one_sided:
-                    for (e, _, _, s, sign), (_, _, cost, part), j in zip(sides, edge_rows[seg],
-                                                                          edge_j):
-                        inward = sign * dt_k * part[j] / dx
+                    for (e, _, _, s, sign), table, picks in zip(sides, edge_tables[seg], edge):
+                        _, _, cost, part = at(table, picks, slice(None)).tolist()
+                        inward = sign * dt_k * part / dx
                         diag[e] = 1.0 + beta * dt_k + inward
                         system[s, e] = -inward
-                        rhs[e] = v[e] + dt_k * cost[j]
+                        rhs[e] = v[e] + dt_k * cost
                 u_before, u_prev, u = u_prev, u, _solve_tridiagonal(lower, diag, upper, rhs)
                 solves += 1
                 _require_finite(u, k)
@@ -457,32 +459,29 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                     raise NumericError(
                         f"Howard iteration cycles between two iterates at time level {k}")
             values[k] = u
-            index = product_index(best)
         else:
             # Overflow in a diverging sweep is caught by the finiteness check below.
             # Rounding is monotone, so the argopt of the Hamiltonian also optimizes the update.
             with np.errstate(over="ignore", invalid="ignore"):
                 best, _ = fill_generator(v, Fp, Fm, G2i, Ci)
                 values[k, 1:-1] = at(work, best) * dt_k + v[1:-1] * (1.0 - beta * dt_k)
-            index = product_index(best)
-            for side, (e, h, i, _, _) in enumerate(sides):
+            edge = neighbour_picks(best)
+            for side, ((e, h, i, _, _), picks) in enumerate(zip(sides, edge)):
                 if one_sided:
-                    drift, g2, cost, _ = edge_rows[seg][side]
-                    j = index[h]  # the control of the interior neighbour h + 1
+                    drift, g2, cost, _ = at(edge_tables[seg][side], picks, slice(None)).tolist()
                     slope = (v[i + 1] - v[i]) / dx
                     curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
-                    alpha = g2[j] * curv
+                    alpha = g2 * curv
                     values[k, e] = v[e] + dt_k * (
-                        drift[j] * slope
+                        drift * slope
                         + alpha * (w_pos if alpha > 0.0 else w_neg)
-                        + cost[j] - beta * v[e]
+                        + cost - beta * v[e]
                     )
                 else:
                     values[k, e] = values[k, h + 1] * ratio[side]
             _require_finite(values[k], k)
-        policy[k, 1:-1] = index
-        # Only the implicit one-sided edge rows choose their own control.
-        policy[k, 0], policy[k, -1] = edge_j if implicit and one_sided else (index[0], index[-1])
+        policy[k, 1:-1] = product_index(best)
+        policy[k, 0], policy[k, -1] = product_index(edge[0]), product_index(edge[1])
         seg_above = seg
 
     return values, policy

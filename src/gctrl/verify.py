@@ -372,8 +372,8 @@ def _merton_checks(cfg: RunConfig) -> list[CheckResult]:
                              control_fn=control_fn,
                              n_segments=min(sim.n_segments, 2), n_grid=min(sim.n_grid, 3))
 
-    # Portfolio problem at the configured parameters.
-    small_grid = Grid1D(0.5, 2.0, 81, suggest_time_steps(run.problem, 0.5, 2.0, 81))
+    # Portfolio problem at the configured parameters, on two levels at least to split at.
+    small_grid = Grid1D(0.5, 2.0, 81, max(2, suggest_time_steps(run.problem, 0.5, 2.0, 81)))
     results = [_dpp_result("dpp_composition_portfolio", run.problem, small_grid)]
     # 20 steps are far below this grid's explicit count (774 on the desk market): implicit.
     results.append(_dpp_result("dpp_composition_portfolio_implicit", run.problem,
@@ -431,8 +431,8 @@ def _market_free_checks(cfg: RunConfig) -> list[CheckResult]:
 
     # Composition of the dynamic-programming recursion, heat-type problem.
     heat = gheat_problem(set_1d, lambda x: x**2, horizon)
-    results.append(_dpp_result("dpp_composition_heat", heat,
-                               Grid1D(-4.0, 4.0, 101, suggest_time_steps(heat, -4.0, 4.0, 101))))
+    n_t = max(2, suggest_time_steps(heat, -4.0, 4.0, 101))  # two levels at least to split at
+    results.append(_dpp_result("dpp_composition_heat", heat, Grid1D(-4.0, 4.0, 101, n_t)))
     return results
 
 

@@ -641,6 +641,18 @@ def test_cli_verify_passes_and_perturbation_fails(tmp_path):
     assert "hjb_residual = FAIL" in text2
 
 
+def test_cli_verify_at_a_horizon_of_one_explicit_step(tmp_path):
+    # At horizon 0.001 one step meets the CFL bound on both explicit DPP grids (the
+    # 81-node portfolio grid and the 101-node heat grid); each still needs a level
+    # strictly inside the horizon to split at.
+    short = DESK_CONFIG.replace("horizon = 1.0", "horizon = 0.001")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", _write(tmp_path, "short.cfg", short),
+                 "--output", str(out)]) == 0
+    lines = (out / "desk_verify.txt").read_text().splitlines()
+    assert "checks_total = 18" in lines and "checks_failed = 0" in lines
+
+
 def test_cli_solve_hjb_implicit(tmp_path, solves_per_level):
     cfg_path = _write(tmp_path, "heat.cfg", GHEAT_CONFIG.replace("[solver]", "[solver]\nn_t = 20"))
     out = tmp_path / "out"

@@ -323,6 +323,30 @@ def test_two_component_problems_keep_ordered_data_ordered(edge_power):
     assert worst <= 1e-12
 
 
+# sha256 of ``solution_csv_text`` for the first pair of ``_two_component_pair`` with
+# one-sided edges, seed 23, each solved explicitly (12 steps) and implicitly (3 steps).
+# The pair's data stays 0 near the edges, so its low problem also runs with a terminal
+# cos(1.3 x) + 0.05 x^2 that reaches them.  Recorded like ``IMPLICIT_CSV_SHA256`` below.
+TWO_COMPONENT_CSV_SHA256 = {
+    ("low", 12): "4614c30dd5b1ae236076eddd13a38796f81dc10ead80b545588d13304534ec18",
+    ("high", 12): "5699269db7faa5fa2de64fb3fc8f21656cbba7b31fecf3c800eb29c5dab7322c",
+    ("reaching", 12): "a9fc9c4d8b06d186388d0eef0cbb0b48e73c325097c540b8647315e243b761e1",
+    ("low", 3): "35f07985a2f9e5e1882035f971e1cdd7db5fc2a1e26113ed565901dd2530c04d",
+    ("high", 3): "22f5fa6fcdbc067be8f283630a6aad819139a61de863fc0b3465c93112a10f7c",
+    ("reaching", 3): "33b29aca4c793f9720f9fe4bc2f87abbc4ade1ec4afc07630273fcd03287886d",
+}
+
+
+@pytest.mark.parametrize("which, n_t", list(TWO_COMPONENT_CSV_SHA256))
+def test_two_component_one_sided_bytes_are_pinned(which, n_t):
+    low, high, grid = _two_component_pair(np.random.default_rng(23), None)
+    problem = {"low": low, "high": high,
+               "reaching": dataclasses.replace(low, terminal_cost=lambda x: np.cos(1.3 * x)
+                                               + 0.05 * x * x)}[which]
+    text = solution_csv_text(solve(problem, dataclasses.replace(grid, n_t=n_t)))
+    assert hashlib.sha256(text.encode()).hexdigest() == TWO_COMPONENT_CSV_SHA256[which, n_t]
+
+
 def test_merton_controls_must_be_a_pi_major_product():
     pairs = control_grid(3, 2)
     rho_major = sorted(pairs, key=lambda u: (u[1], u[0]))
