@@ -36,7 +36,6 @@ from .hjb import gheat_problem, solution_csv_chunks, solution_meta_text, solve
 from .merton import (
     a_curve_csv_chunks,
     closed_form_value,
-    merton_hjb_problem,
     policy_csv_chunks,
     verify_hjb_residual,
 )
@@ -210,9 +209,8 @@ def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
     res["n_t"] = solution.grid.n_t
 
     if set_.degenerate:
-        other = "optimist" if run.attitude == "pessimist" else "pessimist"
-        other_sol = solve(merton_hjb_problem(market, util, set_, s.horizon, other,
-                                             run.problem.controls), solution.grid)
+        other = "upper" if run.problem.attitude == "lower" else "lower"
+        other_sol = solve(dataclasses.replace(run.problem, attitude=other), solution.grid)
         gap = float(np.max(np.abs(other_sol.values - solution.values)))
         res["degenerate_ambiguity"] = "true (single prior; pessimist and optimist coincide)"
         res["pessimist_optimist_gap"] = gap

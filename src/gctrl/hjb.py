@@ -86,11 +86,11 @@ class ControlComponent:
 
     ``drift``, ``diffusion`` and ``running_cost`` take (t, x, level) for one
     of ``levels`` and broadcast over the node array x like the problem's own
-    callables.  The problem's drift and running cost are the sums of the
-    components' parts, and its squared diffusion the sum of their squares.
-    With one noise the components' diffusions add, so a sum of squares is the
-    squared diffusion only when at most one component diffuses, as in
-    ``merton_hjb_problem``.
+    callables.  The problem's drift, diffusion and running cost are the sums
+    of the components' parts, and the grid reads its squared diffusion as the
+    sum of their squares.  With one noise that is the square of the sum only
+    when at most one component diffuses, as in ``merton_hjb_problem``, so the
+    solver raises ValueError on a segment where more than one does.
     """
 
     levels: tuple
@@ -99,7 +99,7 @@ class ControlComponent:
     running_cost: Callable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class HjbProblem:
     """Terminal-value control problem with ambiguous volatility, 1d state.
 
@@ -131,16 +131,16 @@ class HjbProblem:
 
     ``components`` optionally declares the control list a product: ``controls``
     must then be the tuples of the components' levels in component-major order
-    (the last component varying fastest), and the solver reads the
-    components' callables, upwinding each drift part by its own sign.  The
-    problem's own callables must equal the components' sums up to rounding;
-    the policy Monte Carlo reads them.  Without a declaration the whole list
-    is one component with the problem's own callables.
+    (the last component varying fastest), and the components state the
+    coefficients once: the grid upwinds each drift part by its own sign and
+    the policy Monte Carlo steps the parts' sums.  The three callables are
+    then left None; without a declaration they are required and the whole
+    list is one component with them (ValueError otherwise).
     """
 
-    drift: Callable
-    diffusion: Callable
-    running_cost: Callable
+    drift: Callable | None = None
+    diffusion: Callable | None = None
+    running_cost: Callable | None = None
     terminal_cost: Callable
     horizon: float
     controls: tuple
@@ -158,6 +158,10 @@ class HjbProblem:
         if len(self.controls) == 0:
             raise ValueError("controls must be a nonempty list")
         object.__setattr__(self, "controls", tuple(self.controls))
+        given = [f is not None for f in (self.drift, self.diffusion, self.running_cost)]
+        if given != [self.components is None] * 3:
+            raise ValueError("state drift, diffusion and running_cost either in the "
+                             "components or, without components, on the problem")
         if self.components is not None:
             object.__setattr__(self, "components", tuple(self.components))
             product = tuple(itertools.product(*(c.levels for c in self.components)))
@@ -219,6 +223,21 @@ def _components(problem: HjbProblem) -> tuple[ControlComponent, ...]:
                              problem.running_cost),)
 
 
+def _summed(problem: HjbProblem, name: str) -> Callable:
+    """The coefficient ``name`` of the whole control u: the problem's own callable, or
+    the components' parts, each at its own value u[j], added in component order."""
+    if problem.components is None:
+        return getattr(problem, name)
+    first, *rest = (getattr(c, name) for c in problem.components)
+
+    def whole(t, x, u):
+        total = first(t, x, u[0])
+        for part, value in zip(rest, u[1:]):
+            total = total + part(t, x, value)
+        return total
+    return whole
+
+
 def _spans(problem: HjbProblem) -> list[slice]:
     """Each component's columns of the ``_tables`` tables, in component order."""
     stops = np.cumsum([len(c.levels) for c in _components(problem)]).tolist()
@@ -237,6 +256,8 @@ def _tables(problem: HjbProblem, x: np.ndarray, t: float):
         split[0, :, j] = c.drift(t, x, u)
         G2[:, j] = np.asarray(c.diffusion(t, x, u), dtype=float) ** 2
         C[:, j] = c.running_cost(t, x, u)
+    if sum(bool(G2[:, s].any()) for s in _spans(problem)) > 1:
+        raise ValueError(f"at t={t} more than one control component diffuses; one noise allows one")
     np.minimum(split[0], 0.0, out=split[1])
     np.maximum(split[0], 0.0, out=split[0])
     return G2, C, split
@@ -550,10 +571,11 @@ def evaluate_policy_mc(
     By default the policy is the solution's argopt field (nearest-node
     lookup), handed to the callables as an array over the paths, or for
     tuple controls one such array per component along the first axis; pass
-    ``control_fn(t, x_array) -> control values`` to evaluate an
-    analytic policy on the same dynamics instead.  The schedule search runs
-    in the problem's attitude: upper maximizes the sampled mean over priors,
-    lower minimizes it.  For a correct solver the estimate matches
+    ``control_fn(t, x_array) -> control values`` to evaluate an analytic
+    policy on the same dynamics instead.  Components are stepped on their
+    parts' sums, each part at its own component of the control.  The search
+    runs in the problem's attitude: upper maximizes the sampled mean over
+    priors, lower minimizes it.  For a correct solver the estimate matches
     solution.value_at(0, x0) within Monte Carlo plus discretization error.
     """
     if abs(cfg.horizon - problem.horizon) > 1e-12 * max(1.0, problem.horizon):
@@ -570,14 +592,11 @@ def evaluate_policy_mc(
         return comps[..., solution.policy[k, i]]
 
     policy = control_fn if control_fn is not None else lookup
-    spec = SdeSpec(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: problem.drift(t, x[:, 0], u),
-        diffusion=lambda t, x, u: problem.diffusion(t, x[:, 0], u),
-        initial_state=np.asarray([x0]),
-        control=lambda t, x: policy(t, x[:, 0]),
-    )
+    drift, diffusion, running_cost = (_summed(problem, name)
+                                      for name in ("drift", "diffusion", "running_cost"))
+    spec = SdeSpec(dim_state=1, dim_noise=1, drift=lambda t, x, u: drift(t, x[:, 0], u),
+                   diffusion=lambda t, x, u: diffusion(t, x[:, 0], u),
+                   initial_state=np.asarray([x0]), control=lambda t, x: policy(t, x[:, 0]))
 
     beta = problem.discount
     dt = cfg.dt
@@ -588,7 +607,7 @@ def evaluate_policy_mc(
             t_k = float(bundle.times[k])
             xk = bundle.states[:, k, 0]
             u = policy(t_k, xk)
-            total += np.exp(-beta * t_k) * problem.running_cost(t_k, xk, u) * dt
+            total += np.exp(-beta * t_k) * running_cost(t_k, xk, u) * dt
         total += np.exp(-beta * cfg.horizon) * problem.terminal_cost(bundle.states[:, -1, 0])
         return total
 

@@ -430,11 +430,12 @@ def merton_hjb_problem(
     pairs; the default grid covers d=1 markets.  The list must be the
     pi-major product of its distinct risky fractions and its distinct
     consumption rates, as ``control_grid`` lists them (ValueError otherwise):
-    the problem declares the two as control components, the fraction with
-    drift x (r + pi (alpha - r)) and diffusion x pi gamma, the rate with drift
-    -rho x and running cost U(rho x).  A pessimist prices the diffusion term
-    with the lower generator, an optimist with the upper.  The market must
-    have ``set_.dim`` assets (ValueError otherwise).
+    the problem states its coefficients once, in two control components, the
+    fraction with drift x (r + pi (alpha - r)) and diffusion x pi gamma, the
+    rate with drift -rho x and running cost U(rho x); only the fraction
+    diffuses, and the policy Monte Carlo steps the sums.  A pessimist prices
+    the diffusion term with the lower generator, an optimist with the upper.
+    The market must have ``set_.dim`` assets (ValueError otherwise).
     """
     if attitude not in _ATTITUDES:
         raise ValueError(f"attitude must be one of {_ATTITUDES}, got {attitude!r}")
@@ -446,30 +447,18 @@ def merton_hjb_problem(
         raise ValueError(f"the market has {m.dim} assets; the ambiguity set has dim {set_.dim}")
     controls = tuple(tuple(c) for c in controls)
 
-    # The grid reads the two components; the policy Monte Carlo steps the whole drift.
-    def drift(t, x, uu):
-        r, alpha, _ = m.at(t)
-        return x * (uu[0] * (float(alpha[0]) - r) + r - uu[1])
-
     def pi_drift(t, x, pi):
         r, alpha, _ = m.at(t)
         return x * (r + pi * (float(alpha[0]) - r))
 
-    def pi_diffusion(t, x, pi):
-        return x * pi * float(m.at(t)[2][0, 0])
-
-    def rho_cost(t, x, rho):
-        return u.utility(rho * x)
-
     risky = ControlComponent(tuple(dict.fromkeys(c[0] for c in controls)), pi_drift,
-                             pi_diffusion, running_cost=lambda t, x, pi: 0.0 * x)
+                             diffusion=lambda t, x, pi: x * pi * float(m.at(t)[2][0, 0]),
+                             running_cost=lambda t, x, pi: 0.0 * x)
     consumption = ControlComponent(tuple(dict.fromkeys(c[1] for c in controls)),
                                    drift=lambda t, x, rho: -rho * x,
-                                   diffusion=lambda t, x, rho: 0.0 * x, running_cost=rho_cost)
+                                   diffusion=lambda t, x, rho: 0.0 * x,
+                                   running_cost=lambda t, x, rho: u.utility(rho * x))
     return HjbProblem(
-        drift=drift,
-        diffusion=lambda t, x, uu: pi_diffusion(t, x, uu[0]),
-        running_cost=lambda t, x, uu: rho_cost(t, x, uu[1]),
         terminal_cost=u.utility,
         horizon=horizon,
         controls=controls,

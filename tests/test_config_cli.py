@@ -563,7 +563,8 @@ def test_cli_solve_hjb_needs_x0_on_the_grid(tmp_path, capsys, monkeypatch):
                                        "[solver.x_min, solver.x_max] = [-4.0, 4.0]\n")
     assert not out.exists()
     # A grid away from 0 reports V(0,x0) alone; V(0,0) would lie off the grid.
-    right = text.replace("x0 = 10.0", "x0 = 1.0").replace("x_min = -4.0", "x_min = 0.5")
+    right = (text.replace("x0 = 10.0", "x0 = 1.0").replace("x_min = -4.0", "x_min = 0.5")
+             .replace("n_x = 401", "n_x = 41"))
     assert main(["solve-hjb", "--config", _write(tmp_path, "right.cfg", right),
                  "--output", str(out)]) == 0
     report = (out / "gheat_report.txt").read_text()
@@ -620,6 +621,24 @@ def test_verify_with_two_cpus_runs_the_monte_carlo_leg_first_here(monkeypatch):
     assert calls.count("evaluate_policy_mc") == 1
     assert "check_subadditivity" not in calls
     assert [r.name for r in results] == VERIFY_CHECKS
+
+
+@pytest.mark.parametrize("horizon, count", [("1.0", 782), ("0.03", 24), ("0.02", 16),
+                                            ("0.001", 1)])
+def test_the_implicit_portfolio_dpp_line_sweeps_below_the_explicit_count(monkeypatch, horizon,
+                                                                         count):
+    # ``count`` is the desk market's explicit count on the 81-node DPP grid; at 1 no grid of
+    # two levels lies below it, and the implicit line says so instead of sweeping.
+    grids, dpp_result = [], verify._dpp_result
+    monkeypatch.setattr(verify, "_dpp_result", lambda name, problem, grid:
+                        grids.append(grid) or dpp_result(name, problem, grid))
+    text = (DESK_CONFIG.replace("horizon = 1.0", f"horizon = {horizon}")
+            .replace("n_paths = 1500", "n_paths = 50"))
+    results = verify._merton_checks(parse_config_text(text))
+    implicit = next(r for r in results if r.name == "dpp_composition_portfolio_implicit")
+    assert grids[0].n_t == max(2, count) and implicit.passed
+    assert [2 <= g.n_t < count for g in grids[1:]] == ([True] if count >= 3 else [])
+    assert implicit.bound.startswith("n/a") == (count < 3)
 
 
 def test_cli_verify_passes_and_perturbation_fails(tmp_path):

@@ -33,18 +33,8 @@ SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 SIGMA_LO, SIGMA_HI = math.sqrt(SET.sigma_lo_sq), math.sqrt(SET.sigma_hi_sq)
 
 
-def heat_problem(terminal, set_=SET, attitude="upper", controls=(0.0,), horizon=1.0):
-    return HjbProblem(
-        drift=lambda t, x, u: 0.0 * x,
-        diffusion=lambda t, x, u: 1.0 + 0.0 * x,
-        running_cost=lambda t, x, u: 0.0 * x,
-        terminal_cost=terminal,
-        horizon=horizon,
-        controls=controls,
-        ambiguity=set_,
-        attitude=attitude,
-        segment_starts=(0.0,),
-    )
+def heat_problem(terminal, set_=SET, attitude="upper"):
+    return gheat_problem(set_, terminal, 1.0, attitude=attitude)
 
 
 def auto_grid(problem, x_min, x_max, n_x):
@@ -102,9 +92,7 @@ def test_grid_picks_explicit_at_the_cfl_count_and_implicit_below(solves_per_leve
 def test_segment_starts_must_begin_at_zero_and_increase():
     for starts in ((0.5,), (0.0, 0.5, 0.5), (0.0, 0.5, 0.25), (), None):
         with pytest.raises(ValueError, match="segment_starts"):
-            HjbProblem(drift=lambda t, x, u: 0.0 * x, diffusion=lambda t, x, u: 1.0 + 0.0 * x,
-                       running_cost=lambda t, x, u: 0.0 * x, terminal_cost=lambda x: x,
-                       horizon=1.0, controls=(0.0,), ambiguity=SET, segment_starts=starts)
+            dataclasses.replace(heat_problem(lambda x: x), segment_starts=starts)
 
 
 def test_cfl_bound_formula():
@@ -126,8 +114,6 @@ def test_dpp_composition_exact_on_shared_grid():
 def test_dpp_composition_refined_second_stage():
     # refined tail + interpolated handoff only adds discretization-level error;
     # the Richardson gap between two direct resolutions calibrates the bound
-    import dataclasses
-
     problem = heat_problem(lambda x: x**2 + np.sin(x))
     grid = auto_grid(problem, -3.0, 3.0, 81)
     fine_grid = auto_grid(problem, -3.0, 3.0, 161)
@@ -289,20 +275,16 @@ def _two_component_pair(rng, edge_power):
                              drift=lambda t, x, u: (c0 + c1 * u) + 0.0 * x,
                              diffusion=lambda t, x, u: (g0 + g1 * u) + 0.0 * x,
                              running_cost=lambda t, x, u: 0.1 * u * bump(x))
-    brake = ControlComponent(tuple(rng.uniform(0.0, 1.0, size=3)),
-                             drift=lambda t, x, r: -r + 0.0 * x,
-                             diffusion=lambda t, x, r: 0.0 * x,
-                             running_cost=lambda t, x, r: -0.3 * r * r * bump(x))
+    brakes = tuple(rng.uniform(0.0, 1.0, size=3))
 
-    def problem(shift, horizon=1.0):
+    def problem(shift, horizon=1.0):  # the brake's running cost carries the shift
+        brake = ControlComponent(brakes, drift=lambda t, x, r: -r + 0.0 * x,
+                                 diffusion=lambda t, x, r: 0.0 * x,
+                                 running_cost=lambda t, x, r: (shift - 0.3 * r * r) * bump(x))
         return HjbProblem(
-            drift=lambda t, x, u: steer.drift(t, x, u[0]) + brake.drift(t, x, u[1]),
-            diffusion=lambda t, x, u: steer.diffusion(t, x, u[0]),
-            running_cost=lambda t, x, u: (steer.running_cost(t, x, u[0])
-                                          + brake.running_cost(t, x, u[1]) + shift * bump(x)),
             terminal_cost=lambda x: bump(x) * (a * np.sin(3.0 * x) + b * np.cos(2.0 * x)
                                                + shift * (1.1 + np.sin(2.0 * x))),
-            horizon=horizon, controls=tuple(itertools.product(steer.levels, brake.levels)),
+            horizon=horizon, controls=tuple(itertools.product(steer.levels, brakes)),
             ambiguity=set_, components=(steer, brake), **common)
 
     grid = Grid1D(x_min, x_max, 41, 12)
@@ -329,10 +311,10 @@ def test_two_component_problems_keep_ordered_data_ordered(edge_power):
 # cos(1.3 x) + 0.05 x^2 that reaches them.  Recorded like ``IMPLICIT_CSV_SHA256`` below.
 TWO_COMPONENT_CSV_SHA256 = {
     ("low", 12): "4614c30dd5b1ae236076eddd13a38796f81dc10ead80b545588d13304534ec18",
-    ("high", 12): "5699269db7faa5fa2de64fb3fc8f21656cbba7b31fecf3c800eb29c5dab7322c",
+    ("high", 12): "8dc1b8aa0ba38cd2b7957daa9c395a5c24d6af2a66c9454343883a49d5ece923",
     ("reaching", 12): "a9fc9c4d8b06d186388d0eef0cbb0b48e73c325097c540b8647315e243b761e1",
     ("low", 3): "35f07985a2f9e5e1882035f971e1cdd7db5fc2a1e26113ed565901dd2530c04d",
-    ("high", 3): "22f5fa6fcdbc067be8f283630a6aad819139a61de863fc0b3465c93112a10f7c",
+    ("high", 3): "5bc19ee1a3016930536f4ff189d4d1de516806d1392b9e4bfaed829cbbc02d00",
     ("reaching", 3): "33b29aca4c793f9720f9fe4bc2f87abbc4ade1ec4afc07630273fcd03287886d",
 }
 
@@ -345,6 +327,29 @@ def test_two_component_one_sided_bytes_are_pinned(which, n_t):
                                                + 0.05 * x * x)}[which]
     text = solution_csv_text(solve(problem, dataclasses.replace(grid, n_t=n_t)))
     assert hashlib.sha256(text.encode()).hexdigest() == TWO_COMPONENT_CSV_SHA256[which, n_t]
+
+
+def test_components_state_the_coefficients_once():
+    low, _, grid = _two_component_pair(np.random.default_rng(23), None)
+    steer, brake = low.components
+    summed = dataclasses.replace(  # the same problem undeclared, its parts added by hand
+        low, components=None,
+        drift=lambda t, x, u: steer.drift(t, x, u[0]) + brake.drift(t, x, u[1]),
+        diffusion=lambda t, x, u: steer.diffusion(t, x, u[0]) + brake.diffusion(t, x, u[1]),
+        running_cost=lambda t, x, u: (steer.running_cost(t, x, u[0])
+                                      + brake.running_cost(t, x, u[1])))
+    for both_or_neither in (dict(components=low.components), dict(drift=None)):
+        with pytest.raises(ValueError, match="either in the components or"):
+            dataclasses.replace(summed, **both_or_neither)
+    sol, cfg = solve(low, grid), PathConfig(n_steps=24, horizon=low.horizon, n_paths=300, seed=3)
+    a, b = (evaluate_policy_mc(p, sol, low.ambiguity, cfg, x0=0.4, n_segments=2, n_grid=2)
+            for p in (low, summed))
+    assert (a.value, a.std_error) == (b.value, b.std_error) and a.value != 0.0
+    assert a.best_paths.states.tobytes() == b.best_paths.states.tobytes()
+    # With one noise the grid's sum of squares would drop the cross term 2 g1 g2.
+    diffusing = dataclasses.replace(brake, diffusion=lambda t, x, r: r + 0.0 * x)
+    with pytest.raises(ValueError, match="more than one control component diffuses"):
+        solve(dataclasses.replace(low, components=(steer, diffusing)), grid)
 
 
 def test_merton_controls_must_be_a_pi_major_product():
@@ -459,9 +464,7 @@ def test_policy_mc_constant_terminal_exact():
 
 
 def test_policy_mc_default_lookup_of_tuple_controls_is_nearest_node():
-    market = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
-    problem = merton_hjb_problem(market, CrraUtility(kappa=2.0, beta=0.1), SET, 1.0,
-                                 "pessimist", control_grid(11, 9))
+    problem = _desk_problem(control_grid(11, 9))
     sol = solve(problem, Grid1D(0.4, 2.4, 41, 40))
     controls = np.array(problem.controls)
 
@@ -494,19 +497,9 @@ def test_csv_export_shape_and_meta():
 
 def test_power_dirichlet_boundary_preserves_power_shape():
     # pure power terminal with no dynamics: boundary rows keep the exponent
-    problem = HjbProblem(
-        drift=lambda t, x, u: 0.0 * x,
-        diffusion=lambda t, x, u: 0.0 * x,
-        running_cost=lambda t, x, u: 0.0 * x,
-        terminal_cost=lambda x: x**-1.0 / -1.0,
-        horizon=0.1,
-        controls=(0.0,),
-        ambiguity=SET,
-        opt_direction="maximize",
-        attitude="lower",
-        edge_power=-1.0,
-        segment_starts=(0.0,),
-    )
+    problem = dataclasses.replace(
+        heat_problem(lambda x: x**-1.0 / -1.0, attitude="lower"), horizon=0.1,
+        diffusion=lambda t, x, u: 0.0 * x, opt_direction="maximize", edge_power=-1.0)
     sol = solve(problem, Grid1D(0.5, 2.0, 31, 10))
     assert np.max(np.abs(sol.values - sol.values[-1])) <= 1e-12
 

@@ -524,26 +524,3 @@ def test_market_and_schedule_entries_are_read_only():
         VolSchedule.constant(0.5).value_at(0.0)[0, 0] = 9.0
     assert market_price_of_risk(market, 0.0)[0] == pytest.approx(0.2)
 
-
-@pytest.mark.parametrize("market", [DESK_MARKET, MarketModel(
-    (0.0, 0.3, 0.7), (0.02, 0.03, 0.01), (0.06, 0.09, 0.04), (0.2, 0.3, 0.15))])
-def test_merton_whole_callables_are_the_sums_of_the_components(market):
-    # The grid reads the components; the policy Monte Carlo steps the whole callables.
-    # Both must describe one problem: the whole drift is the components' sum to rounding,
-    # the squared diffusion and the running cost are their sums exactly.
-    problem = merton_hjb_problem(market, DESK_UTILITY, DESK_SET, 1.0, "pessimist",
-                                 control_grid(5, 5))
-    risky, consumption = problem.components
-    x = Grid1D(0.4, 2.4, 201, 1).nodes()
-    for t in market.segment_starts:
-        r, alpha, _ = market.at(t)
-        for pi, rho in problem.controls:
-            parts = [(c.drift(t, x, u), c.diffusion(t, x, u), c.running_cost(t, x, u))
-                     for c, u in ((risky, pi), (consumption, rho))]
-            scale = x * (abs(r) + abs(float(alpha[0]) - r) + rho)
-            drift_gap = np.abs(problem.drift(t, x, (pi, rho)) - (parts[0][0] + parts[1][0]))
-            assert np.all(drift_gap <= 1e-14 * scale)
-            assert np.array_equal(np.asarray(problem.diffusion(t, x, (pi, rho))) ** 2,
-                                  parts[0][1] ** 2 + parts[1][1] ** 2)
-            assert np.array_equal(problem.running_cost(t, x, (pi, rho)),
-                                  parts[0][2] + parts[1][2])
