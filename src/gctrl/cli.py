@@ -218,7 +218,7 @@ def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
     return [lambda: a_curve_csv_chunks(cf),
             lambda: policy_csv_chunks(cf, market, util, set_),
             lambda: table_csv_chunks("x,pde_value,closed_form_value,rel_error",
-                                     "%.17g,%.17g,%.17g,%.17g\n", solution.x,
+                                     ["%s,%s,%s,%s\n"] * solution.x.size, solution.x,
                                      solution.values[0], run.closed_row, run.rel_error),
             lambda: solution_csv_chunks(solution)]
 

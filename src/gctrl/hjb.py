@@ -30,6 +30,7 @@ holds one level per component; the product index is formed only for the policy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -90,13 +91,15 @@ class ControlComponent:
     of the components' parts, and the grid reads its squared diffusion as the
     sum of their squares.  With one noise that is the square of the sum only
     when at most one component diffuses, as in ``merton_hjb_problem``, so the
-    solver raises ValueError on a segment where more than one does.
+    solver raises ValueError on a segment where more than one does.  A part
+    left None is absent: the grid reads zeros for it and the policy Monte
+    Carlo does not call it.
     """
 
     levels: tuple
-    drift: Callable
-    diffusion: Callable
-    running_cost: Callable
+    drift: Callable | None
+    diffusion: Callable | None
+    running_cost: Callable | None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -225,15 +228,19 @@ def _components(problem: HjbProblem) -> tuple[ControlComponent, ...]:
 
 def _summed(problem: HjbProblem, name: str) -> Callable:
     """The coefficient ``name`` of the whole control u: the problem's own callable, or
-    the components' parts, each at its own value u[j], added in component order."""
+    the components' parts present, each at its own value u[j], added in component order."""
     if problem.components is None:
         return getattr(problem, name)
-    first, *rest = (getattr(c, name) for c in problem.components)
+    parts = [(j, part) for j, c in enumerate(problem.components)
+             if (part := getattr(c, name)) is not None]
+    if not parts:
+        return lambda t, x, u: 0.0 * x
+    (first_j, first), *rest = parts
 
     def whole(t, x, u):
-        total = first(t, x, u[0])
-        for part, value in zip(rest, u[1:]):
-            total = total + part(t, x, value)
+        total = first(t, x, u[first_j])
+        for j, part in rest:
+            total = total + part(t, x, u[j])
         return total
     return whole
 
@@ -253,9 +260,9 @@ def _tables(problem: HjbProblem, x: np.ndarray, t: float):
     G2, C = (np.empty((n_x, n_u)) for _ in range(2))
     split = np.empty((2, n_x, n_u))  # split[0] holds F until its upwind parts are taken
     for j, (c, u) in enumerate(columns):
-        split[0, :, j] = c.drift(t, x, u)
-        G2[:, j] = np.asarray(c.diffusion(t, x, u), dtype=float) ** 2
-        C[:, j] = c.running_cost(t, x, u)
+        split[0, :, j] = 0.0 if c.drift is None else c.drift(t, x, u)
+        G2[:, j] = 0.0 if c.diffusion is None else np.asarray(c.diffusion(t, x, u), float) ** 2
+        C[:, j] = 0.0 if c.running_cost is None else c.running_cost(t, x, u)
     if sum(bool(G2[:, s].any()) for s in _spans(problem)) > 1:
         raise ValueError(f"at t={t} more than one control component diffuses; one noise allows one")
     np.minimum(split[0], 0.0, out=split[1])
@@ -631,15 +638,18 @@ def solution_csv_chunks(solution: HjbSolution) -> CsvTable:
     """
     # x and control cells are formatted once; each time level is one block,
     # and the terminal level's index -1 picks the appended "-1," cell.
-    x_cells = [f"{x:.17g},%.17g," for x in solution.x.tolist()]
+    x_cells = [f"{x:.17g},%s," for x in solution.x.tolist()]
     control_cells = [f"{j},{_format_control(c)}\n" for j, c in enumerate(solution.controls)]
     control_cells.append("-1,\n")
     times, policy = solution.times.tolist(), solution.policy
 
+    @functools.lru_cache(maxsize=1)  # consecutive levels mostly pick alike
+    def rows(picks: tuple) -> list[str]:
+        return list(map(str.__add__, x_cells, map(control_cells.__getitem__, picks)))
+
     def level(i: int) -> tuple:
         picks = policy[i].tolist() if i < len(policy) else [-1] * len(x_cells)
-        return (f"{times[i]:.9f},", map(str.__add__, x_cells, map(control_cells.__getitem__, picks)),
-                solution.values[i].tolist())
+        return f"{times[i]:.9f},", rows(tuple(picks)), solution.values[i]
 
     return CsvTable("t,x,value,control_index,control_value", len(times), level,
                     solution.values.size)

@@ -30,7 +30,8 @@ import numpy as np
 from .ambiguity import AmbiguitySet, as_symmetric, g_matrix
 from .errors import ConsistencyError, NumericError
 from .hjb import ControlComponent, Grid1D, HjbProblem, HjbSolution, solve
-from .sde import CsvTable, _checked_starts, _segment_index, _starts_before, table_csv_chunks
+from .sde import (CsvTable, _checked_starts, _segment_index, _starts_before, _time_rows,
+                  table_csv_chunks)
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
 BRANCH_RTOL = 1e-8
@@ -453,10 +454,9 @@ def merton_hjb_problem(
 
     risky = ControlComponent(tuple(dict.fromkeys(c[0] for c in controls)), pi_drift,
                              diffusion=lambda t, x, pi: x * pi * float(m.at(t)[2][0, 0]),
-                             running_cost=lambda t, x, pi: 0.0 * x)
+                             running_cost=None)
     consumption = ControlComponent(tuple(dict.fromkeys(c[1] for c in controls)),
-                                   drift=lambda t, x, rho: -rho * x,
-                                   diffusion=lambda t, x, rho: 0.0 * x,
+                                   drift=lambda t, x, rho: -rho * x, diffusion=None,
                                    running_cost=lambda t, x, rho: u.utility(rho * x))
     return HjbProblem(
         terminal_cost=u.utility,
@@ -490,7 +490,7 @@ def solve_merton_pde(
 
 def a_curve_csv_chunks(cf: ClosedForm) -> CsvTable:
     """CSV rows ``t,A`` of the integrated curve."""
-    return table_csv_chunks("t,A", "%.9f,%.17g\n", cf.times, cf.a_values)
+    return table_csv_chunks("t,A", _time_rows(cf.times, 1), cf.a_values)
 
 
 def a_curve_csv_text(cf: ClosedForm) -> str:
@@ -512,8 +512,7 @@ def policy_csv_chunks(cf: ClosedForm, m: MarketModel, u: CrraUtility,
     consumption = [pol.consumption(t, 1.0) for t in ts]
     pis = np.array([np.atleast_1d(pol.portfolio(t, 1.0)) for t in ts])
     weights = np.array([pol.fund_weights(t, 1.0)[:2] for t in ts])
-    return table_csv_chunks(",".join(head), "%.9f" + ",%.17g" * (d + 3) + "\n",
-                            ts, consumption, *pis.T, *weights.T)
+    return table_csv_chunks(",".join(head), _time_rows(ts, d + 3), consumption, *pis.T, *weights.T)
 
 
 def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: AmbiguitySet) -> str:

@@ -22,8 +22,11 @@ the segments that start at or after a horizon and so never apply.
 
 ``CsvTable`` is the one CSV layout: every CSV artifact (paths, grid
 solutions and the three portfolio tables) is a header line plus blocks of
-%-template rows, any of which can be rendered on its own.  ``write_csv`` is
-the one CSV writer: it formats contiguous ranges of a table's blocks on the
+%-template rows, any of which can be rendered on its own.  Its values go
+through ``format_g17``, byte for byte Python's ``%.17g``: computed exactly
+over whole float64 arrays where that writes fixed notation, by ``%`` itself
+elsewhere, for a batch of consecutive blocks at a time.  ``write_csv`` is the
+one CSV writer: it formats contiguous ranges of a table's blocks on the
 usable CPUs, in forked workers, and joins their parts in order, so the bytes
 do not depend on the CPU count.  The ``*_csv_chunks`` functions build the
 tables (``bundle_csv_chunks``, ``hjb.solution_csv_chunks`` and the
@@ -340,9 +343,174 @@ def integrate_gsde(
     return PathBundle(times=times, states=states.transpose(1, 0, 2))
 
 
-# A range holds at least this many values: about 30 ms of formatting, against
-# about 7 ms to fork and reap a worker from a 100 MB process (2-CPU x86-64).
-# Smaller tables stay in-process.
+_U64 = np.uint64
+# format_g17's tables.  _TENS[k + 5] is the smallest double at or above 10**k,
+# which for k = -5..18 is float(10**k), and _POW5[s] is 5**s.  Of a row of
+# three little-endian words, _BELOW[j, p] keeps the bytes of word j before the
+# row's byte p, and _POINT[j, p] is a "." at byte p if that lies in word j.
+_TENS = np.array([10.0 ** k for k in range(-5, 19)])
+_POW5 = np.array([5 ** s for s in range(21)], dtype=_U64)
+_BELOW = np.array([[(1 << 8 * min(max(p - 8 * j, 0), 8)) - 1 for p in range(25)]
+                   for j in range(3)], dtype=_U64)
+_POINT = np.array([[ord(".") << 8 * (p - 8 * j) if 0 <= p - 8 * j < 8 else 0 for p in range(25)]
+                   for j in range(3)], dtype=_U64)
+
+
+@functools.cache
+def _groups4() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each g < 10**4 as the bytes of one uint32, and their trailing
+    zeros; built on first use, so a process that formats no array holds no tables."""
+    fours = np.arange(10_000, dtype=np.uint16)
+    digits = [(fours // 10 ** j % 10 + ord("0")).astype(np.uint8) for j in (3, 2, 1, 0)]
+    zeros = sum((fours % 10 ** j == 0).astype(np.intp) for j in range(1, 5))
+    return np.frombuffer(np.stack(digits, axis=1), np.uint32), zeros
+
+
+# format_g17 works on at most this many values at a time, and CsvTable.chunks
+# formats up to this many in one call: enough to spread numpy's cost per call,
+# while the temporaries, about 120 bytes a value with the result, stay near
+# 0.5 MB, so a streamed write holds little more than one batch of text.
+FORMAT_SLICE = 4096
+# Below this many values Python's % is faster: the arrays cost about 0.2 ms a
+# call, and % about 0.5 us a value (2-CPU x86-64).
+MIN_ARRAY_VALUES = 400
+
+
+def _g17_slice(v: np.ndarray) -> list:
+    """``format_g17`` of a contiguous float64 array; each temporary is freed once read."""
+    n = v.size
+    bits = v.view(_U64)
+    c = np.abs(v)
+    fixed = (c >= 1e-4) & (c < 1e17)
+    # k = floor(log10 |v|), made exact by comparing with the powers of ten on either side.
+    np.fmin(np.fmax(c, 1e-4, out=c), 1e17, out=c)  # finite and positive: log10 stays quiet
+    k = np.floor(np.log10(c)).astype(np.intp)
+    k += c >= _TENS[k + 6]
+    k -= c < _TENS[k + 5]
+    del c
+    # D = round-half-even(|v| * 10**s) = M * 5**s * 2**(E + s) for s = 16 - k, 17 digits.
+    # M * 5**s < 2**100 is held in two limbs (hi, lo) built from 32-bit halves.  The limb
+    # arithmetic stays in uint64 throughout: numpy takes uint64 mixed with int64 to float64.
+    s = 16 - np.minimum(np.maximum(k, -4), 16)
+    f = _POW5[s]
+    shift = (bits >> _U64(52) & _U64(0x7FF)).astype(np.intp)
+    shift += s - 1075
+    del s
+    m = bits & _U64((1 << 52) - 1) | _U64(1 << 52)
+    ml, fl = m & _U64(0xFFFFFFFF), f & _U64(0xFFFFFFFF)
+    m >>= _U64(32)
+    f >>= _U64(32)
+    ll = ml * fl
+    mid = ml * f
+    mid += m * fl
+    del ml, fl
+    hi = m * f
+    del m, f
+    lo = ll + (mid << _U64(32))
+    hi += lo < ll
+    hi += mid >> _U64(32)
+    del ll, mid
+    r = np.minimum(np.maximum(-shift, 0), 63).astype(_U64)  # the product shifts right, or ...
+    hi <<= _U64(63) - r
+    hi <<= _U64(1)
+    d = hi | lo >> r
+    del hi
+    unit = _U64(1) << r
+    lo &= unit - _U64(1)
+    lo += lo
+    lo += d & _U64(1)
+    d += lo > unit  # the rest beyond the digits rounds up past half, and half to even
+    del lo, r, unit
+    d <<= np.minimum(np.maximum(shift, 0), 63).astype(_U64)  # ... left, where M * 5**s < 10**17
+    del shift
+    carry = d == _U64(10 ** 17)  # rounded up to the next power of ten
+    d = np.where(carry, _U64(10 ** 16), d)
+    x = k + carry  # the %g exponent
+    del k, carry
+    fixed &= x <= 16
+    x = np.minimum(np.maximum(x, -4), 16)
+    # The digits as six 4-digit groups "0000" "000d" "dddd" x 4, so bytes 7..23 hold D.
+    high = d // _U64(10 ** 8)
+    low = (d - high * _U64(10 ** 8)).astype(np.intp)
+    high = high.astype(np.intp)
+    del d
+    # a - a // 10**4 * 10**4 is faster than numpy's a % 10**4.
+    head, first, tail = high // 10_000, high // 10 ** 8, low // 10_000
+    groups = (first, head - first * 10_000, high - head * 10_000, tail, low - tail * 10_000)
+    del high, low, head, first, tail
+    digits4, zeros4 = _groups4()
+    words = np.empty((n, 6), dtype=np.uint32)
+    words[:, 0] = digits4[0]
+    for j, group in enumerate(groups, 1):
+        words[:, j] = digits4[group]
+    zeros = zeros4[groups[1]]  # the trailing zeros of D, from the last group back
+    for group in groups[2:]:
+        zeros = np.where(group == 0, zeros + 4, zeros4[group])
+    del groups
+    words = words.view("<u8")
+    # Shift each row left by `start` bytes, to its sign or first digit.  A minus
+    # sign takes the place of a leading "0": 0x30 - 3 is "-".
+    negative = (bits >> _U64(63)).astype(bool)
+    start = 7 + np.minimum(x, 0) - negative
+    left = (8 * start).astype(_U64)
+    w0, w1, w2 = words[:, 0], words[:, 1], words[:, 2]
+    shifted = ((w0 >> left | w1 << _U64(64) - left) - negative * _U64(3),
+               w1 >> left | w2 << _U64(64) - left, w2 >> left)
+    del words, w0, w1, w2, negative, left
+    # Insert the point before output byte `point` and cut the row at `length`.
+    point = 8 + x - start
+    length = np.where(zeros < 16 - x, 8 + 17 - zeros - start, point)
+    del x, start, zeros
+    out = np.empty((n, 3), dtype="<u8")
+    carried = _U64(0)
+    for j, word in enumerate(shifted):
+        below = _BELOW[j, point]
+        above = word & ~below
+        out[:, j] = ((word & below | above << _U64(8) | carried >> _U64(56) | _POINT[j, point])
+                     & _BELOW[j, length])
+        carried = above
+    del shifted, point, length
+    texts = out.view("S24").ravel().tolist()  # the NUL padding is dropped here
+    for i in np.flatnonzero(~fixed).tolist():
+        texts[i] = b"%.17g" % v[i]
+    return texts
+
+
+def format_g17(values) -> list[bytes]:
+    """``[b"%.17g" % v for v in values]``, byte for byte, for any float64 values.
+
+    Values whose ``%g`` exponent lies in -4..16, i.e. those ``%.17g`` writes
+    in fixed notation, are converted exactly in ``uint64`` arithmetic over
+    whole arrays.  The others (zeros, subnormals, infinities, NaNs and
+    exponent notation) go through Python's ``%``, and so do inputs of fewer
+    than ``MIN_ARRAY_VALUES`` values.  ``values`` is flattened; it is
+    formatted ``FORMAT_SLICE`` values at a time.
+    """
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if v.size < MIN_ARRAY_VALUES:
+        return [b"%.17g" % x for x in v.tolist()]
+    texts = []
+    for lo in range(0, v.size, FORMAT_SLICE):
+        texts += _g17_slice(v[lo:lo + FORMAT_SLICE])
+    return texts
+
+
+def _filled(blocks: list):
+    """Text of each ``(lead, rows, values)`` block, all their values in one ``format_g17`` call."""
+    if not blocks:
+        return
+    texts = format_g17(np.concatenate([values for _, _, values in blocks]))
+    end = 0
+    for lead, rows, values in blocks:
+        begin, end = end, end + len(values)
+        yield ((lead + lead.join(rows)).encode() % tuple(texts[begin:end])).decode()
+
+
+# A range holds at least this many values: about 20 ms of formatting and
+# writing, against 3-7 ms to fork and reap a worker from an 80 MB process
+# (2-CPU x86-64).  Two ranges of 25,000 values took as long as one range of
+# 50,000; two of 50,000 took 28-31 ms against one's 37-40 ms.  Smaller tables
+# stay in-process.
 MIN_RANGE_VALUES = 50_000
 
 
@@ -351,13 +519,14 @@ class CsvTable:
     """A CSV artifact as random-access blocks: the ``header`` line, then ``n_blocks`` blocks.
 
     ``block(i)`` returns ``(lead, rows, values)``: ``rows`` are %-template
-    lines; each is prefixed by ``lead`` and the block is filled by one ``%``
-    call with ``values``.  Every CSV artifact is rendered this way, in one
-    number format: ``%.9f`` for times and ``%.17g`` (which matches
-    ``format(v, ".17g")``, round-trip exact) for values.  ``n_values``, the
-    number of values in the table, sizes its split in ``write_csv``.
-    Iterating the table yields its text in chunks, the header line first and
-    then one chunk per block.
+    lines with one ``%s`` per value; each is prefixed by ``lead`` and the
+    block is filled by one ``%`` call with its values, a float64 array.
+    Every CSV artifact is rendered this way, in one number format: ``%.9f``
+    for times, rendered into the templates, and ``%.17g`` (round-trip exact)
+    for values, which ``format_g17`` writes.  ``n_values``, the number of
+    values in the table, sizes its split in ``write_csv``.  Iterating the
+    table yields its text in chunks, the header line first and then one
+    chunk per block.
     """
 
     header: str
@@ -366,10 +535,21 @@ class CsvTable:
     n_values: int
 
     def chunks(self, start: int, stop: int):
-        """Text of blocks ``start`` to ``stop - 1``, one chunk per block, each built on demand."""
+        """Text of blocks ``start`` to ``stop - 1``, one chunk per block.
+
+        The blocks are built on demand and formatted in batches: consecutive
+        blocks, as many as hold at most ``FORMAT_SLICE`` values together (or
+        one larger block), whose values go through one ``format_g17`` call.
+        """
+        batch, n = [], 0
         for i in range(start, stop):
-            lead, rows, values = self.block(i)
-            yield (lead + lead.join(rows)) % tuple(values)
+            block = self.block(i)
+            if batch and n + len(block[2]) > FORMAT_SLICE:
+                yield from _filled(batch)
+                batch, n = [], 0
+            batch.append(block)
+            n += len(block[2])
+        yield from _filled(batch)
 
     def __iter__(self):
         yield self.header + "\n"
@@ -517,21 +697,24 @@ def write_csv(path: Path, table: CsvTable) -> None:
             part.unlink(missing_ok=True)
 
 
-def table_csv_chunks(header: str, row: str, *columns) -> CsvTable:
-    """CSV table of equal-length ``columns``: one block, the ``row`` template once per entry."""
-    values = np.column_stack(columns).ravel().tolist()
-    rows = [row] * len(columns[0])
-    return CsvTable(header, 1, lambda i: ("", rows, values), len(values))
+def _time_rows(times, m: int) -> list[str]:
+    """Row templates ``<t>,%s,...`` with ``m`` value cells, one per time, ``t`` as ``%.9f``."""
+    return [f"{t:.9f}" + ",%s" * m + "\n" for t in np.asarray(times, dtype=float).tolist()]
+
+
+def table_csv_chunks(header: str, rows: list[str], *columns) -> CsvTable:
+    """CSV table of equal-length ``columns``: one block, row template ``rows[r]`` for entry r."""
+    values = np.column_stack(columns).ravel()
+    return CsvTable(header, 1, lambda i: ("", rows, values), values.size)
 
 
 def bundle_csv_chunks(bundle: PathBundle) -> CsvTable:
     """CSV export as a table of one block per path, its times formatted once for all paths."""
     states = bundle.states
     m = states.shape[2]
-    time_rows = [f"{t:.9f}" + ",%.17g" * m + "\n" for t in bundle.times.tolist()]
+    rows = _time_rows(bundle.times, m)
     header = "path_id,time," + ",".join(f"state_{j}" for j in range(m))
-    return CsvTable(header, len(states), lambda p: (f"{p},", time_rows, states[p].ravel().tolist()),
-                    states.size)
+    return CsvTable(header, len(states), lambda p: (f"{p},", rows, states[p].ravel()), states.size)
 
 
 def bundle_csv_text(bundle: PathBundle) -> str:

@@ -3,8 +3,11 @@
 import dataclasses
 import os
 import signal
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gctrl import cli, hjb, sde
@@ -122,3 +125,71 @@ def test_a_failing_range_leaves_the_directory_as_it_was(tmp_path, monkeypatch, u
         cli.run_command("solve-hjb", cfg, fresh, force=False)
     assert list(fresh.iterdir()) == []
     _assert_no_child_left()
+
+
+def _g17_corpus() -> np.ndarray:
+    """Values ``format_g17`` must render as Python's ``%`` does, fast path and fallback alike."""
+    rng = np.random.default_rng(17)
+    parts = [rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)]
+    # Random bits under every exponent of the fixed notation, 1e-4 to 1e17.
+    exponents = rng.integers(1023 - 15, 1023 + 58, 20_000, dtype=np.uint64)
+    mantissas = rng.integers(0, 2**53, 20_000, dtype=np.uint64)  # bit 52 picks the sign
+    parts.append(((mantissas >> np.uint64(52) << np.uint64(63)) | exponents << np.uint64(52)
+                  | mantissas & np.uint64(2**52 - 1)).view(np.float64))
+    # Powers of ten from 1e-6 to 1e18 and their three neighbours on either side.
+    for p in range(-6, 19):
+        up = down = 10.0 ** p
+        parts.append([up, -up])
+        for _ in range(3):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            parts.append([up, down, -up, -down])
+    # Exact ties m * 2**-k: 18 significant digits, the last a 5, where the %g exponent is
+    # 17 - k and m is odd and below 2**53; other multiples of 2**-k where there are none.
+    for k in range(1, 23):
+        lo = (2**k * 10**(17 - k) if k <= 17 else -(-2**k // 10**(k - 17)))
+        hi = min(lo * 10, 2**53)
+        m = (rng.integers(lo, hi, 2_000) | 1) if lo < hi else rng.integers(1, 2**53, 2_000)
+        parts.append(np.ldexp(m.astype(np.float64), -k))
+    parts.append([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  np.inf, -np.inf, np.nan, -np.nan, 1e-4, 9.9999999999999995e-5, 1e16, 1e17,
+                  99999999999999999.0, 0.5, 2.5, -1.5, 0.1, 1.0 / 3.0])
+    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+
+
+def test_format_g17_is_percent_g17_byte_for_byte():
+    values = _g17_corpus()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # log10 and the casts stay quiet on 0, inf and nan
+        texts = sde.format_g17(values)
+        assert sde.format_g17([]) == [] and sde.format_g17(np.array([-0.25])) == [b"-0.25"]
+        assert sde._g17_slice(np.array([-0.25])) == [b"-0.25"]
+    assert len(texts) == values.size
+    wrong = [(v, t) for v, t in zip(values.tolist(), texts) if t != b"%.17g" % v]
+    assert not wrong, wrong[:5]
+    # The thresholds between decades are exact: the least doubles at or above 10**k.
+    for k, ten in zip(range(-5, 19), sde._TENS.tolist()):
+        assert Fraction(np.nextafter(ten, 0.0)) < Fraction(10)**k <= Fraction(ten)
+
+
+def test_split_writes_match_across_batches_and_ranges(tmp_path, monkeypatch, usable_cpus):
+    from test_golden_artifacts import EDGE, _reference_bundle_csv
+
+    # Thirty paths of 82 values: batches of twelve paths and two ranges of fifteen split the
+    # table mid-way, and the fallback's edge values sit in an array batch of each range.
+    monkeypatch.setattr(sde, "FORMAT_SLICE", 1000)
+    monkeypatch.setattr(sde, "MIN_RANGE_VALUES", 1000)
+    rng = np.random.default_rng(9)
+    states = rng.standard_normal((30, 41, 2)) * np.logspace(-5, 17, 41)[:, None]
+    states[1, :EDGE.size, 0] = EDGE
+    states[20, -EDGE.size:, 1] = EDGE[::-1]
+    bundle = sde.PathBundle(times=np.linspace(0.0, 1.0, 41), states=states)
+    written = {}
+    for cpus in (1, 2):
+        usable_cpus(cpus)
+        table = sde.bundle_csv_chunks(bundle)
+        assert sde._range_count(table) == cpus
+        sde.write_csv(tmp_path / f"paths{cpus}.csv", table)
+        written[cpus] = (tmp_path / f"paths{cpus}.csv").read_bytes()
+        _assert_no_child_left()
+    assert written[1] == written[2] == _reference_bundle_csv(bundle).encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["paths1.csv", "paths2.csv"]

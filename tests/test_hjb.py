@@ -330,6 +330,8 @@ def test_two_component_one_sided_bytes_are_pinned(which, n_t):
 
 
 def test_components_state_the_coefficients_once():
+    from gctrl import hjb
+
     low, _, grid = _two_component_pair(np.random.default_rng(23), None)
     steer, brake = low.components
     summed = dataclasses.replace(  # the same problem undeclared, its parts added by hand
@@ -346,6 +348,19 @@ def test_components_state_the_coefficients_once():
             for p in (low, summed))
     assert (a.value, a.std_error) == (b.value, b.std_error) and a.value != 0.0
     assert a.best_paths.states.tobytes() == b.best_paths.states.tobytes()
+    # A part declared absent reads as zeros on the grid and is skipped by the Monte Carlo.
+    absent = dataclasses.replace(low, components=(steer,
+                                                  dataclasses.replace(brake, diffusion=None)))
+    sol_absent = solve(absent, grid)
+    assert sol_absent.values.tobytes() == sol.values.tobytes()
+    assert np.array_equal(sol_absent.policy, sol.policy)
+    c = evaluate_policy_mc(absent, sol, low.ambiguity, cfg, x0=0.4, n_segments=2, n_grid=2)
+    assert (c.value, c.std_error) == (a.value, a.std_error)
+    assert c.best_paths.states.tobytes() == a.best_paths.states.tobytes()
+    costless = dataclasses.replace(low, components=tuple(
+        dataclasses.replace(part, running_cost=None) for part in low.components))
+    x = np.linspace(-1.0, 1.0, 5)
+    assert np.array_equal(hjb._summed(costless, "running_cost")(0.0, x, (0.1, 0.2)), np.zeros(5))
     # With one noise the grid's sum of squares would drop the cross term 2 g1 g2.
     diffusing = dataclasses.replace(brake, diffusion=lambda t, x, r: r + 0.0 * x)
     with pytest.raises(ValueError, match="more than one control component diffuses"):
