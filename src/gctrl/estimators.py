@@ -208,7 +208,8 @@ def upper_expectation_mc(
     that the next candidate overwrites.  If paths turn non-finite, the
     ``NumericError`` names the first candidate in product order whose paths
     diverge, with the path and step at which ``integrate_gsde`` on that
-    candidate would stop, whatever the group size.
+    candidate would stop, whatever the group size.  ConfigError, before any draw:
+    over ``_MAX_CANDIDATES`` schedules, or a segment that no Euler step falls in.
 
     That order is split into contiguous ranges of candidates, one per usable
     CPU, but each of at least ``MIN_RANGE_PATH_STEPS`` path-steps (candidates
@@ -229,6 +230,9 @@ def upper_expectation_mc(
     seg_mats = _segment_matrices(set_, n_grid, n_segments)
     roots_t = _checked_roots_t(spec, set_, seg_mats)
     breakpoints = _breakpoints(cfg.horizon, n_segments)
+    if not np.bincount(_step_intervals(breakpoints, cfg), minlength=n_segments).all():
+        raise ConfigError(f"n_segments = {n_segments} leaves a segment that none of the "
+                          f"n_steps = {cfg.n_steps} Euler steps falls in")
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
     n_candidates = len(seg_mats) ** n_segments

@@ -245,45 +245,43 @@ def _summed(problem: HjbProblem, name: str) -> Callable:
     return whole
 
 
-def _spans(problem: HjbProblem) -> list[slice]:
-    """Each component's columns of the ``_tables`` tables, in component order."""
-    stops = np.cumsum([len(c.levels) for c in _components(problem)]).tolist()
-    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+# The rows of a ``_tables`` table: max(F, 0), min(F, 0), g^2, the running cost and F.
+_RISE, _FALL, _G2, _COST, _DRIFT = range(5)
 
 
-def _tables(problem: HjbProblem, x: np.ndarray, t: float):
-    """Node-major (n_x, n_cols) tables g^2 and running cost, and the drift F's
-    upwind parts max(F, 0) and min(F, 0) stacked into one (2, n_x, n_cols) split.
-    The columns run over each component's levels in turn (``_spans``)."""
-    columns = [(c, u) for c in _components(problem) for u in c.levels]
-    n_u, n_x = len(columns), x.size
-    G2, C = (np.empty((n_x, n_u)) for _ in range(2))
-    split = np.empty((2, n_x, n_u))  # split[0] holds F until its upwind parts are taken
-    for j, (c, u) in enumerate(columns):
-        split[0, :, j] = 0.0 if c.drift is None else c.drift(t, x, u)
-        G2[:, j] = 0.0 if c.diffusion is None else np.asarray(c.diffusion(t, x, u), float) ** 2
-        C[:, j] = 0.0 if c.running_cost is None else c.running_cost(t, x, u)
-    if sum(bool(G2[:, s].any()) for s in _spans(problem)) > 1:
+def _tables(problem: HjbProblem, x: np.ndarray, t: float) -> list[np.ndarray]:
+    """One (5, n_x, n_levels) table per component, in component order, of its rows at
+    each node and level.  F is taken as the sum of its upwind parts; a part left None
+    reads zeros."""
+    tables = []
+    for c in _components(problem):
+        table = np.empty((5, x.size, len(c.levels)))
+        for j, u in enumerate(c.levels):
+            for row, part in ((_DRIFT, c.drift), (_G2, c.diffusion), (_COST, c.running_cost)):
+                table[row, :, j] = 0.0 if part is None else part(t, x, u)
+        table[_G2] **= 2
+        np.maximum(table[_DRIFT], 0.0, out=table[_RISE])
+        np.minimum(table[_DRIFT], 0.0, out=table[_FALL])
+        np.add(table[_RISE], table[_FALL], out=table[_DRIFT])
+        tables.append(table)
+    if sum(bool(table[_G2].any()) for table in tables) > 1:
         raise ValueError(f"at t={t} more than one control component diffuses; one noise allows one")
-    np.minimum(split[0], 0.0, out=split[1])
-    np.maximum(split[0], 0.0, out=split[0])
-    return G2, C, split
+    return tables
 
 
 def _segment_tables(problem: HjbProblem, x: np.ndarray) -> list:
-    """(G2, C, split) of each segment starting before the horizon, in segment order."""
+    """The ``_tables`` of each segment starting before the horizon, in segment order."""
     return [_tables(problem, x, s) for s in _starts_before(problem.segment_starts, problem.horizon)]
 
 
 def _stable_dt(problem: HjbProblem, dx: float, segments: list) -> float:
     hi = problem.ambiguity.sigma_hi_sq
-    spans = _spans(problem)
 
-    def worst(table):  # over the nodes, the sum of each component's largest entry
-        return sum(table[:, s].max(axis=1) for s in spans).max()
+    def worst(tables, row):  # over the nodes, the sum of each component's largest |entry|
+        return sum(np.abs(table[row]).max(axis=1) for table in tables).max()
 
-    denom = max(float(hi * worst(G2) + dx * worst(np.maximum(split[0], -split[1]))
-                      + dx * dx * problem.discount) for G2, _, split in segments)
+    denom = max(float(hi * worst(tables, _G2) + dx * worst(tables, _DRIFT)
+                      + dx * dx * problem.discount) for tables in segments)
     return np.inf if denom == 0.0 else dx * dx / denom
 
 
@@ -346,10 +344,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     The edge rows enter the tridiagonal system, whose elimination folds the
     power_dirichlet edges into the first and last interior rows.
 
-    Every row holds one column of ``_tables`` per component, its picks: the
-    interior rows (``best``) pick on the Hamiltonian table, an implicit one-sided
-    edge row on its own inward-drift and running-cost terms, any other edge row
-    takes its interior neighbour's.  Rows sum their picks' entries in component order.
+    Every row holds one level per component, its picks, each an index into that
+    component's own table: the interior rows (``best``) pick each component on
+    its own Hamiltonian ``work`` buffer, an implicit one-sided edge row on its
+    own inward-drift and running-cost terms, any other edge row takes its
+    interior neighbour's.  Rows sum their picks' entries in component order.
     """
     implicit = problem.horizon / grid.n_t > _stable_dt(problem, grid.dx, segments) * (1.0 + 1e-9)
     x = grid.nodes()
@@ -374,22 +373,18 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     # The edge rows, left then right, as (e, h, i, s, sign): the row e; the start h
     # of the stencil (v[h+2] - 2 v[h+1] + v[h]) at the edge, whose middle node is the
     # row's interior neighbour; the start i of the one-sided difference (v[i+1] - v[i]);
-    # and the upwind part split[s] of the drift that points inward, with its sign.
-    sides = ((0, 0, 0, 0, 1.0), (n_x - 1, n_x - 3, n_x - 2, 1, -1.0))
+    # and the table row s of the drift's upwind part that points inward, with its sign.
+    sides = ((0, 0, 0, _RISE, 1.0), (n_x - 1, n_x - 3, n_x - 2, _FALL, -1.0))
     if not one_sided:
         ratio = [(x[e] / x[h + 1]) ** float(problem.edge_power) for e, h, *_ in sides]
 
     cols = np.arange(n_x - 2)
-    spans = _spans(problem)
-    work, tmp = np.empty((2, n_x - 2, spans[-1].stop))
-    work_parts = [work[:, s] for s in spans]
-    if one_sided:
-        # Per segment and side, the edge row's drift, g^2, running cost and inward drift part,
-        # one row each over the columns of ``_tables``; ``at`` reads them with rows=slice(None).
-        edge_tables = [[np.stack([split[0, e] + split[1, e], G2[e], C[e], split[s, e]])
-                        for e, _, _, s, _ in sides] for G2, C, split in segments]
+    # Per segment, the interior nodes of each table row, a view per component: [row][c].
+    interiors = [list(zip(*(table[:, 1:-1] for table in tables))) for tables in segments]
+    sizes = [len(c.levels) for c in _components(problem)]
+    work, tmp = ([np.empty((n_x - 2, n)) for n in sizes] for _ in range(2))
     if implicit:
-        # Band s couples a node to the neighbour split[s] upwinds toward:
+        # Band s couples a node to the neighbour that table row s upwinds toward:
         # max(F, 0) to the upper band, min(F, 0) to the lower.
         system = np.zeros((4, n_x))
         upper, lower, diag, rhs = system
@@ -398,11 +393,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                 diag[e] = 1.0
                 system[s, e] = -r
 
-    def at(table, picks, rows=cols):
-        """The sum over the components, in component order, of ``table`` at the picks."""
-        total = table[rows, picks[0]]
-        for j in picks[1:]:
-            total = total + table[rows, j]
+    def at(arrays, picks, *index):
+        """The sum in component order of each component's array at ``index`` and its pick."""
+        total = arrays[0][(*index, picks[0])]
+        for array, j in zip(arrays[1:], picks[1:]):
+            total = total + array[(*index, j)]
         return total
 
     def neighbour_picks(best):
@@ -412,38 +407,36 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     def product_index(picks):
         """The index in ``controls`` of the picks, component-major."""
         index = picks[0]
-        for j, s in zip(picks[1:], spans[1:]):
-            index = index * (s.stop - s.start) + (j - s.start)
+        for j, n in zip(picks[1:], sizes[1:]):
+            index = index * n + j
         return index
 
-    def fill_generator(u, Fp, Fm, G2i, Ci):
-        """work[i, j] = drift, generator and running-cost terms of column j at
-        interior node i on u; returns each component's argopt column per row
-        and where cen > 0."""
-        fwd = (u[2:] - u[1:-1]) / dx
-        bwd = (u[1:-1] - u[:-2]) / dx
+    def fill_generator(u, interior):
+        """work[c][i, j] = drift, generator and running-cost terms of level j of
+        component c at interior node i on u; returns each component's argopt
+        level per row and the generator slope, w_pos where cen > 0 and w_neg elsewhere."""
+        fwd = ((u[2:] - u[1:-1]) / dx)[:, None]
+        bwd = ((u[1:-1] - u[:-2]) / dx)[:, None]
         cen = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-        positive = cen > 0.0
-        w = np.where(positive, w_pos, w_neg) * cen
+        slope = np.where(cen > 0.0, w_pos, w_neg)
+        w = (slope * cen)[:, None]
 
-        np.multiply(Fp, fwd[:, None], out=work)
-        np.multiply(Fm, bwd[:, None], out=tmp)
-        np.add(work, tmp, out=work)
-        np.multiply(G2i, w[:, None], out=tmp)
-        np.add(work, tmp, out=work)
-        np.add(work, Ci, out=work)
-        picks = [argopt(part, axis=1) for part in work_parts]
-        for j, s in zip(picks[1:], spans[1:]):
-            j += s.start
-        return picks, positive
+        for rise, fall, g2, cost, out, term in zip(interior[_RISE], interior[_FALL],
+                                                   interior[_G2], interior[_COST], work, tmp):
+            np.multiply(rise, fwd, out=out)
+            np.multiply(fall, bwd, out=term)
+            np.add(out, term, out=out)
+            np.multiply(g2, w, out=term)
+            np.add(out, term, out=out)
+            np.add(out, cost, out=out)
+        return [argopt(out, axis=1) for out in work], slope
 
     seg_above = None
     for k in range(n_t - 1, -1, -1):
         t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
         seg = _segment_index(problem.segment_starts, t_k)
-        G2, C, split = segments[seg]
-        Fp, Fm, G2i, Ci = split[0, 1:-1], split[1, 1:-1], G2[1:-1], C[1:-1]
+        tables, interior = segments[seg], interiors[seg]
         v = values[k + 1]
 
         if implicit:
@@ -451,31 +444,31 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             while True:
                 if solves or seg != seg_above:
                     with np.errstate(over="ignore", invalid="ignore"):
-                        best, positive = fill_generator(u, Fp, Fm, G2i, Ci)
+                        best, slopes = fill_generator(u, interior)
                         # A one-sided edge row optimizes its own inward-drift and running-cost
                         # terms, one component at a time.
                         edge = neighbour_picks(best) if not one_sided else [
-                            [int(argopt(split[s, e, c] * ((u[i + 1] - u[i]) / dx) + C[e, c]))
-                             + c.start for c in spans] for e, _, i, s, _ in sides]
+                            [int(argopt(table[s, e] * ((u[i + 1] - u[i]) / dx) + table[_COST, e]))
+                             for table in tables] for e, _, i, s, _ in sides]
                 if solves == _HOWARD_MAX_SOLVES:
                     raise NumericError(
                         f"Howard iteration: value not settled after {solves} "
                         f"linear solves at time level {k}"
                     )
-                diffusion = at(G2i, best) * np.where(positive, w_pos, w_neg) / (dx * dx)
-                down = dt_k * (diffusion - at(Fm, best) / dx)
-                up = dt_k * (diffusion + at(Fp, best) / dx)
+                diffusion = at(interior[_G2], best, cols) * slopes / (dx * dx)
+                down = dt_k * (diffusion - at(interior[_FALL], best, cols) / dx)
+                up = dt_k * (diffusion + at(interior[_RISE], best, cols) / dx)
                 lower[1:-1] = -down
                 upper[1:-1] = -up
                 diag[1:-1] = 1.0 + beta * dt_k + down + up
-                rhs[1:-1] = v[1:-1] + dt_k * at(Ci, best)
+                rhs[1:-1] = v[1:-1] + dt_k * at(interior[_COST], best, cols)
                 if one_sided:
-                    for (e, _, _, s, sign), table, picks in zip(sides, edge_tables[seg], edge):
-                        _, _, cost, part = at(table, picks, slice(None)).tolist()
-                        inward = sign * dt_k * part / dx
+                    for (e, _, _, s, sign), picks in zip(sides, edge):
+                        row = at(tables, picks, slice(None), e).tolist()
+                        inward = sign * dt_k * row[s] / dx
                         diag[e] = 1.0 + beta * dt_k + inward
                         system[s, e] = -inward
-                        rhs[e] = v[e] + dt_k * cost
+                        rhs[e] = v[e] + dt_k * row[_COST]
                 u_before, u_prev, u = u_prev, u, _solve_tridiagonal(lower, diag, upper, rhs)
                 solves += 1
                 _require_finite(u, k)
@@ -491,19 +484,19 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             # Overflow in a diverging sweep is caught by the finiteness check below.
             # Rounding is monotone, so the argopt of the Hamiltonian also optimizes the update.
             with np.errstate(over="ignore", invalid="ignore"):
-                best, _ = fill_generator(v, Fp, Fm, G2i, Ci)
-                values[k, 1:-1] = at(work, best) * dt_k + v[1:-1] * (1.0 - beta * dt_k)
+                best, _ = fill_generator(v, interior)
+                values[k, 1:-1] = at(work, best, cols) * dt_k + v[1:-1] * (1.0 - beta * dt_k)
             edge = neighbour_picks(best)
             for side, ((e, h, i, _, _), picks) in enumerate(zip(sides, edge)):
                 if one_sided:
-                    drift, g2, cost, _ = at(edge_tables[seg][side], picks, slice(None)).tolist()
+                    row = at(tables, picks, slice(None), e).tolist()
                     slope = (v[i + 1] - v[i]) / dx
                     curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
-                    alpha = g2 * curv
+                    alpha = row[_G2] * curv
                     values[k, e] = v[e] + dt_k * (
-                        drift * slope
+                        row[_DRIFT] * slope
                         + alpha * (w_pos if alpha > 0.0 else w_neg)
-                        + cost - beta * v[e]
+                        + row[_COST] - beta * v[e]
                     )
                 else:
                     values[k, e] = values[k, h + 1] * ratio[side]

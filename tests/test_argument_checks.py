@@ -1,0 +1,114 @@
+"""Argument checks of the public constructors and entry points, one row each."""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+from gctrl import (
+    AmbiguitySet,
+    CrraUtility,
+    Grid1D,
+    MarketModel,
+    NumericError,
+    PathConfig,
+    SdeSpec,
+    VolSchedule,
+    as_symmetric,
+    evaluate_policy_mc,
+    integrate_gsde,
+    merton_hjb_problem,
+    solve_A,
+    upper_expectation_mc,
+    worst_case_lambda,
+)
+from gctrl.hjb import gheat_problem
+
+SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+HEAT = gheat_problem(SET, lambda x: x * x, 1.0)
+MARKET = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
+UTILITY = CrraUtility(kappa=2.0, beta=0.1)
+CFG = PathConfig(n_steps=4, horizon=1.0, n_paths=3, seed=0)
+BROWNIAN = SdeSpec.brownian(1)
+
+
+def _spec(**kw):
+    return SdeSpec(**{**dict(dim_state=1, dim_noise=1, drift=lambda t, x, u: 0.0,
+                             diffusion=lambda t, x, u: 1.0, initial_state=np.zeros(1)), **kw})
+
+
+def _search(functional=lambda bundle: bundle.states[:, -1, 0], **kw):
+    return upper_expectation_mc(BROWNIAN, SET, functional, CFG, **{"n_segments": 1,
+                                                                  "n_grid": 2, **kw})
+
+
+CHECKS = {
+    "grid-x-order": (lambda: Grid1D(1.0, 1.0, 5, 2), ValueError, "x_min must be below x_max"),
+    "grid-n_x": (lambda: Grid1D(0.0, 1.0, 2, 2), ValueError, "n_x must be at least 3"),
+    "grid-n_t": (lambda: Grid1D(0.0, 1.0, 3, 0), ValueError, "n_t must be at least 1"),
+    "problem-horizon": (lambda: dataclasses.replace(HEAT, horizon=0.0), ValueError,
+                        "horizon must be positive"),
+    "problem-no-controls": (lambda: dataclasses.replace(HEAT, controls=()), ValueError,
+                            "controls must be a nonempty list"),
+    "problem-discount": (lambda: dataclasses.replace(HEAT, discount=-0.1), ValueError,
+                         "discount must be nonnegative"),
+    "problem-attitude": (lambda: dataclasses.replace(HEAT, attitude="sideways"), ValueError,
+                         "attitude must be one of"),
+    "problem-direction": (lambda: dataclasses.replace(HEAT, opt_direction="up"), ValueError,
+                          "opt_direction must be one of"),
+    "policy-mc-horizon": (lambda: evaluate_policy_mc(HEAT, None, SET,
+                                                     dataclasses.replace(CFG, horizon=2.0), 0.0),
+                          ValueError, "cfg.horizon must equal the problem horizon"),
+    "utility-beta": (lambda: CrraUtility(kappa=2.0, beta=-0.1), ValueError,
+                     "beta must be nonnegative"),
+    "solve-A-n_t": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 1, 1.0), ValueError,
+                    "n_t must be at least 2"),
+    "solve-A-horizon": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 4, 0.0), ValueError,
+                        "horizon must be positive"),
+    "lambda-attitude": (lambda: worst_case_lambda(SET, attitude="realist"), ValueError,
+                        "attitude must be one of"),
+    "lambda-vxx-sign": (lambda: worst_case_lambda(SET, vxx_sign="zero"), ValueError,
+                        "vxx_sign must be one of"),
+    "merton-attitude": (lambda: merton_hjb_problem(MARKET, UTILITY, SET, 1.0, "realist"),
+                        ValueError, "attitude must be one of"),
+    "paths-n_steps": (lambda: dataclasses.replace(CFG, n_steps=0), ValueError,
+                      "n_steps and n_paths must be positive"),
+    "paths-n_paths": (lambda: dataclasses.replace(CFG, n_paths=0), ValueError,
+                      "n_steps and n_paths must be positive"),
+    "paths-horizon": (lambda: dataclasses.replace(CFG, horizon=0.0), ValueError,
+                      "horizon must be positive"),
+    "sde-dim-state": (lambda: _spec(dim_state=0), ValueError,
+                      "state and noise dimensions must be positive"),
+    "sde-dim-noise": (lambda: _spec(dim_noise=0), ValueError,
+                      "state and noise dimensions must be positive"),
+    "sde-initial-state": (lambda: _spec(initial_state=np.zeros(2)), ValueError,
+                          "initial_state must have shape (1,), got (2,)"),
+    "schedule-mixed-dims": (lambda: VolSchedule((0.0, 0.5), (np.eye(1), np.eye(2))), ValueError,
+                            "all schedule values must share one dimension"),
+    "integrate-schedule-dim": (lambda: integrate_gsde(BROWNIAN, SET,
+                                                      VolSchedule((0.0,), (np.eye(2),)), CFG),
+                               ValueError, "schedule dimension 2 does not match ambiguity set"),
+    "integrate-noise-dim": (lambda: integrate_gsde(_spec(dim_noise=2), SET,
+                                                   VolSchedule((0.0,), (np.eye(1),)), CFG),
+                            ValueError, "noise dimension 2 does not match schedule dim 1"),
+    "search-n_grid": (lambda: _search(n_grid=0), ValueError, "n_grid must be positive"),
+    "search-n_segments": (lambda: _search(n_segments=0), ValueError, "n_segments must be >= 1"),
+    "search-direction": (lambda: _search(direction="middle"), ValueError,
+                         "direction must be 'upper' or 'lower'"),
+    "search-functional-shape": (lambda: _search(functional=lambda bundle: np.zeros(2)),
+                                ValueError, "functional must return one value per path"),
+    "search-functional-finite": (lambda: _search(functional=lambda bundle: np.full(3, np.nan)),
+                                 NumericError, "functional returned a non-finite value"),
+    "set-finite": (lambda: AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=np.inf),
+                   ValueError, "variance bounds must be finite"),
+    "symmetric-3-axes": (lambda: as_symmetric(np.zeros((2, 2, 2))), ValueError,
+                         "expected a square matrix, got shape (2, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_argument_check_raises(name):
+    call, error, fragment = CHECKS[name]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -466,6 +466,16 @@ def test_cli_simulate_over_the_candidate_cap_is_a_config_error(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_cli_simulate_with_a_segment_no_step_falls_in_is_a_config_error(tmp_path, capsys):
+    text = GHEAT_CONFIG.replace("n_segments = 2", "n_segments = 4")
+    text = re.sub(r"n_steps = \d+", "n_steps = 2", text)
+    cfg_path = _write(tmp_path, "steps.cfg", text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--output", str(out)]) == 2
+    assert "n_segments = 4 leaves a segment" in capsys.readouterr().err
+    assert not out.exists()
+
+
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 1])
 @pytest.mark.parametrize("command", ["solve-hjb", "merton", "simulate", "verify"])

@@ -160,6 +160,21 @@ def test_candidate_explosion_guarded(monkeypatch):
         upper_expectation_mc(_gbm_spec(), SET, terminal_square, _cfg(), n_segments=10, n_grid=10)
 
 
+def test_a_segment_without_euler_steps_is_a_config_error(monkeypatch):
+    # Two steps over four segments fall in segments 0 and 2 only, so the levels of
+    # segments 1 and 3 would be searched and reported without acting on any path.
+    def not_before_the_guard(*args):
+        raise AssertionError("normals drawn before the step guard")
+
+    monkeypatch.setattr(estimators, "path_normals", not_before_the_guard)
+    spec, kw = SdeSpec.brownian(1), dict(n_segments=4, n_grid=2)
+    with pytest.raises(ConfigError, match=r"n_segments = 4 .* n_steps = 2 "):
+        upper_expectation_mc(spec, SET, terminal_square, _cfg(n_steps=2, n_paths=50), **kw)
+    monkeypatch.undo()
+    est = upper_expectation_mc(spec, SET, terminal_square, _cfg(n_steps=4, n_paths=50), **kw)
+    assert est.n_schedules_searched == 16
+
+
 def test_moment_check_validates_inputs():
     with pytest.raises(ValueError, match="ell"):
         moment_bound_check(_gbm_spec(), SET, _cfg(n_paths=4, n_steps=32), ell=0)

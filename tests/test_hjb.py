@@ -221,15 +221,14 @@ def test_component_picks_match_the_exhaustive_product_search(monkeypatch, n_x, i
 
     def spy(row, k):  # every level of either sweep and every Howard solve passes here
         caller = inspect.currentframe().f_back.f_locals
-        fills.append((caller["work"].copy(), [j.copy() for j in caller["best"]]))
+        fills.append(([h.copy() for h in caller["work"]], [j.copy() for j in caller["best"]]))
         require_finite(row, k)
 
     monkeypatch.setattr(hjb, "_require_finite", spy)
     sol = solve(dup, grid)
-    n_pi, n_rho = len(copied[0]), len(copied[1])
+    n_rho = len(copied[1])
     rows = np.arange(n_x - 2)
-    for work, (p, q) in fills:
-        h_pi, h_rho, q = work[:, :n_pi], work[:, n_pi:], q - n_pi
+    for (h_pi, h_rho), (p, q) in fills:
         product = (h_pi[:, :, None] + h_rho[:, None, :]).reshape(n_x - 2, -1)
         exhaustive = product.argmax(axis=1)
         assert product[rows, exhaustive].tobytes() == (h_pi[rows, p] + h_rho[rows, q]).tobytes()
@@ -319,14 +318,59 @@ TWO_COMPONENT_CSV_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("which, n_t", list(TWO_COMPONENT_CSV_SHA256))
+
+
+def _three_component_problem(edge_power):
+    """A problem of three components of 3, 4 and 2 levels, one part each: the first
+    diffuses, the second drifts either way and the third carries a running cost, the other
+    parts None.  Its data reaches the edges.  With one-sided edges the grid is [-3, 3], with
+    power edges [0.5, 3.5]; 31 nodes and 12 steps at 0.9 times the CFL bound."""
+    vol = ControlComponent((0.4, 0.9, 0.6), drift=None, running_cost=None,
+                           diffusion=lambda t, x, u: u * (1.0 + 0.1 * np.sin(x)))
+    push = ControlComponent((-0.5, 0.3, 0.8, -0.1), diffusion=None, running_cost=None,
+                            drift=lambda t, x, u: u * (1.0 + 0.2 * np.cos(x)))
+    pay = ControlComponent((0.0, 1.0), drift=None, diffusion=None,
+                           running_cost=lambda t, x, u: u * np.cos(2.0 * x) - 0.3 * u * u)
+    x_min, x_max = (-3.0, 3.0) if edge_power is None else (0.5, 3.5)
+
+    def problem(horizon):
+        return HjbProblem(
+            terminal_cost=lambda x: np.cos(1.3 * x) + 0.05 * x * x, horizon=horizon,
+            controls=tuple(itertools.product(vol.levels, push.levels, pay.levels)),
+            ambiguity=SET, components=(vol, push, pay), discount=0.1, segment_starts=(0.0,),
+            edge_power=edge_power, opt_direction="maximize", attitude="lower")
+
+    grid = Grid1D(x_min, x_max, 31, 12)
+    return problem(0.9 * max_stable_dt(problem(1.0), grid) * 12), grid
+
+
+# sha256 of ``solution_csv_text`` for ``_three_component_problem``, one-sided and with
+# power edges (p = 0.5), each solved explicitly (12 steps) and implicitly (3 steps).
+THREE_COMPONENT_CSV_SHA256 = {
+    ("three", 12): "5b7dad27abd49ab5651331030386b593a1ef8d153fa94728577adae1648736c0",
+    ("three", 3): "d9c2f53137f9a609b3cc5139fcadf32f6a40338fce3fe63a8fe840caca3dba8a",
+    ("three-power", 12): "f857e9f36b25bb1da443b5c713149f1777bc6227a95b5bd705de16170cbfaa17",
+    ("three-power", 3): "b1b40af2f1afceff9b0c7c0d60a69e80b8983f4998657be2fb7efaa0e1108daf",
+}
+
+
+@pytest.mark.parametrize("which, n_t", list(TWO_COMPONENT_CSV_SHA256)
+                         + list(THREE_COMPONENT_CSV_SHA256))
 def test_two_component_one_sided_bytes_are_pinned(which, n_t):
-    low, high, grid = _two_component_pair(np.random.default_rng(23), None)
-    problem = {"low": low, "high": high,
-               "reaching": dataclasses.replace(low, terminal_cost=lambda x: np.cos(1.3 * x)
-                                               + 0.05 * x * x)}[which]
+    # The three-component cases pin a sum of three terms, a component without columns in a
+    # part, and the power edges too.
+    if which.startswith("three"):
+        problem, grid = _three_component_problem(0.5 if which == "three-power" else None)
+        pinned = THREE_COMPONENT_CSV_SHA256[which, n_t]
+    else:
+        low, high, grid = _two_component_pair(np.random.default_rng(23), None)
+        problem = {"low": low, "high": high,
+                   "reaching": dataclasses.replace(low, terminal_cost=lambda x: np.cos(1.3 * x)
+                                                   + 0.05 * x * x)}[which]
+        pinned = TWO_COMPONENT_CSV_SHA256[which, n_t]
+    assert (n_t < suggest_time_steps(problem, grid.x_min, grid.x_max, grid.n_x)) == (n_t == 3)
     text = solution_csv_text(solve(problem, dataclasses.replace(grid, n_t=n_t)))
-    assert hashlib.sha256(text.encode()).hexdigest() == TWO_COMPONENT_CSV_SHA256[which, n_t]
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
 
 def test_components_state_the_coefficients_once():
