@@ -22,6 +22,7 @@ from .estimators import (
     MomentReport,
     candidate_schedules,
     moment_bound_check,
+    terminal_expectation_mc,
     upper_expectation_mc,
 )
 from .hjb import (
@@ -110,6 +111,7 @@ __all__ = [
     "solve_A",
     "solve_merton_pde",
     "suggest_time_steps",
+    "terminal_expectation_mc",
     "upper_expectation_mc",
     "verify_hjb_residual",
     "worst_case_lambda",

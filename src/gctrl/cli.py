@@ -9,7 +9,12 @@ writer: it refuses to overwrite before any computation, runs the command's
 beside it.  CSV artifacts go through ``sde.write_csv``, which formats a
 large one in ranges on the usable CPUs, in forked workers that are all gone
 when it returns or raises; ``verify`` runs its market-free checks in one
-such worker.  The files are published under their names
+such worker.  ``simulate`` searches its schedules with
+``estimators.terminal_expectation_mc``, which screens every candidate on
+per-segment Brownian sums and Euler-integrates only those whose screened
+mean is within ``_SCREEN_RTOL`` of the best, in this process, forking no
+worker; a payoff with a jump could be screened wrong only if a path ends
+within about 1e-13 of the jump.  The files are published under their names
 together, once every write has succeeded, so a failing run leaves no
 partial artifacts and, with ``--force``, the previous set untouched.
 
@@ -31,7 +36,7 @@ import numpy as np
 from .config import (FUNCTIONALS, PAYOFFS, SEEDS, RunConfig, canonical_text, hjb_attitude,
                      parse_config)
 from .errors import ConfigError, ConsistencyError, NumericError
-from .estimators import upper_expectation_mc
+from .estimators import terminal_expectation_mc
 from .hjb import gheat_problem, solution_csv_chunks, solution_meta_text, solve
 from .merton import (
     a_curve_csv_chunks,
@@ -42,7 +47,6 @@ from .merton import (
 from .sde import (
     CsvTable,
     PathConfig,
-    SdeSpec,
     VolSchedule,
     bundle_csv_chunks,
     table_csv_chunks,
@@ -239,10 +243,9 @@ def cmd_simulate(cfg: RunConfig, report: RunReport) -> list:
                           n_paths=sim.n_paths, seed=sim.seed)
     payoff, c = PAYOFFS[FUNCTIONALS[sim.functional]], sim.functional_constant
     direction = hjb_attitude(cfg.solver.attitude)
-    est = upper_expectation_mc(SdeSpec.brownian(set_.dim), set_,
-                               lambda bundle: payoff(bundle.states[:, -1, :], c),
-                               path_cfg, n_segments=sim.n_segments,
-                               direction=direction, n_grid=sim.n_grid)
+    est = terminal_expectation_mc(set_, lambda x: payoff(x, c), path_cfg,
+                                  n_segments=sim.n_segments, direction=direction,
+                                  n_grid=sim.n_grid)
 
     res = report.results
     res["functional"] = sim.functional

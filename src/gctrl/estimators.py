@@ -28,6 +28,18 @@ buffer in which each candidate's path is assembled; each process walking a
 range holds its own.  The bundle a functional receives is a view of that
 buffer, valid only until the functional's next call: copy whatever must
 outlive it.
+
+A terminal payoff of G-Brownian motion from 0 (what ``simulate`` estimates)
+needs no Euler step to be ranked: under a piecewise-constant schedule the
+terminal state is the sum over segments of each segment's Brownian increment
+times its volatility root.  ``terminal_expectation_mc`` screens every
+candidate on these per-segment sums, in blocks of at most
+``_BATCH_FLOATS // 8`` floats, without forking, and then walks only the
+candidates whose screened mean lies within ``_SCREEN_RTOL`` of the best, as
+``upper_expectation_mc`` walks them; every number it reports comes from that
+walk.  The screen differs from the walk by rounding alone, so the margin
+only matters for a payoff with a jump, such as a digital: one could be
+screened wrong only if a path ends within about 1e-13 of the jump.
 """
 
 from __future__ import annotations
@@ -67,6 +79,11 @@ _BATCH_FLOATS = 1 << 20
 # path-steps took 18-23% longer, one of 9M between 9% less and 6% more, and a
 # 625-candidate one of 12.5M a third less.
 MIN_RANGE_PATH_STEPS = 5_000_000
+# terminal_expectation_mc walks every candidate whose screened mean is within
+# this much of the best one, relative to max(1, |best screened mean|): far
+# above the screen's rounding (its means were within 6e-16 of the walk's,
+# relative, on the shipped configs), far below the gap between candidates.
+_SCREEN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,8 @@ def _leaves(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.nda
     """
     n, m, d = cfg.n_paths, spec.dim_state, spec.dim_noise
     n_levels, n_segments = len(roots_t), len(breakpoints)
-    cuts = np.searchsorted(_step_intervals(breakpoints, cfg), np.arange(n_segments + 1)).tolist()
+    cuts = _segment_cuts(breakpoints, cfg)
+    stop = n_levels ** n_segments if stop is None else stop
     group = min(n_levels, max(1, _BATCH_FLOATS // ((cfg.n_steps + n_segments) * n * m)))
     path = np.empty((cfg.n_steps + 1, n, m))
     path[0] = spec.initial_state
@@ -161,8 +179,9 @@ def _leaves(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.nda
         for depth in range(top, n_segments):
             k0, k1, level = cuts[depth], cuts[depth + 1], levels[depth]
             if depth > top or level not in held[depth]:
-                size = min(group, n_levels - level)
                 stride = n_levels ** (n_segments - 1 - depth)
+                # The siblings index, index + stride, ... that lie before ``stop``.
+                size = min(group, n_levels - level, -(-(stop - index) // stride))
                 while True:
                     out = bufs[depth][:, :size * n]
                     out[0].reshape(size, n, m)[...] = path[k0]
@@ -182,6 +201,94 @@ def _leaves(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.nda
             row = (level - held[depth].start) * n
             path[k0 + 1:k1 + 1] = bufs[depth][1:, row:row + n]
         yield levels, path
+
+
+def _segment_cuts(breakpoints: tuple[float, ...], cfg: PathConfig) -> list[int]:
+    """The first Euler step of each segment, then ``cfg.n_steps``.
+
+    Segment j takes the steps ``cuts[j]`` to ``cuts[j + 1] - 1``, those on
+    which ``integrate_gsde`` holds the covariance that starts at breakpoint j.
+    """
+    return np.searchsorted(_step_intervals(breakpoints, cfg),
+                           np.arange(len(breakpoints) + 1)).tolist()
+
+
+def _checked_search(spec: SdeSpec, set_: AmbiguitySet, cfg: PathConfig, n_segments: int,
+                    direction: str, n_grid: int):
+    """A search's ``(sign, segment covariances, their transposed roots, breakpoints)``.
+
+    Raises before any draw: ValueError for an unknown direction or a
+    covariance that ``spec`` cannot take; ConfigError for over
+    ``_MAX_CANDIDATES`` schedules or a segment that no Euler step falls in.
+    """
+    if direction not in ("upper", "lower"):
+        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    seg_mats = _segment_matrices(set_, n_grid, n_segments)
+    roots_t = _checked_roots_t(spec, set_, seg_mats)
+    breakpoints = _breakpoints(cfg.horizon, n_segments)
+    cuts = _segment_cuts(breakpoints, cfg)
+    if any(k0 == k1 for k0, k1 in zip(cuts, cuts[1:])):
+        raise ConfigError(f"n_segments = {n_segments} leaves a segment that none of the "
+                          f"n_steps = {cfg.n_steps} Euler steps falls in")
+    return (1.0 if direction == "upper" else -1.0), seg_mats, roots_t, breakpoints
+
+
+def _checked_values(values, count: int) -> np.ndarray:
+    """``values`` copied to a flat float array: ValueError unless it holds ``count``
+    values, one per path, and NumericError if one is not finite."""
+    # A copy, since the functional may return a view of the buffer.
+    vals = np.array(values, dtype=float).reshape(-1)
+    if vals.shape != (count,):
+        raise ValueError(f"functional must return one value per path, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("functional returned a non-finite value")
+    return vals
+
+
+class _Best:
+    """The best candidate walked so far in one direction; a tie keeps the earlier one.
+
+    Its states are copied out of the assembly buffer, which the next
+    candidate overwrites.
+    """
+
+    def __init__(self, sign: float, cfg: PathConfig, dim_state: int):
+        self.sign, self.cfg = sign, cfg
+        self.mean = self.levels = self.vals = None
+        self.states = np.empty((cfg.n_paths, cfg.n_steps + 1, dim_state))
+
+    def estimate(self, seg_mats: list, breakpoints: tuple[float, ...],
+                 n_candidates: int) -> ExpectationEstimate:
+        n_paths = self.cfg.n_paths
+        return ExpectationEstimate(
+            value=self.mean,
+            std_error=0.0 if n_paths < 2 else float(self.vals.std(ddof=1) / np.sqrt(n_paths)),
+            best_schedule=VolSchedule(breakpoints, tuple(seg_mats[i] for i in self.levels)),
+            n_schedules_searched=n_candidates,
+            best_paths=PathBundle(np.linspace(0.0, self.cfg.horizon, self.cfg.n_steps + 1),
+                                  self.states),
+        )
+
+
+def _walk(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
+          breakpoints: tuple[float, ...], functional, start: int, stop: int,
+          best: _Best | None = None) -> list[float]:
+    """The means of ``functional`` on candidates ``start`` to ``stop - 1``, in order.
+
+    ``_leaves`` Euler-integrates the candidates.  With ``best``, each one
+    better than it replaces what it holds.
+    """
+    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+    means = []
+    for levels, path in _leaves(spec, cfg, normals, roots_t, breakpoints, start, stop):
+        bundle = PathBundle(times, path.transpose(1, 0, 2))
+        vals = _checked_values(functional(bundle), cfg.n_paths)
+        means.append(float(vals.mean()))
+        if best is not None and (best.mean is None
+                                 or best.sign * means[-1] > best.sign * best.mean):
+            best.mean, best.levels, best.vals = means[-1], levels, vals
+            best.states[...] = bundle.states
+    return means
 
 
 def upper_expectation_mc(
@@ -224,69 +331,101 @@ def upper_expectation_mc(
     integrates it and evaluates its functional a second time, to fill
     ``best_paths``.
     """
-    if direction not in ("upper", "lower"):
-        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    sign = 1.0 if direction == "upper" else -1.0
-    seg_mats = _segment_matrices(set_, n_grid, n_segments)
-    roots_t = _checked_roots_t(spec, set_, seg_mats)
-    breakpoints = _breakpoints(cfg.horizon, n_segments)
-    if not np.bincount(_step_intervals(breakpoints, cfg), minlength=n_segments).all():
-        raise ConfigError(f"n_segments = {n_segments} leaves a segment that none of the "
-                          f"n_steps = {cfg.n_steps} Euler steps falls in")
+    sign, seg_mats, roots_t, breakpoints = _checked_search(spec, set_, cfg, n_segments,
+                                                           direction, n_grid)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
     n_candidates = len(seg_mats) ** n_segments
     n_ranges = _split_count(n_candidates, n_candidates * cfg.n_paths * cfg.n_steps,
                             MIN_RANGE_PATH_STEPS)
     bounds = [n_candidates * k // n_ranges for k in range(n_ranges + 1)]
-
-    # The best candidate's states are copied out of the assembly buffer,
-    # which the next candidate overwrites.
-    best_states = np.empty((cfg.n_paths, cfg.n_steps + 1, spec.dim_state))
-    best_levels = best_vals = None
-
-    def walk(start: int, stop: int, keep: bool) -> list[float]:
-        """The means of candidates ``start`` to ``stop - 1``, in order.
-
-        With ``keep``, each candidate better than all before it in the range
-        leaves its levels, values and states in ``best_*``.
-        """
-        nonlocal best_levels, best_vals
-        means, best = [], None
-        for levels, path in _leaves(spec, cfg, normals, roots_t, breakpoints, start, stop):
-            bundle = PathBundle(times, path.transpose(1, 0, 2))
-            # A copy, since the functional may return a view of the buffer.
-            vals = np.array(functional(bundle), dtype=float).reshape(-1)
-            if vals.shape != (cfg.n_paths,):
-                raise ValueError(
-                    f"functional must return one value per path, got shape {vals.shape}"
-                )
-            if not np.all(np.isfinite(vals)):
-                raise NumericError("functional returned a non-finite value")
-            means.append(float(vals.mean()))
-            if keep and (best is None or sign * means[-1] > sign * means[best]):
-                best, best_levels, best_vals = len(means) - 1, levels, vals
-                best_states[...] = bundle.states
-        return means
-
-    jobs = [functools.partial(walk, bounds[k], bounds[k + 1], k == 0) for k in range(n_ranges)]
+    best = _Best(sign, cfg, spec.dim_state)
+    walk = functools.partial(_walk, spec, cfg, normals, roots_t, breakpoints, functional)
+    jobs = [functools.partial(walk, bounds[k], bounds[k + 1], best if k == 0 else None)
+            for k in range(n_ranges)]
     means = [mean for part in _run_jobs(jobs) for mean in part]
-    best = 0
+    top = 0
     for index, mean in enumerate(means):
-        if sign * mean > sign * means[best]:
-            best = index
-    if best >= bounds[1]:  # a worker's candidate: its paths are integrated again here
-        walk(best, best + 1, True)
+        if sign * mean > sign * means[top]:
+            top = index
+    if top >= bounds[1]:  # a worker's candidate: its paths are integrated again here
+        walk(top, top + 1, best)
+    return best.estimate(seg_mats, breakpoints, n_candidates)
 
-    std_error = 0.0 if cfg.n_paths < 2 else float(best_vals.std(ddof=1) / np.sqrt(cfg.n_paths))
-    best_schedule = VolSchedule(breakpoints, tuple(seg_mats[i] for i in best_levels))
-    return ExpectationEstimate(
-        value=means[best],
-        std_error=std_error,
-        best_schedule=best_schedule,
-        n_schedules_searched=len(means),
-        best_paths=PathBundle(times, best_states),
-    )
+
+def _screen(payoff, normals: np.ndarray, roots_t: np.ndarray, cuts: list[int],
+            dt: float) -> np.ndarray:
+    """Every candidate's mean of ``payoff`` at its terminal state, in product order.
+
+    Under the candidate with level l_s on segment s, Brownian motion from 0
+    ends at the sum over s of I[s, l_s] = (sqrt(dt) times the sum of segment
+    s's normals) @ roots_t[l_s]; the Euler walk adds the same increments one
+    step at a time, so the two terminal states differ by rounding alone.
+    The terminal states of consecutive candidates are formed a block of at
+    most ``_BATCH_FLOATS // 8`` floats at a time (one candidate's, if more).
+    """
+    n, d = normals.shape[0], normals.shape[2]
+    n_levels, n_segments = len(roots_t), len(cuts) - 1
+    increments = [(np.sqrt(dt) * normals[:, k0:k1].sum(axis=1)) @ roots_t
+                  for k0, k1 in zip(cuts, cuts[1:])]  # each (n_levels, n, d)
+    n_candidates = n_levels ** n_segments
+    block = max(1, _BATCH_FLOATS // 8 // (n * d))
+    means = np.empty(n_candidates)
+    for first in range(0, n_candidates, block):
+        index = np.arange(first, min(first + block, n_candidates))
+        states = np.zeros((index.size, n, d))
+        for depth, increment in enumerate(increments):
+            states += increment[index // n_levels ** (n_segments - 1 - depth) % n_levels]
+        vals = _checked_values(payoff(states.reshape(-1, d)), states.shape[0] * n)
+        means[index] = vals.reshape(-1, n).mean(axis=1)
+    return means
+
+
+def terminal_expectation_mc(
+    set_: AmbiguitySet,
+    payoff,
+    cfg: PathConfig,
+    n_segments: int = DEFAULT_N_SEGMENTS,
+    direction: str = "upper",
+    n_grid: int = DEFAULT_N_GRID,
+) -> ExpectationEstimate:
+    """``upper_expectation_mc`` of a terminal payoff of G-Brownian motion from 0.
+
+    The estimate is the one ``upper_expectation_mc`` returns for
+    ``SdeSpec.brownian(set_.dim)`` and the functional
+    ``payoff(bundle.states[:, -1, :])``, bit for bit, with its errors.
+    ``payoff(x)`` maps terminal states of shape (k, d) to k values and must
+    treat each row independently of the others: the screen stacks the rows
+    of many candidates.
+
+    The search screens, then confirms.  ``_screen`` takes every candidate's
+    mean from per-segment sums of the shared normals, with no Euler step and
+    no fork.  ``_walk`` then Euler-integrates each candidate whose screened
+    mean lies within ``_SCREEN_RTOL`` x max(1, |best screened mean|) of the
+    best, and only those walked means are compared, a tie going to the
+    earliest candidate.  The screened terminal
+    states differ from the walked ones by rounding alone: by at most 5.3e-15
+    on ``configs/heat.cfg`` and ``bench/scenario.cfg`` at seeds 1 to 5, and
+    by about n_steps ulps of |X_T| at worst, 1e-13 at 250 steps.  So a
+    payoff with a jump, such as a digital, could be screened wrong only if a
+    path ends within about 1e-13 of the jump: the screen and the walk could
+    then put that path on different sides, which moves a mean by 1 / n_paths.
+    """
+    spec = SdeSpec.brownian(set_.dim)
+    sign, seg_mats, roots_t, breakpoints = _checked_search(spec, set_, cfg, n_segments,
+                                                           direction, n_grid)
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, set_.dim)
+    means = sign * _screen(payoff, normals, roots_t, _segment_cuts(breakpoints, cfg), cfg.dt)
+    top = means.max()
+    confirmed = np.flatnonzero(top - means <= _SCREEN_RTOL * max(1.0, abs(top)))
+    best = _Best(sign, cfg, set_.dim)
+
+    def functional(bundle):
+        return payoff(bundle.states[:, -1, :])
+
+    for run in np.split(confirmed, np.flatnonzero(np.diff(confirmed) > 1) + 1):
+        _walk(spec, cfg, normals, roots_t, breakpoints, functional, int(run[0]),
+              int(run[-1]) + 1, best)
+    return best.estimate(seg_mats, breakpoints, means.size)
 
 
 def moment_bound_check(

@@ -339,8 +339,10 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
 
     Each implicit level starts from the last choices of the level above (the
     argopt on its value where the segment changes) and stops once a solve
-    moves no node by more than ``_HOWARD_SETTLED`` times max(1, |u|_inf); a
-    solve that returns the iterate of two solves before raises NumericError.
+    moves no node by more than ``_HOWARD_SETTLED`` times max(1, |u|_inf), or
+    once an iterate's choices (picks, slopes and edge picks) are the ones
+    its own solve used, so that the next solve would return it bit for bit;
+    a solve that returns the iterate of two solves before raises NumericError.
     The edge rows enter the tridiagonal system, whose elimination folds the
     power_dirichlet edges into the first and last interior rows.
 
@@ -443,6 +445,7 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             u, u_prev, solves = v, None, 0
             while True:
                 if solves or seg != seg_above:
+                    used = (best, slopes, edge) if solves else None
                     with np.errstate(over="ignore", invalid="ignore"):
                         best, slopes = fill_generator(u, interior)
                         # A one-sided edge row optimizes its own inward-drift and running-cost
@@ -450,6 +453,10 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
                         edge = neighbour_picks(best) if not one_sided else [
                             [int(argopt(table[s, e] * ((u[i + 1] - u[i]) / dx) + table[_COST, e]))
                              for table in tables] for e, _, i, s, _ in sides]
+                    # The choices of the last solve again: the next would return u bit for bit.
+                    if (used and edge == used[2] and np.array_equal(slopes, used[1])
+                            and all(map(np.array_equal, best, used[0]))):
+                        break
                 if solves == _HOWARD_MAX_SOLVES:
                     raise NumericError(
                         f"Howard iteration: value not settled after {solves} "

@@ -300,8 +300,8 @@ def test_cli_simulate_constant_functional(tmp_path):
     assert float(_report_value(out / "gheat_report.txt", "std_error")) == 0.0
 
 
-def test_cli_simulate_integrates_each_candidate_once(tmp_path, monkeypatch):
-    """Every node of the schedule-prefix tree is stepped once, and the best paths never again."""
+def test_cli_simulate_steps_only_the_confirmed_candidates(tmp_path, monkeypatch):
+    """The screen steps no path, and each confirmed candidate's segments are stepped once."""
     nodes = []
     steps = sde._euler_steps
 
@@ -317,10 +317,29 @@ def test_cli_simulate_integrates_each_candidate_once(tmp_path, monkeypatch):
     text = GHEAT_CONFIG.replace("n_paths = 3000", "n_paths = 300")
     cfg_path = _write(tmp_path, "gheat.cfg", text)
     assert main(["simulate", "--config", cfg_path, "--output", str(tmp_path / "out")]) == 0
-    # n_grid = 3 levels on n_segments = 2 halves of n_steps = 200: 3 + 9 nodes
-    first_half = [(0, 100, 3 * level) for level in range(3)]
-    second_half = [(100, 100, candidate) for candidate in range(9)]
-    assert sorted(nodes) == first_half + second_half
+    # n_grid = 3 levels on n_segments = 2 halves of n_steps = 200: of the 9 candidates, the
+    # screen confirms the one that holds the high level on both halves alone, candidate 8.
+    assert sorted(nodes) == [(0, 100, 8), (100, 100, 8)]
+
+
+@pytest.mark.parametrize("config", ["configs/heat.cfg", "bench/scenario.cfg"])
+def test_cli_simulate_confirms_one_candidate_on_the_shipped_configs(monkeypatch, config):
+    from gctrl import cli
+
+    walked = []
+    walk = estimators._walk
+
+    def recording(*args):
+        walked.extend(range(*args[6:8]))  # the candidates start to stop - 1
+        return walk(*args)
+
+    monkeypatch.setattr(estimators, "_walk", recording)
+    text = (Path(__file__).resolve().parents[1] / config).read_text("utf-8")
+    report = cli.RunReport(command="simulate", config_echo="")
+    cli.cmd_simulate(parse_config_text(text), report)
+    assert len(walked) == 1
+    assert report.results["n_schedules_searched"] == {"configs/heat.cfg": 9,
+                                                      "bench/scenario.cfg": 625}[config]
 
 
 def test_cli_merton_report_values(tmp_path):

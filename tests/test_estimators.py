@@ -16,9 +16,11 @@ from gctrl import (
     integrate_gsde,
     moment_bound_check,
     sample_gbm,
+    terminal_expectation_mc,
     upper_expectation_mc,
 )
 from gctrl import estimators
+from gctrl.config import PAYOFFS
 from gctrl.sde import path_normals
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
@@ -410,3 +412,71 @@ def test_moment_bound_contracting_sde_finite_k():
     assert np.isfinite(k)
     assert k < 4.0
     assert 0.9 <= report.holder_slope <= 1.1
+
+
+SET2 = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+DEGENERATE = AmbiguitySet(dim=1, sigma_lo_sq=0.5, sigma_hi_sq=0.5)
+
+
+@pytest.mark.parametrize("n_paths", [1, 40])
+@pytest.mark.parametrize("set_", [SET, SET2, DEGENERATE], ids=["d1", "d2", "degenerate"])
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("name", ["x_squared", "minus_x_squared", "constant"])
+def test_terminal_search_equals_the_euler_search(name, direction, set_, n_paths):
+    cfg = _cfg(n_paths=n_paths, n_steps=12)
+    payoff, kw = PAYOFFS[name], dict(n_segments=2, direction=direction, n_grid=3)
+    got = terminal_expectation_mc(set_, lambda x: payoff(x, 0.5), cfg, **kw)
+    want = upper_expectation_mc(SdeSpec.brownian(set_.dim), set_,
+                                lambda b: payoff(b.states[:, -1, :], 0.5), cfg, **kw)
+    assert got.value == want.value
+    assert got.std_error == want.std_error
+    assert got.n_schedules_searched == want.n_schedules_searched
+    assert got.best_schedule.breakpoints == want.best_schedule.breakpoints
+    for a, b in zip(got.best_schedule.values, want.best_schedule.values, strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.best_paths.times, want.best_paths.times)
+    assert np.array_equal(got.best_paths.states, want.best_paths.states)
+    if name == "constant":  # every candidate ties, and the earliest wins
+        first = candidate_schedules(set_, cfg.horizon, 2, 3)[0]
+        for a, b in zip(got.best_schedule.values, first.values, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_terminal_search_keeps_the_errors(monkeypatch):
+    def not_before_the_guard(*args):
+        raise AssertionError("normals drawn before the guard")
+
+    def square(x):
+        return PAYOFFS["x_squared"](x, 0.0)
+
+    monkeypatch.setattr(estimators, "path_normals", not_before_the_guard)
+    with pytest.raises(ConfigError, match="candidates"):
+        terminal_expectation_mc(SET, square, _cfg(), n_segments=10, n_grid=10)
+    with pytest.raises(ConfigError) as info:
+        terminal_expectation_mc(SET, square, _cfg(n_steps=2, n_paths=50), n_segments=4, n_grid=2)
+    assert str(info.value) == ("n_segments = 4 leaves a segment that none of the "
+                               "n_steps = 2 Euler steps falls in")
+    monkeypatch.undo()
+    cfg = _cfg(n_steps=4, n_paths=50)
+    with pytest.raises(ValueError, match="one value per path"):
+        terminal_expectation_mc(SET, lambda x: np.concatenate([x[:, 0], x[:, 0]]), cfg)
+    with pytest.raises(NumericError, match="non-finite"):
+        terminal_expectation_mc(SET, lambda x: np.where(x[:, 0] > 1.0, np.inf, 0.0), cfg)
+
+
+def test_the_screen_holds_less_than_the_walks_buffers():
+    import tracemalloc
+
+    # The search of bench/scenario.cfg: 625 candidates of 1,000 paths.
+    cfg = PathConfig(n_steps=200, horizon=1.0, n_paths=1000, seed=3)
+    spec = SdeSpec.brownian(1)
+    _, _, roots_t, breakpoints = estimators._checked_search(spec, SET, cfg, 4, "upper", 5)
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1)
+    cuts = estimators._segment_cuts(breakpoints, cfg)
+    tracemalloc.start()
+    try:
+        estimators._screen(lambda x: PAYOFFS["x_squared"](x, 0.0), normals, roots_t, cuts, cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * estimators._BATCH_FLOATS, peak

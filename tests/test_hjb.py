@@ -773,11 +773,17 @@ def test_implicit_sweep_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == IMPLICIT_CSV_SHA256[name]
 
 
-def test_howard_cap_of_one_solve_cannot_show_a_level_settled(monkeypatch):
+def test_howard_cap_of_one_solve_raises_where_the_picks_move(monkeypatch):
+    """One solve settles a level whose picks it leaves in place, and only such a level."""
     from gctrl import hjb
 
     monkeypatch.setattr(hjb, "_HOWARD_MAX_SOLVES", 1)
+    # Every level of the one-segment desk keeps its picks after its first solve.
     problem, grid = _implicit_case("desk-n_t-20")
+    text = solution_csv_text(solve(problem, grid))
+    assert hashlib.sha256(text.encode()).hexdigest() == IMPLICIT_CSV_SHA256["desk-n_t-20"]
+    # The three-segment desk's first level moves its picks after its first solve.
+    problem, grid = _implicit_case("desk-3-segments-n_t-20")
     with pytest.raises(NumericError, match="value not settled .* time level 19$"):
         solve(problem, grid)
 

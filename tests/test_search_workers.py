@@ -203,7 +203,7 @@ def test_a_split_simulate_writes_the_golden_bytes(tmp_path, monkeypatch, usable_
     cfg_path.write_text(config, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg_path), "--output", str(out)]) == 0
-    assert counts == [2]
+    assert counts == []  # simulate screens its candidates and forks no worker to search them
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == GOLDEN[("simulate", config)]
     _assert_no_child_left()
