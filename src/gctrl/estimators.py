@@ -7,27 +7,18 @@ with common random numbers across candidates.  The search returns a lower
 bound on the upper expectation; the payoffs used in the test suite are ones
 whose optimum is attained at a constant schedule inside the family.
 
-Candidates come in ``itertools.product`` order over segments, so those that
-share their first k segments share their paths up to the k-th breakpoint.
-The search walks this schedule-prefix tree depth first.  At depth j it
-integrates the children of the current prefix (the segment covariances, a
-group at a time) from their parent's end state over segment j only, then
-descends into each child in order; every prefix is integrated once.  Rows
-are integrated independently under the same normal draws, so a shared
-prefix has the same bits as integrating each candidate on its own.
-
-A large search is split into contiguous ranges of that order, one per usable
-CPU, each walked by its own process (``upper_expectation_mc`` tells how).  A
-range's walk starts by integrating every segment of its first candidate, so
-a prefix that straddles two ranges is integrated in both.
-
-Memory is bounded by ``_BATCH_FLOATS``: the group size is chosen so that the
-per-depth segment buffers, (n_steps + n_segments) * group * n_paths * m
-floats in all, fit in it, and beside them sits one (n_steps+1, n_paths, m)
-buffer in which each candidate's path is assembled; each process walking a
-range holds its own.  The bundle a functional receives is a view of that
-buffer, valid only until the functional's next call: copy whatever must
-outlive it.
+Candidates are numbered in ``itertools.product`` order over segments, and
+the search walks them in that order, each on its own: one Euler call
+integrates a candidate over the whole horizon, each step under the root of
+the segment it falls in, into one time-major (n_steps+1, n_paths, m) path
+buffer that the next candidate overwrites.  A search thus holds the normal
+draws and that one buffer, beside per-step temporaries, whatever the
+candidate count, and runs in the calling process.  Every candidate sees the
+same draws, so its paths have the bits of integrating its schedule alone.
+The bundle a functional receives is a view of the buffer, valid only until
+the functional's next call: copy whatever must outlive it.  The best
+candidate's paths are returned as that buffer, integrated once more if a
+later candidate overwrote them.
 
 A terminal payoff of G-Brownian motion from 0 (what ``simulate`` estimates)
 needs no Euler step to be ranked: under a piecewise-constant schedule the
@@ -44,7 +35,6 @@ screened wrong only if a path ends within about 1e-13 of the jump.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -59,8 +49,6 @@ from .sde import (
     VolSchedule,
     _checked_roots_t,
     _euler_steps,
-    _run_jobs,
-    _split_count,
     _step_intervals,
     path_normals,
 )
@@ -68,17 +56,10 @@ from .sde import (
 DEFAULT_N_SEGMENTS = 4
 DEFAULT_N_GRID = 5
 _MAX_CANDIDATES = 200_000
-# The search's per-depth segment buffers hold at most this many floats
-# (8 MiB), which bounds memory whatever the candidate count.
+# terminal_expectation_mc's screen forms the terminal states of consecutive
+# candidates in blocks of at most _BATCH_FLOATS // 8 floats, which keeps its
+# peak under _BATCH_FLOATS floats (8 MiB) whatever the candidate count.
 _BATCH_FLOATS = 1 << 20
-# A range of the search holds at least this many path-steps (candidates x
-# paths x steps): 11 ms of walking on a 625-candidate prefix tree, about 100 ms
-# on one segment (2-CPU x86-64).  A split costs a fork and reap (2-3 ms), the
-# worker's walk down to its first candidate, and the winner integrated again (a
-# sixth of a 9-candidate search).  Split in two, a 9-candidate search of 3.6M
-# path-steps took 18-23% longer, one of 9M between 9% less and 6% more, and a
-# 625-candidate one of 12.5M a third less.
-MIN_RANGE_PATH_STEPS = 5_000_000
 # terminal_expectation_mc walks every candidate whose screened mean is within
 # this much of the best one, relative to max(1, |best screened mean|): far
 # above the screen's rounding (its means were within 6e-16 of the walk's,
@@ -150,59 +131,6 @@ def candidate_schedules(
             for combo in itertools.product(seg_mats, repeat=n_segments)]
 
 
-def _leaves(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
-            breakpoints: tuple[float, ...], start: int = 0, stop: int | None = None):
-    """Yield ``(levels, path)`` for schedules ``start`` to ``stop - 1`` over ``breakpoints``.
-
-    The schedules are numbered in product order, all of them by default.
-    ``levels`` indexes ``roots_t``, the transposed roots of the segment
-    covariances, one entry per segment.  ``path`` is the time-major
-    (n_steps+1, n_paths, m) assembly buffer, overwritten for the next
-    candidate.  Segments start where ``integrate_gsde`` switches covariance.
-    """
-    n, m, d = cfg.n_paths, spec.dim_state, spec.dim_noise
-    n_levels, n_segments = len(roots_t), len(breakpoints)
-    cuts = _segment_cuts(breakpoints, cfg)
-    stop = n_levels ** n_segments if stop is None else stop
-    group = min(n_levels, max(1, _BATCH_FLOATS // ((cfg.n_steps + n_segments) * n * m)))
-    path = np.empty((cfg.n_steps + 1, n, m))
-    path[0] = spec.initial_state
-    bufs = [np.empty((k1 - k0 + 1, group * n, m)) for k0, k1 in zip(cuts, cuts[1:])]
-    held = [range(0)] * n_segments  # the siblings whose segment each buffer holds
-    order = itertools.product(range(n_levels), repeat=n_segments)
-    for index, levels in enumerate(itertools.islice(order, start, stop), start):
-        # Product order moves the last nonzero level and resets the later ones to 0,
-        # so ``index`` is the first candidate under each node stepped below it.  The
-        # first candidate walked has no path yet: every segment is stepped for it.
-        top = 0 if index == start else max((j for j, level in enumerate(levels) if level),
-                                           default=0)
-        for depth in range(top, n_segments):
-            k0, k1, level = cuts[depth], cuts[depth + 1], levels[depth]
-            if depth > top or level not in held[depth]:
-                stride = n_levels ** (n_segments - 1 - depth)
-                # The siblings index, index + stride, ... that lie before ``stop``.
-                size = min(group, n_levels - level, -(-(stop - index) // stride))
-                while True:
-                    out = bufs[depth][:, :size * n]
-                    out[0].reshape(size, n, m)[...] = path[k0]
-                    steps_roots_t = np.broadcast_to(roots_t[level:level + size],
-                                                    (k1 - k0, size, d, d))
-                    try:
-                        _euler_steps(spec, out, steps_roots_t, normals, k0, cfg.dt,
-                                     range(index, index + size * stride, stride))
-                        break
-                    except NumericError:
-                        if size == 1:
-                            raise
-                        # Step the siblings one at a time instead, so that the error
-                        # names the first candidate in product order that diverges.
-                        size = 1
-                held[depth] = range(level, level + size)
-            row = (level - held[depth].start) * n
-            path[k0 + 1:k1 + 1] = bufs[depth][1:, row:row + n]
-        yield levels, path
-
-
 def _segment_cuts(breakpoints: tuple[float, ...], cfg: PathConfig) -> list[int]:
     """The first Euler step of each segment, then ``cfg.n_steps``.
 
@@ -245,50 +173,74 @@ def _checked_values(values, count: int) -> np.ndarray:
     return vals
 
 
-class _Best:
-    """The best candidate walked so far in one direction; a tie keeps the earlier one.
+def _levels(index: int, n_levels: int, n_segments: int) -> list[int]:
+    """The level on each segment of candidate ``index``, numbered in product order."""
+    return [index // n_levels ** (n_segments - 1 - j) % n_levels for j in range(n_segments)]
 
-    Its states are copied out of the assembly buffer, which the next
-    candidate overwrites.
+
+def _integrate(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
+               breakpoints: tuple[float, ...], path: np.ndarray, index: int) -> None:
+    """Euler-integrate candidate ``index`` over the whole horizon into ``path``.
+
+    ``roots_t`` holds the transposed roots of the segment covariances, and
+    ``path`` is a time-major (n_steps+1, n_paths, m) buffer.  Each step takes
+    the root of the segment it falls in as ``integrate_gsde`` does, so the
+    paths have the bits ``integrate_gsde`` gives the candidate's schedule.
     """
+    levels = _levels(index, len(roots_t), len(breakpoints))
+    path[0] = spec.initial_state
+    _euler_steps(spec, path, roots_t[levels][_step_intervals(breakpoints, cfg)][:, None],
+                 normals, 0, cfg.dt, [index])
 
-    def __init__(self, sign: float, cfg: PathConfig, dim_state: int):
-        self.sign, self.cfg = sign, cfg
-        self.mean = self.levels = self.vals = None
-        self.states = np.empty((cfg.n_paths, cfg.n_steps + 1, dim_state))
 
-    def estimate(self, seg_mats: list, breakpoints: tuple[float, ...],
-                 n_candidates: int) -> ExpectationEstimate:
-        n_paths = self.cfg.n_paths
-        return ExpectationEstimate(
-            value=self.mean,
-            std_error=0.0 if n_paths < 2 else float(self.vals.std(ddof=1) / np.sqrt(n_paths)),
-            best_schedule=VolSchedule(breakpoints, tuple(seg_mats[i] for i in self.levels)),
-            n_schedules_searched=n_candidates,
-            best_paths=PathBundle(np.linspace(0.0, self.cfg.horizon, self.cfg.n_steps + 1),
-                                  self.states),
-        )
+class _Best:
+    """The best candidate walked so far in one direction, a tie keeping the earlier one,
+    and the time-major path buffer that each walked candidate overwrites."""
+
+    def __init__(self, sign: float, spec: SdeSpec, cfg: PathConfig):
+        self.sign = sign
+        self.index = self.mean = self.vals = None
+        self.path = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
+        self.bundle = PathBundle(np.linspace(0.0, cfg.horizon, cfg.n_steps + 1),
+                                 self.path.transpose(1, 0, 2))
 
 
 def _walk(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
           breakpoints: tuple[float, ...], functional, start: int, stop: int,
-          best: _Best | None = None) -> list[float]:
-    """The means of ``functional`` on candidates ``start`` to ``stop - 1``, in order.
+          best: _Best) -> None:
+    """Integrate candidates ``start`` to ``stop - 1`` in order into ``best.path``, and take
+    each one's mean of ``functional``: one better than ``best``'s replaces it."""
+    for index in range(start, stop):
+        _integrate(spec, cfg, normals, roots_t, breakpoints, best.path, index)
+        vals = _checked_values(functional(best.bundle), cfg.n_paths)
+        mean = float(vals.mean())
+        if best.mean is None or best.sign * mean > best.sign * best.mean:
+            best.index, best.mean, best.vals = index, mean, vals
 
-    ``_leaves`` Euler-integrates the candidates.  With ``best``, each one
-    better than it replaces what it holds.
+
+def _search(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, sign: float, seg_mats: list,
+            roots_t: np.ndarray, breakpoints: tuple[float, ...], functional,
+            runs: list[tuple[int, int]]) -> ExpectationEstimate:
+    """The estimate of the best candidate walked in ``runs``, (start, stop) ranges in order.
+
+    Its paths are the path buffer itself.  When a later candidate has
+    overwritten them, the best one is integrated once more, without calling
+    its functional again.
     """
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    means = []
-    for levels, path in _leaves(spec, cfg, normals, roots_t, breakpoints, start, stop):
-        bundle = PathBundle(times, path.transpose(1, 0, 2))
-        vals = _checked_values(functional(bundle), cfg.n_paths)
-        means.append(float(vals.mean()))
-        if best is not None and (best.mean is None
-                                 or best.sign * means[-1] > best.sign * best.mean):
-            best.mean, best.levels, best.vals = means[-1], levels, vals
-            best.states[...] = bundle.states
-    return means
+    best = _Best(sign, spec, cfg)
+    for start, stop in runs:
+        _walk(spec, cfg, normals, roots_t, breakpoints, functional, start, stop, best)
+    if best.index != runs[-1][1] - 1:
+        _integrate(spec, cfg, normals, roots_t, breakpoints, best.path, best.index)
+    n_paths, n_segments = cfg.n_paths, len(breakpoints)
+    levels = _levels(best.index, len(seg_mats), n_segments)
+    return ExpectationEstimate(
+        value=best.mean,
+        std_error=0.0 if n_paths < 2 else float(best.vals.std(ddof=1) / np.sqrt(n_paths)),
+        best_schedule=VolSchedule(breakpoints, tuple(seg_mats[i] for i in levels)),
+        n_schedules_searched=len(seg_mats) ** n_segments,
+        best_paths=best.bundle,
+    )
 
 
 def upper_expectation_mc(
@@ -309,47 +261,20 @@ def upper_expectation_mc(
     is path-for-path.  The chosen candidate's paths are returned as
     ``best_paths``.
 
-    Candidates are visited in ``candidate_schedules`` order by the
-    depth-first prefix walk described in the module docstring, in at most
-    ``_BATCH_FLOATS`` floats of segment buffers.  ``bundle.states`` is a view
-    that the next candidate overwrites.  If paths turn non-finite, the
-    ``NumericError`` names the first candidate in product order whose paths
-    diverge, with the path and step at which ``integrate_gsde`` on that
-    candidate would stop, whatever the group size.  ConfigError, before any draw:
-    over ``_MAX_CANDIDATES`` schedules, or a segment that no Euler step falls in.
-
-    That order is split into contiguous ranges of candidates, one per usable
-    CPU, but each of at least ``MIN_RANGE_PATH_STEPS`` path-steps (candidates
-    x paths x steps), so a small search runs here alone.  This process walks
-    the first range; a worker forked by ``sde._run_jobs`` walks each other
-    range and sends back only its means, which are merged here in order.  A
-    candidate's paths depend on the shared draws and its own schedule alone,
-    so the estimate is the same at any CPU count, and so is the error raised:
-    the first in candidate order.  The functional and the callables of
-    ``spec`` may therefore run in a forked worker, whose side effects the
-    caller does not see.  When a worker's candidate is chosen, this process
-    integrates it and evaluates its functional a second time, to fill
-    ``best_paths``.
+    Candidates are walked one at a time in ``candidate_schedules`` order, as
+    the module docstring describes, in the calling process.  ``bundle.states``
+    is a view of the one path buffer, which the next candidate overwrites.
+    If paths turn non-finite, the ``NumericError`` names the first candidate
+    in product order whose paths diverge, with the path and step at which
+    ``integrate_gsde`` on that candidate would stop.  ConfigError, before any
+    draw: over ``_MAX_CANDIDATES`` schedules, or a segment that no Euler step
+    falls in.
     """
     sign, seg_mats, roots_t, breakpoints = _checked_search(spec, set_, cfg, n_segments,
                                                            direction, n_grid)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
-    n_candidates = len(seg_mats) ** n_segments
-    n_ranges = _split_count(n_candidates, n_candidates * cfg.n_paths * cfg.n_steps,
-                            MIN_RANGE_PATH_STEPS)
-    bounds = [n_candidates * k // n_ranges for k in range(n_ranges + 1)]
-    best = _Best(sign, cfg, spec.dim_state)
-    walk = functools.partial(_walk, spec, cfg, normals, roots_t, breakpoints, functional)
-    jobs = [functools.partial(walk, bounds[k], bounds[k + 1], best if k == 0 else None)
-            for k in range(n_ranges)]
-    means = [mean for part in _run_jobs(jobs) for mean in part]
-    top = 0
-    for index, mean in enumerate(means):
-        if sign * mean > sign * means[top]:
-            top = index
-    if top >= bounds[1]:  # a worker's candidate: its paths are integrated again here
-        walk(top, top + 1, best)
-    return best.estimate(seg_mats, breakpoints, n_candidates)
+    return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints, functional,
+                   [(0, len(seg_mats) ** n_segments)])
 
 
 def _screen(payoff, normals: np.ndarray, roots_t: np.ndarray, cuts: list[int],
@@ -417,15 +342,10 @@ def terminal_expectation_mc(
     means = sign * _screen(payoff, normals, roots_t, _segment_cuts(breakpoints, cfg), cfg.dt)
     top = means.max()
     confirmed = np.flatnonzero(top - means <= _SCREEN_RTOL * max(1.0, abs(top)))
-    best = _Best(sign, cfg, set_.dim)
-
-    def functional(bundle):
-        return payoff(bundle.states[:, -1, :])
-
-    for run in np.split(confirmed, np.flatnonzero(np.diff(confirmed) > 1) + 1):
-        _walk(spec, cfg, normals, roots_t, breakpoints, functional, int(run[0]),
-              int(run[-1]) + 1, best)
-    return best.estimate(seg_mats, breakpoints, means.size)
+    runs = [(int(run[0]), int(run[-1]) + 1)
+            for run in np.split(confirmed, np.flatnonzero(np.diff(confirmed) > 1) + 1)]
+    return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints,
+                   lambda bundle: payoff(bundle.states[:, -1, :]), runs)
 
 
 def moment_bound_check(
@@ -459,7 +379,9 @@ def moment_bound_check(
 
     sup_moment = -np.inf
     envelope = np.full(len(lags), -np.inf)
-    for _, path in _leaves(spec, cfg, normals, roots_t, (0.0,)):
+    path = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
+    for level in range(len(roots_t)):
+        _integrate(spec, cfg, normals, roots_t, (0.0,), path, level)
         # Path-major copy: the means below then sum in path order.
         states = np.ascontiguousarray(path.transpose(1, 0, 2))
         norms = np.linalg.norm(states, axis=2)  # (n_paths, n_steps+1)

@@ -11,8 +11,8 @@ already drawn and every run is bit-reproducible from its seed.
 All stepping goes through one loop, ``_euler_steps``, which advances blocks of
 rows stacked along the path axis over a run of steps, reading each drift and
 diffusion as numpy broadcasts it.  ``integrate_gsde`` and ``sample_gbm`` call
-it once over the whole horizon; the scenario search in ``estimators`` calls
-it once per node of its schedule-prefix tree, over that node's segment only.
+it once over the whole horizon, and so does the scenario search in
+``estimators`` for each candidate schedule it walks.
 
 Every piecewise-constant object (a ``VolSchedule``, an ``hjb.HjbProblem``, a
 ``merton.MarketModel``) keeps its segment rules here: ``_checked_starts``
@@ -32,8 +32,7 @@ do not depend on the CPU count.  The ``*_csv_chunks`` functions build the
 tables (``bundle_csv_chunks``, ``hjb.solution_csv_chunks`` and the
 portfolio tables in ``merton``); the ``*_csv_text`` renderers are their
 joined strings.  ``_run_jobs`` is the one place that forks, reaps and kills
-workers: for these ranges, for ``verify``'s two check groups, and for the
-contiguous ranges of candidates of the scenario search in ``estimators``.
+workers: for these ranges and for ``verify``'s two check groups.
 """
 
 from __future__ import annotations
@@ -156,8 +155,8 @@ class SdeSpec:
     ValueError.  ``control(t, x)`` produces the feedback value handed to
     both; ``None`` means an uncontrolled system (the callables receive
     u=None).  Each row of ``x`` is one path and must be treated
-    independently of the others: the scenario search stacks the paths of
-    several schedules into one array.
+    independently of the others, so that a path's bits do not depend on
+    which other paths share the call.
     """
 
     dim_state: int
@@ -241,8 +240,16 @@ def _checked_roots_t(spec: SdeSpec, set_: AmbiguitySet,
 
 
 def _step_intervals(breakpoints: Sequence[float], cfg: PathConfig) -> np.ndarray:
-    """Index of the schedule interval in force on each step [t_k, t_{k+1})."""
-    return np.array([_segment_index(breakpoints, k * cfg.dt) for k in range(cfg.n_steps)])
+    """Index of the schedule interval in force on each step [t_k, t_{k+1}).
+
+    Step k takes the last interval that starts at or before t_k = k * dt
+    plus 1e-12 * horizon.  The slack absorbs rounding: k * dt and a start
+    such as horizon * j / n can round apart, and without it n equal segments
+    of n * m steps would not each get m.
+    """
+    starts = np.asarray(breakpoints, dtype=float) - 1e-12 * cfg.horizon
+    times = np.arange(cfg.n_steps) * cfg.dt
+    return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
 
 
 def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> PathBundle:

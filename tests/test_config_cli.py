@@ -301,12 +301,12 @@ def test_cli_simulate_constant_functional(tmp_path):
 
 
 def test_cli_simulate_steps_only_the_confirmed_candidates(tmp_path, monkeypatch):
-    """The screen steps no path, and each confirmed candidate's segments are stepped once."""
+    """The screen steps no path, and each confirmed candidate is stepped once, in one call."""
     nodes = []
     steps = sde._euler_steps
 
     def counting(spec, states, roots_t, normals, first_step, dt, candidates=None):
-        # one entry per stacked block: (first step, steps, first candidate below it)
+        # one entry per stacked block: (first step, steps, its candidate)
         blocks = roots_t.shape[1]
         firsts = [None] * blocks if candidates is None else list(candidates)
         nodes.extend((first_step, len(roots_t), c) for c in firsts)
@@ -318,8 +318,9 @@ def test_cli_simulate_steps_only_the_confirmed_candidates(tmp_path, monkeypatch)
     cfg_path = _write(tmp_path, "gheat.cfg", text)
     assert main(["simulate", "--config", cfg_path, "--output", str(tmp_path / "out")]) == 0
     # n_grid = 3 levels on n_segments = 2 halves of n_steps = 200: of the 9 candidates, the
-    # screen confirms the one that holds the high level on both halves alone, candidate 8.
-    assert sorted(nodes) == [(0, 100, 8), (100, 100, 8)]
+    # screen confirms the one that holds the high level on both halves alone, candidate 8,
+    # and the walk steps it over the whole horizon.
+    assert nodes == [(0, 200, 8)]
 
 
 @pytest.mark.parametrize("config", ["configs/heat.cfg", "bench/scenario.cfg"])

@@ -217,7 +217,7 @@ def _feedback_spec():
 
 @pytest.mark.parametrize("direction", ["upper", "lower"])
 @pytest.mark.parametrize("case", ["d1", "d2", "feedback"])
-def test_batch_size_does_not_change_results(monkeypatch, case, direction):
+def test_batch_size_does_not_change_results(case, direction):
     set2 = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
     spec, set_, n_segments = {
         "d1": (_gbm_spec(), SET, 2),
@@ -239,24 +239,21 @@ def test_batch_size_does_not_change_results(monkeypatch, case, direction):
     ref_se = float(ref_vals[best].std(ddof=1) / np.sqrt(cfg.n_paths))
     best_states = integrate_gsde(spec, set_, schedules[best], cfg).states
 
-    per_candidate = cfg.n_paths * (cfg.n_steps + 1) * spec.dim_state
-    for chunk in (1, 2, len(schedules)):  # 2 leaves a ragged last chunk
-        monkeypatch.setattr(estimators, "_BATCH_FLOATS", chunk * per_candidate)
-        means = []
+    means = []
 
-        def recording(bundle):
-            vals = functional(bundle)
-            means.append(float(vals.mean()))
-            return vals
+    def recording(bundle):
+        vals = functional(bundle)
+        means.append(float(vals.mean()))
+        return vals
 
-        est = upper_expectation_mc(spec, set_, recording, cfg, n_segments=n_segments,
-                                   n_grid=3, direction=direction)
-        assert means == ref_means
-        assert est.value == ref_means[best]
-        assert est.std_error == ref_se
-        for got, want in zip(est.best_schedule.values, schedules[best].values):
-            assert np.array_equal(got, want)
-        assert np.array_equal(est.best_paths.states, best_states)
+    est = upper_expectation_mc(spec, set_, recording, cfg, n_segments=n_segments,
+                               n_grid=3, direction=direction)
+    assert means == ref_means
+    assert est.value == ref_means[best]
+    assert est.std_error == ref_se
+    for got, want in zip(est.best_schedule.values, schedules[best].values):
+        assert np.array_equal(got, want)
+    assert np.array_equal(est.best_paths.states, best_states)
 
 
 def test_functional_may_return_a_view_of_its_bundle():
@@ -302,16 +299,16 @@ def test_nonfinite_in_batch_names_candidate_and_path(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["d2", "feedback", "uneven_steps"])
-def test_prefix_tree_matches_one_integration_per_candidate(monkeypatch, case):
+def test_the_walk_matches_one_integration_per_candidate(monkeypatch, case):
     set2 = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
     d2 = SdeSpec(dim_state=2, dim_noise=2, drift=lambda t, x, u: 0.0,
                  diffusion=lambda t, x, u: np.eye(2), initial_state=[0.0, 0.0])
-    # (spec, set, n_segments, n_grid, n_steps, segments as (first step, steps))
-    spec, set_, n_segments, n_grid, n_steps, segments = {
-        "d2": (d2, set2, 2, 2, 12, [(0, 6), (6, 6)]),  # 4 covariances, 16 candidates
-        "feedback": (_feedback_spec(), SET, 3, 3, 12, [(0, 4), (4, 4), (8, 4)]),
+    # (spec, set, n_segments, n_grid, n_steps)
+    spec, set_, n_segments, n_grid, n_steps = {
+        "d2": (d2, set2, 2, 2, 12),  # 4 covariances, 16 candidates
+        "feedback": (_feedback_spec(), SET, 3, 3, 12),
         # breakpoints 1/3 and 2/3 fall inside steps 4 and 8
-        "uneven_steps": (_gbm_spec(), SET, 3, 3, 13, [(0, 5), (5, 4), (9, 4)]),
+        "uneven_steps": (_gbm_spec(), SET, 3, 3, 13),
     }[case]
     cfg = _cfg(n_paths=60, n_steps=n_steps)
 
@@ -319,7 +316,6 @@ def test_prefix_tree_matches_one_integration_per_candidate(monkeypatch, case):
         return np.sum(np.cos(bundle.states[:, -1, :]) + bundle.states[:, 5, :] ** 2, axis=1)
 
     schedules = candidate_schedules(set_, cfg.horizon, n_segments, n_grid)
-    n_levels = round(len(schedules) ** (1 / n_segments))
     ref_bundles = [integrate_gsde(spec, set_, s, cfg) for s in schedules]
     ref_vals = [functional(bundle) for bundle in ref_bundles]
     ref_means = [float(v.mean()) for v in ref_vals]
@@ -327,35 +323,34 @@ def test_prefix_tree_matches_one_integration_per_candidate(monkeypatch, case):
     calls = []
     steps = estimators._euler_steps
 
-    def recording_steps(spec, states, roots_t, normals, first_step, *rest):
-        calls.append((first_step, len(roots_t), roots_t.shape[1]))
-        return steps(spec, states, roots_t, normals, first_step, *rest)
+    def recording_steps(spec, states, roots_t, normals, first_step, dt, candidates):
+        calls.append((first_step, len(roots_t), roots_t.shape[1], *candidates))
+        return steps(spec, states, roots_t, normals, first_step, dt, candidates)
 
     monkeypatch.setattr(estimators, "_euler_steps", recording_steps)
-    per_group = (cfg.n_steps + n_segments) * cfg.n_paths * spec.dim_state
-    for group in sorted({1, 2, 3, n_levels}):  # 2 or 3 leaves a ragged last group
-        monkeypatch.setattr(estimators, "_BATCH_FLOATS", group * per_group)
-        for direction in ("upper", "lower"):
-            calls.clear()
-            means = []
+    for direction in ("upper", "lower"):
+        calls.clear()
+        means = []
 
-            def recording(bundle):
-                vals = functional(bundle)
-                means.append(float(vals.mean()))
-                return vals
+        def recording(bundle):
+            vals = functional(bundle)
+            means.append(float(vals.mean()))
+            return vals
 
-            est = upper_expectation_mc(spec, set_, recording, cfg, n_segments=n_segments,
-                                       n_grid=n_grid, direction=direction)
-            best = int(np.argmax(ref_means) if direction == "upper" else np.argmin(ref_means))
-            assert means == ref_means
-            assert est.value == ref_means[best]
-            assert est.std_error == float(ref_vals[best].std(ddof=1) / np.sqrt(cfg.n_paths))
-            assert est.best_schedule.breakpoints == schedules[best].breakpoints
-            for got, want in zip(est.best_schedule.values, schedules[best].values, strict=True):
-                assert np.array_equal(got, want)
-            assert np.array_equal(est.best_paths.states, ref_bundles[best].states)
-            assert {(first, n) for first, n, _ in calls} == set(segments)
-            assert max(blocks for _, _, blocks in calls) == group
+        est = upper_expectation_mc(spec, set_, recording, cfg, n_segments=n_segments,
+                                   n_grid=n_grid, direction=direction)
+        best = int(np.argmax(ref_means) if direction == "upper" else np.argmin(ref_means))
+        assert means == ref_means
+        assert est.value == ref_means[best]
+        assert est.std_error == float(ref_vals[best].std(ddof=1) / np.sqrt(cfg.n_paths))
+        assert est.best_schedule.breakpoints == schedules[best].breakpoints
+        for got, want in zip(est.best_schedule.values, schedules[best].values, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(est.best_paths.states, ref_bundles[best].states)
+        # One whole-horizon call per candidate, in order; the best one is integrated
+        # again when a later candidate has overwritten the path buffer.
+        walked = [*range(len(schedules)), *([best] if best < len(schedules) - 1 else [])]
+        assert calls == [(0, cfg.n_steps, 1, c) for c in walked]
 
 
 def test_nonfinite_in_prefix_tree_names_first_diverging_candidate(monkeypatch):
@@ -480,3 +475,40 @@ def test_the_screen_holds_less_than_the_walks_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 8 * estimators._BATCH_FLOATS, peak
+
+
+def _running_cost(bundle):
+    """A running cost summed step by step, as the policy Monte Carlo's functional is."""
+    total = np.zeros(bundle.n_paths)
+    for k in range(bundle.times.size - 1):
+        total += np.abs(bundle.states[:, k, 0]) ** 0.5
+    return total + bundle.states[:, -1, 0]
+
+
+@pytest.mark.parametrize("search", ["policy_mc", "terminal"])
+def test_a_search_holds_the_normals_and_one_path_buffer(search):
+    import tracemalloc
+
+    # verify's policy Monte Carlo on configs/desk.cfg and simulate on configs/heat.cfg
+    if search == "policy_mc":
+        cfg = PathConfig(n_steps=200, horizon=1.0, n_paths=2000, seed=5)
+        spec = SdeSpec(dim_state=1, dim_noise=1, drift=lambda t, x, u: 0.02 * x,
+                       diffusion=lambda t, x, u: 0.5 * x, initial_state=[1.0])
+
+        def run():
+            return upper_expectation_mc(spec, SET, _running_cost, cfg, n_segments=2, n_grid=3)
+    else:
+        cfg = PathConfig(n_steps=250, horizon=1.0, n_paths=4000, seed=7)
+
+        def run():
+            return terminal_expectation_mc(SET, lambda x: PAYOFFS["x_squared"](x, 0.0), cfg,
+                                           n_segments=2, n_grid=3)
+    path_buffer = cfg.n_paths * (cfg.n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        est = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_schedules_searched == 9
+    assert peak < 2.5 * path_buffer, peak / path_buffer

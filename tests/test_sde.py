@@ -15,7 +15,8 @@ from gctrl import (
     integrate_gsde,
     sample_gbm,
 )
-from gctrl.sde import _sqrt_psd, path_normals
+from gctrl.estimators import _breakpoints
+from gctrl.sde import _sqrt_psd, _step_intervals, path_normals
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 
@@ -341,6 +342,22 @@ def test_csv_format_and_stability():
 def test_schedule_needs_one_value_per_interval():
     with pytest.raises(ValueError, match="one covariance per interval"):
         VolSchedule(breakpoints=(0.0, 0.5), values=(np.array([[0.5]]),))
+
+
+def test_equal_segments_get_equal_steps():
+    # k * (horizon / n_steps) and horizon * j / n_segments round apart: without the slack
+    # in _step_intervals, at horizon 1, 6 segments took 1, 1, 1, 1, 2, 0 of 6 steps.
+    uneven = []
+    for horizon in (0.1, 0.25, 0.3, 0.7, 1.0, 2.5, 3.0):
+        for n_segments in range(1, 13):
+            for multiple in range(1, 7):
+                cfg = PathConfig(n_steps=multiple * n_segments, horizon=horizon, n_paths=1,
+                                 seed=0)
+                counts = np.bincount(_step_intervals(_breakpoints(horizon, n_segments), cfg),
+                                     minlength=n_segments)
+                if counts.tolist() != [multiple] * n_segments:
+                    uneven.append((horizon, n_segments, multiple, counts.tolist()))
+    assert uneven == []
 
 
 def test_value_at_right_open_intervals():
