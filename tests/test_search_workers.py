@@ -1,6 +1,6 @@
 """The scenario search at one and two usable CPUs: it walks every candidate in the
-calling process, so a tie, a divergence and the bytes written are the same at
-either count, and no worker is forked.
+calling process, so the estimate, a tie, a divergence and the bytes written are
+the same at either count, and no worker is forked.
 
 The names of some cases tell where they fell in the contiguous per-CPU ranges
 of candidates into which the search was once split: the first range [0, 2) and
@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 import pytest
+from test_estimators import _feedback_spec
 from test_golden_artifacts import GOLDEN
 from test_verify_workers import TEST_PID, _assert_no_child_left
 
@@ -23,6 +24,7 @@ from gctrl.estimators import upper_expectation_mc
 from gctrl.sde import PathConfig, SdeSpec, path_normals
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+SET2 = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 
 
 def _cfg(n_paths=60, n_steps=12, seed=11):
@@ -37,6 +39,68 @@ def _recording(means: list):
             means.append(float(vals.mean()))
         return vals
     return functional
+
+
+def _d1_spec():
+    return SdeSpec(dim_state=1, dim_noise=1, drift=lambda t, x, u: 0.05 * x,
+                   diffusion=lambda t, x, u: 0.4 * x, initial_state=[1.0])
+
+
+def _d2_spec():
+    return SdeSpec(dim_state=2, dim_noise=2, drift=lambda t, x, u: 0.0,
+                   diffusion=lambda t, x, u: np.eye(2), initial_state=[0.0, 0.0])
+
+
+def _path_functional(means: list):
+    """A functional of the whole path, recording the means of the calls made in this process."""
+    def functional(bundle):
+        states = bundle.states
+        vals = np.sum(np.cos(states[:, -1, :]) + states[:, 5, :] ** 2, axis=1)
+        if os.getpid() == TEST_PID:
+            means.append(float(vals.mean()))
+        return vals
+    return functional
+
+
+# (spec, set, n_segments, n_grid): the candidate count is n_grid ** (dim * n_segments)
+CASES = {
+    ("d1", 9): (_d1_spec, SET, 2, 3),
+    ("d1", 16): (_d1_spec, SET, 2, 4),
+    ("d2", 9): (_d2_spec, SET2, 1, 3),
+    ("d2", 16): (_d2_spec, SET2, 2, 2),
+    ("feedback", 9): (_feedback_spec, SET, 2, 3),
+    ("feedback", 16): (_feedback_spec, SET, 4, 2),
+}
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("case", list(CASES), ids=[f"{name}-{n}" for name, n in CASES])
+def test_split_search_equals_the_one_cpu_search(usable_cpus, case, direction):
+    build, set_, n_segments, n_grid = CASES[case]
+    cfg = _cfg()
+    n = case[1]
+    usable_cpus(1)
+    means = []
+    one = upper_expectation_mc(build(), set_, _path_functional(means), cfg,
+                               n_segments=n_segments, direction=direction, n_grid=n_grid)
+    assert one.n_schedules_searched == len(means) == n
+
+    usable_cpus(2)
+    one_cpu_means = list(means)
+    means.clear()
+    two = upper_expectation_mc(build(), set_, _path_functional(means), cfg,
+                               n_segments=n_segments, direction=direction, n_grid=n_grid)
+    # This process evaluates every candidate once, in order, with the one-CPU means.
+    assert means == one_cpu_means
+    assert two.value == one.value
+    assert two.std_error == one.std_error
+    assert two.n_schedules_searched == one.n_schedules_searched == n
+    assert two.best_schedule.breakpoints == one.best_schedule.breakpoints
+    for got, want in zip(two.best_schedule.values, one.best_schedule.values, strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(two.best_paths.times, one.best_paths.times)
+    assert np.array_equal(two.best_paths.states, one.best_paths.states)
+    _assert_no_child_left()
 
 
 def _terminal_indicator(threshold):
