@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -189,57 +190,41 @@ def _integrate(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.
     """
     levels = _levels(index, len(roots_t), len(breakpoints))
     path[0] = spec.initial_state
-    _euler_steps(spec, path, roots_t[levels][_step_intervals(breakpoints, cfg)][:, None],
-                 normals, 0, cfg.dt, [index])
-
-
-class _Best:
-    """The best candidate walked so far in one direction, a tie keeping the earlier one,
-    and the time-major path buffer that each walked candidate overwrites."""
-
-    def __init__(self, sign: float, spec: SdeSpec, cfg: PathConfig):
-        self.sign = sign
-        self.index = self.mean = self.vals = None
-        self.path = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
-        self.bundle = PathBundle(np.linspace(0.0, cfg.horizon, cfg.n_steps + 1),
-                                 self.path.transpose(1, 0, 2))
-
-
-def _walk(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
-          breakpoints: tuple[float, ...], functional, start: int, stop: int,
-          best: _Best) -> None:
-    """Integrate candidates ``start`` to ``stop - 1`` in order into ``best.path``, and take
-    each one's mean of ``functional``: one better than ``best``'s replaces it."""
-    for index in range(start, stop):
-        _integrate(spec, cfg, normals, roots_t, breakpoints, best.path, index)
-        vals = _checked_values(functional(best.bundle), cfg.n_paths)
-        mean = float(vals.mean())
-        if best.mean is None or best.sign * mean > best.sign * best.mean:
-            best.index, best.mean, best.vals = index, mean, vals
+    _euler_steps(spec, path, roots_t[levels][_step_intervals(breakpoints, cfg)], normals,
+                 cfg.dt, index)
 
 
 def _search(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, sign: float, seg_mats: list,
             roots_t: np.ndarray, breakpoints: tuple[float, ...], functional,
-            runs: list[tuple[int, int]]) -> ExpectationEstimate:
-    """The estimate of the best candidate walked in ``runs``, (start, stop) ranges in order.
+            candidates: Iterable[int]) -> ExpectationEstimate:
+    """The estimate of the best of ``candidates``, indices walked in the order given.
 
-    Its paths are the path buffer itself.  When a later candidate has
+    Each candidate is integrated into one time-major path buffer, which the
+    next one overwrites, and its mean of ``functional`` taken; one better
+    than the best so far replaces it, so a tie keeps the earlier one.  The
+    best one's paths are the buffer itself: when a later candidate has
     overwritten them, the best one is integrated once more, without calling
     its functional again.
     """
-    best = _Best(sign, spec, cfg)
-    for start, stop in runs:
-        _walk(spec, cfg, normals, roots_t, breakpoints, functional, start, stop, best)
-    if best.index != runs[-1][1] - 1:
-        _integrate(spec, cfg, normals, roots_t, breakpoints, best.path, best.index)
+    path = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
+    bundle = PathBundle(np.linspace(0.0, cfg.horizon, cfg.n_steps + 1), path.transpose(1, 0, 2))
+    best = best_mean = best_vals = None
+    for index in candidates:
+        _integrate(spec, cfg, normals, roots_t, breakpoints, path, index)
+        vals = _checked_values(functional(bundle), cfg.n_paths)
+        mean = float(vals.mean())
+        if best is None or sign * mean > sign * best_mean:
+            best, best_mean, best_vals = index, mean, vals
+    if best != index:
+        _integrate(spec, cfg, normals, roots_t, breakpoints, path, best)
     n_paths, n_segments = cfg.n_paths, len(breakpoints)
-    levels = _levels(best.index, len(seg_mats), n_segments)
+    levels = _levels(best, len(seg_mats), n_segments)
     return ExpectationEstimate(
-        value=best.mean,
-        std_error=0.0 if n_paths < 2 else float(best.vals.std(ddof=1) / np.sqrt(n_paths)),
+        value=best_mean,
+        std_error=0.0 if n_paths < 2 else float(best_vals.std(ddof=1) / np.sqrt(n_paths)),
         best_schedule=VolSchedule(breakpoints, tuple(seg_mats[i] for i in levels)),
         n_schedules_searched=len(seg_mats) ** n_segments,
-        best_paths=best.bundle,
+        best_paths=bundle,
     )
 
 
@@ -274,7 +259,7 @@ def upper_expectation_mc(
                                                            direction, n_grid)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints, functional,
-                   [(0, len(seg_mats) ** n_segments)])
+                   range(len(seg_mats) ** n_segments))
 
 
 def _screen(payoff, normals: np.ndarray, roots_t: np.ndarray, cuts: list[int],
@@ -324,7 +309,7 @@ def terminal_expectation_mc(
 
     The search screens, then confirms.  ``_screen`` takes every candidate's
     mean from per-segment sums of the shared normals, with no Euler step and
-    no fork.  ``_walk`` then Euler-integrates each candidate whose screened
+    no fork.  ``_search`` then Euler-integrates each candidate whose screened
     mean lies within ``_SCREEN_RTOL`` x max(1, |best screened mean|) of the
     best, and only those walked means are compared, a tie going to the
     earliest candidate.  The screened terminal
@@ -342,10 +327,8 @@ def terminal_expectation_mc(
     means = sign * _screen(payoff, normals, roots_t, _segment_cuts(breakpoints, cfg), cfg.dt)
     top = means.max()
     confirmed = np.flatnonzero(top - means <= _SCREEN_RTOL * max(1.0, abs(top)))
-    runs = [(int(run[0]), int(run[-1]) + 1)
-            for run in np.split(confirmed, np.flatnonzero(np.diff(confirmed) > 1) + 1)]
     return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints,
-                   lambda bundle: payoff(bundle.states[:, -1, :]), runs)
+                   lambda bundle: payoff(bundle.states[:, -1, :]), confirmed.tolist())
 
 
 def moment_bound_check(

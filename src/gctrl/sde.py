@@ -8,11 +8,11 @@ with the Euler-Maruyama scheme.  Randomness comes from one counter-based
 stream per path index, so enlarging the path count never reshuffles the paths
 already drawn and every run is bit-reproducible from its seed.
 
-All stepping goes through one loop, ``_euler_steps``, which advances blocks of
-rows stacked along the path axis over a run of steps, reading each drift and
-diffusion as numpy broadcasts it.  ``integrate_gsde`` and ``sample_gbm`` call
-it once over the whole horizon, and so does the scenario search in
-``estimators`` for each candidate schedule it walks.
+All stepping goes through one loop, ``_euler_steps``, which advances the paths
+of one schedule over the whole horizon, reading each drift and diffusion as
+numpy broadcasts it.  ``integrate_gsde`` and ``sample_gbm`` call it once, and
+so does the scenario search in ``estimators`` for each candidate schedule it
+walks.
 
 Every piecewise-constant object (a ``VolSchedule``, an ``hjb.HjbProblem``, a
 ``merton.MarketModel``) keeps its segment rules here: ``_checked_starts``
@@ -266,65 +266,59 @@ def _euler_steps(
     states: np.ndarray,
     roots_t: np.ndarray,
     normals: np.ndarray,
-    first_step: int,
     dt: float,
-    candidates: Sequence[int] | None = None,
+    candidate: int | None = None,
 ) -> None:
-    """Euler-Maruyama steps from ``states[0]``, written to ``states[1:]``.
+    """Euler-Maruyama steps of one schedule from ``states[0]``, written to ``states[1:]``.
 
-    ``states`` is time-major, (len(roots_t)+1, C*n_paths, m): C blocks of
-    n_paths rows, block j integrated under the covariance whose transposed
-    root is ``roots_t[i, j]`` on global step ``first_step + i``.  Every block
-    sees the same ``normals`` (n_paths, n_steps, d), i.e. common random
-    numbers, and each row is computed independently of the others, so a row
-    has the same bits whichever blocks share the call.  Each drift and
-    diffusion is used in the shape returned (``SdeSpec`` gives the rule),
-    never copied to full shape: numpy broadcasts it, and the diffusion is
-    contracted with the increments over any leading axes, by a plain product
-    with one noise and by ``einsum`` with more.  A non-finite
-    state aborts with the path index within its block, and with
-    ``candidates[j]`` as the block's candidate schedule when given.
+    ``states`` is time-major, (n_steps+1, n_paths, m), and step k is taken
+    under the covariance whose transposed root is ``roots_t[k]`` (d, d), on
+    the draws ``normals[:, k]`` of ``normals`` (n_paths, n_steps, d).  Each
+    drift and diffusion is used in the shape returned (``SdeSpec`` gives the
+    rule), never copied to full shape: numpy broadcasts it, and the diffusion
+    is contracted with the increments over any leading axes, by a plain
+    product with one noise and by ``einsum`` with more.  A non-finite state
+    aborts with its path and step, and with ``candidate`` as the candidate
+    schedule when given.
     """
-    n, d = normals.shape[0], normals.shape[2]
-    rows, m = states.shape[1], states.shape[2]
+    n, m = states.shape[1], states.shape[2]
+    d = normals.shape[2]
     sqrt_dt = np.sqrt(dt)
     x = np.array(states[0])
-    for i, root_t in enumerate(roots_t):
-        k = first_step + i
+    for k, root_t in enumerate(roots_t):
         t_k = k * dt
         u = spec.control(t_k, x) if spec.control is not None else None
         f = np.asarray(spec.drift(t_k, x, u), dtype=float)
         g = np.asarray(spec.diffusion(t_k, x, u), dtype=float)
-        if m == 1 and f.shape == (rows,):
+        if m == 1 and f.shape == (n,):
             f = f[:, None]
-        if d == 1 and g.shape == (rows, m):
+        if d == 1 and g.shape == (n, m):
             g = g[:, :, None]
-        elif d == m == 1 and g.shape == (rows,):
+        elif d == m == 1 and g.shape == (n,):
             g = g[:, None, None]
         elif g.ndim < 2:
             g = np.broadcast_to(g, (m, d))
         if g.shape[-1] not in (1, d):  # at d = 1, the product would read column 0 alone
             raise ValueError(f"diffusion of shape {g.shape} does not have {d} noise columns")
         if d == 1:  # plain products, faster than @ and einsum and with their bits
-            dw = ((sqrt_dt * normals[:, k, :]) * root_t).reshape(rows, 1)
+            dw = (sqrt_dt * normals[:, k, :]) * root_t
             noise = g[..., 0] * dw
             noise += 0.0  # turns a -0.0 product to +0.0, as einsum's sum from 0.0 does
         else:
-            dw = ((sqrt_dt * normals[:, k, :]) @ root_t).reshape(rows, d)
+            dw = (sqrt_dt * normals[:, k, :]) @ root_t
             noise = np.einsum("...md,...d->...m", g, dw)
         x = x + f * dt + noise
-        if x.shape != (rows, m):
+        if x.shape != (n, m):
             raise ValueError(f"drift {f.shape} and diffusion {g.shape} do not broadcast "
-                             f"to states of shape {(rows, m)}")
+                             f"to states of shape {(n, m)}")
         if not np.isfinite(x).all():
-            row = int(np.argwhere(~np.isfinite(x))[0, 0])
-            where = ("" if candidates is None
-                     else f" under candidate schedule {candidates[row // n]}")
+            path = int(np.argwhere(~np.isfinite(x))[0, 0])
+            where = "" if candidate is None else f" under candidate schedule {candidate}"
             raise NumericError(
-                f"non-finite state on path {row % n} at step {k + 1} "
+                f"non-finite state on path {path} at step {k + 1} "
                 f"(t={t_k + dt:.6g}){where}; check drift/diffusion growth"
             )
-        states[i + 1] = x
+        states[k + 1] = x
 
 
 def integrate_gsde(
@@ -344,8 +338,8 @@ def integrate_gsde(
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     states = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
     states[0] = spec.initial_state
-    steps_roots_t = roots_t[_step_intervals(schedule.breakpoints, cfg)][:, None]
-    _euler_steps(spec, states, steps_roots_t, normals, 0, cfg.dt)
+    _euler_steps(spec, states, roots_t[_step_intervals(schedule.breakpoints, cfg)], normals,
+                 cfg.dt)
     times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
     return PathBundle(times=times, states=states.transpose(1, 0, 2))
 
@@ -570,18 +564,10 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split_count(n_items: int, work: int, min_work: int) -> int:
-    """Contiguous ranges to split ``n_items`` items doing ``work`` in all into.
-
-    One per usable CPU, but at most one per item, and each range does at
-    least ``min_work``: less does not repay forking its worker.
-    """
-    return max(1, min(_usable_cpus(), n_items, work // min_work))
-
-
 def _range_count(table: CsvTable) -> int:
-    """Ranges to split ``table`` into: one per usable CPU, each of ``MIN_RANGE_VALUES`` or more."""
-    return _split_count(table.n_blocks, table.n_values, MIN_RANGE_VALUES)
+    """Ranges to split ``table`` into: one per usable CPU, at most one per block, and each of
+    ``MIN_RANGE_VALUES`` values or more, since fewer do not repay forking a worker."""
+    return max(1, min(_usable_cpus(), table.n_blocks, table.n_values // MIN_RANGE_VALUES))
 
 
 def _worker(job: Callable[[], object], fd: int) -> NoReturn:

@@ -305,12 +305,9 @@ def test_cli_simulate_steps_only_the_confirmed_candidates(tmp_path, monkeypatch)
     nodes = []
     steps = sde._euler_steps
 
-    def counting(spec, states, roots_t, normals, first_step, dt, candidates=None):
-        # one entry per stacked block: (first step, steps, its candidate)
-        blocks = roots_t.shape[1]
-        firsts = [None] * blocks if candidates is None else list(candidates)
-        nodes.extend((first_step, len(roots_t), c) for c in firsts)
-        return steps(spec, states, roots_t, normals, first_step, dt, candidates)
+    def counting(spec, states, roots_t, normals, dt, candidate=None):
+        nodes.append((len(roots_t), candidate))  # (steps, its candidate)
+        return steps(spec, states, roots_t, normals, dt, candidate)
 
     monkeypatch.setattr(sde, "_euler_steps", counting)
     monkeypatch.setattr(estimators, "_euler_steps", counting)
@@ -320,7 +317,7 @@ def test_cli_simulate_steps_only_the_confirmed_candidates(tmp_path, monkeypatch)
     # n_grid = 3 levels on n_segments = 2 halves of n_steps = 200: of the 9 candidates, the
     # screen confirms the one that holds the high level on both halves alone, candidate 8,
     # and the walk steps it over the whole horizon.
-    assert nodes == [(0, 200, 8)]
+    assert nodes == [(200, 8)]
 
 
 @pytest.mark.parametrize("config", ["configs/heat.cfg", "bench/scenario.cfg"])
@@ -328,13 +325,13 @@ def test_cli_simulate_confirms_one_candidate_on_the_shipped_configs(monkeypatch,
     from gctrl import cli
 
     walked = []
-    walk = estimators._walk
+    integrate = estimators._integrate
 
     def recording(*args):
-        walked.extend(range(*args[6:8]))  # the candidates start to stop - 1
-        return walk(*args)
+        walked.append(args[-1])  # the candidate index
+        return integrate(*args)
 
-    monkeypatch.setattr(estimators, "_walk", recording)
+    monkeypatch.setattr(estimators, "_integrate", recording)
     text = (Path(__file__).resolve().parents[1] / config).read_text("utf-8")
     report = cli.RunReport(command="simulate", config_echo="")
     cli.cmd_simulate(parse_config_text(text), report)
