@@ -9,14 +9,11 @@ writer: it refuses to overwrite before any computation, runs the command's
 beside it.  CSV artifacts go through ``sde.write_csv``, which formats a
 large one in ranges on the usable CPUs, in forked workers that are all gone
 when it returns or raises; ``verify`` runs its market-free checks in one
-such worker.  ``simulate`` searches its schedules with
-``estimators.terminal_expectation_mc``, which screens every candidate on
-per-segment Brownian sums and Euler-integrates only those whose screened
-mean is within ``_SCREEN_RTOL`` of the best, in this process, forking no
-worker; a payoff with a jump could be screened wrong only if a path ends
-within about 1e-13 of the jump.  The files are published under their names
-together, once every write has succeeded, so a failing run leaves no
-partial artifacts and, with ``--force``, the previous set untouched.
+such worker.  ``simulate`` searches in this process with
+``estimators.terminal_expectation_mc``, which documents the screen's margin.
+The files are published under their names together, once every write has
+succeeded, so a failing run leaves no partial artifacts and, with
+``--force``, the previous set untouched.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numerical error, 4 oracle inconsistency.

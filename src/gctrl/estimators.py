@@ -24,8 +24,9 @@ A terminal payoff of G-Brownian motion from 0 (what ``simulate`` estimates)
 needs no Euler step to be ranked: under a piecewise-constant schedule the
 terminal state is the sum over segments of each segment's Brownian increment
 times its volatility root.  ``terminal_expectation_mc`` screens every
-candidate on these per-segment sums, in blocks of at most
-``_BATCH_FLOATS // 8`` floats, without forking, and then walks only the
+candidate on these per-segment sums, a block of at most ``_BLOCK_FLOATS``
+floats at a time (sized by measurement to stay under one path buffer on the
+shipped configs), without forking, and then walks only the
 candidates whose screened mean lies within ``_SCREEN_RTOL`` of the best, as
 ``upper_expectation_mc`` walks them; every number it reports comes from that
 walk.  The screen differs from the walk by rounding alone, so the margin
@@ -57,10 +58,10 @@ from .sde import (
 DEFAULT_N_SEGMENTS = 4
 DEFAULT_N_GRID = 5
 _MAX_CANDIDATES = 200_000
-# terminal_expectation_mc's screen forms the terminal states of consecutive
-# candidates in blocks of at most _BATCH_FLOATS // 8 floats, which keeps its
-# peak under _BATCH_FLOATS floats (8 MiB) whatever the candidate count.
-_BATCH_FLOATS = 1 << 20
+# Floats in one block of terminal_expectation_mc's screen (128 KiB).  On the search of
+# bench/scenario.cfg, 1 << 14 in place of 1 << 17 cut the screen's peak from 4.28 to 0.66 MiB,
+# under the walk's 1.53 MiB path buffer, and its time from 6.8 to 5.1 ms (2-CPU x86-64).
+_BLOCK_FLOATS = 1 << 14
 # terminal_expectation_mc walks every candidate whose screened mean is within
 # this much of the best one, relative to max(1, |best screened mean|): far
 # above the screen's rounding (its means were within 6e-16 of the walk's,
@@ -174,8 +175,8 @@ def _checked_values(values, count: int) -> np.ndarray:
     return vals
 
 
-def _levels(index: int, n_levels: int, n_segments: int) -> list[int]:
-    """The level on each segment of candidate ``index``, numbered in product order."""
+def _levels(index: int | np.ndarray, n_levels: int, n_segments: int) -> list:
+    """The level on each segment of candidate (or index array) ``index``, in product order."""
     return [index // n_levels ** (n_segments - 1 - j) % n_levels for j in range(n_segments)]
 
 
@@ -270,21 +271,23 @@ def _screen(payoff, normals: np.ndarray, roots_t: np.ndarray, cuts: list[int],
     ends at the sum over s of I[s, l_s] = (sqrt(dt) times the sum of segment
     s's normals) @ roots_t[l_s]; the Euler walk adds the same increments one
     step at a time, so the two terminal states differ by rounding alone.
-    The terminal states of consecutive candidates are formed a block of at
-    most ``_BATCH_FLOATS // 8`` floats at a time (one candidate's, if more).
+    The terminal states of consecutive candidates are formed at most
+    ``_BLOCK_FLOATS`` floats at a time (one candidate's, if more), a size
+    measured under one path buffer; each mean is a row reduction of states
+    summed in segment order, so its bits do not depend on the block size.
     """
     n, d = normals.shape[0], normals.shape[2]
     n_levels, n_segments = len(roots_t), len(cuts) - 1
     increments = [(np.sqrt(dt) * normals[:, k0:k1].sum(axis=1)) @ roots_t
                   for k0, k1 in zip(cuts, cuts[1:])]  # each (n_levels, n, d)
     n_candidates = n_levels ** n_segments
-    block = max(1, _BATCH_FLOATS // 8 // (n * d))
+    block = max(1, _BLOCK_FLOATS // (n * d))
     means = np.empty(n_candidates)
     for first in range(0, n_candidates, block):
         index = np.arange(first, min(first + block, n_candidates))
         states = np.zeros((index.size, n, d))
-        for depth, increment in enumerate(increments):
-            states += increment[index // n_levels ** (n_segments - 1 - depth) % n_levels]
+        for increment, level in zip(increments, _levels(index, n_levels, n_segments)):
+            states += increment[level]
         vals = _checked_values(payoff(states.reshape(-1, d)), states.shape[0] * n)
         means[index] = vals.reshape(-1, n).mean(axis=1)
     return means

@@ -471,19 +471,23 @@ def test_terminal_search_keeps_the_errors(monkeypatch):
 def test_the_screen_holds_less_than_the_walks_buffers():
     import tracemalloc
 
-    # The search of bench/scenario.cfg: 625 candidates of 1,000 paths.
-    cfg = PathConfig(n_steps=200, horizon=1.0, n_paths=1000, seed=3)
+    # The searches of bench/scenario.cfg (625 candidates of 1,000 paths) and of
+    # configs/heat.cfg (9 candidates of 4,000 paths), each against one path buffer.
     spec = SdeSpec.brownian(1)
-    _, _, roots_t, breakpoints = estimators._checked_search(spec, SET, cfg, 4, "upper", 5)
-    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1)
-    cuts = estimators._segment_cuts(breakpoints, cfg)
-    tracemalloc.start()
-    try:
-        estimators._screen(lambda x: PAYOFFS["x_squared"](x, 0.0), normals, roots_t, cuts, cfg.dt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * estimators._BATCH_FLOATS, peak
+    for n_paths, n_steps, n_segments, n_grid in [(1000, 200, 4, 5), (4000, 250, 2, 3)]:
+        cfg = PathConfig(n_steps=n_steps, horizon=1.0, n_paths=n_paths, seed=3)
+        _, _, roots_t, breakpoints = estimators._checked_search(spec, SET, cfg, n_segments,
+                                                               "upper", n_grid)
+        normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1)
+        cuts = estimators._segment_cuts(breakpoints, cfg)
+        tracemalloc.start()
+        try:
+            estimators._screen(lambda x: PAYOFFS["x_squared"](x, 0.0), normals, roots_t, cuts,
+                               cfg.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n_paths * (cfg.n_steps + 1) * 8, (n_paths, peak)
 
 
 def _running_cost(bundle):
