@@ -46,6 +46,7 @@ from .sde import (
     PathConfig,
     VolSchedule,
     bundle_csv_chunks,
+    format_g17,
     table_csv_chunks,
     write_csv,
 )
@@ -199,7 +200,7 @@ def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
     res["resolved_branch"] = cf.resolved_branch
     res["eta_quadratic_form"] = "theta' inv(Lambda_bar) theta"
     res["eta(0)"] = cf.eta(0.0)
-    res["lambda_bar"] = format(float(cf.lambda_bar[0, 0]), ".17g")
+    res["lambda_bar"] = format_g17(cf.lambda_bar[0, 0])[0].decode()
     res["pi_hat"] = run.pi_hat
     res["consumption_rate(0)"] = 1.0 / float(cf.a_at(0.0))
     res["A(0)"] = float(cf.a_values[0])

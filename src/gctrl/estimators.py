@@ -175,11 +175,6 @@ def _checked_values(values, count: int) -> np.ndarray:
     return vals
 
 
-def _levels(index: int | np.ndarray, n_levels: int, n_segments: int) -> list:
-    """The level on each segment of candidate (or index array) ``index``, in product order."""
-    return [index // n_levels ** (n_segments - 1 - j) % n_levels for j in range(n_segments)]
-
-
 def _integrate(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
                breakpoints: tuple[float, ...], path: np.ndarray, index: int) -> None:
     """Euler-integrate candidate ``index`` over the whole horizon into ``path``.
@@ -189,7 +184,7 @@ def _integrate(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.
     the root of the segment it falls in as ``integrate_gsde`` does, so the
     paths have the bits ``integrate_gsde`` gives the candidate's schedule.
     """
-    levels = _levels(index, len(roots_t), len(breakpoints))
+    levels = list(np.unravel_index(index, (len(roots_t),) * len(breakpoints)))
     path[0] = spec.initial_state
     _euler_steps(spec, path, roots_t[levels][_step_intervals(breakpoints, cfg)], normals,
                  cfg.dt, index)
@@ -219,7 +214,7 @@ def _search(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, sign: float, se
     if best != index:
         _integrate(spec, cfg, normals, roots_t, breakpoints, path, best)
     n_paths, n_segments = cfg.n_paths, len(breakpoints)
-    levels = _levels(best, len(seg_mats), n_segments)
+    levels = np.unravel_index(best, (len(seg_mats),) * n_segments)
     return ExpectationEstimate(
         value=best_mean,
         std_error=0.0 if n_paths < 2 else float(best_vals.std(ddof=1) / np.sqrt(n_paths)),
@@ -286,7 +281,8 @@ def _screen(payoff, normals: np.ndarray, roots_t: np.ndarray, cuts: list[int],
     for first in range(0, n_candidates, block):
         index = np.arange(first, min(first + block, n_candidates))
         states = np.zeros((index.size, n, d))
-        for increment, level in zip(increments, _levels(index, n_levels, n_segments)):
+        levels = np.unravel_index(index, (n_levels,) * n_segments)
+        for increment, level in zip(increments, levels):
             states += increment[level]
         vals = _checked_values(payoff(states.reshape(-1, d)), states.shape[0] * n)
         means[index] = vals.reshape(-1, n).mean(axis=1)

@@ -16,7 +16,10 @@ implicit: backward Euler, monotone at any dt.  Each level is solved by
 Howard policy iteration (Forsyth & Labahn 2007; Bokanowski, Maroso &
 Zidani 2009): fix every node's control and generator weight from the
 current iterate, solve the resulting tridiagonal M-matrix system, and
-repeat until a solve moves no node by more than 8 eps max(1, |u|_inf).
+repeat until a solve moves no node by more than 8 eps max(1, |u|_inf), or
+until the choices fixed from an iterate are the ones its own solve used.  A
+level raises NumericError when a solve returns the iterate of two solves
+before, and when it has not settled after _HOWARD_MAX_SOLVES solves.
 
 Controls live on a finite list, optionally declared as a product of
 components (``ControlComponent``) whose drift parts are upwinded each by its
@@ -45,7 +48,8 @@ from .estimators import (
     ExpectationEstimate,
     upper_expectation_mc,
 )
-from .sde import CsvTable, PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before
+from .sde import (CsvTable, PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before,
+                  format_g17)
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
@@ -624,12 +628,6 @@ def evaluate_policy_mc(
     )
 
 
-def _format_control(value) -> str:
-    if isinstance(value, tuple):
-        return ";".join(format(float(c), ".17g") for c in value)
-    return format(float(value), ".17g")
-
-
 def solution_csv_chunks(solution: HjbSolution) -> CsvTable:
     """CSV rows ``t,x,value,control_index,control_value`` over the grid, one block per level.
 
@@ -638,8 +636,9 @@ def solution_csv_chunks(solution: HjbSolution) -> CsvTable:
     """
     # x and control cells are formatted once; each time level is one block,
     # and the terminal level's index -1 picks the appended "-1," cell.
-    x_cells = [f"{x:.17g},%s," for x in solution.x.tolist()]
-    control_cells = [f"{j},{_format_control(c)}\n" for j, c in enumerate(solution.controls)]
+    x_cells = [f"{x.decode()},%s," for x in format_g17(solution.x)]
+    control_cells = [f"{j},{b';'.join(format_g17(c)).decode()}\n"
+                     for j, c in enumerate(solution.controls)]
     control_cells.append("-1,\n")
     times, policy = solution.times.tolist(), solution.policy
 

@@ -150,17 +150,8 @@ class ClosedForm:
         curve yields a perturbed derivative; the residual verifier depends
         on this to stay non-vacuous.
         """
-        d = _derivative_samples(self.times, self.a_values)
+        d = np.gradient(self.a_values, self.times[1] - self.times[0], edge_order=2)
         return np.interp(t, self.times, d)
-
-
-def _derivative_samples(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    dt = times[1] - times[0]
-    d = np.empty_like(vals)
-    d[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * dt)
-    d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dt)
-    d[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt)
-    return d
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,9 @@ def _rotation_grid(n_angles: int = 96, n_levels: int = 17) -> np.ndarray:
 def check_bruteforce_agreement(rng: np.random.Generator, trials: int = 300) -> CheckResult:
     """Grid search over the box must match the eigenvalue formula, d <= 2.
 
-    The d = 2 trials are evaluated together once all trials are drawn, so a
-    failing one no longer stops the draws; it is reported as before.
+    Every trial is drawn first, then the d = 2 trials are evaluated together.
+    The first d = 2 trial, in draw order, whose grid value exceeds the
+    formula's by more than 1e-9 fails the check, reported with that gap.
     """
     worst = 0.0
     planar = []

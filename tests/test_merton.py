@@ -247,6 +247,25 @@ def test_residual_detects_perturbed_curve():
     assert verify_hjb_residual(bad, DESK_MARKET, DESK_UTILITY, DESK_SET, pts) > 1e-3
 
 
+def test_a_prime_at_differentiates_the_stored_samples():
+    desk = desk_closed_form()
+    for scale in (1.0, 1.01):
+        cf = dataclasses.replace(desk, a_values=desk.a_values * scale)
+        a, t = cf.a_values, cf.times
+        dt = t[1] - t[0]
+        # central differences at every interior sample time, bit for bit
+        assert np.array_equal(cf.a_prime_at(t[1:-1]), (a[2:] - a[:-2]) / (2.0 * dt))
+        # one-sided second-order differences at t = 0 and t = T
+        ends = [(-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * dt),
+                (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * dt)]
+        assert cf.a_prime_at(np.array([0.0, cf.horizon])) == pytest.approx(ends, rel=1e-11,
+                                                                           abs=0.0)
+        bumped = a.copy()
+        bumped[1000] += 1e-6
+        moved = dataclasses.replace(cf, a_values=bumped).a_prime_at(t[[999, 1001]])
+        assert np.all(moved != cf.a_prime_at(t[[999, 1001]]))
+
+
 def test_residual_rejects_non_inverted_quadratic_form():
     # with sigma_hi_sq = 4 the two quadratic-form variants differ by a factor 16
     market = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
