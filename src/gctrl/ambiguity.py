@@ -10,6 +10,7 @@ second-order coefficients of every solver in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class AmbiguitySet:
     sigma_hi_sq: float
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        if not isinstance(self.dim, Integral) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         lo, hi = float(self.sigma_lo_sq), float(self.sigma_hi_sq)
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("variance bounds must be finite")

@@ -139,7 +139,8 @@ def _segment_cuts(breakpoints: tuple[float, ...], cfg: PathConfig) -> list[int]:
     Segment j takes the steps ``cuts[j]`` to ``cuts[j + 1] - 1``, those on
     which ``integrate_gsde`` holds the covariance that starts at breakpoint j.
     """
-    return np.searchsorted(_step_intervals(breakpoints, cfg),
+    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)[:-1]
+    return np.searchsorted(_step_intervals(breakpoints, times, cfg.horizon),
                            np.arange(len(breakpoints) + 1)).tolist()
 
 
@@ -185,9 +186,10 @@ def _integrate(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.
     paths have the bits ``integrate_gsde`` gives the candidate's schedule.
     """
     levels = list(np.unravel_index(index, (len(roots_t),) * len(breakpoints)))
+    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)[:-1]
     path[0] = spec.initial_state
-    _euler_steps(spec, path, roots_t[levels][_step_intervals(breakpoints, cfg)], normals,
-                 cfg.dt, index)
+    _euler_steps(spec, path, roots_t[levels][_step_intervals(breakpoints, times, cfg.horizon)],
+                 normals, cfg.dt, index)
 
 
 def _search(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, sign: float, seg_mats: list,

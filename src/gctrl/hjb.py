@@ -49,7 +49,7 @@ from .estimators import (
     upper_expectation_mc,
 )
 from .sde import (CsvTable, PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before,
-                  format_g17)
+                  _step_intervals, format_g17)
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
@@ -70,6 +70,8 @@ class Grid1D:
     n_t: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValueError("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if self.n_x < 3:
@@ -339,14 +341,17 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
 
     ``times`` are levels of the grid's own time axis, so every sweep on one
     grid takes the same scheme: explicit when horizon / n_t is within the
-    monotone bound, implicit otherwise.
+    monotone bound, implicit otherwise.  Each level [t_k, t_{k+1}) takes the
+    segment ``sde._step_intervals`` gives the step at t_k, the one an Euler
+    step there takes.
 
     Each implicit level starts from the last choices of the level above (the
-    argopt on its value where the segment changes) and stops once a solve
-    moves no node by more than ``_HOWARD_SETTLED`` times max(1, |u|_inf), or
-    once an iterate's choices (picks, slopes and edge picks) are the ones
-    its own solve used, so that the next solve would return it bit for bit;
-    a solve that returns the iterate of two solves before raises NumericError.
+    argopt on its value at the top level and where the segment changes) and
+    stops once a solve moves no node by more than ``_HOWARD_SETTLED`` times
+    max(1, |u|_inf), or once an iterate's choices (picks, slopes and edge
+    picks) are the ones its own solve used, so that the next solve would
+    return it bit for bit; a solve that returns the iterate of two solves
+    before raises NumericError.
     The edge rows enter the tridiagonal system, whose elimination folds the
     power_dirichlet edges into the first and last interior rows.
 
@@ -437,18 +442,17 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             np.add(out, cost, out=out)
         return [argopt(out, axis=1) for out in work], slope
 
-    seg_above = None
+    segs = _step_intervals(problem.segment_starts, times[:-1], problem.horizon).tolist()
     for k in range(n_t - 1, -1, -1):
-        t_k = float(times[k])
         dt_k = float(times[k + 1] - times[k])
-        seg = _segment_index(problem.segment_starts, t_k)
+        seg = segs[k]
         tables, interior = segments[seg], interiors[seg]
         v = values[k + 1]
 
         if implicit:
             u, u_prev, solves = v, None, 0
             while True:
-                if solves or seg != seg_above:
+                if solves or k == n_t - 1 or seg != segs[k + 1]:
                     used = (best, slopes, edge) if solves else None
                     with np.errstate(over="ignore", invalid="ignore"):
                         best, slopes = fill_generator(u, interior)
@@ -514,7 +518,6 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             _require_finite(values[k], k)
         policy[k, 1:-1] = product_index(best)
         policy[k, 0], policy[k, -1] = product_index(edge[0]), product_index(edge[1])
-        seg_above = seg
 
     return values, policy
 
@@ -580,7 +583,8 @@ def evaluate_policy_mc(
     """Scenario-optimized Monte Carlo value of a feedback policy from x0.
 
     By default the policy is the solution's argopt field (nearest-node
-    lookup), handed to the callables as an array over the paths, or for
+    lookup, on the level that ``sde._step_intervals`` gives the step's
+    time), handed to the callables as an array over the paths, or for
     tuple controls one such array per component along the first axis; pass
     ``control_fn(t, x_array) -> control values`` to evaluate an analytic
     policy on the same dynamics instead.  Components are stepped on their
@@ -593,12 +597,11 @@ def evaluate_policy_mc(
         raise ValueError("cfg.horizon must equal the problem horizon")
 
     comps = np.asarray(problem.controls, dtype=float).T  # component-major
-    level_starts = solution.times[:-1].tolist()
     x_nodes = solution.x
     dx = float(x_nodes[1] - x_nodes[0])
 
     def lookup(t, x_flat):
-        k = _segment_index(level_starts, t)
+        k = _step_intervals(solution.times[:-1], t, problem.horizon)
         i = np.clip(np.rint((x_flat - x_nodes[0]) / dx).astype(int), 0, len(x_nodes) - 1)
         return comps[..., solution.policy[k, i]]
 

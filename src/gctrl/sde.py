@@ -18,7 +18,12 @@ Every piecewise-constant object (a ``VolSchedule``, an ``hjb.HjbProblem``, a
 ``merton.MarketModel``) keeps its segment rules here: ``_checked_starts``
 validates the starts (time 0 first, strictly increasing), ``_segment_index``
 picks the right-open segment in force at a time, and ``_starts_before`` drops
-the segments that start at or after a horizon and so never apply.
+the segments that start at or after a horizon and so never apply.  A step of
+a uniform time grid takes its segment from ``_step_intervals`` instead, which
+allows its start 1e-12 * horizon of rounding: the Euler walk's steps, the
+levels of ``hjb``'s grid sweep and the policy Monte Carlo's grid lookup all
+do, so the legs that step through time agree on each step's segment.
+Pointwise queries keep the exact rule.
 
 ``CsvTable`` is the one CSV layout: every CSV artifact (paths, grid
 solutions and the three portfolio tables) is a header line plus blocks of
@@ -45,6 +50,7 @@ import shutil
 import signal
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
@@ -115,7 +121,13 @@ class VolSchedule:
         return self.values[0].shape[0]
 
     def value_at(self, t: float) -> np.ndarray:
-        """Covariance in force at time t (right-open intervals)."""
+        """Covariance in force at time t (right-open intervals), by the exact rule.
+
+        A step of the Euler walk takes its covariance by ``_step_intervals``
+        instead, which can name the next interval: at horizon 1 with 6 equal
+        intervals and 12 steps, step 10's time 10/12 rounds just below the
+        start 5/6, so ``value_at`` names interval 4 and the walk uses 5.
+        """
         if t < 0.0:
             raise ValueError(f"schedule queried at negative time {t}")
         return self.values[_segment_index(self.breakpoints, t)]
@@ -131,10 +143,10 @@ class PathConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_steps < 1 or self.n_paths < 1:
-            raise ValueError("n_steps and n_paths must be positive")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not all(isinstance(n, Integral) and n >= 1 for n in (self.n_steps, self.n_paths)):
+            raise ValueError("n_steps and n_paths must be positive integers")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
 
     @property
     def dt(self) -> float:
@@ -239,16 +251,15 @@ def _checked_roots_t(spec: SdeSpec, set_: AmbiguitySet,
     return np.stack([_sqrt_psd(v).T for v in values])
 
 
-def _step_intervals(breakpoints: Sequence[float], cfg: PathConfig) -> np.ndarray:
-    """Index of the schedule interval in force on each step [t_k, t_{k+1}).
+def _step_intervals(starts: Sequence[float], times, horizon: float) -> np.ndarray:
+    """Index of the segment in force on the step starting at each of ``times``.
 
-    Step k takes the last interval that starts at or before t_k = k * dt
-    plus 1e-12 * horizon.  The slack absorbs rounding: k * dt and a start
+    A step starting at t takes the last segment that starts at or before
+    t + 1e-12 * horizon.  The slack absorbs rounding: a step time and a start
     such as horizon * j / n can round apart, and without it n equal segments
     of n * m steps would not each get m.
     """
-    starts = np.asarray(breakpoints, dtype=float) - 1e-12 * cfg.horizon
-    times = np.arange(cfg.n_steps) * cfg.dt
+    starts = np.asarray(starts, dtype=float) - 1e-12 * horizon
     return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
 
 
@@ -341,9 +352,9 @@ def integrate_gsde(
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     states = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
     states[0] = spec.initial_state
-    _euler_steps(spec, states, roots_t[_step_intervals(schedule.breakpoints, cfg)], normals,
-                 cfg.dt)
     times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+    steps = _step_intervals(schedule.breakpoints, times[:-1], cfg.horizon)
+    _euler_steps(spec, states, roots_t[steps], normals, cfg.dt)
     return PathBundle(times=times, states=states.transpose(1, 0, 2))
 
 

@@ -45,6 +45,8 @@ def _search(functional=lambda bundle: bundle.states[:, -1, 0], **kw):
 
 CHECKS = {
     "grid-x-order": (lambda: Grid1D(1.0, 1.0, 5, 2), ValueError, "x_min must be below x_max"),
+    "grid-finite": (lambda: Grid1D(-np.inf, 1.0, 5, 2), ValueError,
+                    "x_min and x_max must be finite"),
     "grid-n_x": (lambda: Grid1D(0.0, 1.0, 2, 2), ValueError, "n_x must be at least 3"),
     "grid-n_t": (lambda: Grid1D(0.0, 1.0, 3, 0), ValueError, "n_t must be at least 1"),
     "problem-horizon": (lambda: dataclasses.replace(HEAT, horizon=0.0), ValueError,
@@ -78,6 +80,10 @@ CHECKS = {
                       "n_steps and n_paths must be positive"),
     "paths-horizon": (lambda: dataclasses.replace(CFG, horizon=0.0), ValueError,
                       "horizon must be positive"),
+    "paths-horizon-finite": (lambda: dataclasses.replace(CFG, horizon=np.inf), ValueError,
+                             "horizon must be positive and finite"),
+    "paths-n_steps-integer": (lambda: dataclasses.replace(CFG, n_steps=2.5), ValueError,
+                              "n_steps and n_paths must be positive integers"),
     "sde-dim-state": (lambda: _spec(dim_state=0), ValueError,
                       "state and noise dimensions must be positive"),
     "sde-dim-noise": (lambda: _spec(dim_noise=0), ValueError,
@@ -100,6 +106,10 @@ CHECKS = {
                                 ValueError, "functional must return one value per path"),
     "search-functional-finite": (lambda: _search(functional=lambda bundle: np.full(3, np.nan)),
                                  NumericError, "functional returned a non-finite value"),
+    "set-dim-fraction": (lambda: AmbiguitySet(dim=1.5, sigma_lo_sq=0.25, sigma_hi_sq=1.0),
+                         ValueError, "dim must be a positive integer, got 1.5"),
+    "set-dim-text": (lambda: AmbiguitySet(dim="2", sigma_lo_sq=0.25, sigma_hi_sq=1.0),
+                     ValueError, "dim must be a positive integer, got '2'"),
     "set-finite": (lambda: AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=np.inf),
                    ValueError, "variance bounds must be finite"),
     "symmetric-3-axes": (lambda: as_symmetric(np.zeros((2, 2, 2))), ValueError,

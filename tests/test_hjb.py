@@ -14,6 +14,7 @@ from gctrl import (
     CrraUtility,
     Grid1D,
     HjbProblem,
+    HjbSolution,
     MarketModel,
     NumericError,
     PathConfig,
@@ -93,6 +94,33 @@ def test_segment_starts_must_begin_at_zero_and_increase():
     for starts in ((0.5,), (0.0, 0.5, 0.5), (0.0, 0.5, 0.25), (), None):
         with pytest.raises(ValueError, match="segment_starts"):
             dataclasses.replace(heat_problem(lambda x: x), segment_starts=starts)
+
+
+@pytest.mark.parametrize("diffusion", [0.0, 100.0], ids=["explicit", "implicit"])
+def test_grid_levels_take_the_euler_steps_segments(diffusion):
+    # The cases of test_sde.py::test_equal_segments_get_equal_steps.  The running cost is
+    # j on segment j, so V(0, x) = dt * sum_k (k * n_segments // n_t) exactly.  At horizon 1
+    # and n_t = 6, level 5 starts at 0.8333333333333333, one ulp below the start 5/6 of
+    # segment 5, and must still take it, as the Euler step there does.
+    wrong = []
+    for horizon in (0.1, 0.25, 0.3, 0.7, 1.0, 2.5, 3.0):
+        for n_segments in range(1, 13):
+            starts = tuple(horizon * j / n_segments for j in range(n_segments))
+            index = {s: j for j, s in enumerate(starts)}
+            problem = HjbProblem(
+                drift=lambda t, x, u: 0.0 * x, diffusion=lambda t, x, u: diffusion + 0.0 * x,
+                running_cost=lambda t, x, u, index=index: index[t] + 0.0 * x,
+                terminal_cost=lambda x: 0.0 * x, horizon=horizon, controls=(0.0,),
+                ambiguity=SET, segment_starts=starts)
+            for multiple in range(1, 7):
+                n_t = multiple * n_segments
+                # Zero diffusion has no CFL bound; 100 puts every n_t here below it.
+                assert (suggest_time_steps(problem, -1.0, 1.0, 5) > n_t) == (diffusion > 0.0)
+                value = solve(problem, Grid1D(-1.0, 1.0, 5, n_t)).values[0]
+                exact = horizon / n_t * sum(k * n_segments // n_t for k in range(n_t))
+                if not np.allclose(value, exact, rtol=1e-12, atol=1e-15):
+                    wrong.append((horizon, n_segments, multiple))
+    assert wrong == []
 
 
 def test_cfl_bound_formula():
@@ -538,6 +566,27 @@ def test_policy_mc_default_lookup_of_tuple_controls_is_nearest_node():
                        for fn in (None, by_hand))
     assert default.value == manual.value and default.std_error == manual.std_error
     assert np.array_equal(default.best_paths.states, manual.best_paths.states)
+
+
+def test_policy_mc_default_lookup_takes_the_euler_steps_levels():
+    # Level k picks control k % 2, the drift is the control and nothing diffuses, so
+    # X_T = x0 + dt * sum_k u(k * n_t // n_steps) on every path.  Step 9's time 0.6 lies
+    # one ulp below level 3's start 0.6000000000000001 and must still take level 3.
+    n_t, n_steps, x0 = 5, 15, 0.25
+    problem = HjbProblem(
+        drift=lambda t, x, u: u + 0.0 * x, diffusion=lambda t, x, u: 0.0 * x,
+        running_cost=lambda t, x, u: 0.0 * x, terminal_cost=lambda x: x, horizon=1.0,
+        controls=(0.0, 1.0), ambiguity=SET, segment_starts=(0.0,))
+    grid = Grid1D(-2.0, 2.0, 5, n_t)
+    policy = np.repeat(np.arange(n_t) % 2, grid.n_x).reshape(n_t, grid.n_x)
+    sol = HjbSolution(grid=grid, x=grid.nodes(), times=np.linspace(0.0, 1.0, n_t + 1),
+                      values=np.zeros((n_t + 1, grid.n_x)), policy=policy,
+                      controls=problem.controls)
+    cfg = PathConfig(n_steps=n_steps, horizon=1.0, n_paths=4, seed=3)
+    est = evaluate_policy_mc(problem, sol, SET, cfg, x0=x0, n_segments=1, n_grid=2)
+    exact = x0 + sum((k * n_t // n_steps) % 2 for k in range(n_steps)) / n_steps
+    assert np.allclose(est.best_paths.states[:, -1, 0], exact, rtol=1e-14)
+    assert est.value == pytest.approx(exact, rel=1e-14)
 
 
 def test_csv_export_shape_and_meta():

@@ -353,8 +353,9 @@ def test_equal_segments_get_equal_steps():
             for multiple in range(1, 7):
                 cfg = PathConfig(n_steps=multiple * n_segments, horizon=horizon, n_paths=1,
                                  seed=0)
-                counts = np.bincount(_step_intervals(_breakpoints(horizon, n_segments), cfg),
-                                     minlength=n_segments)
+                times = np.linspace(0.0, horizon, cfg.n_steps + 1)[:-1]
+                counts = np.bincount(_step_intervals(_breakpoints(horizon, n_segments), times,
+                                                     horizon), minlength=n_segments)
                 if counts.tolist() != [multiple] * n_segments:
                     uneven.append((horizon, n_segments, multiple, counts.tolist()))
     assert uneven == []
