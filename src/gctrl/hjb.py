@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -74,6 +75,9 @@ class Grid1D:
             raise ValueError("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
+        for name in ("n_x", "n_t"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_x < 3:
             raise ValueError("n_x must be at least 3")
         if self.n_t < 1:

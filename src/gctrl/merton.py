@@ -217,27 +217,6 @@ def eta(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray, t: float) -> flo
     return u.beta - (1.0 - k) * m.at(t)[0] - (1.0 - k) / (2.0 * k) * quad
 
 
-def _integrate_a(eta_fn: Callable[[float], float], kappa: float,
-                 times: np.ndarray) -> np.ndarray:
-    """Classical fourth-order single-step integration, backward from A(T)=1."""
-
-    def rhs(t: float, a: float) -> float:
-        return (eta_fn(t) / kappa) * a - 1.0
-
-    n = len(times) - 1
-    a = np.empty(n + 1)
-    a[n] = 1.0
-    for k in range(n - 1, -1, -1):
-        t1 = times[k + 1]
-        h = times[k + 1] - times[k]
-        k1 = rhs(t1, a[k + 1])
-        k2 = rhs(t1 - 0.5 * h, a[k + 1] - 0.5 * h * k1)
-        k3 = rhs(t1 - 0.5 * h, a[k + 1] - 0.5 * h * k2)
-        k4 = rhs(t1 - h, a[k + 1] - h * k3)
-        a[k] = a[k + 1] - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return a
-
-
 def _candidate_curves(eta_const: float, kappa: float, times: np.ndarray):
     """The two constant-coefficient closed-form candidates and their derivatives."""
     T = times[-1]
@@ -255,16 +234,20 @@ def _candidate_curves(eta_const: float, kappa: float, times: np.ndarray):
 
 def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
             n_t: int, horizon: float) -> ClosedForm:
-    """Integrate the A(t) ODE backward from A(T)=1 and resolve the formula branch.
+    """Sample A(t) exactly on each market segment and resolve the formula branch.
 
-    The returned curve always comes from the numerical integrator.  When
-    eta is constant on the grid, both closed-form candidate expressions are
-    substituted into the ODE and ``resolved_branch`` records the one whose
-    residual vanishes; if neither does, something is inconsistent and a
-    ConsistencyError is raised.  |eta| below ETA_ZERO_TOL short-circuits to
-    the linear limit A(t) = T - t + 1.  eta is evaluated once per entry of
-    ``m.segment_starts`` up to the horizon and looked up for every other
-    time; ``ClosedForm.eta`` is that lookup.
+    eta is constant on each segment, so the linear ODE has a closed form
+    there: walking the segments backward from A(T)=1, with e = eta/kappa and
+    A_end the value at the segment's end s, a sample t of the segment gets
+    A_end exp(-e (s-t)) - expm1(-e (s-t)) / e (A_end + s - t when e = 0).  A
+    sample takes the segment in force at its time by the right-open rule.
+    When eta is constant up to the horizon, both printed closed-form
+    candidates are substituted into the ODE and ``resolved_branch`` records
+    the one whose residual vanishes; if neither does, something is
+    inconsistent and a ConsistencyError is raised.  |eta| below ETA_ZERO_TOL
+    is checked against the linear limit A(t) = T - t + 1 instead.  eta is
+    evaluated once per entry of ``m.segment_starts`` up to the horizon and
+    looked up for every other time; ``ClosedForm.eta`` is that lookup.
     """
     if n_t < 2:
         raise ValueError("n_t must be at least 2")
@@ -280,21 +263,30 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     def eta_fn(t: float) -> float:
         return per_segment[_segment_index(starts, t)]
 
-    a_values = _integrate_a(eta_fn, u.kappa, times)
+    index = np.searchsorted(starts, times, side="right") - 1
+    a_values = np.empty_like(times)
+    a_end, end = 1.0, horizon
+    with np.errstate(over="ignore"):
+        for j in range(len(starts) - 1, -1, -1):
+            # The segment's samples, then its start, whose value is the next A_end.
+            on = index == j
+            tau = end - np.append(times[on], starts[j])
+            e = per_segment[j] / u.kappa
+            vals = a_end + tau if e == 0.0 else a_end * np.exp(-e * tau) - np.expm1(-e * tau) / e
+            a_values[on], a_end, end = vals[:-1], vals[-1], starts[j]
     if not np.all(np.isfinite(a_values)) or np.min(a_values) <= 0.0:
-        raise NumericError("A(t) integration left the positive domain")
+        raise NumericError("A(t) overflowed or left the positive domain")
 
-    etas = np.asarray([eta_fn(t) for t in times])
-    eta_span = float(etas.max() - etas.min())
-    if eta_span > 1e-12 * max(1.0, float(np.abs(etas).max())):
+    eta_span = max(per_segment) - min(per_segment)
+    if eta_span > 1e-12 * max(1.0, max(abs(v) for v in per_segment)):
         branch = "ode-only"
     else:
-        eta_const = float(etas[0])
+        eta_const = per_segment[0]
         if abs(eta_const) < ETA_ZERO_TOL:
             branch = "linear-limit"
             limit = horizon - times + 1.0
             if float(np.max(np.abs(limit - a_values))) > 1e-6:
-                raise ConsistencyError("linear-limit curve disagrees with the integrator")
+                raise ConsistencyError("linear-limit curve disagrees with the exact curve")
         else:
             # Candidate evaluation loses ~eps * kappa/eta digits to cancellation
             # when eta is tiny; widen the acceptance floor accordingly.
@@ -480,7 +472,7 @@ def solve_merton_pde(
 
 
 def a_curve_csv_chunks(cf: ClosedForm) -> CsvTable:
-    """CSV rows ``t,A`` of the integrated curve."""
+    """CSV rows ``t,A`` of the sampled curve."""
     return table_csv_chunks("t,A", _time_rows(cf.times, 1), cf.a_values)
 
 

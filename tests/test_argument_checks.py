@@ -49,6 +49,10 @@ CHECKS = {
                     "x_min and x_max must be finite"),
     "grid-n_x": (lambda: Grid1D(0.0, 1.0, 2, 2), ValueError, "n_x must be at least 3"),
     "grid-n_t": (lambda: Grid1D(0.0, 1.0, 3, 0), ValueError, "n_t must be at least 1"),
+    "grid-n_x-integer": (lambda: Grid1D(-1.0, 1.0, 5.5, 2), ValueError,
+                         "n_x must be an integer, got 5.5"),
+    "grid-n_t-integer": (lambda: Grid1D(-1.0, 1.0, 5, 2.5), ValueError,
+                         "n_t must be an integer, got 2.5"),
     "problem-horizon": (lambda: dataclasses.replace(HEAT, horizon=0.0), ValueError,
                         "horizon must be positive"),
     "problem-no-controls": (lambda: dataclasses.replace(HEAT, controls=()), ValueError,
@@ -68,6 +72,9 @@ CHECKS = {
                     "n_t must be at least 2"),
     "solve-A-horizon": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 4, 0.0), ValueError,
                         "horizon must be positive"),
+    "solve-A-overflow": (lambda: solve_A(MarketModel.constant(r=0.02, alpha=10.0, gamma=0.1),
+                                         CrraUtility(kappa=0.5), np.eye(1), 4, 1.0),
+                         NumericError, "A(t) overflowed or left the positive domain"),
     "lambda-attitude": (lambda: worst_case_lambda(SET, attitude="realist"), ValueError,
                         "attitude must be one of"),
     "lambda-vxx-sign": (lambda: worst_case_lambda(SET, vxx_sign="zero"), ValueError,

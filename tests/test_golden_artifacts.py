@@ -126,15 +126,15 @@ GOLDEN = {
     },
     ("merton", DESK): {
         "desk_a_curve.csv":
-            "542e9e2e631cb8534af18b47e8a18e8648e14a42aa7964b4f4469cf1aee31af2",
+            "73f125bf05ca209418d8139012c24e862583e243a12c05245153b73ee61195cc",
         "desk_policy.csv":
-            "72a6e031becaf17826647ce191d2086abfa8a3e7029dc70d85fa13152170b68e",
+            "c411bf6de42c45a57e8aa8ac8a8266089e9bb2c5319115093517445ac3527277",
         "desk_compare.csv":
-            "1a73324beb71cc5651edf8810366755ad62d7df515b28c8917b213ee18a72a8f",
+            "6129334282497516da317a463da88ff9cc913e58d6104766c49ca1b0c4570f9f",
         "desk_solution.csv":
             "6b648d17386f0681a136f5c2f52af21cd4f121033e0ee15ce607ead1f03c47d0",
         "desk_report.txt":
-            "2960e213e62052589dc94caa15f2fb7bfa08a09b1794906b02b954cc69442685",
+            "9e6eeaaa42d8a8df3a7aa24b92ffcadf00e9dd6a935b477ddb30ea11b4e3c25d",
     },
     ("simulate", HEAT): {
         "heat_paths.csv":

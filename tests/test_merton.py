@@ -1,6 +1,7 @@
 """Robust consumption-portfolio: closed forms, residual oracle, PDE agreement."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gctrl import (
     verify_hjb_residual,
     worst_case_lambda,
 )
-from gctrl.merton import _integrate_a, control_grid
+from gctrl.merton import control_grid
 
 DESK_MARKET = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
 DESK_UTILITY = CrraUtility(kappa=2.0, beta=0.1)
@@ -38,6 +39,18 @@ DESK_V01 = -3.630016942197234
 def desk_closed_form(n_t=2000):
     lam = worst_case_lambda(DESK_SET, "negative", "pessimist")
     return solve_A(DESK_MARKET, DESK_UTILITY, lam, n_t=n_t, horizon=1.0)
+
+
+def piecewise_a(market, lam, t, horizon=1.0):
+    """A(t) in plain floats: A_end e^(-e tau) - expm1(-e tau) / e per segment, from A(T) = 1."""
+    starts = tuple(s for s in market.segment_starts if s < horizon)
+    a = 1.0
+    for s, end in reversed(list(zip(starts, starts[1:] + (horizon,)))):
+        e = eta(market, DESK_UTILITY, lam, s) / DESK_UTILITY.kappa
+        tau = end - max(s, t)
+        a = a * math.exp(-e * tau) - math.expm1(-e * tau) / e
+        if s <= t:
+            return a
 
 
 def test_market_price_of_risk_scalar():
@@ -135,7 +148,18 @@ def test_solve_a_branch_matches_integration_uniformly():
     kappa, eta_c, T = 2.0, 0.13, 1.0
     ratio = kappa / eta_c
     analytic = ratio + (1.0 - ratio) * np.exp(-(eta_c / kappa) * (T - cf.times))
-    assert np.max(np.abs(analytic - cf.a_values)) <= 1e-6
+    assert np.max(np.abs(cf.a_values / analytic - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("start, n_t", [(0.5, 400), (5 / 6, 2000)])
+def test_solve_a_meets_the_piecewise_formula_across_a_segment_start(start, n_t):
+    # The start lies on a step at (0.5, 400) and inside one at (5/6, 2000).
+    market = MarketModel((0.0, start), (0.02, 0.02), (0.06, 0.10), (0.2, 0.3))
+    lam = worst_case_lambda(DESK_SET, "negative", "pessimist")
+    cf = solve_A(market, DESK_UTILITY, lam, n_t=n_t, horizon=1.0)
+    assert cf.resolved_branch == "ode-only"
+    ref = np.array([piecewise_a(market, lam, float(t)) for t in cf.times])
+    assert np.max(np.abs(cf.a_values / ref - 1.0)) <= 1e-13
 
 
 def test_solve_a_eta_zero_limit():
@@ -276,14 +300,9 @@ def test_residual_rejects_non_inverted_quadratic_form():
     pts = list(zip(rng.uniform(0.01, 0.99, 100), rng.uniform(0.3, 3.0, 100)))
     assert verify_hjb_residual(cf, market, DESK_UTILITY, set_, pts) <= 1e-6
 
-    theta = float(market_price_of_risk(market, 0.0)[0])
-    kappa, beta = DESK_UTILITY.kappa, DESK_UTILITY.beta
-
-    def eta_without_inverse(t):
-        return beta - (1 - kappa) * 0.02 - (1 - kappa) / (2 * kappa) * theta**2 * lam[0, 0]
-
-    wrong = _integrate_a(eta_without_inverse, kappa, cf.times)
-    bad = dataclasses.replace(cf, a_values=wrong, eta=eta_without_inverse)
+    # In d = 1 the non-inverted eta at lam is the inverted eta at 1 / lam.
+    wrong = solve_A(market, DESK_UTILITY, 1.0 / lam, n_t=2000, horizon=1.0)
+    bad = dataclasses.replace(cf, a_values=wrong.a_values, eta=wrong.eta)
     assert verify_hjb_residual(bad, market, DESK_UTILITY, set_, pts) > 1e-3
 
 
@@ -495,11 +514,8 @@ def test_solve_a_evaluates_eta_once_per_segment(monkeypatch):
         cf = solve_A(market, DESK_UTILITY, lam, n_t=400, horizon=1.0)
         assert len(calls) == n_segments
         assert cf.resolved_branch == branch
-        # Reference: eta evaluated afresh at every integrator stage.
-        ref = _integrate_a(lambda t: merton.eta(market, DESK_UTILITY, lam, t),
-                           DESK_UTILITY.kappa, cf.times)
-        assert len(calls) > 400
-        assert cf.a_values.tobytes() == ref.tobytes()
+        ref = np.array([piecewise_a(market, lam, float(t)) for t in cf.times])
+        assert np.max(np.abs(cf.a_values / ref - 1.0)) <= 1e-13
         for t in np.linspace(0.0, 1.0, 41):
             assert cf.eta(t).hex() == eta(market, DESK_UTILITY, lam, t).hex()
 

@@ -15,7 +15,7 @@ from gctrl.errors import NumericError
 
 DESK_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
 # desk_verify.txt of configs/desk.cfg at seed 7, as the checks wrote it in one sequence.
-DESK_VERIFY_SHA256 = "a76ab646698dcfc0b18a1e42fc10d3ca3977ae810e4011901b06330e50fc95de"
+DESK_VERIFY_SHA256 = "c8c3bf649d1aad3f51734b0ce7996b0800393b9b60a20903bff828045725493c"
 
 FAST_DESK = (DESK_CONFIG.replace("n_x = 201", "n_x = 101").replace("x_min = 0.4", "x_min = 0.5")
              .replace("x_max = 2.4", "x_max = 2.0").replace("n_paths = 1500", "n_paths = 50")
