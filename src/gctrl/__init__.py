@@ -36,6 +36,7 @@ from .hjb import (
     solution_csv_text,
     solution_meta_text,
     solve,
+    solve_stack,
     suggest_time_steps,
 )
 from .merton import (
@@ -110,6 +111,7 @@ __all__ = [
     "solve",
     "solve_A",
     "solve_merton_pde",
+    "solve_stack",
     "suggest_time_steps",
     "terminal_expectation_mc",
     "upper_expectation_mc",

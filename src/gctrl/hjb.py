@@ -29,6 +29,15 @@ table of its own instead of the product, with the bound above reading max g^2
 and max |f| as sums over the components.  Ties within a component go to its
 lowest level, so runs are reproducible.  Every row, the edge rows included,
 holds one level per component; the product index is formed only for the policy.
+
+``solve_stack`` sweeps a stack of problems on one grid in one pass, each
+member with the values and policy ``solve`` gives it alone, bit for bit;
+``solve`` is a stack of one.  The members must share the scheme, the edge
+rule, each component's level count and the segment of each time level.  A
+level's interior rows are computed for the whole stack at once, by
+elementwise operations; the edge rows, the tridiagonal solves and Howard
+iteration's stop, cycle and cap tests are taken member by member, so the
+members' Howard fixpoints stay uncoupled.
 """
 
 from __future__ import annotations
@@ -333,21 +342,39 @@ def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(u)
 
 
-def _require_finite(row: np.ndarray, k: int) -> None:
-    if not np.isfinite(row).all():  # the method: np.all costs a wrapper call per level
-        i_bad = int(np.argwhere(~np.isfinite(row))[0][0])
+def _require_finite(rows: np.ndarray, k: int) -> None:
+    """NumericError naming level k and the node of the first non-finite entry of ``rows``,
+    one member's row or a stack's, in member order."""
+    if not np.isfinite(rows).all():  # the method: np.all costs a wrapper call per level
+        i_bad = int(np.argwhere(~np.isfinite(rows))[0][-1])
         raise NumericError(f"non-finite value at time level {k} node {i_bad}")
 
 
-def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values: np.ndarray,
-           segments: list):
-    """Backward recursion over the ``_segment_tables``; returns (values, policy).
+def _shared(name: str, choices) -> object:
+    """The one value every member of a stack gives; ValueError naming ``name`` otherwise."""
+    first, *rest = choices
+    if any(c != first for c in rest):
+        raise ValueError(f"the problems of a stack must share the {name}")
+    return first
 
-    ``times`` are levels of the grid's own time axis, so every sweep on one
-    grid takes the same scheme: explicit when horizon / n_t is within the
-    monotone bound, implicit otherwise.  Each level [t_k, t_{k+1}) takes the
-    segment ``sde._step_intervals`` gives the step at t_k, the one an Euler
-    step there takes.
+
+def _sweep(problems, grid: Grid1D, times: np.ndarray, terminal_values: np.ndarray,
+           segments: list):
+    """Backward recursion of a stack of problems over their ``_segment_tables``, one
+    list per member; returns (values, policy), indexed [level, member, node].
+
+    ``times`` holds each member's levels of the grid's own time axis, one row per
+    member, so every sweep on one grid takes the same scheme: explicit when
+    horizon / n_t is within the monotone bound, implicit otherwise.  Each level
+    [t_k, t_{k+1}) takes the segment ``sde._step_intervals`` gives the step at
+    t_k, the one an Euler step there takes.  The members must share the scheme,
+    the edge rule (one-sided or power), each component's level count and the
+    segment of each level, or ValueError.
+
+    The interior rows run on the members' rows laid end to end, so a stack of
+    one runs the operations of a single problem; the rows that straddle two
+    members are computed and overwritten by the edge rows.  A member's own
+    scalar arithmetic (edge rows, solves) stays on Python floats.
 
     Each implicit level starts from the last choices of the level above (the
     argopt on its value at the top level and where the segment changes) and
@@ -355,9 +382,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     max(1, |u|_inf), or once an iterate's choices (picks, slopes and edge
     picks) are the ones its own solve used, so that the next solve would
     return it bit for bit; a solve that returns the iterate of two solves
-    before raises NumericError.
-    The edge rows enter the tridiagonal system, whose elimination folds the
-    power_dirichlet edges into the first and last interior rows.
+    before raises NumericError.  Each member stops on its own and then keeps
+    its iterate and choices while the rest go on; ``solves`` counts the solves
+    each member still iterating has taken.  The edge rows enter the
+    tridiagonal system, whose elimination folds the power_dirichlet edges into
+    the first and last interior rows.
 
     Every row holds one level per component, its picks, each an index into that
     component's own table: the interior rows (``best``) pick each component on
@@ -365,25 +394,59 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     own inward-drift and running-cost terms, any other edge row takes its
     interior neighbour's.  Rows sum their picks' entries in component order.
     """
-    implicit = problem.horizon / grid.n_t > _stable_dt(problem, grid.dx, segments) * (1.0 + 1e-9)
     x = grid.nodes()
-    n_t = len(times) - 1
-    n_x = x.size
+    m, n_t, n_x = len(problems), times.shape[1] - 1, x.size
     dx = float(x[1] - x[0])
-    beta = problem.discount
-    # The methods, not the np.argmax and np.argmin wrappers, which cost a call per level.
-    argopt = np.ndarray.argmax if problem.opt_direction == "maximize" else np.ndarray.argmin
-    one_sided = problem.edge_power is None
+    implicit = _shared("scheme", [
+        p.horizon / grid.n_t > _stable_dt(p, grid.dx, tables) * (1.0 + 1e-9)
+        for p, tables in zip(problems, segments)])
+    one_sided = _shared("edge rule", [p.edge_power is None for p in problems])
+    sizes = _shared("level count of each component",
+                    [[len(c.levels) for c in _components(p)] for p in problems])
+    segs = _shared("segment of each level", [
+        _step_intervals(p.segment_starts, t[:-1], p.horizon).tolist()
+        for p, t in zip(problems, times)])
+    own_edges = implicit and one_sided
 
-    values = np.empty((n_t + 1, n_x))
+    values = np.empty((n_t + 1, m, n_x))
     values[n_t] = terminal_values
-    policy = np.zeros((n_t, n_x), dtype=np.int64)
+    policy = np.zeros((n_t, m, n_x), dtype=np.int64)
+    # The members' rows end to end: interior row r is node r + 1 of the flat row, and
+    # member i's interior rows are base[i] to base[i] + n_x - 3.
+    flat, flat_policy = values.reshape(n_t + 1, -1), policy.reshape(n_t, -1)
+    base = range(0, m * n_x, n_x)
 
+    def spread(column):
+        """A per-member constant over the flat interior rows."""
+        return np.repeat(column, n_x)[1:-1]
+
+    # Per level and member, the step and the factors 1 - beta dt and 1 + beta dt: Python
+    # floats for the edge rows, and each level's as the stack's rows, a float when shared.
+    steps = np.diff(times, axis=1).T
+    step_floats = steps.tolist()
+    beta_floats = [p.discount for p in problems]
+    per_level = (steps, 1.0 - np.array(beta_floats) * steps, 1.0 + np.array(beta_floats) * steps)
+    levels = range(n_t - 1, -1, -1)
+    if all((c == c[:, :1]).all() for c in per_level):
+        level_rows = list(zip(*(c[levels, 0].tolist() for c in per_level)))
+    else:
+        level_rows = ([spread(c[k]) for c in per_level] for k in levels)
     # The generator weight per node does not depend on the control: g^2 >= 0,
     # so sign(g^2 * cen) = sign(cen) and G(g^2 * cen) = g^2 * (slope * cen)
     # with the slope, G(1) or -G(-1), picked from the curvature sign alone.
-    w_pos = g_scalar(1.0, problem.ambiguity, problem.attitude)
-    w_neg = -g_scalar(-1.0, problem.ambiguity, problem.attitude)
+    weights = [(g_scalar(1.0, p.ambiguity, p.attitude), -g_scalar(-1.0, p.ambiguity, p.attitude))
+               for p in problems]
+    w_pos, w_neg = weights[0] if len(set(weights)) == 1 else map(spread, zip(*weights))
+    # The methods, not the np.argmax and np.argmin wrappers, which cost a call per level.
+    argopts = [np.ndarray.argmax if p.opt_direction == "maximize" else np.ndarray.argmin
+               for p in problems]
+    if len(set(argopts)) == 1:
+        argopt = argopts[0]
+    else:
+        maximize = spread([a is np.ndarray.argmax for a in argopts])
+
+        def argopt(a, axis):
+            return np.where(maximize, a.argmax(axis=axis), a.argmin(axis=axis))
 
     # The edge rows, left then right, as (e, h, i, s, sign): the row e; the start h
     # of the stencil (v[h+2] - 2 v[h+1] + v[h]) at the edge, whose middle node is the
@@ -391,22 +454,27 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
     # and the table row s of the drift's upwind part that points inward, with its sign.
     sides = ((0, 0, 0, _RISE, 1.0), (n_x - 1, n_x - 3, n_x - 2, _FALL, -1.0))
     if not one_sided:
-        ratio = [(x[e] / x[h + 1]) ** float(problem.edge_power) for e, h, *_ in sides]
+        ratio = [[(x[e] / x[h + 1]) ** float(p.edge_power) for e, h, *_ in sides]
+                 for p in problems]
 
-    cols = np.arange(n_x - 2)
-    # Per segment, the interior nodes of each table row, a view per component: [row][c].
-    interiors = [list(zip(*(table[:, 1:-1] for table in tables))) for tables in segments]
-    sizes = [len(c.levels) for c in _components(problem)]
-    work, tmp = ([np.empty((n_x - 2, n)) for n in sizes] for _ in range(2))
+    def flat_interior(tables):
+        """The interior rows of one component's tables, one per member, laid end to end."""
+        return (tables[0] if m == 1 else np.concatenate(tables, axis=1))[:, 1:-1]
+
+    cols = np.arange(m * n_x - 2)
+    # Per segment a level takes, each table row's interior rows, one array per component:
+    # [row][c] of shape (m * n_x - 2, levels).
+    interiors = {j: list(zip(*map(flat_interior, zip(*(member[j] for member in segments)))))
+                 for j in set(segs)}
+    work, tmp = ([np.empty((m * n_x - 2, n)) for n in sizes] for _ in range(2))
     if implicit:
         # Band s couples a node to the neighbour that table row s upwinds toward:
         # max(F, 0) to the upper band, min(F, 0) to the lower.
-        system = np.zeros((4, n_x))
+        system = np.zeros((4, m * n_x))
         upper, lower, diag, rhs = system
-        if not one_sided:
-            for (e, _, _, s, _), r in zip(sides, ratio):
-                diag[e] = 1.0
-                system[s, e] = -r
+        bands = system.reshape(4, m, n_x)
+        # Each member's interior rows, then the two straddling rows after it.
+        cuts = [c for b in base for c in (b, b + n_x - 2)][:-1]
 
     def at(arrays, picks, *index):
         """The sum in component order of each component's array at ``index`` and its pick."""
@@ -415,9 +483,17 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             total = total + array[(*index, j)]
         return total
 
-    def neighbour_picks(best):
-        """The picks of the edge rows' interior neighbours, the first and last interior rows."""
-        return [[j[0] for j in best], [j[-1] for j in best]]
+    def own_picks(i, u, seg):
+        """Member i's one-sided edge picks on the flat u: each component optimizes its own
+        inward-drift and running-cost terms at the edge."""
+        b = base[i]
+        return [[int(argopts[i](table[s, e] * ((u[b + r + 1] - u[b + r]) / dx) + table[_COST, e]))
+                 for table in segments[i][seg]] for e, _, r, s, _ in sides]
+
+    def neighbour_picks(best, b):
+        """The picks of a member's edge rows' interior neighbours, its first and last
+        interior rows, from the member's base b."""
+        return [[j[b] for j in best], [j[b + n_x - 3] for j in best]]
 
     def product_index(picks):
         """The index in ``controls`` of the picks, component-major."""
@@ -427,11 +503,11 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
         return index
 
     def fill_generator(u, interior):
-        """work[c][i, j] = drift, generator and running-cost terms of level j of
-        component c at interior node i on u; returns each component's argopt
+        """work[c][r, j] = drift, generator and running-cost terms of level j of
+        component c at interior row r on the flat u; returns each component's argopt
         level per row and the generator slope, w_pos where cen > 0 and w_neg elsewhere."""
-        fwd = ((u[2:] - u[1:-1]) / dx)[:, None]
-        bwd = ((u[1:-1] - u[:-2]) / dx)[:, None]
+        diff = ((u[1:] - u[:-1]) / dx)[:, None]
+        fwd, bwd = diff[1:], diff[:-1]
         cen = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
         slope = np.where(cen > 0.0, w_pos, w_neg)
         w = (slope * cen)[:, None]
@@ -446,82 +522,112 @@ def _sweep(problem: HjbProblem, grid: Grid1D, times: np.ndarray, terminal_values
             np.add(out, cost, out=out)
         return [argopt(out, axis=1) for out in work], slope
 
-    segs = _step_intervals(problem.segment_starts, times[:-1], problem.horizon).tolist()
-    for k in range(n_t - 1, -1, -1):
-        dt_k = float(times[k + 1] - times[k])
+    for k, (dt, keep, grow) in zip(levels, level_rows):
+        dts = step_floats[k]
         seg = segs[k]
-        tables, interior = segments[seg], interiors[seg]
-        v = values[k + 1]
+        interior = interiors[seg]
+        v = flat[k + 1]
 
         if implicit:
-            u, u_prev, solves = v, None, 0
+            u, active, solves = v, range(m), 0
             while True:
                 if solves or k == n_t - 1 or seg != segs[k + 1]:
-                    used = (best, slopes, edge) if solves else None
                     with np.errstate(over="ignore", invalid="ignore"):
-                        best, slopes = fill_generator(u, interior)
-                        # A one-sided edge row optimizes its own inward-drift and running-cost
-                        # terms, one component at a time.
-                        edge = neighbour_picks(best) if not one_sided else [
-                            [int(argopt(table[s, e] * ((u[i + 1] - u[i]) / dx) + table[_COST, e]))
-                             for table in tables] for e, _, i, s, _ in sides]
-                    # The choices of the last solve again: the next would return u bit for bit.
-                    if (used and edge == used[2] and np.array_equal(slopes, used[1])
-                            and all(map(np.array_equal, best, used[0]))):
-                        break
+                        fresh, fresh_slopes = fill_generator(u, interior)
+                        fresh_edges = ({i: own_picks(i, u, seg) for i in active}
+                                       if own_edges else None)
+                    if solves:
+                        # The choices of the last solve again: the next would return the
+                        # member's iterate bit for bit.
+                        same = fresh_slopes == slopes
+                        for f, b in zip(fresh, best):
+                            same &= f == b
+                        same = np.logical_and.reduceat(same, cuts)[::2]
+                        active = [i for i in active if not (
+                            same[i] and (not own_edges or fresh_edges[i] == edges[i]))]
+                        if not active:
+                            break
+                    if len(active) == m:
+                        best, slopes, edges = fresh, fresh_slopes, fresh_edges
+                    else:
+                        rows = spread(np.isin(range(m), active))
+                        for b, f in zip(best, fresh):
+                            np.copyto(b, f, where=rows)
+                        np.copyto(slopes, fresh_slopes, where=rows)
+                        if own_edges:
+                            edges.update((i, fresh_edges[i]) for i in active)
                 if solves == _HOWARD_MAX_SOLVES:
                     raise NumericError(
                         f"Howard iteration: value not settled after {solves} "
                         f"linear solves at time level {k}"
                     )
                 diffusion = at(interior[_G2], best, cols) * slopes / (dx * dx)
-                down = dt_k * (diffusion - at(interior[_FALL], best, cols) / dx)
-                up = dt_k * (diffusion + at(interior[_RISE], best, cols) / dx)
+                down = dt * (diffusion - at(interior[_FALL], best, cols) / dx)
+                up = dt * (diffusion + at(interior[_RISE], best, cols) / dx)
                 lower[1:-1] = -down
                 upper[1:-1] = -up
-                diag[1:-1] = 1.0 + beta * dt_k + down + up
-                rhs[1:-1] = v[1:-1] + dt_k * at(interior[_COST], best, cols)
-                if one_sided:
-                    for (e, _, _, s, sign), picks in zip(sides, edge):
-                        row = at(tables, picks, slice(None), e).tolist()
-                        inward = sign * dt_k * row[s] / dx
-                        diag[e] = 1.0 + beta * dt_k + inward
-                        system[s, e] = -inward
-                        rhs[e] = v[e] + dt_k * row[_COST]
-                u_before, u_prev, u = u_prev, u, _solve_tridiagonal(lower, diag, upper, rhs)
+                diag[1:-1] = grow + down + up
+                rhs[1:-1] = v[1:-1] + dt * at(interior[_COST], best, cols)
+                u_before, u_prev, u = u_prev if solves else None, u, u.copy()
+                for i in active:
+                    b = base[i]
+                    for side, (e, _, _, s, sign) in enumerate(sides):
+                        if one_sided:
+                            row = at(segments[i][seg], edges[i][side], slice(None), e).tolist()
+                            inward = sign * dts[i] * row[s] / dx
+                            diag[b + e] = 1.0 + beta_floats[i] * dts[i] + inward
+                            system[s, b + e] = -inward
+                            rhs[b + e] = v[b + e] + dts[i] * row[_COST]
+                        else:
+                            diag[b + e], system[s, b + e], rhs[b + e] = 1.0, -ratio[i][side], 0.0
+                    u[b:b + n_x] = _solve_tridiagonal(bands[1, i], bands[2, i], bands[0, i],
+                                                      bands[3, i])
                 solves += 1
-                _require_finite(u, k)
-                if np.max(np.abs(u - u_prev)) <= _HOWARD_SETTLED * max(1.0, np.max(np.abs(u))):
-                    break
+                members = u.reshape(m, n_x)
+                _require_finite(members, k)
+                gap = np.abs(u - u_prev).reshape(m, n_x).max(axis=1)
+                settled = gap <= _HOWARD_SETTLED * np.maximum(1.0, np.abs(members).max(axis=1))
+                active = [i for i in active if not settled[i]]
                 # From the second solve on, each solve's choices are a function of the
                 # iterate alone, so an iterate repeated bit for bit repeats forever.
-                if solves >= 3 and np.array_equal(u, u_before):
-                    raise NumericError(
-                        f"Howard iteration cycles between two iterates at time level {k}")
-            values[k] = u
+                if solves >= 3 and active:
+                    cycles = (u == u_before).reshape(m, n_x).all(axis=1)
+                    if any(cycles[i] for i in active):
+                        raise NumericError(
+                            f"Howard iteration cycles between two iterates at time level {k}")
+                if not active:
+                    break
+            flat[k] = u
+            if not own_edges:
+                edges = [neighbour_picks(best, b) for b in base]
         else:
             # Overflow in a diverging sweep is caught by the finiteness check below.
             # Rounding is monotone, so the argopt of the Hamiltonian also optimizes the update.
             with np.errstate(over="ignore", invalid="ignore"):
                 best, _ = fill_generator(v, interior)
-                values[k, 1:-1] = at(work, best, cols) * dt_k + v[1:-1] * (1.0 - beta * dt_k)
-            edge = neighbour_picks(best)
-            for side, ((e, h, i, _, _), picks) in enumerate(zip(sides, edge)):
-                if one_sided:
-                    row = at(tables, picks, slice(None), e).tolist()
-                    slope = (v[i + 1] - v[i]) / dx
-                    curv = (v[h + 2] - 2.0 * v[h + 1] + v[h]) / (dx * dx)
+                flat[k, 1:-1] = at(work, best, cols) * dt + v[1:-1] * keep
+            edges = [neighbour_picks(best, b) for b in base]
+            for i, vi in enumerate(values[k + 1]):
+                for side, ((e, h, r, _, _), picks) in enumerate(zip(sides, edges[i])):
+                    if not one_sided:
+                        values[k, i, e] = values[k, i, h + 1] * ratio[i][side]
+                        continue
+                    # The stencil's three nodes as Python floats, indexed from h.
+                    near = vi[h:h + 3].tolist()
+                    row = at(segments[i][seg], picks, slice(None), e).tolist()
+                    slope = (near[r + 1 - h] - near[r - h]) / dx
+                    curv = (near[2] - 2.0 * near[1] + near[0]) / (dx * dx)
                     alpha = row[_G2] * curv
-                    values[k, e] = v[e] + dt_k * (
+                    values[k, i, e] = near[e - h] + dts[i] * (
                         row[_DRIFT] * slope
-                        + alpha * (w_pos if alpha > 0.0 else w_neg)
-                        + row[_COST] - beta * v[e]
+                        + alpha * (weights[i][0] if alpha > 0.0 else weights[i][1])
+                        + row[_COST] - beta_floats[i] * near[e - h]
                     )
-                else:
-                    values[k, e] = values[k, h + 1] * ratio[side]
             _require_finite(values[k], k)
-        policy[k, 1:-1] = product_index(best)
-        policy[k, 0], policy[k, -1] = product_index(edge[0]), product_index(edge[1])
+        flat_policy[k, 1:-1] = product_index(best)
+        for i in range(m):
+            left, right = edges[i]
+            policy[k, i, 0], policy[k, i, -1] = product_index(left), product_index(right)
 
     return values, policy
 
@@ -535,20 +641,32 @@ def solve(problem: HjbProblem, grid: Grid1D) -> HjbSolution:
     iteration's value does not settle within _HOWARD_MAX_SOLVES linear solves,
     or at once if its iterates cycle between two arrays bit for bit.
     Either raises NumericError (with time level and node) if the sweep
-    produces a non-finite value.
+    produces a non-finite value.  This is ``solve_stack`` on a stack of one.
     """
+    return solve_stack([problem], grid)[0]
+
+
+def solve_stack(problems, grid: Grid1D) -> list[HjbSolution]:
+    """``solve`` of each problem on the one grid, in one sweep; the solutions in order.
+
+    Each member's values and policy are those ``solve`` gives it alone, bit
+    for bit.  The members must share the scheme ``solve`` takes on the grid,
+    the edge rule, each component's level count and the segment each level
+    takes (ValueError otherwise); see ``_sweep``.  A member's error is
+    ``solve``'s error on it.
+    """
+    if not problems:
+        return []
     x = grid.nodes()
-    segments = _segment_tables(problem, x)
-    times = np.linspace(0.0, problem.horizon, grid.n_t + 1)
-    values, policy = _sweep(problem, grid, times, problem.terminal_cost(x), segments)
-    return HjbSolution(
-        grid=grid,
-        x=x,
-        times=times,
-        values=values,
-        policy=policy,
-        controls=problem.controls,
-    )
+    times = np.array([np.linspace(0.0, p.horizon, grid.n_t + 1) for p in problems])
+    terminal = np.empty((len(problems), x.size))
+    for row, p in zip(terminal, problems):
+        row[:] = p.terminal_cost(x)
+    values, policy = _sweep(problems, grid, times, terminal,
+                            [_segment_tables(p, x) for p in problems])
+    return [HjbSolution(grid=grid, x=x, times=t, values=np.ascontiguousarray(values[:, i]),
+                        policy=np.ascontiguousarray(policy[:, i]), controls=p.controls)
+            for i, (p, t) in enumerate(zip(problems, times))]
 
 
 def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> float:
@@ -568,9 +686,9 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> fl
         raise ValueError("t_bar must lie strictly between 0 and the horizon")
 
     x = grid.nodes()
-    segments = _segment_tables(problem, x)
-    direct, _ = _sweep(problem, grid, times, problem.terminal_cost(x), segments)
-    head, _ = _sweep(problem, grid, times[: k_bar + 1], direct[k_bar], segments)
+    segments = [_segment_tables(problem, x)]
+    direct, _ = _sweep([problem], grid, times[None], problem.terminal_cost(x), segments)
+    head, _ = _sweep([problem], grid, times[None, : k_bar + 1], direct[k_bar], segments)
     return float(np.max(np.abs(head[0] - direct[0])))
 
 

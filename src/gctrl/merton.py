@@ -322,18 +322,26 @@ def optimal_policy(cf: ClosedForm, m: MarketModel, u: CrraUtility,
 
     Consumption is proportional to wealth, the risky fractions are
     independent of wealth, and the risky-fund weight is 1/kappa with the
-    riskless weight making the two sum to one exactly.
+    riskless weight making the two sum to one exactly.  The risky fund is
+    constant on each market segment: it is computed at the first time asked
+    of its segment and handed out read-only from then on.
     """
     lam = cf.lambda_bar
     w2 = 1.0 / u.kappa
     w1 = 1.0 - w2
+    funds = {}
 
     def risky_fund(t: float) -> np.ndarray:
-        theta = market_price_of_risk(m, t)
-        try:
-            return np.linalg.solve(m.at(t)[2].T, np.linalg.solve(lam, theta))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular loading or covariance matrix at t={t}") from exc
+        j = _segment_index(m.segment_starts, t)
+        if j not in funds:
+            theta = market_price_of_risk(m, t)
+            try:
+                fund = np.linalg.solve(m.at(t)[2].T, np.linalg.solve(lam, theta))
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"singular loading or covariance matrix at t={t}") from exc
+            fund.flags.writeable = False
+            funds[j] = fund
+        return funds[j]
 
     def consumption(t: float, x: float) -> float:
         return x / float(cf.a_at(t))

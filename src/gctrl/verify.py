@@ -6,12 +6,13 @@ any fail.  Tolerances mirror the package's own regression gates.
 
 The checks form two groups that share no state: the Merton group solves the
 configured portfolio problem and holds it against its closed form and its
-Monte Carlo leg, then runs the two market-free checks with streams of their
-own; the market-free group draws its problems from the seed.  The generator
+Monte Carlo leg; the market-free group draws its problems from the seed, then
+runs the two market-free checks with streams of their own.  The generator
 suites draw their trials one by one and evaluate them in stacks, one per
-dimension.  ``run_all_checks`` runs the market-free group in a forked worker
-beside the Merton group when a second CPU is usable, and the report's bytes
-do not depend on it.
+dimension, and the comparison principle solves each grid's problems as one
+``hjb.solve_stack``.  ``run_all_checks`` runs the market-free group in a
+forked worker beside the Merton group when a second CPU is usable, and the
+report's bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .hjb import (
     gheat_problem,
     max_stable_dt,
     solve,
+    solve_stack,
     suggest_time_steps,
 )
 from .merton import (
@@ -330,12 +332,18 @@ def _random_ordered_problems(rng: np.random.Generator):
 
 
 def check_comparison_principle(name: str, problems) -> CheckResult:
-    """Ordered data must give ordered solutions on ``_random_ordered_problems``."""
-    worst = -np.inf
+    """Ordered data must give ordered solutions on ``_random_ordered_problems``.
+
+    The pairs on one grid are solved as one ``solve_stack``, each member with
+    the bits ``solve`` gives it alone."""
+    stacks = {}
     for low, high, grid in problems:
-        v_low = solve(low, grid).values
-        v_high = solve(high, grid).values
-        worst = max(worst, float(np.max(v_low - v_high)))
+        stacks.setdefault(grid, []).extend((low, high))
+    worst = -np.inf
+    for grid, stack in stacks.items():
+        solutions = solve_stack(stack, grid)
+        for low, high in zip(solutions[::2], solutions[1::2]):
+            worst = max(worst, float(np.max(low.values - high.values)))
     return _result(name, worst, TOL_EXACT)
 
 
@@ -343,16 +351,16 @@ def run_all_checks(cfg: RunConfig) -> list[CheckResult]:
     """Run the full cross-check suite for one configuration; ConfigError unless d = 1.
 
     The checks fall in two groups that share no state, run side by side by
-    ``sde._run_jobs``: the Merton checks and the two checks with streams of
-    their own here, and the market-free checks in a forked worker, when a
-    second CPU is usable.  The config is checked first, so a config error
-    comes before the worker starts.  The report lists the worker's checks
-    first.
+    ``sde._run_jobs``: the Merton checks here, and in a forked worker, when a
+    second CPU is usable, the market-free checks and the two checks with
+    streams of their own.  The config is checked first, so a config error
+    comes before the worker starts.  The report lists the market-free checks,
+    the Merton checks, then the two with streams of their own.
     """
     _merton_inputs(cfg)
-    merton, free = _run_jobs([lambda: [*_merton_checks(cfg), *_own_stream_checks(cfg)],
-                              lambda: _market_free_checks(cfg)])
-    return [*free, *merton]
+    merton, (free, own) = _run_jobs([lambda: _merton_checks(cfg),
+                                     lambda: (_market_free_checks(cfg), _own_stream_checks(cfg))])
+    return [*free, *merton, *own]
 
 
 def _merton_checks(cfg: RunConfig) -> list[CheckResult]:

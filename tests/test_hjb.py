@@ -25,6 +25,7 @@ from gctrl import (
     solution_csv_text,
     solution_meta_text,
     solve,
+    solve_stack,
     suggest_time_steps,
 )
 from gctrl.hjb import ControlComponent, gheat_problem
@@ -867,3 +868,96 @@ def test_howard_two_cycle_raises_at_once(solves_per_level):
     with pytest.raises(NumericError, match="cycles between two iterates at time level 1$"):
         solve(problem, Grid1D(-2.0, 2.0, 41, 3))
     assert max(solves_per_level) <= 4
+
+
+def _assert_stack_matches_solve(problems, grid):
+    """Every member of ``solve_stack`` has the values and policy ``solve`` gives it alone."""
+    for problem, got in zip(problems, solve_stack(problems, grid), strict=True):
+        want = solve(problem, grid)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.policy.tobytes() == want.policy.tobytes()
+        assert got.times.tobytes() == want.times.tobytes() and got.controls == want.controls
+
+
+@pytest.mark.parametrize("n_t", [12, 3])
+def test_solve_stack_matches_solve_on_the_ordered_pairs(n_t):
+    # verify's 100 pairs, explicit at 12 steps and implicit at 3, as verify stacks them.
+    from gctrl.verify import _random_ordered_problems
+
+    rng = np.random.default_rng(20240901)
+    pairs = [_random_ordered_problems(rng) for _ in range(100)]
+    grid = dataclasses.replace(pairs[0][2], n_t=n_t)
+    assert all(dataclasses.replace(g, n_t=n_t) == grid for *_, g in pairs)
+    _assert_stack_matches_solve([p for low, high, _ in pairs for p in (low, high)], grid)
+
+
+def test_solve_stack_mixes_attitudes_directions_discounts_and_horizons():
+    rng = np.random.default_rng(17)
+    problems = []
+    for trial in range(4):
+        low, high = _edge_reaching_pair(rng)
+        problems += [dataclasses.replace(low, horizon=0.5 + 0.25 * trial, discount=0.1 * trial),
+                     high]
+    assert {(p.opt_direction, p.attitude) for p in problems} == set(
+        itertools.product(("minimize", "maximize"), ("upper", "lower")))
+    assert len({p.horizon for p in problems}) > 1 and len({p.discount for p in problems}) > 1
+    counts = [suggest_time_steps(p, -5.0, 5.0, 41) for p in problems]
+    for n_t in (max(counts), min(counts) - 1):  # explicit for every member, then implicit
+        _assert_stack_matches_solve(problems, Grid1D(-5.0, 5.0, 41, n_t))
+
+
+@pytest.mark.parametrize("name", ["desk-n_t-20", "desk-3-segments-n_t-20"])
+def test_solve_stack_matches_solve_on_the_desk_under_both_attitudes(name):
+    # Two components and power edges, implicit; the second market has three segments.
+    pessimist, grid = _implicit_case(name)  # merton_hjb_problem's "pessimist"
+    problems = [pessimist, dataclasses.replace(pessimist, attitude="upper")]  # its "optimist"
+    assert grid.n_t < min(suggest_time_steps(p, grid.x_min, grid.x_max, grid.n_x)
+                          for p in problems)
+    _assert_stack_matches_solve(problems, grid)
+    _assert_stack_matches_solve(problems[::-1], grid)
+
+
+def test_solve_stack_of_none_is_empty():
+    assert solve_stack([], Grid1D(-1.0, 1.0, 5, 2)) == []
+
+
+@pytest.mark.parametrize("what", ["scheme", "edge rule", "level count of each component",
+                                  "segment of each level"])
+def test_solve_stack_members_must_share_the_sweep(what):
+    problem = heat_problem(lambda x: x**2)
+    grid = auto_grid(problem, -2.0, 2.0, 41)
+    other = {
+        "scheme": dataclasses.replace(problem, horizon=2.0),  # over the CFL bound: implicit
+        "edge rule": dataclasses.replace(problem, edge_power=2.0),
+        "level count of each component": dataclasses.replace(problem, controls=(0.0, 1.0)),
+        "segment of each level": dataclasses.replace(problem, segment_starts=(0.0, 0.5)),
+    }[what]
+    with pytest.raises(ValueError, match=f"must share the {what}$"):
+        solve_stack([problem, other], grid)
+
+
+def _cycling_stack():
+    """Level 1 of the first problem cycles (see the two-cycle test above); the second
+    problem shares its sweep and settles."""
+    return ([_diffusion_scaled_problem(11, "maximize", "upper"),
+             _diffusion_scaled_problem(10, "minimize", "upper")], Grid1D(-2.0, 2.0, 41, 3))
+
+
+def _overflowing_stack():
+    """The second problem's terminal spike overflows the explicit sweep (see
+    ``test_nan_in_sweep_raises_with_location``); the first is finite throughout."""
+    grid = Grid1D(-2.0, 2.0, 41, suggest_time_steps(heat_problem(lambda x: x), -2, 2, 41))
+    return ([heat_problem(lambda x: x**2),
+             heat_problem(lambda x: np.where(np.abs(x) < 0.05, 1e308, 0.0))], grid)
+
+
+@pytest.mark.parametrize("stack", [_cycling_stack, _overflowing_stack])
+def test_a_diverging_member_raises_its_own_solve_error(stack):
+    problems, grid = stack()
+    solve(problems[0], grid)
+    with pytest.raises(NumericError) as alone:
+        solve(problems[1], grid)
+    for order in (problems, problems[::-1]):
+        with pytest.raises(NumericError) as stacked:
+            solve_stack(order, grid)
+        assert str(stacked.value) == str(alone.value)

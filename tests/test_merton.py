@@ -235,6 +235,28 @@ def test_optimal_policy_desk_values():
     assert pol.portfolio(0.3, 2.0) == pytest.approx(w2 * fund, abs=1e-15)
 
 
+def test_risky_fund_is_solved_once_per_segment_with_the_per_call_bits(monkeypatch):
+    # Two segments of a two-asset market; the times alternate between them.
+    from gctrl import merton
+
+    set_ = AmbiguitySet(dim=2, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
+    market = MarketModel((0.0, 0.5), (0.02, 0.03), ([0.06, 0.05], [0.09, 0.02]),
+                         ([[0.2, 0.05], [0.0, 0.3]], [[0.3, 0.0], [0.1, 0.25]]))
+    lam = worst_case_lambda(set_, "negative", "pessimist")
+    cf = solve_A(market, DESK_UTILITY, lam, n_t=40, horizon=1.0)
+    calls = []
+    monkeypatch.setattr(merton, "market_price_of_risk",
+                        lambda m, t: calls.append(t) or market_price_of_risk(m, t))
+    pol = optimal_policy(cf, market, DESK_UTILITY, set_)
+    for t in (0.7, 0.1, 0.5, 0.0, 0.99, 0.3, 0.5):
+        w1, w2, fund = pol.fund_weights(t, 1.0)
+        per_call = np.linalg.solve(market.at(t)[2].T,
+                                   np.linalg.solve(lam, market_price_of_risk(market, t)))
+        assert fund.tobytes() == per_call.tobytes() and not fund.flags.writeable
+        assert pol.portfolio(t, 2.0).tobytes() == (w2 * per_call).tobytes()
+    assert calls == [0.7, 0.1]
+
+
 def test_consumption_ratio_independent_of_wealth():
     cf = desk_closed_form()
     pol = optimal_policy(cf, DESK_MARKET, DESK_UTILITY, DESK_SET)
