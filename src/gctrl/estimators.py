@@ -8,36 +8,33 @@ bound on the upper expectation; the payoffs used in the test suite are ones
 whose optimum is attained at a constant schedule inside the family.
 
 Candidates are numbered in ``itertools.product`` order over segments, and
-the search walks them in that order, each on its own: one Euler call
-integrates a candidate over the whole horizon, each step under the root of
-the segment it falls in, into one time-major (n_steps+1, n_paths, m) path
-buffer that the next candidate overwrites.  A search thus holds the normal
-draws and that one buffer, beside per-step temporaries, whatever the
-candidate count, and runs in the calling process.  Every candidate sees the
-same draws, so its paths have the bits of integrating its schedule alone.
-The bundle a functional receives is a view of the buffer, valid only until
-the functional's next call: copy whatever must outlive it.  The best
-candidate's paths are returned as that buffer, integrated once more if a
-later candidate overwrote them.
+the search walks them in that order, each on its own, in the calling
+process: one call of ``sde._euler_steps`` steps a candidate over the whole
+horizon, one root per segment on the segment-step table the search builds
+once, into one time-major (n_steps+1, n_paths, m) path buffer that holds x0
+once and whose steps the next candidate overwrites.  A search thus holds the
+normal draws and that one buffer, beside per-step temporaries, whatever the
+candidate count.  Every candidate sees the same draws, so its paths have the
+bits of integrating its schedule alone.  The bundle a functional receives is
+a read-only view of the buffer, valid only until the functional's next call:
+copy whatever must outlive it.  The best candidate's paths are returned as
+that buffer, walked once more if a later candidate overwrote them.
 
 A terminal payoff of G-Brownian motion from 0 (what ``simulate`` estimates)
 needs no Euler step to be ranked: under a piecewise-constant schedule the
 terminal state is the sum over segments of each segment's Brownian increment
 times its volatility root.  ``terminal_expectation_mc`` screens every
-candidate on these per-segment sums, a block of at most ``_BLOCK_FLOATS``
-floats at a time (sized by measurement to stay under one path buffer on the
-shipped configs), without forking, and then walks only the
-candidates whose screened mean lies within ``_SCREEN_RTOL`` of the best, as
-``upper_expectation_mc`` walks them; every number it reports comes from that
-walk.  The screen differs from the walk by rounding alone, so the margin
-only matters for a payoff with a jump, such as a digital: one could be
-screened wrong only if a path ends within about 1e-13 of the jump.
+candidate on these sums, over the steps of the same table, then walks only
+the candidates whose screened mean lies within ``_SCREEN_RTOL`` of the best;
+every number it reports comes from that walk, and its docstring bounds how
+far the screen can differ from the walk.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -51,7 +48,7 @@ from .sde import (
     VolSchedule,
     _checked_roots_t,
     _euler_steps,
-    _step_intervals,
+    _segment_cuts,
     path_normals,
 )
 
@@ -93,6 +90,8 @@ class MomentReport:
 
 
 def _variance_levels(set_: AmbiguitySet, n_grid: int) -> np.ndarray:
+    if isinstance(n_grid, bool) or not isinstance(n_grid, Integral):
+        raise ValueError(f"n_grid must be an integer, got {n_grid!r}")
     if n_grid < 1:
         raise ValueError("n_grid must be positive")
     if set_.degenerate or n_grid == 1:
@@ -106,6 +105,8 @@ def _segment_matrices(set_: AmbiguitySet, n_grid: int, n_segments: int) -> list[
     Raises a ConfigError before any matrix is built or path drawn when the
     product family over ``n_segments`` would exceed ``_MAX_CANDIDATES``.
     """
+    if isinstance(n_segments, bool) or not isinstance(n_segments, Integral):
+        raise ValueError(f"n_segments must be an integer, got {n_segments!r}")
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
     levels = _variance_levels(set_, n_grid)
@@ -133,20 +134,10 @@ def candidate_schedules(
             for combo in itertools.product(seg_mats, repeat=n_segments)]
 
 
-def _segment_cuts(breakpoints: tuple[float, ...], cfg: PathConfig) -> list[int]:
-    """The first Euler step of each segment, then ``cfg.n_steps``.
-
-    Segment j takes the steps ``cuts[j]`` to ``cuts[j + 1] - 1``, those on
-    which ``integrate_gsde`` holds the covariance that starts at breakpoint j.
-    """
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)[:-1]
-    return np.searchsorted(_step_intervals(breakpoints, times, cfg.horizon),
-                           np.arange(len(breakpoints) + 1)).tolist()
-
-
 def _checked_search(spec: SdeSpec, set_: AmbiguitySet, cfg: PathConfig, n_segments: int,
                     direction: str, n_grid: int):
-    """A search's ``(sign, segment covariances, their transposed roots, breakpoints)``.
+    """A search's ``(sign, segment covariances, their transposed roots, breakpoints, cuts)``,
+    ``cuts`` its one segment-step table, for its screen and every walk.
 
     Raises before any draw: ValueError for an unknown direction or a
     covariance that ``spec`` cannot take; ConfigError for over
@@ -161,7 +152,7 @@ def _checked_search(spec: SdeSpec, set_: AmbiguitySet, cfg: PathConfig, n_segmen
     if any(k0 == k1 for k0, k1 in zip(cuts, cuts[1:])):
         raise ConfigError(f"n_segments = {n_segments} leaves a segment that none of the "
                           f"n_steps = {cfg.n_steps} Euler steps falls in")
-    return (1.0 if direction == "upper" else -1.0), seg_mats, roots_t, breakpoints
+    return (1.0 if direction == "upper" else -1.0), seg_mats, roots_t, breakpoints, cuts
 
 
 def _checked_values(values, count: int) -> np.ndarray:
@@ -176,52 +167,43 @@ def _checked_values(values, count: int) -> np.ndarray:
     return vals
 
 
-def _integrate(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, roots_t: np.ndarray,
-               breakpoints: tuple[float, ...], path: np.ndarray, index: int) -> None:
-    """Euler-integrate candidate ``index`` over the whole horizon into ``path``.
-
-    ``roots_t`` holds the transposed roots of the segment covariances, and
-    ``path`` is a time-major (n_steps+1, n_paths, m) buffer.  Each step takes
-    the root of the segment it falls in as ``integrate_gsde`` does, so the
-    paths have the bits ``integrate_gsde`` gives the candidate's schedule.
-    """
-    levels = list(np.unravel_index(index, (len(roots_t),) * len(breakpoints)))
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)[:-1]
-    path[0] = spec.initial_state
-    _euler_steps(spec, path, roots_t[levels][_step_intervals(breakpoints, times, cfg.horizon)],
-                 normals, cfg.dt, index)
-
-
 def _search(spec: SdeSpec, cfg: PathConfig, normals: np.ndarray, sign: float, seg_mats: list,
-            roots_t: np.ndarray, breakpoints: tuple[float, ...], functional,
+            roots_t: np.ndarray, breakpoints: tuple[float, ...], cuts: list[int], functional,
             candidates: Iterable[int]) -> ExpectationEstimate:
     """The estimate of the best of ``candidates``, indices walked in the order given.
 
-    Each candidate is integrated into one time-major path buffer, which the
-    next one overwrites, and its mean of ``functional`` taken; one better
-    than the best so far replaces it, so a tie keeps the earlier one.  The
-    best one's paths are the buffer itself: when a later candidate has
-    overwritten them, the best one is integrated once more, without calling
-    its functional again.
+    Each candidate is walked on the table ``cuts`` into one time-major path
+    buffer, whose steps the next one overwrites, and its mean of
+    ``functional`` taken on a read-only view; one better than the best so far
+    replaces it, so a tie keeps the earlier one.  The best one's paths are the
+    buffer itself: when a later candidate has overwritten them, the best one
+    is walked once more, without calling its functional again.
     """
     path = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
+    path[0] = spec.initial_state
     bundle = PathBundle(np.linspace(0.0, cfg.horizon, cfg.n_steps + 1), path.transpose(1, 0, 2))
+    bundle.states.flags.writeable = False  # a functional cannot move x0 under the next candidate
+    shape = (len(seg_mats),) * len(breakpoints)
+
+    def walk(index: int) -> None:
+        levels = list(np.unravel_index(index, shape))
+        _euler_steps(spec, path, roots_t[levels], cuts, normals, cfg.dt, index)
+
     best = best_mean = best_vals = None
     for index in candidates:
-        _integrate(spec, cfg, normals, roots_t, breakpoints, path, index)
+        walk(index)
         vals = _checked_values(functional(bundle), cfg.n_paths)
         mean = float(vals.mean())
         if best is None or sign * mean > sign * best_mean:
             best, best_mean, best_vals = index, mean, vals
     if best != index:
-        _integrate(spec, cfg, normals, roots_t, breakpoints, path, best)
-    n_paths, n_segments = cfg.n_paths, len(breakpoints)
-    levels = np.unravel_index(best, (len(seg_mats),) * n_segments)
+        walk(best)
+    n_paths, levels = cfg.n_paths, np.unravel_index(best, shape)
     return ExpectationEstimate(
         value=best_mean,
         std_error=0.0 if n_paths < 2 else float(best_vals.std(ddof=1) / np.sqrt(n_paths)),
         best_schedule=VolSchedule(breakpoints, tuple(seg_mats[i] for i in levels)),
-        n_schedules_searched=len(seg_mats) ** n_segments,
+        n_schedules_searched=len(seg_mats) ** len(breakpoints),
         best_paths=bundle,
     )
 
@@ -246,17 +228,18 @@ def upper_expectation_mc(
 
     Candidates are walked one at a time in ``candidate_schedules`` order, as
     the module docstring describes, in the calling process.  ``bundle.states``
-    is a view of the one path buffer, which the next candidate overwrites.
+    is a read-only view of the one path buffer, which the next candidate
+    overwrites.
     If paths turn non-finite, the ``NumericError`` names the first candidate
     in product order whose paths diverge, with the path and step at which
     ``integrate_gsde`` on that candidate would stop.  ConfigError, before any
     draw: over ``_MAX_CANDIDATES`` schedules, or a segment that no Euler step
     falls in.
     """
-    sign, seg_mats, roots_t, breakpoints = _checked_search(spec, set_, cfg, n_segments,
-                                                           direction, n_grid)
+    sign, seg_mats, roots_t, breakpoints, cuts = _checked_search(spec, set_, cfg, n_segments,
+                                                                 direction, n_grid)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
-    return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints, functional,
+    return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints, cuts, functional,
                    range(len(seg_mats) ** n_segments))
 
 
@@ -322,13 +305,13 @@ def terminal_expectation_mc(
     then put that path on different sides, which moves a mean by 1 / n_paths.
     """
     spec = SdeSpec.brownian(set_.dim)
-    sign, seg_mats, roots_t, breakpoints = _checked_search(spec, set_, cfg, n_segments,
-                                                           direction, n_grid)
+    sign, seg_mats, roots_t, breakpoints, cuts = _checked_search(spec, set_, cfg, n_segments,
+                                                                 direction, n_grid)
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, set_.dim)
-    means = sign * _screen(payoff, normals, roots_t, _segment_cuts(breakpoints, cfg), cfg.dt)
+    means = sign * _screen(payoff, normals, roots_t, cuts, cfg.dt)
     top = means.max()
     confirmed = np.flatnonzero(top - means <= _SCREEN_RTOL * max(1.0, abs(top)))
-    return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints,
+    return _search(spec, cfg, normals, sign, seg_mats, roots_t, breakpoints, cuts,
                    lambda bundle: payoff(bundle.states[:, -1, :]), confirmed.tolist())
 
 
@@ -364,8 +347,10 @@ def moment_bound_check(
     sup_moment = -np.inf
     envelope = np.full(len(lags), -np.inf)
     path = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
+    path[0] = spec.initial_state
     for level in range(len(roots_t)):
-        _integrate(spec, cfg, normals, roots_t, (0.0,), path, level)
+        _euler_steps(spec, path, roots_t[level:level + 1], [0, cfg.n_steps], normals, cfg.dt,
+                     level)
         # Path-major copy: the means below then sum in path order.
         states = np.ascontiguousarray(path.transpose(1, 0, 2))
         norms = np.linalg.norm(states, axis=2)  # (n_paths, n_steps+1)

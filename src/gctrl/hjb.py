@@ -175,8 +175,8 @@ class HjbProblem:
     components: tuple[ControlComponent, ...] | None = None
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if len(self.controls) == 0:
             raise ValueError("controls must be a nonempty list")
         object.__setattr__(self, "controls", tuple(self.controls))
@@ -190,8 +190,8 @@ class HjbProblem:
             if not self.components or self.controls != product:
                 raise ValueError("controls must be the component-major product of the "
                                  "components' levels")
-        if self.discount < 0.0:
-            raise ValueError("discount must be nonnegative")
+        if not 0.0 <= self.discount < np.inf:
+            raise ValueError("discount must be nonnegative and finite")
         if self.attitude not in _ATTITUDES:
             raise ValueError(f"attitude must be one of {_ATTITUDES}, got {self.attitude!r}")
         if self.opt_direction not in _DIRECTIONS:

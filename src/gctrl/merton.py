@@ -23,6 +23,7 @@ candidate expression satisfies the ODE in ``resolved_branch``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,6 +73,9 @@ class MarketModel:
         gammas = tuple(np.atleast_2d(np.array(v, dtype=float)) for v in self.gamma)
         if not len(starts) == len(rs) == len(alphas) == len(gammas):
             raise ValueError("need one (r, alpha, gamma) triple per segment")
+        for name, values in (("r", rs), ("alpha", alphas), ("gamma", gammas)):
+            if not all(np.isfinite(v).all() for v in values):
+                raise ValueError(f"{name} must be finite")
         d = alphas[0].shape[0]
         for a, g in zip(alphas, gammas):
             if a.shape != (d,) or g.shape != (d, d):
@@ -115,6 +119,9 @@ class CrraUtility:
             raise ValueError("kappa must be positive and different from 1")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
+        for name in ("kappa", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     def utility(self, z):
         return np.power(z, 1.0 - self.kappa) / (1.0 - self.kappa)
@@ -249,10 +256,12 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     evaluated once per entry of ``m.segment_starts`` up to the horizon and
     looked up for every other time; ``ClosedForm.eta`` is that lookup.
     """
+    if not isinstance(n_t, Integral):
+        raise ValueError(f"n_t must be an integer, got {n_t!r}")
     if n_t < 2:
         raise ValueError("n_t must be at least 2")
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise ValueError("horizon must be positive and finite")
     lam = as_symmetric(lambda_bar, m.dim)
     times = np.linspace(0.0, horizon, n_t + 1)
 

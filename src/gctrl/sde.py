@@ -8,11 +8,12 @@ with the Euler-Maruyama scheme.  Randomness comes from one counter-based
 stream per path index, so enlarging the path count never reshuffles the paths
 already drawn and every run is bit-reproducible from its seed.
 
-All stepping goes through one loop, ``_euler_steps``, which advances the paths
-of one schedule over the whole horizon, reading each drift and diffusion as
-numpy broadcasts it.  ``integrate_gsde`` and ``sample_gbm`` call it once, and
-so does the scenario search in ``estimators`` for each candidate schedule it
-walks.
+All stepping goes through one walk, ``_euler_steps``, which advances the paths
+of one schedule over the whole horizon from one root per segment and the
+segment-step table of ``_segment_cuts``, reading each drift and diffusion as
+numpy broadcasts it.  ``integrate_gsde`` and ``sample_gbm`` call it once; the
+scenario search in ``estimators`` builds one table, which its screen sums
+and each candidate schedule it walks steps.
 
 Every piecewise-constant object (a ``VolSchedule``, an ``hjb.HjbProblem``, a
 ``merton.MarketModel``) keeps its segment rules here: ``_checked_starts``
@@ -20,10 +21,10 @@ validates the starts (time 0 first, strictly increasing), ``_segment_index``
 picks the right-open segment in force at a time, and ``_starts_before`` drops
 the segments that start at or after a horizon and so never apply.  A step of
 a uniform time grid takes its segment from ``_step_intervals`` instead, which
-allows its start 1e-12 * horizon of rounding: the Euler walk's steps, the
-levels of ``hjb``'s grid sweep and the policy Monte Carlo's grid lookup all
-do, so the legs that step through time agree on each step's segment.
-Pointwise queries keep the exact rule.
+allows its start 1e-12 * horizon of rounding: the Monte Carlo leg applies it
+in ``_segment_cuts`` alone, and the levels of ``hjb``'s grid sweep and the
+policy Monte Carlo's grid lookup apply it too, so the legs that step through
+time agree on each step's segment.  Pointwise queries keep the exact rule.
 
 ``CsvTable`` is the one CSV layout: every CSV artifact (paths, grid
 solutions and the three portfolio tables) is a header line plus blocks of
@@ -59,9 +60,6 @@ import numpy as np
 from .ambiguity import AmbiguitySet, as_symmetric, contains
 from .errors import NumericError
 
-_MASK64 = (1 << 64) - 1
-
-
 def _checked_starts(starts, name: str) -> tuple[float, ...]:
     """``starts`` as floats; ValueError naming ``name`` unless they start at 0 and increase."""
     try:
@@ -81,6 +79,13 @@ def _segment_index(starts: Sequence[float], t: float) -> int:
 def _starts_before(starts: Sequence[float], horizon: float) -> tuple[float, ...]:
     """Starts of the segments that apply before ``horizon``; later ones never do."""
     return tuple(s for s in starts if s < horizon)
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; ValueError unless it is an integer in [0, 2**64), a path stream key."""
+    if not (isinstance(seed, Integral) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,7 @@ class PathConfig:
             raise ValueError("n_steps and n_paths must be positive integers")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
+        _checked_seed(self.seed)
 
     @property
     def dt(self) -> float:
@@ -210,10 +216,11 @@ def path_normals(seed: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
     """Standard normal draws, one counter-based stream per path index.
 
     The stream for path p is keyed by (seed, p), so draws for a given path
-    do not depend on how many other paths are requested.
+    do not depend on how many other paths are requested.  ``seed`` must be an
+    integer in [0, 2**64) (ValueError otherwise).
     """
     out = np.empty((n_paths, n_steps, dim))
-    bits = np.random.Philox(key=int(seed) & _MASK64)
+    bits = np.random.Philox(key=_checked_seed(seed))
     gen = np.random.Generator(bits)
     # A fresh generator's state: counter 0, key [seed, 0], no buffered words.  Path p
     # restarts from it with key [seed, p], i.e. the 128-bit key (p << 64) | seed.
@@ -272,31 +279,44 @@ def sample_gbm(set_: AmbiguitySet, schedule: VolSchedule, cfg: PathConfig) -> Pa
     return integrate_gsde(SdeSpec.brownian(set_.dim), set_, schedule, cfg)
 
 
+def _segment_cuts(starts: Sequence[float], cfg: PathConfig) -> list[int]:
+    """The segment-step table: the first Euler step of each segment, then ``cfg.n_steps``.
+
+    Segment j takes the steps ``cuts[j]`` to ``cuts[j + 1] - 1``, those
+    ``_step_intervals`` gives it, and none if no step starts in it.
+    """
+    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)[:-1]
+    return np.searchsorted(_step_intervals(starts, times, cfg.horizon),
+                           np.arange(len(starts) + 1)).tolist()
+
+
 def _euler_steps(
     spec: SdeSpec,
     states: np.ndarray,
     roots_t: np.ndarray,
+    cuts: Sequence[int],
     normals: np.ndarray,
     dt: float,
     candidate: int | None = None,
 ) -> None:
     """Euler-Maruyama steps of one schedule from ``states[0]``, written to ``states[1:]``.
 
-    ``states`` is time-major, (n_steps+1, n_paths, m), and step k is taken
-    under the covariance whose transposed root is ``roots_t[k]`` (d, d), on
-    the draws ``normals[:, k]`` of ``normals`` (n_paths, n_steps, d).  Each
-    drift and diffusion is used in the shape returned (``SdeSpec`` gives the
-    rule), never copied to full shape: numpy broadcasts it, and the diffusion
-    is contracted with the increments over any leading axes, by a plain
-    product with one noise and by ``einsum`` with more.  A non-finite state
-    aborts with its path and step, and with ``candidate`` as the candidate
-    schedule when given.
+    ``states`` is time-major, (n_steps+1, n_paths, m).  Segment j's steps,
+    ``cuts[j]`` to ``cuts[j + 1] - 1`` of a table running from 0 to n_steps,
+    are taken under the covariance whose transposed root is ``roots_t[j]``
+    (d, d), step k on the draws ``normals[:, k]`` of ``normals`` (n_paths,
+    n_steps, d).  Each drift and diffusion is used in the shape returned
+    (``SdeSpec`` gives the rule), never copied to full shape: numpy
+    broadcasts it, and the diffusion is contracted with the increments over
+    any leading axes, by a plain product with one noise and by ``einsum``
+    with more.  A non-finite state aborts with its path and step, and with
+    ``candidate`` as the candidate schedule when given.
     """
     n, m = states.shape[1], states.shape[2]
     d = normals.shape[2]
     sqrt_dt = np.sqrt(dt)
     x = np.array(states[0])
-    for k, root_t in enumerate(roots_t):
+    for k, root_t in enumerate(np.repeat(roots_t, np.diff(cuts), axis=0)):
         t_k = k * dt
         u = spec.control(t_k, x) if spec.control is not None else None
         f = np.asarray(spec.drift(t_k, x, u), dtype=float)
@@ -352,10 +372,9 @@ def integrate_gsde(
     normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, spec.dim_noise)
     states = np.empty((cfg.n_steps + 1, cfg.n_paths, spec.dim_state))
     states[0] = spec.initial_state
-    times = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
-    steps = _step_intervals(schedule.breakpoints, times[:-1], cfg.horizon)
-    _euler_steps(spec, states, roots_t[steps], normals, cfg.dt)
-    return PathBundle(times=times, states=states.transpose(1, 0, 2))
+    _euler_steps(spec, states, roots_t, _segment_cuts(schedule.breakpoints, cfg), normals, cfg.dt)
+    return PathBundle(times=np.linspace(0.0, cfg.horizon, cfg.n_steps + 1),
+                      states=states.transpose(1, 0, 2))
 
 
 _U64 = np.uint64
@@ -661,15 +680,6 @@ def _run_jobs(jobs: list) -> list:
             os.close(read)
 
 
-def _append(part: Path, out) -> None:
-    """Append the file ``part`` to ``out``, an unbuffered binary file positioned at its end."""
-    with open(part, "rb") as src:
-        with contextlib.suppress(AttributeError, OSError):  # no copy_file_range for these files
-            while os.copy_file_range(src.fileno(), out.fileno(), 1 << 30):
-                pass
-        shutil.copyfileobj(src, out)  # whatever copy_file_range left
-
-
 def write_csv(path: Path, table: CsvTable) -> None:
     """Write ``table`` to ``path``, formatting contiguous ranges of its blocks on the usable CPUs.
 
@@ -697,10 +707,10 @@ def write_csv(path: Path, table: CsvTable) -> None:
 
     try:
         _run_jobs([functools.partial(write_range, k) for k in range(n)])
-        with open(path, "r+b", buffering=0) as out:
-            out.seek(0, os.SEEK_END)
+        with open(path, "ab", buffering=0) as out:
             for part in parts:
-                _append(part, out)
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
     finally:
         for part in parts:
             part.unlink(missing_ok=True)

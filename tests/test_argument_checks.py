@@ -16,14 +16,18 @@ from gctrl import (
     SdeSpec,
     VolSchedule,
     as_symmetric,
+    candidate_schedules,
     evaluate_policy_mc,
     integrate_gsde,
     merton_hjb_problem,
+    moment_bound_check,
     solve_A,
+    terminal_expectation_mc,
     upper_expectation_mc,
     worst_case_lambda,
 )
 from gctrl.hjb import gheat_problem
+from gctrl.sde import path_normals
 
 SET = AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=1.0)
 HEAT = gheat_problem(SET, lambda x: x * x, 1.0)
@@ -59,6 +63,16 @@ CHECKS = {
                             "controls must be a nonempty list"),
     "problem-discount": (lambda: dataclasses.replace(HEAT, discount=-0.1), ValueError,
                          "discount must be nonnegative"),
+    "problem-horizon-finite": (lambda: dataclasses.replace(HEAT, horizon=np.inf), ValueError,
+                               "horizon must be positive and finite"),
+    "problem-discount-finite": (lambda: dataclasses.replace(HEAT, discount=np.nan), ValueError,
+                                "discount must be nonnegative and finite"),
+    "market-r-finite": (lambda: MarketModel.constant(r=np.nan, alpha=0.06, gamma=0.2),
+                        ValueError, "r must be finite"),
+    "market-alpha-finite": (lambda: MarketModel.constant(r=0.02, alpha=np.inf, gamma=0.2),
+                            ValueError, "alpha must be finite"),
+    "market-gamma-finite": (lambda: MarketModel.constant(r=0.02, alpha=0.06, gamma=np.nan),
+                            ValueError, "gamma must be finite"),
     "problem-attitude": (lambda: dataclasses.replace(HEAT, attitude="sideways"), ValueError,
                          "attitude must be one of"),
     "problem-direction": (lambda: dataclasses.replace(HEAT, opt_direction="up"), ValueError,
@@ -68,8 +82,14 @@ CHECKS = {
                           ValueError, "cfg.horizon must equal the problem horizon"),
     "utility-beta": (lambda: CrraUtility(kappa=2.0, beta=-0.1), ValueError,
                      "beta must be nonnegative"),
+    "utility-beta-finite": (lambda: CrraUtility(kappa=2.0, beta=np.nan), ValueError,
+                            "beta must be finite"),
+    "utility-kappa-finite": (lambda: CrraUtility(kappa=np.inf), ValueError,
+                             "kappa must be finite"),
     "solve-A-n_t": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 1, 1.0), ValueError,
                     "n_t must be at least 2"),
+    "solve-A-n_t-integer": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 10.5, 1.0), ValueError,
+                            "n_t must be an integer, got 10.5"),
     "solve-A-horizon": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 4, 0.0), ValueError,
                         "horizon must be positive"),
     "solve-A-overflow": (lambda: solve_A(MarketModel.constant(r=0.02, alpha=10.0, gamma=0.1),
@@ -91,6 +111,17 @@ CHECKS = {
                              "horizon must be positive and finite"),
     "paths-n_steps-integer": (lambda: dataclasses.replace(CFG, n_steps=2.5), ValueError,
                               "n_steps and n_paths must be positive integers"),
+    # Each of these seeds drew the paths of another: seed 1's, 1's and 2**64 - 1's.
+    "paths-seed-fraction": (lambda: dataclasses.replace(CFG, seed=1.5), ValueError,
+                            "seed must be an integer in [0, 2**64), got 1.5"),
+    "paths-seed-wide": (lambda: dataclasses.replace(CFG, seed=2**64 + 1), ValueError,
+                        "seed must be an integer in [0, 2**64), got 18446744073709551617"),
+    "paths-seed-negative": (lambda: dataclasses.replace(CFG, seed=-1), ValueError,
+                            "seed must be an integer in [0, 2**64), got -1"),
+    "normals-seed-fraction": (lambda: path_normals(1.5, 2, 3, 1), ValueError,
+                              "seed must be an integer in [0, 2**64), got 1.5"),
+    "normals-seed-negative": (lambda: path_normals(-1, 2, 3, 1), ValueError,
+                              "seed must be an integer in [0, 2**64), got -1"),
     "sde-dim-state": (lambda: _spec(dim_state=0), ValueError,
                       "state and noise dimensions must be positive"),
     "sde-dim-noise": (lambda: _spec(dim_noise=0), ValueError,
@@ -107,6 +138,25 @@ CHECKS = {
                             ValueError, "noise dimension 2 does not match schedule dim 1"),
     "search-n_grid": (lambda: _search(n_grid=0), ValueError, "n_grid must be positive"),
     "search-n_segments": (lambda: _search(n_segments=0), ValueError, "n_segments must be >= 1"),
+    "search-n_grid-integer": (lambda: _search(n_grid=2.5), ValueError,
+                              "n_grid must be an integer, got 2.5"),
+    "search-n_grid-bool": (lambda: _search(n_grid=True), ValueError,
+                           "n_grid must be an integer, got True"),
+    "search-n_segments-integer": (lambda: _search(n_segments=2.5), ValueError,
+                                  "n_segments must be an integer, got 2.5"),
+    "terminal-n_grid-integer": (lambda: terminal_expectation_mc(SET, lambda x: x[:, 0], CFG,
+                                                                n_grid=2.5),
+                                ValueError, "n_grid must be an integer, got 2.5"),
+    "terminal-n_segments-integer": (lambda: terminal_expectation_mc(SET, lambda x: x[:, 0], CFG,
+                                                                    n_segments=2.5),
+                                    ValueError, "n_segments must be an integer, got 2.5"),
+    "candidates-n_grid-integer": (lambda: candidate_schedules(SET, 1.0, 2, 2.5), ValueError,
+                                  "n_grid must be an integer, got 2.5"),
+    "candidates-n_segments-integer": (lambda: candidate_schedules(SET, 1.0, 2.5, 2), ValueError,
+                                      "n_segments must be an integer, got 2.5"),
+    "moment-n_grid-integer": (lambda: moment_bound_check(
+        BROWNIAN, SET, dataclasses.replace(CFG, n_steps=8), ell=2, n_grid=2.5),
+        ValueError, "n_grid must be an integer, got 2.5"),
     "search-direction": (lambda: _search(direction="middle"), ValueError,
                          "direction must be 'upper' or 'lower'"),
     "search-functional-shape": (lambda: _search(functional=lambda bundle: np.zeros(2)),

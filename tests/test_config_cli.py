@@ -305,9 +305,9 @@ def test_cli_simulate_steps_only_the_confirmed_candidates(tmp_path, monkeypatch)
     nodes = []
     steps = sde._euler_steps
 
-    def counting(spec, states, roots_t, normals, dt, candidate=None):
-        nodes.append((len(roots_t), candidate))  # (steps, its candidate)
-        return steps(spec, states, roots_t, normals, dt, candidate)
+    def counting(spec, states, roots_t, cuts, normals, dt, candidate=None):
+        nodes.append((cuts[-1] - cuts[0], candidate))  # (steps, its candidate)
+        return steps(spec, states, roots_t, cuts, normals, dt, candidate)
 
     monkeypatch.setattr(sde, "_euler_steps", counting)
     monkeypatch.setattr(estimators, "_euler_steps", counting)
@@ -325,13 +325,13 @@ def test_cli_simulate_confirms_one_candidate_on_the_shipped_configs(monkeypatch,
     from gctrl import cli
 
     walked = []
-    integrate = estimators._integrate
+    steps = estimators._euler_steps
 
     def recording(*args):
         walked.append(args[-1])  # the candidate index
-        return integrate(*args)
+        return steps(*args)
 
-    monkeypatch.setattr(estimators, "_integrate", recording)
+    monkeypatch.setattr(estimators, "_euler_steps", recording)
     text = (Path(__file__).resolve().parents[1] / config).read_text("utf-8")
     report = cli.RunReport(command="simulate", config_echo="")
     cli.cmd_simulate(parse_config_text(text), report)

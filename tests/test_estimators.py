@@ -319,9 +319,9 @@ def test_the_walk_matches_one_integration_per_candidate(monkeypatch, case):
     calls = []
     steps = estimators._euler_steps
 
-    def recording_steps(spec, states, roots_t, normals, dt, candidate):
-        calls.append((len(roots_t), candidate))
-        return steps(spec, states, roots_t, normals, dt, candidate)
+    def recording_steps(spec, states, roots_t, cuts, normals, dt, candidate):
+        calls.append((cuts[-1] - cuts[0], candidate))
+        return steps(spec, states, roots_t, cuts, normals, dt, candidate)
 
     monkeypatch.setattr(estimators, "_euler_steps", recording_steps)
     for direction in ("upper", "lower"):
@@ -347,6 +347,17 @@ def test_the_walk_matches_one_integration_per_candidate(monkeypatch, case):
         # again when a later candidate has overwritten the path buffer.
         walked = [*range(len(schedules)), *([best] if best < len(schedules) - 1 else [])]
         assert calls == [(cfg.n_steps, c) for c in walked]
+
+
+def test_the_functional_reads_the_path_buffer_read_only():
+    # The buffer holds x0 once for every candidate, so a functional may not write it.
+    def writing(bundle):
+        bundle.states[:, 0, :] = 5.0
+        return bundle.states[:, -1, 0]
+
+    with pytest.raises(ValueError, match="read-only"):
+        upper_expectation_mc(_gbm_spec(), SET, writing, _cfg(n_paths=5, n_steps=4),
+                             n_segments=1, n_grid=2)
 
 
 def test_nonfinite_in_prefix_tree_names_first_diverging_candidate():
@@ -419,13 +430,13 @@ def test_terminal_search_equals_the_euler_search(monkeypatch, name, direction, s
     payoff = {**PAYOFFS, "indicator": lambda x, c: (x[:, 0] > -1.3).astype(float)}[name]
     kw = dict(n_segments=2, direction=direction, n_grid=3)
     walked = []
-    integrate = estimators._integrate
+    steps = estimators._euler_steps
 
     def recording(*args):
         walked.append(args[-1])
-        return integrate(*args)
+        return steps(*args)
 
-    monkeypatch.setattr(estimators, "_integrate", recording)
+    monkeypatch.setattr(estimators, "_euler_steps", recording)
     got = terminal_expectation_mc(set_, lambda x: payoff(x, 0.5), cfg, **kw)
     monkeypatch.undo()
     want = upper_expectation_mc(SdeSpec.brownian(set_.dim), set_,
@@ -468,6 +479,50 @@ def test_terminal_search_keeps_the_errors(monkeypatch):
         terminal_expectation_mc(SET, lambda x: np.where(x[:, 0] > 1.0, np.inf, 0.0), cfg)
 
 
+def test_a_search_walks_the_steps_its_screen_sums(monkeypatch):
+    # 13 steps on 3 segments: the starts 1/3 and 2/3 fall inside steps 4 and 8, so the
+    # segments hold 5, 4 and 4 steps.  Seed 1's segment sums are +, -, +, so the upward
+    # search on X_T picks high, low, high, and a step walked in the wrong segment shows.
+    cfg = _cfg(n_paths=1, n_steps=13, seed=1)
+    screened = []
+    screen = estimators._screen
+
+    def recording(payoff, normals, roots_t, cuts, dt):
+        screened.append(list(cuts))
+        return screen(payoff, normals, roots_t, cuts, dt)
+
+    monkeypatch.setattr(estimators, "_screen", recording)
+    est = terminal_expectation_mc(SET, lambda x: x[:, 0], cfg, n_segments=3, n_grid=2)
+    assert screened == [[0, 5, 9, 13]]
+    levels = [float(v[0, 0]) for v in est.best_schedule.values]
+    assert levels == [1.0, 0.25, 1.0]
+    held = np.repeat(levels, np.diff(screened[0]))
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1)[0, :, 0]
+    assert np.allclose(np.diff(est.best_paths.states[0, :, 0]),
+                       np.sqrt(cfg.dt) * normals * np.sqrt(held), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("terminal", [False, True], ids=["euler-search", "terminal-search"])
+def test_a_search_builds_its_segment_step_table_once(monkeypatch, terminal):
+    from gctrl import sde
+
+    calls = []
+    step_intervals = sde._step_intervals
+
+    def counting(*args):
+        calls.append(args)
+        return step_intervals(*args)
+
+    monkeypatch.setattr(sde, "_step_intervals", counting)
+    cfg = _cfg(n_paths=20, n_steps=13)
+    kw = dict(n_segments=3, n_grid=3)
+    if terminal:
+        terminal_expectation_mc(SET, lambda x: x[:, 0] ** 2, cfg, **kw)
+    else:
+        upper_expectation_mc(_gbm_spec(), SET, terminal_square, cfg, **kw)
+    assert len(calls) == 1
+
+
 def test_the_screen_holds_less_than_the_walks_buffers():
     import tracemalloc
 
@@ -476,10 +531,9 @@ def test_the_screen_holds_less_than_the_walks_buffers():
     spec = SdeSpec.brownian(1)
     for n_paths, n_steps, n_segments, n_grid in [(1000, 200, 4, 5), (4000, 250, 2, 3)]:
         cfg = PathConfig(n_steps=n_steps, horizon=1.0, n_paths=n_paths, seed=3)
-        _, _, roots_t, breakpoints = estimators._checked_search(spec, SET, cfg, n_segments,
-                                                               "upper", n_grid)
+        _, _, roots_t, _, cuts = estimators._checked_search(spec, SET, cfg, n_segments,
+                                                            "upper", n_grid)
         normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1)
-        cuts = estimators._segment_cuts(breakpoints, cfg)
         tracemalloc.start()
         try:
             estimators._screen(lambda x: PAYOFFS["x_squared"](x, 0.0), normals, roots_t, cuts,

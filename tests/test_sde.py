@@ -361,6 +361,33 @@ def test_equal_segments_get_equal_steps():
     assert uneven == []
 
 
+def test_the_walk_steps_each_segment_where_step_intervals_puts_it():
+    # Ten steps of 0.1: 0.3 starts on step 3, 0.45 inside step 4, 0.62 and 0.67 both
+    # inside step 6 (so 0.62 holds no step), and 1.5 after the horizon (no step either).
+    starts = (0.0, 0.3, 0.45, 0.62, 0.67, 1.5)
+    schedule = VolSchedule(starts, tuple(np.array([[v]]) for v in (0.25, 1.0, 0.5, 0.75,
+                                                                   0.3, 0.9)))
+    cfg = _cfg(n_steps=10, n_paths=5, seed=11)
+    spec = SdeSpec(dim_state=1, dim_noise=1, drift=lambda t, x, u: np.sin(t) - 0.5 * x,
+                   diffusion=lambda t, x, u: 1.0 + 0.1 * x * x, initial_state=[0.3])
+    steps = _step_intervals(starts, np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)[:-1],
+                            cfg.horizon)
+    assert steps.tolist() == [0, 0, 0, 1, 1, 2, 2, 4, 4, 4]
+    # The reference steps each k under the root of segment steps[k], in the walk's order
+    # of operations.
+    roots_t = [_sqrt_psd(v).T for v in schedule.values]
+    normals = path_normals(cfg.seed, cfg.n_paths, cfg.n_steps, 1)
+    x = np.full((cfg.n_paths, 1), 0.3)
+    want = [x]
+    for k in range(cfg.n_steps):
+        t = k * cfg.dt
+        dw = (np.sqrt(cfg.dt) * normals[:, k, :]) * roots_t[steps[k]]
+        x = x + (np.sin(t) - 0.5 * x) * cfg.dt + ((1.0 + 0.1 * x * x) * dw + 0.0)
+        want.append(x)
+    assert np.array_equal(integrate_gsde(spec, SET, schedule, cfg).states,
+                          np.stack(want, axis=1))
+
+
 def test_value_at_right_open_intervals():
     sched = VolSchedule(breakpoints=(0.0, 0.5), values=(np.array([[1.0]]), np.array([[0.25]])))
     assert sched.value_at(0.0)[0, 0] == 1.0

@@ -171,13 +171,13 @@ def test_a_divergence_raises_the_one_cpu_error(usable_cpus, levels_reached, name
 def test_a_split_simulate_writes_the_golden_bytes(tmp_path, monkeypatch, usable_cpus, config):
     usable_cpus(2)
     walked = []
-    integrate = estimators._integrate
+    steps = estimators._euler_steps
 
     def recording(*args):
         walked.append(os.getpid())
-        return integrate(*args)
+        return steps(*args)
 
-    monkeypatch.setattr(estimators, "_integrate", recording)
+    monkeypatch.setattr(estimators, "_euler_steps", recording)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(config, encoding="utf-8")
     out = tmp_path / "out"
