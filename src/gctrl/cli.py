@@ -219,9 +219,9 @@ def cmd_merton(cfg: RunConfig, report: RunReport) -> list:
 
     return [lambda: a_curve_csv_chunks(cf),
             lambda: policy_csv_chunks(cf, market, util, set_),
-            lambda: table_csv_chunks("x,pde_value,closed_form_value,rel_error",
-                                     ["%s,%s,%s,%s\n"] * solution.x.size, solution.x,
-                                     solution.values[0], run.closed_row, run.rel_error),
+            lambda: table_csv_chunks("x,pde_value,closed_form_value,rel_error", None,
+                                     solution.x, solution.values[0], run.closed_row,
+                                     run.rel_error),
             lambda: solution_csv_chunks(solution)]
 
 

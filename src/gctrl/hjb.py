@@ -694,7 +694,7 @@ def dpp_composition_check(problem: HjbProblem, grid: Grid1D, t_bar: float) -> fl
 
 def evaluate_policy_mc(
     problem: HjbProblem,
-    solution: HjbSolution,
+    solution: HjbSolution | None,
     set_: AmbiguitySet,
     cfg: PathConfig,
     x0: float,
@@ -709,25 +709,29 @@ def evaluate_policy_mc(
     time), handed to the callables as an array over the paths, or for
     tuple controls one such array per component along the first axis; pass
     ``control_fn(t, x_array) -> control values`` to evaluate an analytic
-    policy on the same dynamics instead.  Components are stepped on their
-    parts' sums, each part at its own component of the control.  The search
-    runs in the problem's attitude: upper maximizes the sampled mean over
+    policy on the same dynamics instead; ``solution`` may then be None
+    (ValueError when both are).  Components are stepped on their parts'
+    sums, each part at its own component of the control.  The search runs
+    in the problem's attitude: upper maximizes the sampled mean over
     priors, lower minimizes it.  For a correct solver the estimate matches
     solution.value_at(0, x0) within Monte Carlo plus discretization error.
     """
     if abs(cfg.horizon - problem.horizon) > 1e-12 * max(1.0, problem.horizon):
         raise ValueError("cfg.horizon must equal the problem horizon")
 
-    comps = np.asarray(problem.controls, dtype=float).T  # component-major
-    x_nodes = solution.x
-    dx = float(x_nodes[1] - x_nodes[0])
+    policy = control_fn
+    if policy is None:
+        if solution is None:
+            raise ValueError("evaluate_policy_mc needs a solution or a control_fn")
+        comps = np.asarray(problem.controls, dtype=float).T  # component-major
+        x_nodes = solution.x
+        dx = float(x_nodes[1] - x_nodes[0])
 
-    def lookup(t, x_flat):
-        k = _step_intervals(solution.times[:-1], t, problem.horizon)
-        i = np.clip(np.rint((x_flat - x_nodes[0]) / dx).astype(int), 0, len(x_nodes) - 1)
-        return comps[..., solution.policy[k, i]]
+        def policy(t, x_flat):
+            k = _step_intervals(solution.times[:-1], t, problem.horizon)
+            i = np.clip(np.rint((x_flat - x_nodes[0]) / dx).astype(int), 0, len(x_nodes) - 1)
+            return comps[..., solution.policy[k, i]]
 
-    policy = control_fn if control_fn is not None else lookup
     drift, diffusion, running_cost = (_summed(problem, name)
                                       for name in ("drift", "diffusion", "running_cost"))
     spec = SdeSpec(dim_state=1, dim_noise=1, drift=lambda t, x, u: drift(t, x[:, 0], u),
@@ -761,19 +765,19 @@ def solution_csv_chunks(solution: HjbSolution) -> CsvTable:
     """
     # x and control cells are formatted once; each time level is one block,
     # and the terminal level's index -1 picks the appended "-1," cell.
-    x_cells = [f"{x.decode()},%s," for x in format_g17(solution.x)]
-    control_cells = [f"{j},{b';'.join(format_g17(c)).decode()}\n"
+    x_cells = [x + b",%s," for x in format_g17(solution.x)]
+    control_cells = [b"%d,%s\n" % (j, b";".join(format_g17(c)))
                      for j, c in enumerate(solution.controls)]
-    control_cells.append("-1,\n")
+    control_cells.append(b"-1,\n")
     times, policy = solution.times.tolist(), solution.policy
 
     @functools.lru_cache(maxsize=1)  # consecutive levels mostly pick alike
-    def rows(picks: tuple) -> list[str]:
-        return list(map(str.__add__, x_cells, map(control_cells.__getitem__, picks)))
+    def rows(picks: tuple) -> list[bytes]:
+        return list(map(bytes.__add__, x_cells, map(control_cells.__getitem__, picks)))
 
     def level(i: int) -> tuple:
         picks = policy[i].tolist() if i < len(policy) else [-1] * len(x_cells)
-        return f"{times[i]:.9f},", rows(tuple(picks)), solution.values[i]
+        return b"%.9f," % times[i], rows(tuple(picks)), solution.values[i]
 
     return CsvTable("t,x,value,control_index,control_value", len(times), level,
                     solution.values.size)
@@ -781,7 +785,7 @@ def solution_csv_chunks(solution: HjbSolution) -> CsvTable:
 
 def solution_csv_text(solution: HjbSolution) -> str:
     """The joined text of ``solution_csv_chunks(solution)``."""
-    return "".join(solution_csv_chunks(solution))
+    return b"".join(solution_csv_chunks(solution)).decode()
 
 
 def solution_meta_text(problem: HjbProblem, grid: Grid1D) -> str:

@@ -31,8 +31,7 @@ import numpy as np
 from .ambiguity import AmbiguitySet, as_symmetric, g_matrix
 from .errors import ConsistencyError, NumericError
 from .hjb import ControlComponent, Grid1D, HjbProblem, HjbSolution, solve
-from .sde import (CsvTable, _checked_starts, _segment_index, _starts_before, _time_rows,
-                  table_csv_chunks)
+from .sde import CsvTable, _checked_starts, _segment_index, _starts_before, table_csv_chunks
 
 # A closed-form candidate is accepted when its ODE residual stays below this.
 BRANCH_RTOL = 1e-8
@@ -490,12 +489,12 @@ def solve_merton_pde(
 
 def a_curve_csv_chunks(cf: ClosedForm) -> CsvTable:
     """CSV rows ``t,A`` of the sampled curve."""
-    return table_csv_chunks("t,A", _time_rows(cf.times, 1), cf.a_values)
+    return table_csv_chunks("t,A", cf.times, cf.a_values)
 
 
 def a_curve_csv_text(cf: ClosedForm) -> str:
     """The joined text of ``a_curve_csv_chunks(cf)``."""
-    return "".join(a_curve_csv_chunks(cf))
+    return b"".join(a_curve_csv_chunks(cf)).decode()
 
 
 def policy_csv_chunks(cf: ClosedForm, m: MarketModel, u: CrraUtility,
@@ -512,9 +511,9 @@ def policy_csv_chunks(cf: ClosedForm, m: MarketModel, u: CrraUtility,
     consumption = [pol.consumption(t, 1.0) for t in ts]
     pis = np.array([np.atleast_1d(pol.portfolio(t, 1.0)) for t in ts])
     weights = np.array([pol.fund_weights(t, 1.0)[:2] for t in ts])
-    return table_csv_chunks(",".join(head), _time_rows(ts, d + 3), consumption, *pis.T, *weights.T)
+    return table_csv_chunks(",".join(head), ts, consumption, *pis.T, *weights.T)
 
 
 def policy_csv_text(cf: ClosedForm, m: MarketModel, u: CrraUtility, set_: AmbiguitySet) -> str:
     """The joined text of ``policy_csv_chunks(cf, m, u, set_)``."""
-    return "".join(policy_csv_chunks(cf, m, u, set_))
+    return b"".join(policy_csv_chunks(cf, m, u, set_)).decode()

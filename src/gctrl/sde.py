@@ -28,17 +28,22 @@ time agree on each step's segment.  Pointwise queries keep the exact rule.
 
 ``CsvTable`` is the one CSV layout: every CSV artifact (paths, grid
 solutions and the three portfolio tables) is a header line plus blocks of
-%-template rows, any of which can be rendered on its own.  Its values go
+bytes %-template rows, any of which can be rendered on its own.
+``table_csv_chunks`` and ``bundle_csv_chunks`` build their row templates
+here; ``hjb.solution_csv_chunks`` builds the grid solution's.  The values go
 through ``format_g17``, byte for byte Python's ``%.17g``: computed exactly
-over whole float64 arrays where that writes fixed notation, by ``%`` itself
-elsewhere, for a batch of consecutive blocks at a time.  ``write_csv`` is the
-one CSV writer: it formats contiguous ranges of a table's blocks on the
-usable CPUs, in forked workers, and joins their parts in order, so the bytes
-do not depend on the CPU count.  The ``*_csv_chunks`` functions build the
+over whole float64 arrays where that writes fixed notation, from Dekker's
+error-free product of each value and a power of ten, and by ``%`` itself
+elsewhere, for a batch of consecutive blocks at a time.  The text stays
+bytes from ``format_g17`` to the file.  ``write_csv`` is the one CSV
+writer: it formats contiguous ranges of a table's blocks on the usable
+CPUs, in forked workers, and joins their parts in order, so the bytes do
+not depend on the CPU count.  The ``*_csv_chunks`` functions build the
 tables (``bundle_csv_chunks``, ``hjb.solution_csv_chunks`` and the
 portfolio tables in ``merton``); the ``*_csv_text`` renderers are their
-joined strings.  ``_run_jobs`` is the one place that forks, reaps and kills
-workers: for these ranges and for ``verify``'s two check groups.
+joined text, decoded once.  ``_run_jobs`` is the one place that forks,
+reaps and kills workers: for these ranges and for ``verify``'s two check
+groups.
 """
 
 from __future__ import annotations
@@ -379,15 +384,21 @@ def integrate_gsde(
 
 _U64 = np.uint64
 # format_g17's tables.  _TENS[k + 5] is the smallest double at or above 10**k,
-# which for k = -5..18 is float(10**k), and _POW5[s] is 5**s.  Of a row of
-# three little-endian words, _BELOW[j, p] keeps the bytes of word j before the
-# row's byte p, and _POINT[j, p] is a "." at byte p if that lies in word j.
-_TENS = np.array([10.0 ** k for k in range(-5, 19)])
-_POW5 = np.array([5 ** s for s in range(21)], dtype=_U64)
+# which for k = -5..20 is float(10**k), exact for k >= 0.  Of a row of three
+# little-endian words, _BELOW[j, p] keeps the bytes of word j before the row's
+# byte p, and _POINT[j, p] is a "." at byte p if that lies in word j.
+_TENS = np.array([10.0 ** k for k in range(-5, 21)])
 _BELOW = np.array([[(1 << 8 * min(max(p - 8 * j, 0), 8)) - 1 for p in range(25)]
                    for j in range(3)], dtype=_U64)
 _POINT = np.array([[ord(".") << 8 * (p - 8 * j) if 0 <= p - 8 * j < 8 else 0 for p in range(25)]
                    for j in range(3)], dtype=_U64)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split ``a = hi + lo``, exact, into halves whose products are exact."""
+    t = a * float(2 ** 27 + 1)
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 @functools.cache
@@ -415,7 +426,6 @@ MIN_ARRAY_VALUES = 400
 def _g17_slice(v: np.ndarray) -> list:
     """``format_g17`` of a contiguous float64 array; each temporary is freed once read."""
     n = v.size
-    bits = v.view(_U64)
     c = np.abs(v)
     fixed = (c >= 1e-4) & (c < 1e17)
     # k = floor(log10 |v|), made exact by comparing with the powers of ten on either side.
@@ -423,52 +433,28 @@ def _g17_slice(v: np.ndarray) -> list:
     k = np.floor(np.log10(c)).astype(np.intp)
     k += c >= _TENS[k + 6]
     k -= c < _TENS[k + 5]
-    del c
-    # D = round-half-even(|v| * 10**s) = M * 5**s * 2**(E + s) for s = 16 - k, 17 digits.
-    # M * 5**s < 2**100 is held in two limbs (hi, lo) built from 32-bit halves.  The limb
-    # arithmetic stays in uint64 throughout: numpy takes uint64 mixed with int64 to float64.
-    s = 16 - np.minimum(np.maximum(k, -4), 16)
-    f = _POW5[s]
-    shift = (bits >> _U64(52) & _U64(0x7FF)).astype(np.intp)
-    shift += s - 1075
-    del s
-    m = bits & _U64((1 << 52) - 1) | _U64(1 << 52)
-    ml, fl = m & _U64(0xFFFFFFFF), f & _U64(0xFFFFFFFF)
-    m >>= _U64(32)
-    f >>= _U64(32)
-    ll = ml * fl
-    mid = ml * f
-    mid += m * fl
-    del ml, fl
-    hi = m * f
-    del m, f
-    lo = ll + (mid << _U64(32))
-    hi += lo < ll
-    hi += mid >> _U64(32)
-    del ll, mid
-    r = np.minimum(np.maximum(-shift, 0), 63).astype(_U64)  # the product shifts right, or ...
-    hi <<= _U64(63) - r
-    hi <<= _U64(1)
-    d = hi | lo >> r
-    del hi
-    unit = _U64(1) << r
-    lo &= unit - _U64(1)
-    lo += lo
-    lo += d & _U64(1)
-    d += lo > unit  # the rest beyond the digits rounds up past half, and half to even
-    del lo, r, unit
-    d <<= np.minimum(np.maximum(shift, 0), 63).astype(_U64)  # ... left, where M * 5**s < 10**17
-    del shift
-    carry = d == _U64(10 ** 17)  # rounded up to the next power of ten
-    d = np.where(carry, _U64(10 ** 16), d)
+    # D = round-half-even(|v| * 10**s) for s = 16 - k, 17 digits.  10**s is exact, and
+    # p = fl(|v| * 10**s) lies in [10**16, 10**17], so p is an even integer and
+    # |v| * 10**s = p + e exactly, e being Dekker's error-free product of the two
+    # factors' splits.  numpy multiplies and adds in separate passes, never fused into
+    # an FMA, which the split needs.  p even makes p + rint(e) round half to even.
+    ten = _TENS[21 - np.minimum(np.maximum(k, -4), 16)]
+    p = c * ten
+    (ch, cl), (th, tl) = _split(c), _split(ten)
+    e = cl * tl - (((p - ch * th) - cl * th) - ch * tl)
+    del c, ten, ch, cl, th, tl
+    d = p.astype(np.int64)
+    d += np.rint(e).astype(np.int64)
+    del p, e
+    carry = d == 10 ** 17  # rounded up to the next power of ten
+    d[carry] = 10 ** 16
     x = k + carry  # the %g exponent
     del k, carry
     fixed &= x <= 16
     x = np.minimum(np.maximum(x, -4), 16)
     # The digits as six 4-digit groups "0000" "000d" "dddd" x 4, so bytes 7..23 hold D.
-    high = d // _U64(10 ** 8)
-    low = (d - high * _U64(10 ** 8)).astype(np.intp)
-    high = high.astype(np.intp)
+    high = d // 10 ** 8
+    low = d - high * 10 ** 8
     del d
     # a - a // 10**4 * 10**4 is faster than numpy's a % 10**4.
     head, first, tail = high // 10_000, high // 10 ** 8, low // 10_000
@@ -486,7 +472,7 @@ def _g17_slice(v: np.ndarray) -> list:
     words = words.view("<u8")
     # Shift each row left by `start` bytes, to its sign or first digit.  A minus
     # sign takes the place of a leading "0": 0x30 - 3 is "-".
-    negative = (bits >> _U64(63)).astype(bool)
+    negative = np.signbit(v)
     start = 7 + np.minimum(x, 0) - negative
     left = (8 * start).astype(_U64)
     w0, w1, w2 = words[:, 0], words[:, 1], words[:, 2]
@@ -516,10 +502,10 @@ def format_g17(values) -> list[bytes]:
     """``[b"%.17g" % v for v in values]``, byte for byte, for any float64 values.
 
     Values whose ``%g`` exponent lies in -4..16, i.e. those ``%.17g`` writes
-    in fixed notation, are converted exactly in ``uint64`` arithmetic over
-    whole arrays.  The others (zeros, subnormals, infinities, NaNs and
-    exponent notation) go through Python's ``%``, and so do inputs of fewer
-    than ``MIN_ARRAY_VALUES`` values.  ``values`` is flattened; it is
+    in fixed notation, are converted exactly over whole arrays, their 17
+    digits from an error-free float64 product.  The others (zeros,
+    subnormals, infinities, NaNs and exponent notation) go through Python's
+    ``%``, and so do inputs of fewer than ``MIN_ARRAY_VALUES`` values.  ``values`` is flattened; it is
     formatted ``FORMAT_SLICE`` values at a time.
     """
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
@@ -532,14 +518,14 @@ def format_g17(values) -> list[bytes]:
 
 
 def _filled(blocks: list):
-    """Text of each ``(lead, rows, values)`` block, all their values in one ``format_g17`` call."""
+    """Bytes of each ``(lead, rows, values)`` block, all their values in one ``format_g17`` call."""
     if not blocks:
         return
     texts = format_g17(np.concatenate([values for _, _, values in blocks]))
     end = 0
     for lead, rows, values in blocks:
         begin, end = end, end + len(values)
-        yield ((lead + lead.join(rows)).encode() % tuple(texts[begin:end])).decode()
+        yield (lead + lead.join(rows)) % tuple(texts[begin:end])
 
 
 # A range holds at least this many values: about 20 ms of formatting and
@@ -554,15 +540,15 @@ MIN_RANGE_VALUES = 50_000
 class CsvTable:
     """A CSV artifact as random-access blocks: the ``header`` line, then ``n_blocks`` blocks.
 
-    ``block(i)`` returns ``(lead, rows, values)``: ``rows`` are %-template
-    lines with one ``%s`` per value; each is prefixed by ``lead`` and the
-    block is filled by one ``%`` call with its values, a float64 array.
-    Every CSV artifact is rendered this way, in one number format: ``%.9f``
-    for times, rendered into the templates, and ``%.17g`` (round-trip exact)
-    for values, which ``format_g17`` writes.  ``n_values``, the number of
-    values in the table, sizes its split in ``write_csv``.  Iterating the
-    table yields its text in chunks, the header line first and then one
-    chunk per block.
+    ``block(i)`` returns ``(lead, rows, values)``: ``rows`` are bytes
+    %-template lines with one ``%s`` per value; each is prefixed by the bytes
+    ``lead`` and the block is filled by one bytes ``%`` call with its values,
+    a float64 array.  Every CSV artifact is rendered this way, in one number
+    format: ``%.9f`` for times, rendered into the templates, and ``%.17g``
+    (round-trip exact) for values, which ``format_g17`` writes.
+    ``n_values``, the number of values in the table, sizes its split in
+    ``write_csv``.  Iterating the table yields its UTF-8 text in bytes
+    chunks, the header line first and then one chunk per block.
     """
 
     header: str
@@ -571,7 +557,7 @@ class CsvTable:
     n_values: int
 
     def chunks(self, start: int, stop: int):
-        """Text of blocks ``start`` to ``stop - 1``, one chunk per block.
+        """Bytes of blocks ``start`` to ``stop - 1``, one chunk per block.
 
         The blocks are built on demand and formatted in batches: consecutive
         blocks, as many as hold at most ``FORMAT_SLICE`` values together (or
@@ -588,7 +574,7 @@ class CsvTable:
         yield from _filled(batch)
 
     def __iter__(self):
-        yield self.header + "\n"
+        yield self.header.encode() + b"\n"
         yield from self.chunks(0, self.n_blocks)
 
 
@@ -700,9 +686,9 @@ def write_csv(path: Path, table: CsvTable) -> None:
     parts = [path.with_name(f"{path.name}.part{k}") for k in range(1, n)]
 
     def write_range(k: int) -> None:
-        with open(parts[k - 1] if k else path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(parts[k - 1] if k else path, "wb") as fh:
             if k == 0:
-                fh.write(table.header + "\n")
+                fh.write(table.header.encode() + b"\n")
             fh.writelines(table.chunks(bounds[k], bounds[k + 1]))
 
     try:
@@ -716,15 +702,19 @@ def write_csv(path: Path, table: CsvTable) -> None:
             part.unlink(missing_ok=True)
 
 
-def _time_rows(times, m: int) -> list[str]:
+def _time_rows(times, m: int) -> list[bytes]:
     """Row templates ``<t>,%s,...`` with ``m`` value cells, one per time, ``t`` as ``%.9f``."""
-    return [f"{t:.9f}" + ",%s" * m + "\n" for t in np.asarray(times, dtype=float).tolist()]
+    return [b"%.9f" % t + b",%s" * m + b"\n" for t in np.asarray(times, dtype=float).tolist()]
 
 
-def table_csv_chunks(header: str, rows: list[str], *columns) -> CsvTable:
-    """CSV table of equal-length ``columns``: one block, row template ``rows[r]`` for entry r."""
-    values = np.column_stack(columns).ravel()
-    return CsvTable(header, 1, lambda i: ("", rows, values), values.size)
+def table_csv_chunks(header: str, times, *columns) -> CsvTable:
+    """CSV table of equal-length ``columns``, one block: row r is ``times[r]`` as ``%.9f``,
+    then entry r of each column; with ``times`` None, the entries alone."""
+    cells = np.column_stack(columns)
+    n, m = cells.shape
+    rows = _time_rows(times, m) if times is not None else [b",".join([b"%s"] * m) + b"\n"] * n
+    values = cells.ravel()
+    return CsvTable(header, 1, lambda i: (b"", rows, values), values.size)
 
 
 def bundle_csv_chunks(bundle: PathBundle) -> CsvTable:
@@ -733,9 +723,10 @@ def bundle_csv_chunks(bundle: PathBundle) -> CsvTable:
     m = states.shape[2]
     rows = _time_rows(bundle.times, m)
     header = "path_id,time," + ",".join(f"state_{j}" for j in range(m))
-    return CsvTable(header, len(states), lambda p: (f"{p},", rows, states[p].ravel()), states.size)
+    return CsvTable(header, len(states), lambda p: (b"%d," % p, rows, states[p].ravel()),
+                    states.size)
 
 
 def bundle_csv_text(bundle: PathBundle) -> str:
     """The joined text of ``bundle_csv_chunks(bundle)``."""
-    return "".join(bundle_csv_chunks(bundle))
+    return b"".join(bundle_csv_chunks(bundle)).decode()

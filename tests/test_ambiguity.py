@@ -210,6 +210,23 @@ def test_rotation_grid_matches_the_loop_over_angles_then_levels():
     assert _rotation_grid().shape == (96 * 17 * 17, 2, 2)
 
 
+def test_bruteforce_check_holds_little_more_than_its_rotation_grid():
+    import tracemalloc
+
+    from gctrl.verify import _rotation_grid, check_bruteforce_agreement
+
+    grid_bytes = _rotation_grid().nbytes
+    tracemalloc.start()
+    try:
+        result = check_bruteforce_agreement(np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    # The grid, the products that build it, and the trials' products against it.
+    assert peak < 3 * grid_bytes, peak / grid_bytes
+
+
 def _stack_with_zero_eigenvalues(rng, d, n=300):
     """n random symmetric d x d matrices, the first tenth diagonal with exact zeros on the
     diagonal (so exactly zero eigenvalues), one of them the zero matrix; and per-member

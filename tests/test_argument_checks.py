@@ -80,6 +80,8 @@ CHECKS = {
     "policy-mc-horizon": (lambda: evaluate_policy_mc(HEAT, None, SET,
                                                      dataclasses.replace(CFG, horizon=2.0), 0.0),
                           ValueError, "cfg.horizon must equal the problem horizon"),
+    "policy-mc-no-policy": (lambda: evaluate_policy_mc(HEAT, None, SET, CFG, 0.0), ValueError,
+                            "needs a solution or a control_fn"),
     "utility-beta": (lambda: CrraUtility(kappa=2.0, beta=-0.1), ValueError,
                      "beta must be nonnegative"),
     "utility-beta-finite": (lambda: CrraUtility(kappa=2.0, beta=np.nan), ValueError,

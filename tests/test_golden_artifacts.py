@@ -310,4 +310,4 @@ def test_compare_renderer_matches_reference_on_edge_values(monkeypatch):
     monkeypatch.setattr(cli, "merton_run", edge_run)
     renderers = cli.cmd_merton(parse_config_text(DESK), RunReport("merton", ""))
     render = dict(zip(COMMANDS["merton"][1], renderers))["compare.csv"]
-    assert "".join(render()) == _reference_compare_csv(edged[0])
+    assert b"".join(render()).decode() == _reference_compare_csv(edged[0])

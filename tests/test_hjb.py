@@ -590,6 +590,20 @@ def test_policy_mc_default_lookup_takes_the_euler_steps_levels():
     assert est.value == pytest.approx(exact, rel=1e-14)
 
 
+def test_policy_mc_of_an_analytic_policy_needs_no_solution():
+    problem = heat_problem(lambda x: x**2)
+    sol = solve(problem, Grid1D(-1.0, 1.0, 5, 4))
+    cfg = PathConfig(n_steps=8, horizon=1.0, n_paths=50, seed=2)
+
+    def half(t, x):
+        return np.full_like(x, 0.5)
+
+    with_sol, without = (evaluate_policy_mc(problem, s, SET, cfg, x0=0.1, control_fn=half,
+                                            n_segments=2, n_grid=2) for s in (sol, None))
+    assert with_sol.value == without.value and with_sol.std_error == without.std_error
+    assert np.array_equal(with_sol.best_paths.states, without.best_paths.states)
+
+
 def test_csv_export_shape_and_meta():
     problem = heat_problem(lambda x: x**2)
     grid = Grid1D(-1.0, 1.0, 5, 4)
