@@ -43,7 +43,7 @@ class AmbiguitySet:
     sigma_hi_sq: float
 
     def __post_init__(self):
-        if not isinstance(self.dim, Integral) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, Integral) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         lo, hi = float(self.sigma_lo_sq), float(self.sigma_hi_sq)
         if not (np.isfinite(lo) and np.isfinite(hi)):

@@ -24,4 +24,5 @@ class NumericError(GctrlError):
 
 
 class ConsistencyError(GctrlError):
-    """An internal cross-check (closed form vs ODE residual) failed on all branches."""
+    """An internal cross-check failed: the exact A(t) matches no printed closed form,
+    or the closed form's HJB residual is too large."""

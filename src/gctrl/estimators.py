@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -48,6 +47,7 @@ from .sde import (
     VolSchedule,
     _checked_roots_t,
     _euler_steps,
+    _is_integer,
     _segment_cuts,
     path_normals,
 )
@@ -90,7 +90,7 @@ class MomentReport:
 
 
 def _variance_levels(set_: AmbiguitySet, n_grid: int) -> np.ndarray:
-    if isinstance(n_grid, bool) or not isinstance(n_grid, Integral):
+    if not _is_integer(n_grid):
         raise ValueError(f"n_grid must be an integer, got {n_grid!r}")
     if n_grid < 1:
         raise ValueError("n_grid must be positive")
@@ -105,7 +105,7 @@ def _segment_matrices(set_: AmbiguitySet, n_grid: int, n_segments: int) -> list[
     Raises a ConfigError before any matrix is built or path drawn when the
     product family over ``n_segments`` would exceed ``_MAX_CANDIDATES``.
     """
-    if isinstance(n_segments, bool) or not isinstance(n_segments, Integral):
+    if not _is_integer(n_segments):
         raise ValueError(f"n_segments must be an integer, got {n_segments!r}")
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")

@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -58,8 +57,8 @@ from .estimators import (
     ExpectationEstimate,
     upper_expectation_mc,
 )
-from .sde import (CsvTable, PathConfig, SdeSpec, _checked_starts, _segment_index, _starts_before,
-                  _step_intervals, format_g17)
+from .sde import (CsvTable, PathConfig, SdeSpec, _checked_starts, _is_integer, _segment_index,
+                  _starts_before, _step_intervals, format_g17)
 
 _ATTITUDES = ("upper", "lower")
 _DIRECTIONS = ("minimize", "maximize")
@@ -85,7 +84,7 @@ class Grid1D:
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         for name in ("n_x", "n_t"):
-            if not isinstance(getattr(self, name), Integral):
+            if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_x < 3:
             raise ValueError("n_x must be at least 3")

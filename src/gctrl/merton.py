@@ -13,17 +13,17 @@ linear terminal-value ODE
 and the optimal policy consumes x / A(t) and invests the constant fraction
 (1/kappa) (gamma^T)^(-1) Lambda_bar^(-1) theta(t) in the risky assets.
 
-Two printed-formula ambiguities (whether eta's quadratic form carries the
-inverse of the worst-case matrix, and whether the constant-coefficient A is
-the affine-exponential expression or its reciprocal) are settled numerically:
-the PDE residual verifier is the authority, and solve_A records which
-candidate expression satisfies the ODE in ``resolved_branch``.
+Two printed-formula ambiguities are settled numerically.  Whether eta's
+quadratic form carries the inverse of the worst-case matrix is settled by the
+PDE residual verifier.  Whether the constant-coefficient A is the
+affine-exponential expression or its reciprocal is settled by solve_A, which
+computes A exactly, holds the printed candidates to that curve and records
+the one that matches in ``resolved_branch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,9 +31,11 @@ import numpy as np
 from .ambiguity import AmbiguitySet, as_symmetric, g_matrix
 from .errors import ConsistencyError, NumericError
 from .hjb import ControlComponent, Grid1D, HjbProblem, HjbSolution, solve
-from .sde import CsvTable, _checked_starts, _segment_index, _starts_before, table_csv_chunks
+from .sde import (CsvTable, _checked_starts, _is_integer, _segment_index, _starts_before,
+                  table_csv_chunks)
 
-# A closed-form candidate is accepted when its ODE residual stays below this.
+# A printed closed-form candidate is accepted when it stays this close to the exact
+# A(t) curve, relative to 1 + |A|.
 BRANCH_RTOL = 1e-8
 # |eta| below this uses the linear limit A(t) = T - t + 1.
 ETA_ZERO_TOL = 1e-10
@@ -223,21 +225,6 @@ def eta(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray, t: float) -> flo
     return u.beta - (1.0 - k) * m.at(t)[0] - (1.0 - k) / (2.0 * k) * quad
 
 
-def _candidate_curves(eta_const: float, kappa: float, times: np.ndarray):
-    """The two constant-coefficient closed-form candidates and their derivatives."""
-    T = times[-1]
-    ratio = kappa / eta_const
-    decay = np.exp(-(eta_const / kappa) * (T - times))
-    affine = ratio + (1.0 - ratio) * decay
-    affine_prime = (1.0 - ratio) * (eta_const / kappa) * decay
-    inverse = 1.0 / affine
-    inverse_prime = -affine_prime / affine**2
-    return {
-        "affine-exp": (affine, affine_prime),
-        "inverse-affine-exp": (inverse, inverse_prime),
-    }
-
-
 def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
             n_t: int, horizon: float) -> ClosedForm:
     """Sample A(t) exactly on each market segment and resolve the formula branch.
@@ -247,15 +234,17 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     A_end the value at the segment's end s, a sample t of the segment gets
     A_end exp(-e (s-t)) - expm1(-e (s-t)) / e (A_end + s - t when e = 0).  A
     sample takes the segment in force at its time by the right-open rule.
-    When eta is constant up to the horizon, both printed closed-form
-    candidates are substituted into the ODE and ``resolved_branch`` records
-    the one whose residual vanishes; if neither does, something is
-    inconsistent and a ConsistencyError is raised.  |eta| below ETA_ZERO_TOL
-    is checked against the linear limit A(t) = T - t + 1 instead.  eta is
+    When eta is constant up to the horizon, the printed closed-form
+    candidates are held to that exact curve and ``resolved_branch`` records
+    the first that matches it: the linear limit A(t) = T - t + 1 (within
+    1e-6) when |eta| is below ETA_ZERO_TOL, else the affine-exponential
+    expression, then its reciprocal (within BRANCH_RTOL relative to 1 + |A|,
+    widened for a tiny eta).  If none matches, the curve and the formulas are
+    inconsistent and a ConsistencyError is raised.  eta is
     evaluated once per entry of ``m.segment_starts`` up to the horizon and
     looked up for every other time; ``ClosedForm.eta`` is that lookup.
     """
-    if not isinstance(n_t, Integral):
+    if not _is_integer(n_t):
         raise ValueError(f"n_t must be an integer, got {n_t!r}")
     if n_t < 2:
         raise ValueError("n_t must be at least 2")
@@ -285,31 +274,22 @@ def solve_A(m: MarketModel, u: CrraUtility, lambda_bar: np.ndarray,
     if not np.all(np.isfinite(a_values)) or np.min(a_values) <= 0.0:
         raise NumericError("A(t) overflowed or left the positive domain")
 
-    eta_span = max(per_segment) - min(per_segment)
-    if eta_span > 1e-12 * max(1.0, max(abs(v) for v in per_segment)):
-        branch = "ode-only"
-    else:
-        eta_const = per_segment[0]
-        if abs(eta_const) < ETA_ZERO_TOL:
-            branch = "linear-limit"
-            limit = horizon - times + 1.0
-            if float(np.max(np.abs(limit - a_values))) > 1e-6:
-                raise ConsistencyError("linear-limit curve disagrees with the exact curve")
+    branch = "ode-only"
+    if max(per_segment) - min(per_segment) <= 1e-12 * max(1.0, max(map(abs, per_segment))):
+        eta_c = per_segment[0]
+        if abs(eta_c) < ETA_ZERO_TOL:
+            candidates, tol, scale = {"linear-limit": horizon - times + 1.0}, 1e-6, 1.0
         else:
-            # Candidate evaluation loses ~eps * kappa/eta digits to cancellation
+            ratio = u.kappa / eta_c
+            affine = ratio + (1.0 - ratio) * np.exp(-(eta_c / u.kappa) * (horizon - times))
+            candidates = {"affine-exp": affine, "inverse-affine-exp": 1.0 / affine}
+            # The affine-exponential loses ~eps * kappa/eta digits to cancellation
             # when eta is tiny; widen the acceptance floor accordingly.
-            tol = max(BRANCH_RTOL, 1e-13 * (1.0 + abs(u.kappa / eta_const)))
-            branch = ""
-            for name, (vals, prime) in _candidate_curves(eta_const, u.kappa, times).items():
-                resid = np.abs(prime - (eta_const / u.kappa) * vals + 1.0) / (1.0 + np.abs(vals))
-                if float(resid.max()) <= tol:
-                    branch = name
-                    break
-            if not branch:
-                raise ConsistencyError(
-                    "neither closed-form candidate satisfies the A(t) ODE; "
-                    "the solver and the formulas are inconsistent"
-                )
+            tol, scale = max(BRANCH_RTOL, 1e-13 * (1.0 + abs(ratio))), 1.0 + np.abs(a_values)
+        branch = next((name for name, curve in candidates.items()
+                       if float(np.max(np.abs(curve - a_values) / scale)) <= tol), "")
+        if not branch:
+            raise ConsistencyError("the exact A(t) curve matches no printed closed-form candidate")
     return ClosedForm(times=times, a_values=a_values, eta=eta_fn,
                       lambda_bar=lam, resolved_branch=branch)
 

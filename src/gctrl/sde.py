@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import pickle
 import shutil
@@ -77,7 +78,12 @@ def _checked_starts(starts, name: str) -> tuple[float, ...]:
 
 
 def _segment_index(starts: Sequence[float], t: float) -> int:
-    """Index of the right-open segment in force at t; a time before 0 takes the first."""
+    """Index of the right-open segment in force at t; a time before 0 takes the first.
+
+    ValueError for a NaN time, which bisection would place after every start.
+    """
+    if math.isnan(t):
+        raise ValueError("no segment is in force at time nan")
     return max(bisect_right(starts, t) - 1, 0)
 
 
@@ -86,9 +92,14 @@ def _starts_before(starts: Sequence[float], horizon: float) -> tuple[float, ...]
     return tuple(s for s in starts if s < horizon)
 
 
+def _is_integer(n) -> bool:
+    """True for an integer that is not a bool: a count or a seed."""
+    return isinstance(n, Integral) and not isinstance(n, bool)
+
+
 def _checked_seed(seed) -> int:
     """``seed`` as an int; ValueError unless it is an integer in [0, 2**64), a path stream key."""
-    if not (isinstance(seed, Integral) and 0 <= seed < 1 << 64):
+    if not (_is_integer(seed) and 0 <= seed < 1 << 64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 
@@ -153,7 +164,7 @@ class PathConfig:
     seed: int
 
     def __post_init__(self):
-        if not all(isinstance(n, Integral) and n >= 1 for n in (self.n_steps, self.n_paths)):
+        if not all(_is_integer(n) and n >= 1 for n in (self.n_steps, self.n_paths)):
             raise ValueError("n_steps and n_paths must be positive integers")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError("horizon must be positive and finite")
@@ -190,8 +201,9 @@ class SdeSpec:
     control: Callable | None = None
 
     def __post_init__(self):
-        if self.dim_state < 1 or self.dim_noise < 1:
-            raise ValueError("state and noise dimensions must be positive")
+        dims = (self.dim_state, self.dim_noise)
+        if not all(_is_integer(n) and n >= 1 for n in dims):
+            raise ValueError(f"state and noise dimensions must be positive integers, got {dims}")
         x0 = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
         if x0.shape != (self.dim_state,):
             raise ValueError(f"initial_state must have shape ({self.dim_state},), got {x0.shape}")
@@ -222,9 +234,12 @@ def path_normals(seed: int, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
 
     The stream for path p is keyed by (seed, p), so draws for a given path
     do not depend on how many other paths are requested.  ``seed`` must be an
-    integer in [0, 2**64) (ValueError otherwise).
+    integer in [0, 2**64) and the counts positive integers (ValueError otherwise).
     """
-    out = np.empty((n_paths, n_steps, dim))
+    counts = (n_paths, n_steps, dim)
+    if not all(_is_integer(n) and n >= 1 for n in counts):
+        raise ValueError(f"n_paths, n_steps and dim must be positive integers, got {counts}")
+    out = np.empty(counts)
     bits = np.random.Philox(key=_checked_seed(seed))
     gen = np.random.Generator(bits)
     # A fresh generator's state: counter 0, key [seed, 0], no buffered words.  Path p

@@ -57,6 +57,8 @@ CHECKS = {
                          "n_x must be an integer, got 5.5"),
     "grid-n_t-integer": (lambda: Grid1D(-1.0, 1.0, 5, 2.5), ValueError,
                          "n_t must be an integer, got 2.5"),
+    "grid-n_t-bool": (lambda: Grid1D(-1.0, 1.0, 5, True), ValueError,
+                      "n_t must be an integer, got True"),
     "problem-horizon": (lambda: dataclasses.replace(HEAT, horizon=0.0), ValueError,
                         "horizon must be positive"),
     "problem-no-controls": (lambda: dataclasses.replace(HEAT, controls=()), ValueError,
@@ -92,6 +94,12 @@ CHECKS = {
                     "n_t must be at least 2"),
     "solve-A-n_t-integer": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 10.5, 1.0), ValueError,
                             "n_t must be an integer, got 10.5"),
+    "solve-A-n_t-bool": (lambda: solve_A(MARKET, UTILITY, np.eye(1), True, 1.0), ValueError,
+                         "n_t must be an integer, got True"),
+    "closed-form-eta-nan": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 4, 1.0).eta(np.nan),
+                            ValueError, "no segment is in force at time nan"),
+    "market-at-nan": (lambda: MarketModel((0.0, 0.5), (0.02, 0.03), (0.06, 0.06), (0.2, 0.2))
+                      .at(np.nan), ValueError, "no segment is in force at time nan"),
     "solve-A-horizon": (lambda: solve_A(MARKET, UTILITY, np.eye(1), 4, 0.0), ValueError,
                         "horizon must be positive"),
     "solve-A-overflow": (lambda: solve_A(MarketModel.constant(r=0.02, alpha=10.0, gamma=0.1),
@@ -113,6 +121,10 @@ CHECKS = {
                              "horizon must be positive and finite"),
     "paths-n_steps-integer": (lambda: dataclasses.replace(CFG, n_steps=2.5), ValueError,
                               "n_steps and n_paths must be positive integers"),
+    "paths-n_steps-bool": (lambda: PathConfig(n_steps=True, horizon=1.0, n_paths=2, seed=0),
+                           ValueError, "n_steps and n_paths must be positive integers"),
+    "paths-seed-bool": (lambda: PathConfig(n_steps=1, horizon=1.0, n_paths=2, seed=True),
+                        ValueError, "seed must be an integer in [0, 2**64), got True"),
     # Each of these seeds drew the paths of another: seed 1's, 1's and 2**64 - 1's.
     "paths-seed-fraction": (lambda: dataclasses.replace(CFG, seed=1.5), ValueError,
                             "seed must be an integer in [0, 2**64), got 1.5"),
@@ -124,14 +136,26 @@ CHECKS = {
                               "seed must be an integer in [0, 2**64), got 1.5"),
     "normals-seed-negative": (lambda: path_normals(-1, 2, 3, 1), ValueError,
                               "seed must be an integer in [0, 2**64), got -1"),
+    "normals-seed-bool": (lambda: path_normals(True, 1, 1, 1), ValueError,
+                          "seed must be an integer in [0, 2**64), got True"),
+    "normals-n_paths-bool": (lambda: path_normals(0, True, 1, 1), ValueError,
+                             "n_paths, n_steps and dim must be positive integers, got (True, 1, 1)"),
+    "normals-n_steps-integer": (lambda: path_normals(0, 2, 2.5, 1), ValueError,
+                                "n_paths, n_steps and dim must be positive integers, got (2, 2.5, 1)"),
     "sde-dim-state": (lambda: _spec(dim_state=0), ValueError,
                       "state and noise dimensions must be positive"),
     "sde-dim-noise": (lambda: _spec(dim_noise=0), ValueError,
                       "state and noise dimensions must be positive"),
+    "sde-dim-noise-integer": (lambda: _spec(dim_noise=1.5), ValueError,
+                              "state and noise dimensions must be positive integers, got (1, 1.5)"),
+    "sde-dim-noise-bool": (lambda: _spec(dim_noise=True), ValueError,
+                           "state and noise dimensions must be positive integers, got (1, True)"),
     "sde-initial-state": (lambda: _spec(initial_state=np.zeros(2)), ValueError,
                           "initial_state must have shape (1,), got (2,)"),
     "schedule-mixed-dims": (lambda: VolSchedule((0.0, 0.5), (np.eye(1), np.eye(2))), ValueError,
                             "all schedule values must share one dimension"),
+    "schedule-time-nan": (lambda: VolSchedule((0.0, 0.5), (0.25, 1.0)).value_at(np.nan),
+                          ValueError, "no segment is in force at time nan"),
     "integrate-schedule-dim": (lambda: integrate_gsde(BROWNIAN, SET,
                                                       VolSchedule((0.0,), (np.eye(2),)), CFG),
                                ValueError, "schedule dimension 2 does not match ambiguity set"),
@@ -169,6 +193,8 @@ CHECKS = {
                          ValueError, "dim must be a positive integer, got 1.5"),
     "set-dim-text": (lambda: AmbiguitySet(dim="2", sigma_lo_sq=0.25, sigma_hi_sq=1.0),
                      ValueError, "dim must be a positive integer, got '2'"),
+    "set-dim-bool": (lambda: AmbiguitySet(dim=True, sigma_lo_sq=0.25, sigma_hi_sq=1.0),
+                     ValueError, "dim must be a positive integer, got True"),
     "set-finite": (lambda: AmbiguitySet(dim=1, sigma_lo_sq=0.25, sigma_hi_sq=np.inf),
                    ValueError, "variance bounds must be finite"),
     "symmetric-3-axes": (lambda: as_symmetric(np.zeros((2, 2, 2))), ValueError,

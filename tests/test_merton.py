@@ -8,6 +8,7 @@ import pytest
 
 from gctrl import (
     AmbiguitySet,
+    ConsistencyError,
     CrraUtility,
     Grid1D,
     MarketModel,
@@ -25,7 +26,7 @@ from gctrl import (
     verify_hjb_residual,
     worst_case_lambda,
 )
-from gctrl.merton import control_grid
+from gctrl.merton import ETA_ZERO_TOL, control_grid
 
 DESK_MARKET = MarketModel.constant(r=0.02, alpha=0.06, gamma=0.2)
 DESK_UTILITY = CrraUtility(kappa=2.0, beta=0.1)
@@ -179,6 +180,44 @@ def test_solve_a_tiny_eta_still_resolves():
     cf = solve_A(m, u, lam, n_t=200, horizon=1.0)
     assert cf.resolved_branch == "affine-exp"
     assert np.max(np.abs(cf.a_values - (2.0 - cf.times))) <= 1e-6
+
+
+def _branch_family():
+    """Constant markets whose eta spans both signs, a few near ETA_ZERO_TOL among them."""
+    rng = np.random.default_rng(48)
+    for _ in range(24):
+        yield (MarketModel.constant(r=rng.uniform(-0.05, 0.1), alpha=rng.uniform(-0.2, 0.3),
+                                    gamma=rng.uniform(0.1, 0.5)),
+               CrraUtility(kappa=float(rng.choice([0.5, 1.5, 2.0, 3.0, 5.0])),
+                           beta=rng.uniform(0.0, 0.2)),
+               rng.uniform(0.2, 5.0), int(rng.integers(2, 3000)))
+    flat = MarketModel.constant(r=0.0, alpha=0.0, gamma=0.2)
+    for beta in (2e-10, 5e-11, 0.0):
+        yield flat, CrraUtility(kappa=2.0, beta=beta), 1.0, 100
+    for r in (4e-10, 1e-10):
+        # theta = 0, so eta = -(1 - kappa) r: -2e-10 and -5e-11.
+        yield MarketModel.constant(r=r, alpha=r, gamma=0.2), CrraUtility(kappa=0.5), 1.0, 100
+
+
+def test_solve_a_branch_follows_eta_over_a_seeded_family():
+    lam = worst_case_lambda(DESK_SET, "negative", "pessimist")
+    seen = set()
+    for market, util, horizon, n_t in _branch_family():
+        cf = solve_A(market, util, lam, n_t=n_t, horizon=horizon)
+        e = cf.eta(0.0)
+        tiny = abs(e) < ETA_ZERO_TOL
+        assert cf.resolved_branch == ("linear-limit" if tiny else "affine-exp"), (e, util)
+        seen.add((tiny, e > 0.0))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_solve_a_rejects_a_curve_no_printed_candidate_matches(monkeypatch):
+    # A segment walk off by one part in a million still gives a smooth, positive A(t)
+    # (A(0) moves from 1.9052603 to 1.9052613); the printed candidates must reject it.
+    expm1 = np.expm1
+    monkeypatch.setattr(np, "expm1", lambda x: expm1(x) * (1.0 + 1e-6))
+    with pytest.raises(ConsistencyError, match="matches no printed closed-form candidate"):
+        desk_closed_form()
 
 
 def test_attitude_ordering_pessimist_below_optimist():
